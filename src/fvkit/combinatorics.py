@@ -5,6 +5,7 @@ All arithmetic here is arbitrary-precision integer/rational.  No floats.
 """
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from typing import Union
@@ -12,14 +13,27 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 
+def rising_product(p: int, q: int, m: int) -> int:
+    """p(p+q)(p+2q)...(p+(m-1)q): the integer numerator of (p/q)_(m) over
+    the denominator q**m.  A negative step q gives the falling product."""
+    out = 1
+    for i in range(m):
+        out *= p + i * q
+    return out
+
+
 def rising_factorial(a: Rational, m: int) -> Rational:
-    """a(a+1)...(a+m-1), with the empty product equal to 1."""
+    """a(a+1)...(a+m-1), with the empty product equal to 1.
+
+    A Fraction p/q is multiplied out as the integer product over q**m and
+    normalised once, so the result is the same exact Fraction.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
-    out: Rational = 1
-    for i in range(m):
-        out *= a + i
-    return out
+    if isinstance(a, Fraction) and m:
+        q = a.denominator
+        return Fraction(rising_product(a.numerator, q, m), q**m)
+    return rising_product(a, 1, m)
 
 
 def falling_factorial(a: Rational, m: int) -> Rational:
@@ -30,21 +44,17 @@ def falling_factorial(a: Rational, m: int) -> Rational:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    out: Rational = 1
-    for i in range(m):
-        out *= a - i
-    return out
+    if isinstance(a, Fraction) and m:
+        q = a.denominator
+        return Fraction(rising_product(a.numerator, -q, m), q**m)
+    return rising_product(a, -1, m)
 
 
 def binomial(m: int, n: int) -> int:
     """C(m, n) with C(m, n) = 0 whenever n > m or n < 0."""
     if n < 0 or n > m:
         return 0
-    n = min(n, m - n)
-    out = 1
-    for i in range(1, n + 1):
-        out = out * (m - n + i) // i
-    return out
+    return math.comb(m, n)
 
 
 class _StirlingTable:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional, Union
 
 import mpmath
 import numpy as np
 
-from .combinatorics import binomial, falling_factorial, rising_factorial
+from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product
 
 Rational = Union[int, Fraction]
 
@@ -96,9 +97,12 @@ class DeathPmf:
     def term_bound(self) -> float:
         return max(self.term_bounds, default=0.0)
 
-    @property
+    @cached_property
     def probs_float(self) -> np.ndarray:
-        return np.array([float(p) for p in self.probs])
+        """Float copy of ``probs``, computed once and read-only."""
+        out = np.array([float(p) for p in self.probs])
+        out.setflags(write=False)
+        return out
 
     def rows(self):
         """(n, d_n, term_bound) rows for table output."""
@@ -128,23 +132,14 @@ def _gamma_factor(m: int, theta: Fraction, t: Fraction):
     return (2 * m - 1 + _mpf_frac(theta)) * mpmath.exp(-_mpf_frac(lam_t))
 
 
-class _GammaCache:
-    def __init__(self, theta: Fraction, t: Fraction):
-        self.theta = theta
-        self.t = t
-        self._vals: dict[int, object] = {}
-
-    def __call__(self, m: int):
-        v = self._vals.get(m)
-        if v is None:
-            v = _gamma_factor(m, self.theta, self.t)
-            self._vals[m] = v
-        return v
-
-
-def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma, prec: PrecisionConfig):
+def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
+                        prec: PrecisionConfig):
     """Sum the alternating series for d_n(t) (n >= 1) or for the n = 0
     complement sum, returning (value, error_bound) as (mpf, float).
+    ``gamma`` memoizes the factors gamma_m of this (theta, t) by m.
+
+    The rational coefficient is carried as an integer pair (num, den),
+    updated by integer products each term and never normalised.
 
     The stop rule: at candidate index m, a closed-form bound on the term
     ratio certifies that every term from m on is strictly decreasing; if
@@ -153,13 +148,16 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma, prec: Preci
     """
     th = float(theta)
     tf = float(t)
+    p, q = theta.numerator, theta.denominator
     if n >= 1:
+        # (theta+n)_(n-1) / n!
         m0 = n
-        coeff = Fraction(rising_factorial(theta + n, n - 1), math.factorial(n))
+        num = rising_product(p + n * q, q, n - 1)
+        den = q ** (n - 1) * math.factorial(n)
     else:
         # complement series sum_{m>=1} (-1)^(m-1) theta_(m-1)/m! gamma_m
         m0 = 1
-        coeff = Fraction(1)
+        num = den = 1
 
     total = mpmath.mpf(0)
     peak = 0.0
@@ -168,7 +166,10 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma, prec: Preci
     sign = 1
     m = m0
     while nterms < prec.max_terms:
-        a_mpf = _mpf_frac(coeff) * gamma(m)
+        g = gamma.get(m)
+        if g is None:
+            g = gamma[m] = _gamma_factor(m, theta, t)
+        a_mpf = mpmath.mpf(num) / den * g
         a = float(a_mpf)
         # sup over m' >= m of the rational part of the term ratio
         if n >= 1:
@@ -189,7 +190,9 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma, prec: Preci
         total += sign * a_mpf
         peak = max(peak, abs(a))
         sign = -sign
-        coeff = coeff * (theta + n + m - 1) / (m + 1 - n) if n >= 1 else coeff * (theta + m - 1) / (m + 1)
+        # times (theta+n+m-1)/(m+1-n), or (theta+m-1)/(m+1) for n = 0
+        num *= p + (n + m - 1) * q
+        den *= q * (m + 1 - n if n >= 1 else m + 1)
         m += 1
         nterms += 1
     raise PrecisionExhaustedError(
@@ -205,7 +208,7 @@ def _death_prob(n: int, t: Fraction, params: DeathParams, prec: PrecisionConfig,
     theta = params.theta_fraction
     with mpmath.workdps(prec.working_digits):
         if gamma is None:
-            gamma = _GammaCache(theta, t)
+            gamma = {}
         if n == 0:
             if params.is_coalescent:
                 return mpmath.mpf(0), 0.0
@@ -215,18 +218,30 @@ def _death_prob(n: int, t: Fraction, params: DeathParams, prec: PrecisionConfig,
         return s, bound
 
 
+PMF_CACHE_SIZE = 256
+
+
 def death_pmf(t, params: DeathParams, prec: PrecisionConfig = PrecisionConfig()) -> DeathPmf:
     """Compute {d_n(t)} for n = 0..n_max, with n_max chosen so the
-    accumulated mass reaches 1 - tail_tol."""
+    accumulated mass reaches 1 - tail_tol.
+
+    Results are memoized per (t, params, prec) in a bounded LRU cache, so
+    callers share one immutable pmf per key; equal keys such as 0.5 and
+    Fraction(1, 2) share an entry."""
     if not t > 0:
         raise ValueError("t must be > 0")
+    return _death_pmf_cached(t, params, prec)
+
+
+@lru_cache(maxsize=PMF_CACHE_SIZE)
+def _death_pmf_cached(t, params: DeathParams, prec: PrecisionConfig) -> DeathPmf:
     tf = Fraction(t)
     theta = params.theta_fraction
     probs = []
     bounds = []
     clamped = []
     with mpmath.workdps(prec.working_digits):
-        gamma = _GammaCache(theta, tf)
+        gamma = {}
         mass = mpmath.mpf(0)
         total_bound = 0.0
         n = 0
@@ -376,14 +391,15 @@ def check_single_death_identity(n: int, s, params: DeathParams,
     0.5*(exp(-lambda_{n-1} s) - exp(-lambda_n s))/(lambda_n - lambda_{n-1}).
 
     Also sanity-checks the s -> 0+ behavior of the closed form: H vanishes
-    linearly, so 0 < H(1e-3) <= 5e-4."""
+    linearly, so 0 < H(1e-3) <= 5e-4, and a RuntimeError is raised if not."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if params.is_coalescent:
         raise ValueError("requires theta > 0")
     theta = params.theta_fraction
     h_small = float(_single_death_closed_form(n, Fraction(1, 1000), theta, prec.working_digits))
-    assert 0 < h_small <= 5e-4, f"H(1e-3) = {h_small} outside (0, 5e-4]"
+    if not 0 < h_small <= 5e-4:
+        raise RuntimeError(f"H(1e-3) = {h_small} outside (0, 5e-4]")
     pmf = death_pmf(s, params, _inner_prec(prec, 1e-4))
     with mpmath.workdps(prec.working_digits):
         acc = mpmath.mpf(0)
@@ -500,14 +516,20 @@ _MC_CHUNK_TARGET = 5_000_000  # floats per simulation chunk
 
 def mean_entry_time(n0: int, theta: float) -> float:
     """Mean time the infinite-start chain spends above n0:
-    sum_{k>n0} 1/lambda_k, about 2/n0.
+    sum_{k>n0} 1/lambda_k = sum_{k>n0} 2/(k(k-1+theta)), about 2/n0.
+
+    By partial fractions the sum is 2(psi(n0+theta) - psi(n0+1))/(theta-1),
+    and 2 psi'(n0+1) at theta = 1; it is evaluated in that exact form with
+    digits to spare for the cancellation near theta = 1.
 
     A finite-start simulation must discount its clock by this amount or it
     lags the infinite-start law by O(1/n0), which is several standard
     errors at a million replicates."""
-    M = n0 + 1_000_000
-    ks = np.arange(n0 + 1, M + 1, dtype=float)
-    return float((2.0 / (ks * (ks - 1 + theta))).sum()) + 2.0 / M
+    with mpmath.workdps(40):
+        if theta == 1:
+            return float(2 * mpmath.psi(1, n0 + 1))
+        th = mpmath.mpf(theta)
+        return float(2 * (mpmath.digamma(n0 + th) - mpmath.digamma(n0 + 1)) / (th - 1))
 
 
 def _hold_rates(theta: float, hi: int, lo: int) -> tuple[np.ndarray, np.ndarray]:

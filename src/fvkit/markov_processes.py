@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,12 +78,7 @@ class FvConfig:
             raise ValueError("t must be > 0")
 
     def death_pmf(self) -> DeathPmf:
-        return _cached_death_pmf(DeathParams(self.theta), self.t, self.prec)
-
-
-@lru_cache(maxsize=128)
-def _cached_death_pmf(params: DeathParams, t: float, prec: PrecisionConfig) -> DeathPmf:
-    return death_pmf(t, params, prec)
+        return death_pmf(self.t, DeathParams(self.theta), self.prec)
 
 
 def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:

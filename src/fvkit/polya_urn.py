@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-from .combinatorics import binomial, falling_factorial, rising_factorial
+from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product
 
 Rational = Union[int, Fraction]
 
@@ -81,9 +82,12 @@ class OverlapPmf:
     theta: Union[Fraction, float]
     probs: tuple
 
-    @property
+    @cached_property
     def probs_float(self) -> np.ndarray:
-        return np.array([float(p) for p in self.probs])
+        """Float copy of ``probs``, computed once and read-only."""
+        out = np.array([float(p) for p in self.probs])
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -135,64 +139,68 @@ def overlap_count(trace: UrnTrace) -> int:
     return len(hit)
 
 
-def _overlap_form_direct(r: int, m: int, n: int, theta: Fraction) -> Fraction:
-    return Fraction(
-        falling_factorial(n, r) * rising_factorial(theta + r, m - r) * binomial(m, r),
-        rising_factorial(theta + n, m),
-    )
-
-
-def _overlap_form_extended(r: int, m: int, n: int, theta: Fraction) -> Fraction:
-    num = math.factorial(r) * binomial(n, r) * binomial(m, r) \
-        * rising_factorial(theta, n) * rising_factorial(theta, m)
-    den = rising_factorial(theta, n + m) * rising_factorial(theta, r)
-    return Fraction(num, den)
-
-
-def _shifted_rising_via_expansion(theta: Fraction, r: int, m: int) -> Fraction:
-    # (theta+r)_(m-r) recomputed through its expansion as a weighted sum of
-    # plain rising factorials; valid for r >= 1
-    total = Fraction(0)
-    for k in range(m - r + 1):
-        total += (math.factorial(k) * binomial(k + r - 1, k) * binomial(m - r, k)
-                  * rising_factorial(theta, m - r - k))
-    return total
-
-
-def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
-    """Closed-form overlap pmf for theta > 0, computed through BOTH published
-    forms and cross-asserted entry by entry; exact rational output summing
-    to exactly 1.
-
-    ``via_expansion`` swaps the shifted rising factorial in the direct form
-    for its combinatorial expansion, tying the pmf to the underlying
-    identity.
-    """
+def _check_exact_args(m: int, n: int, theta) -> Fraction:
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
     theta = Fraction(theta)
     if not theta > 0:
         raise ValueError("theta must be > 0 (use overlap_pmf_theta0 for theta = 0)")
-    probs = []
-    for r in range(min(m, n) + 1):
-        if via_expansion and r >= 1:
-            direct = Fraction(
-                falling_factorial(n, r) * _shifted_rising_via_expansion(theta, r, m)
-                * binomial(m, r),
-                rising_factorial(theta + n, m),
-            )
-        else:
-            direct = _overlap_form_direct(r, m, n, theta)
-        extended = _overlap_form_extended(r, m, n, theta)
-        if direct != extended:
-            raise RuntimeError(
-                f"overlap pmf forms disagree at r={r}, m={m}, n={n}, theta={theta}: "
-                f"{direct} vs {extended}"
-            )
-        probs.append(direct)
-    if sum(probs) != 1:
+    return theta
+
+
+def _shifted_rising_numerator(p: int, q: int, r: int, m: int, via_expansion: bool) -> int:
+    # q**(m-r) * (theta+r)_(m-r) for theta = p/q.  via_expansion recomputes
+    # it as the weighted sum of plain rising factorials theta_(m-r-k) that
+    # expands it, which holds for r >= 1.
+    if not via_expansion or r == 0:
+        return rising_product(p + r * q, q, m - r)
+    total = 0
+    for k in range(m - r + 1):
+        total += (math.factorial(k) * binomial(k + r - 1, k) * binomial(m - r, k)
+                  * rising_product(p, q, m - r - k) * q**k)
+    return total
+
+
+def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
+    """Closed-form overlap pmf for theta > 0 through the direct form
+    n_[r] C(m,r) (theta+r)_(m-r) / (theta+n)_(m); exact rational output,
+    checked to sum to exactly 1.  ``overlap_pmf_extended`` computes the
+    other published form for cross-checking.
+
+    With theta = p/q both rising factorials are integer products over
+    q**m, so every entry is an integer numerator over one shared
+    denominator, normalised once.
+
+    ``via_expansion`` swaps the shifted rising factorial in the direct form
+    for its combinatorial expansion, tying the pmf to the underlying
+    identity.
+    """
+    theta = _check_exact_args(m, n, theta)
+    p, q = theta.numerator, theta.denominator
+    den = rising_product(p + n * q, q, m)
+    nums = [falling_factorial(n, r) * binomial(m, r) * q**r
+            * _shifted_rising_numerator(p, q, r, m, via_expansion)
+            for r in range(min(m, n) + 1)]
+    if sum(nums) != den:
         raise RuntimeError(f"overlap pmf does not sum to 1 for m={m}, n={n}, theta={theta}")
-    return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(probs))
+    return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, den) for a in nums))
+
+
+def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:
+    """The overlap pmf for theta > 0 through the extended closed form
+    r! C(n,r) C(m,r) theta_(n) theta_(m) / (theta_(n+m) theta_(r)), entry by
+    entry and unchecked: the independent counterpart of
+    ``overlap_pmf_exact``."""
+    theta = _check_exact_args(m, n, theta)
+    p, q = theta.numerator, theta.denominator
+    # each theta_(k) is its integer numerator over q**k, leaving q**r on top
+    rise = partial(rising_product, p, q)
+    probs = tuple(
+        Fraction(math.factorial(r) * binomial(n, r) * binomial(m, r)
+                 * rise(n) * rise(m) * q**r, rise(n + m) * rise(r))
+        for r in range(min(m, n) + 1)
+    )
+    return OverlapPmf(m=m, n=n, theta=theta, probs=probs)
 
 
 def overlap_pmf_theta0(m: int, n: int) -> OverlapPmf:
@@ -231,7 +239,10 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
     accumulating exact path probabilities grouped by overlap count.
 
     This mirrors the sequential predictive rule directly and is the
-    independent oracle for the closed forms.  Instances beyond the path
+    independent oracle for the closed forms.  With theta = p/q, draw j has
+    probability q/(p+(n+j-1)q) for each hit or repeat and p/(p+(n+j-1)q)
+    for a fresh value, so every path carries an integer weight over the
+    shared denominator prod_j (p+(n+j-1)q).  Instances beyond the path
     budget are rejected.
     """
     if m < 0 or n < 0:
@@ -244,15 +255,15 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
             f"enumeration budget exceeded: {bruteforce_path_count(m, n)} paths "
             f"> {BRUTEFORCE_PATH_BUDGET}"
         )
-    acc = [Fraction(0)] * (min(m, n) + 1)
+    p, q = theta.numerator, theta.denominator
+    acc = [0] * (min(m, n) + 1)
     roots = [0] * m  # atom index (1-based) or 0 for fresh, per draw
 
-    def rec(j: int, prob: Fraction, hitmask: int):
+    def rec(j: int, weight: int, hitmask: int):
         if j > m:
-            acc[hitmask.bit_count()] += prob
+            acc[hitmask.bit_count()] += weight
             return
-        denom = theta + n + j - 1
-        unit = prob / denom
+        unit = weight * q
         for i in range(1, n + 1):
             roots[j - 1] = i
             rec(j + 1, unit, hitmask | (1 << (i - 1)))
@@ -260,14 +271,15 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
             r = roots[l - 1]
             roots[j - 1] = r
             rec(j + 1, unit, hitmask | ((1 << (r - 1)) if r else 0))
-        if theta:
+        if p:
             roots[j - 1] = 0
-            rec(j + 1, unit * theta, hitmask)
+            rec(j + 1, weight * p, hitmask)
 
-    rec(1, Fraction(1), 0)
-    if sum(acc) != 1:
+    rec(1, 1, 0)
+    den = rising_product(p + n * q, q, m)
+    if sum(acc) != den:
         raise RuntimeError(f"enumeration probabilities do not sum to 1 for m={m}, n={n}")
-    return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(acc))
+    return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, den) for a in acc))
 
 
 def overlap_pmf_montecarlo(m: int, n: int, theta, reps: int,

@@ -93,9 +93,9 @@ def verify_urn(form_max: int = 20, bruteforce_max: int = 5, theta0_max: int = 15
         for m in range(form_max + 1):
             for n in range(form_max + 1):
                 try:
-                    urn.overlap_pmf_exact(m, n, theta)  # cross-asserts both forms
-                    ok = True
-                except RuntimeError:
+                    ok = (urn.overlap_pmf_exact(m, n, theta).probs
+                          == urn.overlap_pmf_extended(m, n, theta).probs)
+                except RuntimeError:  # the direct form does not sum to 1
                     ok = False
                 rows.append(_exact_row("overlap-forms-agree", f"m={m},n={n},theta={theta}", ok))
     for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 2)):

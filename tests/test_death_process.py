@@ -18,6 +18,7 @@ from fvkit.death_process import (
     death_rate,
     mc_death_pmf,
     mc_death_pmf_sensitivity,
+    mean_entry_time,
     sample_death_count,
     transition_closed_form,
     transition_given_n,
@@ -227,6 +228,39 @@ class TestSingleDeathIdentity:
             check_single_death_identity(2, 1e-2, P1, PREC)
         res = check_single_death_identity(2, 1e-2, P1, PrecisionConfig(working_digits=220))
         assert res < TOL10
+
+
+    def test_closed_form_out_of_range_raises(self, monkeypatch):
+        # the H(1e-3) range check raises, so it also holds under python -O
+        import fvkit.death_process as dp
+        monkeypatch.setattr(dp, "_single_death_closed_form", lambda n, s, theta, dps: 1.0)
+        with pytest.raises(RuntimeError, match="outside"):
+            check_single_death_identity(2, 1.0, P1, PREC)
+
+
+class TestMeanEntryTime:
+    @staticmethod
+    def tail_integral(a, theta):
+        # integral from a to infinity of 2 dx / (x (x - 1 + theta))
+        if theta == 1:
+            return 2 / a
+        return 2 * math.log1p((theta - 1) / a) / (theta - 1)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("n0", [10, 500])
+    def test_matches_long_direct_sum(self, n0, theta):
+        # 2e6 terms summed directly; the decreasing tail lies between its
+        # integrals from M+1 and from M, a bracket about 5e-13 wide
+        M = n0 + 2_000_000
+        ks = np.arange(n0 + 1, M + 1, dtype=float)
+        head = float((2.0 / (ks * (ks - 1 + theta))).sum())
+        lo = head + self.tail_integral(M + 1, theta)
+        hi = head + self.tail_integral(M, theta)
+        assert lo - 1e-16 <= mean_entry_time(n0, theta) <= hi + 1e-16
+
+    def test_coalescent_telescopes(self):
+        # theta = 0: sum_{k>n0} 2/(k(k-1)) = 2/n0
+        assert mean_entry_time(40, 0.0) == pytest.approx(2 / 40, rel=1e-15)
 
 
 class TestChapmanKolmogorov:

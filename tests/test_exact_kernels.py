@@ -1,0 +1,154 @@
+"""The integer kernels of the exact layers against plain Fraction
+arithmetic, the exhaustive urn oracle against the closed forms, and the
+death-pmf memo."""
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fvkit.combinatorics import binomial, falling_factorial, rising_factorial
+from fvkit.death_process import (
+    PMF_CACHE_SIZE,
+    DeathParams,
+    PrecisionConfig,
+    _death_pmf_cached,
+    death_pmf,
+)
+from fvkit.polya_urn import (
+    overlap_pmf_bruteforce,
+    overlap_pmf_exact,
+    overlap_pmf_extended,
+    overlap_pmf_theta0,
+)
+
+
+def naive_rising(a, m):
+    out = Fraction(1)
+    for i in range(m):
+        out *= Fraction(a) + i
+    return out
+
+
+def naive_falling(a, m):
+    out = Fraction(1)
+    for i in range(m):
+        out *= Fraction(a) - i
+    return out
+
+
+def naive_binomial(m, n):
+    if n < 0 or n > m:
+        return 0
+    out = Fraction(1)
+    for i in range(n):
+        out = out * (m - i) / (i + 1)
+    return out
+
+
+# negative, non-dyadic and integer-valued Fractions alongside plain ints
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+factor_args = st.one_of(st.integers(-30, 30), rationals)
+
+
+class TestIntegerKernels:
+    @given(factor_args, st.integers(0, 25))
+    def test_rising_matches_fraction_loop(self, a, m):
+        got = rising_factorial(a, m)
+        assert got == naive_rising(a, m)
+        assert type(got) is (Fraction if isinstance(a, Fraction) and m else int)
+
+    @given(factor_args, st.integers(0, 25))
+    def test_falling_matches_fraction_loop(self, a, m):
+        got = falling_factorial(a, m)
+        assert got == naive_falling(a, m)
+        assert type(got) is (Fraction if isinstance(a, Fraction) and m else int)
+
+    @given(st.integers(-5, 80), st.integers(-5, 80))
+    def test_binomial_matches_fraction_loop(self, m, n):
+        got = binomial(m, n)
+        assert type(got) is int
+        assert got == naive_binomial(m, n)
+
+    def test_examples(self):
+        assert rising_factorial(Fraction(-7, 3), 4) == Fraction(-7 * -4 * -1 * 2, 3**4)
+        assert falling_factorial(Fraction(1, 7), 3) == Fraction(1 * -6 * -13, 7**3)
+        assert rising_factorial(Fraction(-2), 3) == 0
+        assert rising_factorial(Fraction(5, 6), 0) == 1
+        assert falling_factorial(-3, 0) == 1
+        assert binomial(0, 0) == 1
+        assert binomial(-1, 0) == 0
+
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError):
+            rising_factorial(Fraction(1, 3), -1)
+        with pytest.raises(ValueError):
+            falling_factorial(2, -1)
+
+
+class TestUrnOracle:
+    @pytest.mark.parametrize("theta", [Fraction(7, 3), Fraction(1, 3)])
+    def test_bruteforce_equals_exact(self, theta):
+        for m in range(5):
+            for n in range(5):
+                exact = overlap_pmf_exact(m, n, theta).probs
+                assert overlap_pmf_bruteforce(m, n, theta).probs == exact
+                assert overlap_pmf_extended(m, n, theta).probs == exact
+
+    def test_bruteforce_equals_theta0(self):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                assert overlap_pmf_bruteforce(m, n, 0).probs == overlap_pmf_theta0(m, n).probs
+
+    def test_probs_float_read_only(self):
+        pmf = overlap_pmf_exact(3, 2, Fraction(7, 3))
+        arr = pmf.probs_float
+        assert arr is pmf.probs_float
+        assert np.array_equal(arr, [float(p) for p in pmf.probs])
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+class TestDeathPmfMemo:
+    # keys unique to this class, so no other test has filled them
+    PARAMS = DeathParams(2.25)
+
+    def test_repeat_call_returns_identical_entries(self):
+        a = death_pmf(0.7, self.PARAMS)
+        b = death_pmf(0.7, self.PARAMS)
+        assert b is a
+        assert b.probs == a.probs and b.term_bounds == a.term_bounds
+
+    def test_equal_keys_share_one_entry(self):
+        before = _death_pmf_cached.cache_info()
+        a = death_pmf(0.5, self.PARAMS)
+        b = death_pmf(Fraction(1, 2), DeathParams(Fraction(9, 4)))
+        after = _death_pmf_cached.cache_info()
+        assert b is a
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    def test_precision_gets_its_own_entry(self):
+        before = _death_pmf_cached.cache_info()
+        a = death_pmf(0.625, self.PARAMS, PrecisionConfig(working_digits=60))
+        b = death_pmf(0.625, self.PARAMS, PrecisionConfig(working_digits=70))
+        after = _death_pmf_cached.cache_info()
+        assert after.misses - before.misses == 2
+        assert (a.working_digits, b.working_digits) == (60, 70)
+        assert max(abs(float(x - y)) for x, y in zip(a.probs, b.probs)) < 1e-11
+
+    def test_cache_is_bounded(self):
+        assert _death_pmf_cached.cache_info().maxsize == PMF_CACHE_SIZE
+
+    def test_invalid_time_is_rejected_before_lookup(self):
+        before = _death_pmf_cached.cache_info()
+        with pytest.raises(ValueError):
+            death_pmf(0, self.PARAMS)
+        assert _death_pmf_cached.cache_info() == before
+
+    def test_probs_float_read_only(self):
+        pmf = death_pmf(0.7, self.PARAMS)
+        arr = pmf.probs_float
+        assert arr is pmf.probs_float
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -17,6 +17,7 @@ from fvkit.polya_urn import (
     overlap_count,
     overlap_pmf_bruteforce,
     overlap_pmf_exact,
+    overlap_pmf_extended,
     overlap_pmf_montecarlo,
     overlap_pmf_theta0,
     sample_urn,
@@ -100,7 +101,8 @@ class TestExactPmf:
         for theta in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):
             for m in range(0, 21, 4):
                 for n in range(0, 21, 4):
-                    overlap_pmf_exact(m, n, theta)  # cross-asserted internally
+                    assert overlap_pmf_exact(m, n, theta).probs == \
+                        overlap_pmf_extended(m, n, theta).probs
 
     def test_expected_overlap_single_draw(self):
         # one draw hits some atom with probability n/(theta+n)
