@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import mpmath
 import numpy as np
-from scipy import stats
 
 from .death_process import DeathParams, DeathPmf, PrecisionConfig, death_pmf, sample_death_count
 from .random_measures import (
@@ -261,6 +261,47 @@ def stationarity_checks(kind: str, cfg, A: TestSet, reps: int,
     return [_moment_check(vals[m], m, p, cfg.theta) for m in marks]
 
 
+def _ks_2samp_equal(x, y) -> tuple[float, float]:
+    """Two-sided two-sample Kolmogorov-Smirnov test for equal sample sizes
+    n, exact at every n: the statistic D = h/n is the largest gap between
+    the two ECDFs over the pooled points, and the p-value is the chance
+    that a uniform lattice path from (0, 0) to (n, n) touches |i - j| = h
+    (Hodges 1958), by the Horner form of the alternating reflection sum."""
+    x, y = np.sort(x), np.sort(y)
+    n = x.size
+    if n == 0 or y.size != n:
+        raise ValueError("KS test needs two nonempty samples of equal size")
+    pooled = np.concatenate([x, y])
+    gaps = np.searchsorted(x, pooled, side="right") - np.searchsorted(y, pooled, side="right")
+    h = int(np.abs(gaps).max())
+    if h == 0:
+        return 0.0, 1.0
+    # P(D >= h/n) = 2 A_0 (1 - A_1 (1 - A_2 (...))), A_k = C(2n, n-(k+1)h) / C(2n, n-kh)
+    P = 0.0
+    for k in range(n // h, -1, -1):
+        p1 = 1.0
+        for j in range(h):
+            p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
+        P = p1 * (1.0 - P)
+    return h / n, min(max(2 * P, 0.0), 1.0)
+
+
+def _chisquare_pvalue(counts, expected) -> float:
+    """Upper-tail p-value of Pearson's chi-square statistic with k - 1
+    degrees of freedom, as the regularized upper incomplete gamma
+    Q(df/2, stat/2).  Observed and expected totals must agree to a relative
+    sqrt(float eps)."""
+    obs = np.asarray(counts, dtype=float)
+    exp = np.asarray(expected, dtype=float)
+    if obs.size < 2 or obs.shape != exp.shape:
+        raise ValueError("chi-square test needs matching counts over at least two cells")
+    tot_obs, tot_exp = obs.sum(), exp.sum()
+    if abs(tot_obs - tot_exp) > np.finfo(float).eps ** 0.5 * min(tot_obs, tot_exp):
+        raise ValueError(f"observed total {tot_obs} does not match expected total {tot_exp}")
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return float(mpmath.gammainc((obs.size - 1) / 2, stat / 2, mpmath.inf, regularized=True))
+
+
 @dataclass(frozen=True)
 class CompositionReport:
     """Distributional comparison of one long transition against two chained
@@ -290,13 +331,13 @@ def fv_chapman_kolmogorov_process_test(cfg: FvConfig, t: float, s: float, A: Tes
         mu0 = stationary_measure(cfg.theta, cfg.base, cfg.trunc, rng)
         one[i] = fv_step(mu0, cfg_ts, rng).mass(A)
         two[i] = fv_step(fv_step(mu0, cfg_t, rng), cfg_s, rng).mass(A)
-    ks = stats.ks_2samp(one, two)
+    ks_stat, ks_pvalue = _ks_2samp_equal(one, two)
     diff = one - two
     mean_diff_se = float(diff.std(ddof=1) / math.sqrt(reps))
     d2 = (one - one.mean())**2 - (two - two.mean())**2
     var_diff_se = float(d2.std(ddof=1) / math.sqrt(reps))
     return CompositionReport(
-        ks_stat=float(ks.statistic), ks_pvalue=float(ks.pvalue),
+        ks_stat=ks_stat, ks_pvalue=ks_pvalue,
         mean_diff=float(diff.mean()), mean_diff_se=mean_diff_se,
         var_diff=float(one.var(ddof=1) - two.var(ddof=1)), var_diff_se=var_diff_se,
         reps=reps,
@@ -323,10 +364,9 @@ def measure_chain_reversibility_test(cfg: MeasureChainConfig, A: TestSet, reps: 
         mu0 = stationary_measure(cfg.theta, cfg.base, cfg.trunc, rng)
         u[i] = mu0.mass(A)
         v[i] = measure_chain_step(mu0, cfg, rng).mass(A)
-    ks = stats.ks_2samp(u, v)
     d = u * u * v - u * v * v
     return ReversibilityReport(
-        marginal_ks_pvalue=float(ks.pvalue),
+        marginal_ks_pvalue=_ks_2samp_equal(u, v)[1],
         cross_moment=float(d.mean()),
         cross_moment_se=float(d.std(ddof=1) / math.sqrt(reps)),
         reps=reps,
@@ -363,4 +403,4 @@ def dar1_marginal_chisquare(cfg: Dar1Config, samples: int, rng: np.random.Genera
             x = dar1_step(x, cfg, rng)
         counts[int(x)] += 1
     expected = np.asarray(cfg.base.weights, dtype=float) * samples
-    return float(stats.chisquare(counts, expected).pvalue)
+    return _chisquare_pvalue(counts, expected)

@@ -205,26 +205,30 @@ def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:
 
 def overlap_pmf_theta0(m: int, n: int) -> OverlapPmf:
     """Overlap pmf in the theta = 0 regime (no fresh mass): requires
-    m, n >= 1, and r = 0 has probability 0.  Both printed forms are
-    computed and cross-asserted."""
+    m, n >= 1, and r = 0 has probability 0.  Computed through
+    n_[r] (r)_(m-r) C(m,r) / (n)_(m), every entry an integer numerator over
+    one shared denominator; ``overlap_pmf_theta0_factorial`` computes the
+    other printed form for cross-checking."""
     if m < 1 or n < 1:
         raise ValueError("theta = 0 pmf needs m >= 1 and n >= 1")
-    probs = []
-    for r in range(min(m, n) + 1):
-        a = Fraction(
-            falling_factorial(n, r) * rising_factorial(r, m - r) * binomial(m, r),
-            rising_factorial(n, m),
-        )
-        b = Fraction(
-            r * binomial(m, r) * binomial(n, r) * math.factorial(n - 1) * math.factorial(m - 1),
-            math.factorial(n + m - 1),
-        )
-        if a != b:
-            raise RuntimeError(f"theta=0 overlap forms disagree at r={r}, m={m}, n={n}: {a} vs {b}")
-        probs.append(a)
-    if probs[0] != 0 or sum(probs) != 1:
+    den = rising_factorial(n, m)
+    nums = [falling_factorial(n, r) * rising_factorial(r, m - r) * binomial(m, r)
+            for r in range(min(m, n) + 1)]
+    if nums[0] != 0 or sum(nums) != den:
         raise RuntimeError(f"theta=0 overlap pmf invalid for m={m}, n={n}")
-    return OverlapPmf(m=m, n=n, theta=Fraction(0), probs=tuple(probs))
+    return OverlapPmf(m=m, n=n, theta=Fraction(0), probs=tuple(Fraction(a, den) for a in nums))
+
+
+def overlap_pmf_theta0_factorial(m: int, n: int) -> OverlapPmf:
+    """The theta = 0 overlap pmf through the factorial form
+    r C(m,r) C(n,r) (n-1)! (m-1)! / (n+m-1)!, entry by entry."""
+    if m < 1 or n < 1:
+        raise ValueError("theta = 0 pmf needs m >= 1 and n >= 1")
+    c = math.factorial(n - 1) * math.factorial(m - 1)
+    den = math.factorial(n + m - 1)
+    probs = tuple(Fraction(r * binomial(m, r) * binomial(n, r) * c, den)
+                  for r in range(min(m, n) + 1))
+    return OverlapPmf(m=m, n=n, theta=Fraction(0), probs=probs)
 
 
 def bruteforce_path_count(m: int, n: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -122,14 +123,17 @@ class DiscreteBase:
     def size(self) -> int:
         return len(self.weights)
 
+    @cached_property
     def _cum(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.weights, dtype=float))
+        cum = np.cumsum(np.asarray(self.weights, dtype=float))
+        cum.setflags(write=False)
+        return cum
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cum(), rng.random(), side="right"))
+        return int(np.searchsorted(self._cum, rng.random(), side="right"))
 
     def sample_batch(self, rng: np.random.Generator, k: int):
-        cum = self._cum()
+        cum = self._cum
         ids = np.searchsorted(cum, rng.random(k) * cum[-1], side="right").astype(np.int64)
         xs = None if self.points is None else np.asarray(self.points, dtype=float)[ids]
         return ids, xs

@@ -107,10 +107,10 @@ def verify_urn(form_max: int = 20, bruteforce_max: int = 5, theta0_max: int = 15
     for m in range(1, theta0_max + 1):
         for n in range(1, theta0_max + 1):
             try:
-                pmf = urn.overlap_pmf_theta0(m, n)  # cross-asserts both forms
-                ok = True
+                pmf = urn.overlap_pmf_theta0(m, n)
+                ok = pmf.probs == urn.overlap_pmf_theta0_factorial(m, n).probs
                 zero_ok = pmf.probs[0] == 0
-            except RuntimeError:
+            except RuntimeError:  # no mass at r = 0 or not summing to 1
                 ok = zero_ok = False
             rows.append(_exact_row("theta0-forms-agree", f"m={m},n={n}", ok))
             rows.append(_exact_row("theta0-no-overlap-mass", f"m={m},n={n}", zero_ok))

@@ -20,6 +20,7 @@ from fvkit.polya_urn import (
     overlap_pmf_extended,
     overlap_pmf_montecarlo,
     overlap_pmf_theta0,
+    overlap_pmf_theta0_factorial,
     sample_urn,
 )
 
@@ -135,7 +136,8 @@ class TestTheta0:
     def test_no_mass_at_zero(self):
         for m in range(1, 16):
             for n in range(1, 16):
-                pmf = overlap_pmf_theta0(m, n)  # both forms cross-asserted
+                pmf = overlap_pmf_theta0(m, n)
+                assert pmf.probs == overlap_pmf_theta0_factorial(m, n).probs
                 assert pmf.probs[0] == 0
                 assert sum(pmf.probs) == 1
 
@@ -154,6 +156,8 @@ class TestTheta0:
             overlap_pmf_theta0(0, 3)
         with pytest.raises(ValueError):
             overlap_pmf_theta0(3, 0)
+        with pytest.raises(ValueError):
+            overlap_pmf_theta0_factorial(0, 3)
 
 
 class TestBruteforce:

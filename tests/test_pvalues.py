@@ -1,0 +1,158 @@
+"""The two p-values the process harnesses compute themselves: the exact
+equal-size two-sample Kolmogorov-Smirnov test and the chi-square tail.
+scipy is the oracle here and is needed by the tests only; the runtime
+must not import it."""
+import math
+import subprocess
+import sys
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats
+
+from fvkit.markov_processes import _chisquare_pvalue, _ks_2samp_equal
+
+SCIPY_EXACT_MAX_N = 10_000  # ks_2samp's method="auto" is exact up to here
+
+
+def assert_matches_scipy(x, y):
+    """Bit-identical (statistic, p-value), except where scipy gives up on
+    its own exact sum: at D = 1/n the Horner sum rounds to just above 1,
+    scipy switches to the asymptotic tail, and the exact value is 1."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref = stats.ks_2samp(x, y)
+    got = _ks_2samp_equal(x, y)
+    assert got[0] == float(ref.statistic)
+    if any("Exact calculation unsuccessful" in str(w.message) for w in caught):
+        assert round(got[0] * len(x)) == 1 and got[1] == 1.0
+        assert abs(float(ref.pvalue) - 1.0) < 1e-3
+    else:
+        assert got == (float(ref.statistic), float(ref.pvalue))
+
+
+def exact_outside(n, h):
+    """P(D_{n,n} >= h/n) as a Fraction: 2 sum_k (-1)^(k+1) C(2n, n-kh) / C(2n, n)."""
+    num = sum((-1) ** (k + 1) * math.comb(2 * n, n - k * h) for k in range(1, n // h + 1))
+    return Fraction(2 * num, math.comb(2 * n, n))
+
+
+def gap_samples(n, h):
+    """Equal-size samples whose ECDFs differ by exactly h/n at most."""
+    x = np.arange(n, dtype=float)
+    return x, x + h - 0.5
+
+
+class TestKsAgainstScipy:
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 5), min_size=n, max_size=n),
+        st.lists(st.integers(0, 5), min_size=n, max_size=n))))
+    def test_ties(self, xy):
+        assert_matches_scipy(np.array(xy[0], dtype=float), np.array(xy[1], dtype=float))
+
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n))))
+    def test_floats(self, xy):
+        assert_matches_scipy(np.array(xy[0]), np.array(xy[1]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 99, 1000, 9999, SCIPY_EXACT_MAX_N])
+    def test_grid(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.random(n)
+        for y in (rng.random(n),                        # same law
+                  rng.random(n) + 0.05,                 # shifted
+                  rng.integers(0, 3, n).astype(float),  # heavy ties against floats
+                  x[::-1].copy(),                       # identical samples, h = 0
+                  x + 2.0):                             # fully separated, h = n
+            assert_matches_scipy(x, y)
+        ties = rng.integers(0, 4, n).astype(float)
+        assert_matches_scipy(ties, rng.integers(0, 4, n).astype(float))
+
+    def test_identical_and_separated_values(self):
+        x = np.linspace(0.0, 1.0, 7)
+        assert _ks_2samp_equal(x, x[::-1]) == (0.0, 1.0)
+        stat, p = _ks_2samp_equal(x, x + 5.0)
+        assert stat == 1.0
+        assert p == pytest.approx(2 / math.comb(14, 7), rel=1e-14)
+
+
+class TestKsExact:
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_every_gap_against_rational_sum(self, n):
+        for h in range(1, n + 1):
+            _, p = _ks_2samp_equal(*gap_samples(n, h))
+            assert p == pytest.approx(float(exact_outside(n, h)), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("n,h", [(10_001, 166), (10_001, 400), (12_000, 300)])
+    def test_beyond_scipy_exact_range(self, n, h):
+        stat, p = _ks_2samp_equal(*gap_samples(n, h))
+        assert stat == h / n
+        assert p == pytest.approx(float(exact_outside(n, h)), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [10_001, 15_000, 20_000])
+    def test_close_to_scipy_asymptotic_tail(self, n):
+        # above 10,000 scipy uses kstwo.sf(D, n/2); its gap to the exact
+        # value peaks near 0.398/sqrt(n) (about 4e-3 at n = 10,001)
+        rng = np.random.default_rng(n)
+        x = rng.random(n)
+        for shift in (0.0, 0.01, 0.02, 0.04):
+            y = rng.random(n) + shift
+            _, p = _ks_2samp_equal(x, y)
+            assert abs(p - float(stats.ks_2samp(x, y).pvalue)) <= 0.5 / math.sqrt(n)
+
+
+class TestChisquare:
+    def test_against_scipy(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            k = int(rng.integers(2, 12))
+            w = rng.dirichlet(np.ones(k))
+            total = int(rng.integers(10, 100_000))
+            counts = rng.multinomial(total, w)
+            ref = float(stats.chisquare(counts, w * total).pvalue)
+            assert _chisquare_pvalue(counts, w * total) == pytest.approx(ref, rel=1e-12)
+
+    def test_perfect_fit_and_far_tail(self):
+        assert _chisquare_pvalue([25, 25, 50], [25.0, 25.0, 50.0]) == 1.0
+        p = _chisquare_pvalue([1000, 0], [500.0, 500.0])
+        assert p == pytest.approx(float(stats.chisquare([1000, 0], [500.0, 500.0]).pvalue),
+                                  rel=1e-12)
+        assert 0 < p < 1e-200
+
+    def test_mismatched_totals_raise(self):
+        # totals must agree to sqrt(eps) ~ 1.5e-8 relative, as in scipy
+        for off in (1.0, 6e-6):  # 1.7e-2 and 1e-7 relative
+            expected = [10.0, 20.0, 30.0 + off]
+            with pytest.raises(ValueError):
+                _chisquare_pvalue([10, 20, 30], expected)
+            with pytest.raises(ValueError):
+                stats.chisquare([10, 20, 30], expected)
+        close = [10.0, 20.0, 30.0 + 6e-9]  # 1e-10 relative
+        assert _chisquare_pvalue([10, 20, 30], close) == pytest.approx(
+            float(stats.chisquare([10, 20, 30], close).pvalue), rel=1e-12)
+
+
+class TestBadInput:
+    def test_ks_empty_or_unequal(self):
+        with pytest.raises(ValueError):
+            _ks_2samp_equal(np.array([]), np.array([]))
+        with pytest.raises(ValueError):
+            _ks_2samp_equal(np.arange(3.0), np.arange(4.0))
+
+    def test_chisquare_empty_or_unequal(self):
+        with pytest.raises(ValueError):
+            _chisquare_pvalue([], [])
+        with pytest.raises(ValueError):
+            _chisquare_pvalue([5, 5], [2.5, 2.5, 5.0])
+
+
+def test_runtime_does_not_import_scipy():
+    code = "import sys, fvkit.cli, fvkit.verify; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -237,6 +237,28 @@ class TestMeasureInvariants:
                             np.array([0.5]), 0.2)
 
 
+class TestDiscreteBaseSampling:
+    BASE = DiscreteBase(weights=(0.1, 0.2, 0.3, 0.4), points=(0.05, 0.3, 0.6, 0.9))
+    # drawn with seed 5 when the cumulative weights were rebuilt on every call
+    IDS = [3, 3, 2, 1, 0, 2, 2, 0, 0, 3, 3, 1]
+
+    def test_batch_stream_unchanged(self):
+        base = DiscreteBase(weights=self.BASE.weights, points=self.BASE.points)
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            ids, xs = base.sample_batch(np.random.default_rng(5), 12)
+            assert ids.tolist() == self.IDS
+            assert xs.tolist() == [self.BASE.points[i] for i in self.IDS]
+
+    def test_single_draws_follow_the_same_stream(self):
+        r = np.random.default_rng(5)
+        assert [self.BASE.sample(r) for _ in range(12)] == self.IDS
+
+    def test_cumulative_weights_read_only(self):
+        with pytest.raises(ValueError):
+            self.BASE._cum[0] = 0.0
+        assert self.BASE == DiscreteBase(weights=self.BASE.weights, points=self.BASE.points)
+
+
 class TestMeanIdentity:
     def test_uniform_interval(self):
         r = check_mean_identity(1.0, UniformBase(), Interval(0.0, 0.5), 100_000,
