@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 """
 from __future__ import annotations
 
+import functools
 import sys
 from fractions import Fraction
 
@@ -83,6 +84,22 @@ seed_option = click.option("--seed", type=int, default=0, show_default=True,
                            envvar="FVKIT_SEED", help="master seed (env FVKIT_SEED)")
 
 
+def _exit_codes(command):
+    """Report PrecisionExhaustedError as exit 3 and a ValueError or
+    TypeError (a bad argument value) as exit 2, each with one stderr line."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except PrecisionExhaustedError as e:
+            click.echo(f"precision exhausted: {e}", err=True)
+            sys.exit(EXIT_PRECISION)
+        except (ValueError, TypeError) as e:
+            click.echo(f"invalid arguments: {e}", err=True)
+            sys.exit(EXIT_BAD_ARGS)
+    return run
+
+
 def _apply(opts):
     def deco(f):
         for opt in reversed(opts):
@@ -114,60 +131,25 @@ def main():
 @_apply(precision_options)
 @_apply(output_options)
 @seed_option
+@_exit_codes
 def verify(suite, m_max, n_max, thetas, sigma, svals, reps, grid, digits, tail_tol,
            max_terms, fmt, out, seed):
     """Run a verification suite; nonzero exit on any failed check."""
-    prec = _precision(digits, tail_tol, max_terms)
-    reports = []
-    try:
-        names = ["combinatorics", "death", "urn", "measures", "processes"] \
-            if suite == "all" else [suite]
-        for name in names:
-            if name == "combinatorics":
-                kw = {}
-                if m_max is not None:
-                    kw["m_max"] = m_max
-                reports.append(verify_mod.verify_combinatorics(**kw))
-            elif name == "urn":
-                kw = {}
-                if m_max is not None:
-                    kw["form_max"] = m_max
-                    kw["bruteforce_max"] = min(m_max, 5)
-                reports.append(verify_mod.verify_urn(**kw))
-            elif name == "death":
-                kw = {"prec": prec}
-                if thetas:
-                    kw["thetas"] = [th if th.denominator > 1 else float(th) for th in thetas]
-                if svals:
-                    kw["svals"] = [float(s) for s in svals]
-                if n_max is not None:
-                    kw["n_max"] = n_max
-                if reps is not None:
-                    kw["mc_reps"] = reps
-                    kw["mc_seed"] = seed or 20240817
-                reports.append(verify_mod.verify_death(**kw))
-            elif name == "measures":
-                kw = {"seed": seed or 7}
-                if reps is not None:
-                    kw["reps"] = reps
-                if thetas:
-                    kw["thetas"] = [float(th) for th in thetas]
-                if sigma is not None:
-                    kw["sigma"] = float(sigma)
-                reports.append(verify_mod.verify_measures(**kw))
-            elif name == "processes":
-                kw = {"seed": seed or 11}
-                if reps is not None:
-                    kw["reps"] = reps
-                if thetas:
-                    kw["thetas"] = [float(th) for th in thetas]
-                reports.append(verify_mod.verify_processes(**kw))
-    except PrecisionExhaustedError as e:
-        click.echo(f"precision exhausted: {e}", err=True)
-        sys.exit(EXIT_PRECISION)
-    except (ValueError, TypeError) as e:
-        click.echo(f"invalid arguments: {e}", err=True)
-        sys.exit(EXIT_BAD_ARGS)
+    floats = [float(th) for th in thetas] or None
+    kwargs = {  # per suite; a None value (flag unset) keeps the suite's default
+        "combinatorics": {"m_max": m_max},
+        "death": {"prec": _precision(digits, tail_tol, max_terms),
+                  "thetas": [th if th.denominator > 1 else float(th) for th in thetas] or None,
+                  "svals": [float(s) for s in svals] or None, "n_max": n_max,
+                  "mc_reps": reps, "mc_seed": None if reps is None else seed or 20240817},
+        "urn": {"form_max": m_max, "bruteforce_max": None if m_max is None else min(m_max, 5)},
+        "measures": {"seed": seed or 7, "reps": reps, "thetas": floats,
+                     "sigma": None if sigma is None else float(sigma)},
+        "processes": {"seed": seed or 11, "reps": reps, "thetas": floats},
+    }
+    names = list(kwargs) if suite == "all" else [suite]
+    reports = [getattr(verify_mod, f"verify_{name}")(
+        **{k: v for k, v in kwargs[name].items() if v is not None}) for name in names]
     rows = []
     for rep in reports:
         rows.extend((rep.suite,) + row for row in rep.table_rows())
@@ -202,50 +184,44 @@ def verify(suite, m_max, n_max, thetas, sigma, svals, reps, grid, digits, tail_t
 @_apply(precision_options)
 @_apply(output_options)
 @seed_option
+@_exit_codes
 def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms, fmt, out, seed):
     """Write a pmf table: the death-count pmf at time t, or the urn overlap
     pmf for m draws against n atoms."""
-    try:
-        if which == "death":
-            if tval is None:
-                raise click.UsageError("pmf death needs --t")
-            prec = _precision(digits, tail_tol, max_terms)
-            params = DeathParams(theta if theta.denominator > 1 else float(theta))
-            table = death_pmf(tval, params, prec)
-            rows = table.rows()
-            config = {"cmd": "pmf-death", "theta": str(theta), "t": str(tval),
-                      "digits": digits, "tail_tol": tail_tol, "max_terms": max_terms}
-            footer = {
-                "sum_d_n": sum(r[1] for r in rows),
-                "residual": table.residual,
-                "n_max": table.n_max,
-            }
-            emit(render_table(config, ["n", "d_n", "term_bound"], rows, footer, fmt), out)
-            return
-        if m is None or n is None:
-            raise click.UsageError("pmf overlap needs --m and --n")
-        exact = overlap_pmf_theta0(m, n) if theta == 0 else overlap_pmf_exact(m, n, theta)
-        columns = ["r", "p_exact", "p_float"]
-        cols = [list(range(len(exact.probs))), list(exact.probs),
-                [float(p) for p in exact.probs]]
-        if bruteforce:
-            bf = overlap_pmf_bruteforce(m, n, theta)
-            columns.append("p_bruteforce")
-            cols.append(list(bf.probs))
-        if reps:
-            mc = overlap_pmf_montecarlo(m, n, theta, reps, np.random.default_rng(seed))
-            columns += ["p_mc", "stderr"]
-            cols += [list(mc.probs), list(mc.stderr)]
-        rows = list(zip(*cols))
-        config = {"cmd": "pmf-overlap", "theta": str(theta), "m": m, "n": n,
-                  "bruteforce": bruteforce, "reps": reps, "seed": seed}
-        emit(render_table(config, columns, rows, {"sum": float(sum(exact.probs))}, fmt), out)
-    except PrecisionExhaustedError as e:
-        click.echo(f"precision exhausted: {e}", err=True)
-        sys.exit(EXIT_PRECISION)
-    except (ValueError, TypeError) as e:
-        click.echo(f"invalid arguments: {e}", err=True)
-        sys.exit(EXIT_BAD_ARGS)
+    if which == "death":
+        if tval is None:
+            raise click.UsageError("pmf death needs --t")
+        prec = _precision(digits, tail_tol, max_terms)
+        params = DeathParams(theta if theta.denominator > 1 else float(theta))
+        table = death_pmf(tval, params, prec)
+        rows = table.rows()
+        config = {"cmd": "pmf-death", "theta": str(theta), "t": str(tval),
+                  "digits": digits, "tail_tol": tail_tol, "max_terms": max_terms}
+        footer = {
+            "sum_d_n": sum(r[1] for r in rows),
+            "residual": table.residual,
+            "n_max": table.n_max,
+        }
+        emit(render_table(config, ["n", "d_n", "term_bound"], rows, footer, fmt), out)
+        return
+    if m is None or n is None:
+        raise click.UsageError("pmf overlap needs --m and --n")
+    exact = overlap_pmf_theta0(m, n) if theta == 0 else overlap_pmf_exact(m, n, theta)
+    columns = ["r", "p_exact", "p_float"]
+    cols = [list(range(len(exact.probs))), list(exact.probs),
+            [float(p) for p in exact.probs]]
+    if bruteforce:
+        bf = overlap_pmf_bruteforce(m, n, theta)
+        columns.append("p_bruteforce")
+        cols.append(list(bf.probs))
+    if reps:
+        mc = overlap_pmf_montecarlo(m, n, theta, reps, np.random.default_rng(seed))
+        columns += ["p_mc", "stderr"]
+        cols += [list(mc.probs), list(mc.stderr)]
+    rows = list(zip(*cols))
+    config = {"cmd": "pmf-overlap", "theta": str(theta), "m": m, "n": n,
+              "bruteforce": bruteforce, "reps": reps, "seed": seed}
+    emit(render_table(config, columns, rows, {"sum": float(sum(exact.probs))}, fmt), out)
 
 
 @main.command()
@@ -264,51 +240,45 @@ def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms,
 @_apply(precision_options)
 @_apply(output_options)
 @seed_option
+@_exit_codes
 def simulate(kind, theta, tval, n, steps, base_spec, observables, trunc_eps, dump_final,
              digits, tail_tol, max_terms, fmt, out, seed):
     """Run a chain for a number of steps, recording observables per step."""
     from .random_measures import StickTruncation, measure_to_json
-    try:
-        base = _parse_base(base_spec)
-        if not observables:
-            observables = ("0:0.5",) if isinstance(base, UniformBase) else ("0",)
-        obs = [_parse_observable(o, base) for o in observables]
-        th = float(theta)
-        trunc = StickTruncation.residual(trunc_eps)
-        if kind == "dar1":
-            cfg = Dar1Config(theta=th, base=base)
-        elif kind == "measure-chain":
-            if n is None:
-                raise click.UsageError("measure-chain needs --n")
-            cfg = MeasureChainConfig(theta=th, base=base, n=n, trunc=trunc)
-        else:
-            if tval is None:
-                raise click.UsageError("fv needs --t")
-            cfg = FvConfig(theta=th, base=base, t=float(tval),
-                           prec=_precision(digits, tail_tol, max_terms), trunc=trunc)
-        rng = np.random.default_rng(seed)
-        traj, final = run_chain(kind, cfg, steps, obs, rng, return_state=True)
-        rows = [(i + 1, *row) for i, row in enumerate(traj.tolist())]
-        config = {
-            "cmd": f"simulate-{kind}", "theta": str(theta), "t": str(tval), "n": n,
-            "steps": steps, "base": base_spec, "observables": list(observables),
-            "trunc_eps": trunc_eps, "seed": seed, "digits": digits,
-            "tail_tol": tail_tol, "max_terms": max_terms,
-        }
-        columns = ["step"] + [f"obs_{i}" for i in range(len(obs))]
-        emit(render_table(config, columns, rows, {"steps": steps}, fmt), out)
-        if dump_final is not None and kind != "dar1":
-            import json as _json
-            doc = {"seed": seed, "config": {k: str(v) for k, v in config.items()},
-                   "measure": measure_to_json(final)}
-            with open(dump_final, "w") as fh:
-                _json.dump(doc, fh, indent=2, sort_keys=True)
-    except PrecisionExhaustedError as e:
-        click.echo(f"precision exhausted: {e}", err=True)
-        sys.exit(EXIT_PRECISION)
-    except (ValueError, TypeError) as e:
-        click.echo(f"invalid arguments: {e}", err=True)
-        sys.exit(EXIT_BAD_ARGS)
+    base = _parse_base(base_spec)
+    if not observables:
+        observables = ("0:0.5",) if isinstance(base, UniformBase) else ("0",)
+    obs = [_parse_observable(o, base) for o in observables]
+    th = float(theta)
+    trunc = StickTruncation.residual(trunc_eps)
+    if kind == "dar1":
+        cfg = Dar1Config(theta=th, base=base)
+    elif kind == "measure-chain":
+        if n is None:
+            raise click.UsageError("measure-chain needs --n")
+        cfg = MeasureChainConfig(theta=th, base=base, n=n, trunc=trunc)
+    else:
+        if tval is None:
+            raise click.UsageError("fv needs --t")
+        cfg = FvConfig(theta=th, base=base, t=float(tval),
+                       prec=_precision(digits, tail_tol, max_terms), trunc=trunc)
+    rng = np.random.default_rng(seed)
+    traj, final = run_chain(kind, cfg, steps, obs, rng, return_state=True)
+    rows = [(i + 1, *row) for i, row in enumerate(traj.tolist())]
+    config = {
+        "cmd": f"simulate-{kind}", "theta": str(theta), "t": str(tval), "n": n,
+        "steps": steps, "base": base_spec, "observables": list(observables),
+        "trunc_eps": trunc_eps, "seed": seed, "digits": digits,
+        "tail_tol": tail_tol, "max_terms": max_terms,
+    }
+    columns = ["step"] + [f"obs_{i}" for i in range(len(obs))]
+    emit(render_table(config, columns, rows, {"steps": steps}, fmt), out)
+    if dump_final is not None and kind != "dar1":
+        import json as _json
+        doc = {"seed": seed, "config": {k: str(v) for k, v in config.items()},
+               "measure": measure_to_json(final)}
+        with open(dump_final, "w") as fh:
+            _json.dump(doc, fh, indent=2, sort_keys=True)
 
 
 if __name__ == "__main__":

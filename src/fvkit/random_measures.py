@@ -164,21 +164,19 @@ BaseMeasure = Union[UniformBase, DiscreteBase]
 class StickBreakingParams:
     """Beta(alpha_j, beta_j) stick proportions, j = 1, 2, ...
 
-    ``dp(theta)`` and ``poisson_dirichlet(sigma, theta)`` build the two
-    standard presets; the preset tag drives the analytic summability
-    verdict."""
+    ``alpha`` and ``beta`` are called on an int64 array of stick indices and
+    return an array of that shape or a scalar.  ``dp(theta)`` and
+    ``poisson_dirichlet(sigma, theta)`` build the two standard presets."""
 
-    alpha: Callable[[int], float]
-    beta: Callable[[int], float]
-    preset: Optional[str] = None
-    preset_args: tuple = ()
+    alpha: Callable[[np.ndarray], Union[np.ndarray, float]]
+    beta: Callable[[np.ndarray], Union[np.ndarray, float]]
 
     @staticmethod
     def dp(theta) -> "StickBreakingParams":
         th = float(theta)
         if not th > 0:
             raise ValueError("dp preset requires theta > 0")
-        return StickBreakingParams(lambda j: 1.0, lambda j: th, "dp", (th,))
+        return StickBreakingParams(lambda j: 1.0, lambda j: th)
 
     @staticmethod
     def poisson_dirichlet(sigma, theta) -> "StickBreakingParams":
@@ -189,17 +187,15 @@ class StickBreakingParams:
             raise ValueError("poisson_dirichlet preset requires theta > -sigma")
         if sg == 0 and not th > 0:
             raise ValueError("sigma = 0 degenerates to dp and needs theta > 0")
-        return StickBreakingParams(
-            lambda j: 1.0 - sg, lambda j: th + j * sg, "pd", (sg, th)
-        )
+        return StickBreakingParams(lambda j: 1.0 - sg, lambda j: th + j * sg)
 
     def shape_arrays(self, j0: int, count: int):
-        js = range(j0, j0 + count)
-        a = np.fromiter((self.alpha(j) for j in js), dtype=float, count=count)
-        b = np.fromiter((self.beta(j) for j in js), dtype=float, count=count)
-        if (a <= 0).any() or (b <= 0).any():
+        js = np.arange(j0, j0 + count, dtype=np.int64)
+        ab = np.empty((2, count))
+        ab[0], ab[1] = self.alpha(js), self.beta(js)  # broadcasts a scalar
+        if (ab <= 0).any():
             raise ValueError("alpha_j and beta_j must be > 0")
-        return a, b
+        return ab[0], ab[1]
 
 
 @dataclass(frozen=True)
@@ -232,31 +228,37 @@ DEFAULT_TRUNCATION = StickTruncation.residual(1e-8)
 _STICK_BLOCK = 64
 
 
+def _break_sticks(a, b, rng: np.random.Generator, size=None, left: float = 1.0):
+    """Beta(a, b) proportions broken along the last axis off a stick of
+    length ``left``: the stick masses and cumprod(1 - w)."""
+    w = rng.beta(a, b, size)
+    keep = np.cumprod(1.0 - w, axis=-1)
+    rho = w * left
+    rho[..., 1:] *= keep[..., :-1]
+    return rho, keep
+
+
 def _stick_weights(params: StickBreakingParams, trunc: StickTruncation,
                    rng: np.random.Generator):
-    """Stick masses rho_j and the leftover residual, as (array, float)."""
-    if trunc.k is not None:
-        a, b = params.shape_arrays(1, trunc.k)
-        w = rng.beta(a, b)
-        keep = np.cumprod(1.0 - w)
-        rho = w * np.concatenate(([1.0], keep[:-1]))
-        return rho, float(keep[-1])
+    """Stick masses rho_j and the leftover residual, as (array, float): one
+    block of k sticks, or blocks of _STICK_BLOCK until the residual is below
+    eps."""
+    block, cap = ((trunc.k, trunc.k) if trunc.k is not None
+                  else (_STICK_BLOCK, trunc.max_sticks))
     blocks = []
-    prod = 1.0
+    left = 1.0
     k = 0
-    while prod >= trunc.eps:
-        if k >= trunc.max_sticks:
+    while not blocks or trunc.eps is not None and left >= trunc.eps:
+        if k >= cap:
             raise StickBudgetError(
-                f"residual {prod:g} still above {trunc.eps:g} after {k} sticks"
+                f"residual {left:g} still above {trunc.eps:g} after {k} sticks"
             )
-        count = min(_STICK_BLOCK, trunc.max_sticks - k)
-        a, b = params.shape_arrays(k + 1, count)
-        w = rng.beta(a, b)
-        keep = np.cumprod(1.0 - w)
-        blocks.append(w * prod * np.concatenate(([1.0], keep[:-1])))
-        prod *= keep[-1]
+        count = min(block, cap - k)
+        rho, keep = _break_sticks(*params.shape_arrays(k + 1, count), rng, left=left)
+        blocks.append(rho)
+        left *= keep[-1]
         k += count
-    return np.concatenate(blocks), float(prod)
+    return np.concatenate(blocks), float(left)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +287,7 @@ class DiscreteMeasure:
     def atoms(self):
         """(location, weight) pairs; locations are Points for continuous
         bases and support indices for discrete bases."""
-        if self.base_kind == "continuous":
-            return [(Point(int(i), float(x)), float(w))
-                    for i, x, w in zip(self.ids, self.xs, self.weights)]
-        return [(int(i), float(w)) for i, w in zip(self.ids, self.weights)]
+        return list(zip(self.locations(), map(float, self.weights)))
 
     def locations(self):
         if self.base_kind == "continuous":
@@ -340,7 +339,7 @@ def stick_break(params: StickBreakingParams, base: BaseMeasure,
 @dataclass(frozen=True)
 class SummabilityReport:
     """Partial sums of log(1 + alpha_j/beta_j) along a ladder of J values,
-    with an analytic verdict for the known presets."""
+    with the verdict read off the ladder's last two increments."""
 
     entries: tuple  # (J, partial sum) pairs
     verdict: Optional[str]
@@ -348,28 +347,37 @@ class SummabilityReport:
 
 def check_summability(params: StickBreakingParams, J: int) -> SummabilityReport:
     """Numeric ladder for the almost-sure-probability-measure criterion:
-    the weights sum to 1 iff sum_j log(1 + alpha_j/beta_j) diverges."""
+    the weights sum to 1 iff sum_j log(1 + alpha_j/beta_j) diverges.  The
+    verdict is a finite-J diagnostic on the last two rungs' increments per
+    unit of log J: "convergent" when the last is at most a tenth of the one
+    before, "divergent" when at least half, else None (also below three
+    rungs).  Terms decaying like j**-p, p a little above 1, read divergent."""
     if J < 1:
         raise ValueError("J must be >= 1")
     ladder = sorted({10**e for e in range(0, 10) if 10**e < J} | {J})
     entries = []
+    rates = []
     total = 0.0
     prev = 0
     for mark in ladder:
-        block = 4096
+        step = 0.0
         j = prev + 1
         while j <= mark:
-            count = min(block, mark - j + 1)
+            count = min(4096, mark - j + 1)
             a, b = params.shape_arrays(j, count)
-            total += float(np.log1p(a / b).sum())
+            step += float(np.log1p(a / b).sum())
             j += count
+        if prev:
+            rates.append(step / math.log(mark / prev))
+        total += step
         prev = mark
         entries.append((mark, total))
     verdict = None
-    if params.preset == "dp":
-        verdict = "divergent"  # constant positive terms
-    elif params.preset == "pd":
-        verdict = "divergent"  # harmonic-type terms ~ (1-sigma)/(sigma j)
+    if len(rates) >= 2:
+        if rates[-1] <= 0.1 * rates[-2]:
+            verdict = "convergent"
+        elif rates[-1] >= 0.5 * rates[-2]:
+            verdict = "divergent"
     return SummabilityReport(entries=tuple(entries), verdict=verdict)
 
 
@@ -394,6 +402,13 @@ def posterior(theta, base: BaseMeasure, atoms) -> DirichletPosterior:
     return DirichletPosterior(theta=float(theta), base=base, atoms=tuple(atoms))
 
 
+def _posterior_pick(u: np.ndarray, theta: float, n: int):
+    """Where posterior sticks land, from u uniform on [0, theta + n): a
+    fresh base draw below theta, else conditioning atom floor(u - theta)
+    clipped to n - 1.  The pick under a fresh stick is unused."""
+    return u < theta, np.minimum(np.maximum(u - theta, 0.0).astype(np.int64), n - 1)
+
+
 def sample_posterior(post: DirichletPosterior,
                      trunc: StickTruncation = DEFAULT_TRUNCATION,
                      rng: np.random.Generator = None) -> DiscreteMeasure:
@@ -403,27 +418,19 @@ def sample_posterior(post: DirichletPosterior,
     n = len(post.atoms)
     total = post.theta + n
     rho, residual = _stick_weights(StickBreakingParams.dp(total), trunc, rng)
-    K = rho.size
-    u = rng.random(K) * total
-    is_fresh = u < post.theta
-    nfresh = int(is_fresh.sum())
-    ids = np.empty(K, dtype=np.int64)
-    xs = np.empty(K) if post.base.kind == "continuous" else None
-    f_ids, f_xs = post.base.sample_batch(rng, nfresh)
-    ids[is_fresh] = f_ids
-    if n:
-        atom_pick = np.minimum((u[~is_fresh] - post.theta).astype(np.int64), n - 1)
-        if post.base.kind == "continuous":
-            a_ids = np.array([p.uid for p in post.atoms], dtype=np.int64)
-            a_xs = np.array([p.x for p in post.atoms])
-            ids[~is_fresh] = a_ids[atom_pick]
-            xs[is_fresh] = f_xs
-            xs[~is_fresh] = a_xs[atom_pick]
-        else:
-            a_ids = np.array([int(i) for i in post.atoms], dtype=np.int64)
-            ids[~is_fresh] = a_ids[atom_pick]
-    elif post.base.kind == "continuous":
-        xs[is_fresh] = f_xs
+    fresh, pick = _posterior_pick(rng.random(rho.size) * total, post.theta, n)
+    held = ~fresh
+    f_ids, f_xs = post.base.sample_batch(rng, int(fresh.sum()))
+
+    def place(fresh_vals, atom_vals, dtype):
+        out = np.empty(rho.size, dtype=dtype)
+        out[fresh] = fresh_vals
+        out[held] = np.asarray(atom_vals, dtype=dtype)[pick[held]]
+        return out
+
+    continuous = post.base.kind == "continuous"
+    ids = place(f_ids, [p.uid for p in post.atoms] if continuous else post.atoms, np.int64)
+    xs = place(f_xs, [p.x for p in post.atoms], float) if continuous else None
     return _merge_atoms(post.base.kind, ids, xs, rho, residual)
 
 
@@ -468,27 +475,17 @@ def _measure_mass_rows(theta: float, base: BaseMeasure, A: TestSet, reps: int,
         return np.zeros(reps)
     total = theta + n_cond
     K = _batch_stick_count(total, trunc)
-    w = rng.beta(1.0, total, size=(reps, K))
-    keep = np.cumprod(1.0 - w, axis=1)
-    rho = w.copy()
-    rho[:, 1:] *= keep[:, :-1]
+    rho, _ = _break_sticks(1.0, total, rng, size=(reps, K))
     u = rng.random((reps, K)) * total
-    fresh = u < theta
-    if isinstance(A, Interval):
-        if base.kind == "continuous":
-            pos = rng.random((reps, K))
-            fresh_in = (pos >= A.lo) & (pos < A.hi)
-        else:
-            base_mass = base.measure(A)
-            fresh_in = rng.random((reps, K)) < base_mass
-    elif isinstance(A, AtomSet):
-        base_mass = base.measure(A)
-        fresh_in = rng.random((reps, K)) < base_mass
+    if isinstance(A, Interval) and base.kind == "continuous":
+        pos = rng.random((reps, K))
+        fresh_in = (pos >= A.lo) & (pos < A.hi)
+    elif isinstance(A, (Interval, AtomSet)):
+        fresh_in = rng.random((reps, K)) < base.measure(A)
     else:
         raise TypeError(f"unsupported test set {A!r}")
     if n_cond:
-        # fresh rows produce negative picks; they are masked out below
-        pick = np.clip((u - theta).astype(np.int64), 0, n_cond - 1)
+        fresh, pick = _posterior_pick(u, theta, n_cond)
         cond = np.take_along_axis(np.asarray(cond_in_A, dtype=bool), pick, axis=1)
         member = np.where(fresh, fresh_in, cond)
     else:
@@ -573,13 +570,26 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
 
 
 def measure_from_json(d: dict) -> DiscreteMeasure:
-    ids = np.asarray(d["ids"], dtype=np.int64)
+    """Rebuild a measure_to_json document; ValueError on one that does not
+    describe a measure."""
+    if d["base_kind"] not in ("continuous", "discrete"):
+        raise ValueError(f"unknown base_kind {d['base_kind']!r}")
+    ids = np.asarray(d["ids"])
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError("ids must be integers")
+    ids = ids.astype(np.int64)
+    xs = None if d.get("xs") is None else np.asarray(d["xs"], dtype=float)
+    if d["base_kind"] == "continuous" and xs is None:
+        raise ValueError("a continuous measure needs xs")
+    weights = np.asarray(d["weights"], dtype=float)
+    if any(a.ndim != 1 or a.size != ids.size for a in (ids, weights, xs) if a is not None):
+        raise ValueError("ids, weights and xs must be flat lists of one length")
+    if np.unique(ids).size != ids.size:
+        raise ValueError("duplicate atom ids")
+    residual = float(d["residual"])
+    if not (np.isfinite(weights).all() and 0 <= residual <= 1):
+        raise ValueError("weights must be finite and the residual in [0, 1]")
     if ids.size:
         _advance_uids_past(int(ids.max()))
-    return DiscreteMeasure(
-        base_kind=d["base_kind"],
-        ids=ids,
-        xs=None if d.get("xs") is None else np.asarray(d["xs"], dtype=float),
-        weights=np.asarray(d["weights"], dtype=float),
-        residual=float(d["residual"]),
-    )
+    return DiscreteMeasure(base_kind=d["base_kind"], ids=ids, xs=xs, weights=weights,
+                           residual=residual)

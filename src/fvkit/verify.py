@@ -196,13 +196,12 @@ def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
         c = vals - vals.mean()
         var_se = math.sqrt(max(float((c**4).mean()) - var**2, 1e-300) / reps)
         rows.append(_z_row("prior-variance", f"theta={theta}", abs(var - target) / var_se))
-    ok = rm.check_summability(rm.StickBreakingParams.dp(1.0), 10**4).verdict == "divergent"
-    rows.append(VerifyRow("summability-dp", "theta=1,J=1e4", "divergent" if ok else "?",
-                          "divergent", ok))
     pd_params = rm.StickBreakingParams.poisson_dirichlet(sigma, 0.0 if sigma else 1.0)
-    ok = rm.check_summability(pd_params, 10**4).verdict == "divergent"
-    rows.append(VerifyRow("summability-pd", f"sigma={sigma},J=1e4",
-                          "divergent" if ok else "?", "divergent", ok))
+    for check, instance, params in (
+            ("summability-dp", "theta=1,J=1e4", rm.StickBreakingParams.dp(1.0)),
+            ("summability-pd", f"sigma={sigma},J=1e4", pd_params)):
+        verdict = rm.check_summability(params, 10**4).verdict
+        rows.append(VerifyRow(check, instance, str(verdict), "divergent", verdict == "divergent"))
     mu = rm.stick_break(pd_params, base, rm.StickTruncation.fixed(2000),
                         np.random.default_rng(seed + 2))
     gap = abs(float(mu.weights.sum()) + mu.residual - 1.0)
@@ -259,11 +258,3 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
                        abs(rev.cross_moment) / rev.cross_moment_se))
     return VerifyReport("processes", tuple(rows))
 
-
-SUITES = {
-    "combinatorics": verify_combinatorics,
-    "death": verify_death,
-    "urn": verify_urn,
-    "measures": verify_measures,
-    "processes": verify_processes,
-}

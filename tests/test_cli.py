@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -179,3 +180,46 @@ class TestVerifyCommand:
         result = CliRunner().invoke(cli_mod.main, ["verify", "urn", "--out", str(out)])
         assert result.exit_code == 1
         assert "failed: 1" in out.read_text()
+
+    def test_invalid_digits_exit_code(self):
+        r = run_cli("verify", "urn", "--m-max", "1", "--digits", "10")
+        assert r.returncode == 2
+        assert r.stderr == "invalid arguments: working_digits must be >= 16\n"
+
+    @pytest.mark.parametrize("args, expected", [
+        ([], {"combinatorics": {}, "death": {}, "urn": {},
+              "measures": {"seed": 7}, "processes": {"seed": 11}}),
+        (["--m-max", "7", "--n-max", "2", "--theta", "1/2", "--theta", "2", "--s", "1",
+          "--reps", "50", "--sigma", "0"],
+         {"combinatorics": {"m_max": 7},
+          "death": {"thetas": [Fraction(1, 2), 2.0], "svals": [1.0], "n_max": 2,
+                    "mc_reps": 50, "mc_seed": 20240817},
+          "urn": {"form_max": 7, "bruteforce_max": 5},
+          "measures": {"seed": 7, "reps": 50, "thetas": [0.5, 2.0], "sigma": 0.0},
+          "processes": {"seed": 11, "reps": 50, "thetas": [0.5, 2.0]}}),
+        (["--m-max", "3", "--reps", "0", "--seed", "4"],
+         {"combinatorics": {"m_max": 3}, "death": {"mc_reps": 0, "mc_seed": 4},
+          "urn": {"form_max": 3, "bruteforce_max": 3},
+          "measures": {"seed": 4, "reps": 0}, "processes": {"seed": 4, "reps": 0}}),
+    ])
+    def test_flags_reach_each_suite(self, monkeypatch, args, expected):
+        from click.testing import CliRunner
+        from fvkit import cli as cli_mod
+        from fvkit import verify as verify_mod
+        from fvkit.verify import VerifyReport
+
+        calls = {}
+        for name in expected:
+            def record(_name=name, **kw):
+                calls[_name] = kw
+                return VerifyReport(_name, ())
+            monkeypatch.setattr(verify_mod, f"verify_{name}", record)
+        result = CliRunner().invoke(cli_mod.main, ["verify", "all", *args])
+        assert result.exit_code == 0, result.output
+        prec = calls["death"].pop("prec")
+        assert (prec.working_digits, prec.tail_tol, prec.max_terms) == (60, 1e-12, 400)
+        assert calls == expected
+        assert list(calls) == ["combinatorics", "death", "urn", "measures", "processes"]
+        for suite in ("measures", "processes"):
+            assert all(type(th) is float for th in calls[suite].get("thetas", []))
+        assert type(calls["measures"].get("sigma", 0.0)) is float

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 
@@ -31,6 +33,7 @@ from fvkit.random_measures import (
     stick_break,
     _measure_mass_rows,
 )
+import fvkit.random_measures as rm
 
 
 def stick_moment_oracle(theta, base_mass, K=400):
@@ -70,7 +73,7 @@ class TestStickBreak:
         assert mu.residual > 0
 
     def test_stick_cap_signals_nonsummable(self, rng):
-        slow = StickBreakingParams(lambda j: 1.0, lambda j: float(2.0 ** min(j, 50)))
+        slow = StickBreakingParams(lambda j: 1.0, lambda j: 2.0 ** np.minimum(j, 50))
         with pytest.raises(StickBudgetError):
             stick_break(slow, UniformBase(), StickTruncation.residual(1e-10, max_sticks=512), rng)
 
@@ -130,10 +133,30 @@ class TestSummability:
 
     def test_geometric_ladder_flattens(self):
         rep = check_summability(
-            StickBreakingParams(lambda j: 1.0, lambda j: float(2.0 ** min(j, 500))), 1000)
-        assert rep.verdict is None
+            StickBreakingParams(lambda j: 1.0, lambda j: 2.0 ** np.minimum(j, 500)), 1000)
+        assert rep.verdict == "convergent"
         tail = [v for _, v in rep.entries[-2:]]
         assert abs(tail[-1] - tail[-2]) < 1e-9
+
+    @pytest.mark.parametrize("J", [1, 5, 10])
+    def test_two_rungs_give_no_verdict(self, J):
+        assert check_summability(StickBreakingParams.dp(1.0), J).verdict is None
+
+    def test_short_last_rung_still_divergent(self):
+        # the last rung 1000..1050 holds 50 terms against 900 in the one before
+        assert check_summability(StickBreakingParams.dp(1.0), 1050).verdict == "divergent"
+
+    def test_verify_row_fails_on_summable_dp(self, monkeypatch):
+        from fvkit import verify
+
+        def summable(theta):
+            return StickBreakingParams(lambda j: 1.0, lambda j: 2.0 ** np.minimum(j, 500))
+
+        monkeypatch.setattr(rm.StickBreakingParams, "dp", staticmethod(summable))
+        rows = {r.check: r for r in verify.verify_measures(reps=200, thetas=(1.0,)).rows}
+        assert not rows["summability-dp"].passed
+        assert rows["summability-dp"].observed == "convergent"
+        assert rows["summability-pd"].passed
 
 
 class TestPosterior:
@@ -338,8 +361,126 @@ class TestSerialization:
         assert np.array_equal(back.xs, mu.xs)
         assert back.residual == mu.residual
 
+    VALID = {"base_kind": "continuous", "ids": [3, 7], "xs": [0.2, 0.6],
+             "weights": [0.25, 0.75], "residual": 0.0}
+
+    def test_valid_document_loads(self):
+        mu = measure_from_json(self.VALID)
+        assert mu.atoms == [(Point(3, 0.2), 0.25), (Point(7, 0.6), 0.75)]
+
+    @pytest.mark.parametrize("change", [
+        {"base_kind": "atomic"},
+        {"ids": [[3, 7]], "weights": [[0.25, 0.75]], "xs": [[0.2, 0.6]]},
+        {"ids": [3, 7, 9]},
+        {"weights": [0.25, 0.7, 0.05]},
+        {"xs": [0.2]},
+        {"xs": None},
+        {"ids": [3, 3]},
+        {"ids": [3.0, 7.5]},
+        {"ids": ["3", "7"]},
+        {"weights": [float("nan"), 0.75]},
+        {"weights": [float("inf"), 0.75]},
+        {"residual": float("nan")},
+        {"residual": -0.5, "weights": [0.75, 0.75]},
+        {"residual": 1.5},
+    ], ids=["base-kind", "not-1d", "ids-longer", "weights-longer", "xs-shorter",
+            "continuous-without-xs", "duplicate-ids", "float-ids", "string-ids",
+            "nan-weight", "inf-weight", "nan-residual", "negative-residual",
+            "residual-above-one"])
+    def test_rejects_bad_document(self, change):
+        with pytest.raises(ValueError):
+            measure_from_json({**self.VALID, **change})
+
     def test_loaded_ids_do_not_collide_with_fresh_draws(self, rng):
         mu = stick_break(StickBreakingParams.dp(1.0), UniformBase(), DEFAULT_TRUNCATION, rng)
         back = measure_from_json(measure_to_json(mu))
         fresh = UniformBase().sample(rng)
         assert fresh.uid not in set(back.ids.tolist())
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(b"none" if a is None else np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _measure_digest(mu):
+    return _digest(mu.ids, mu.xs, mu.weights, np.float64(mu.residual))
+
+
+class TestStreamPins:
+    """Exact digests of seeded draws, recorded before the stick-breaking
+    kernels were merged: any change to the consumed random stream, the stick
+    recurrence or its floating-point order shows up here.  Ids from a
+    continuous base come from the process-wide counter, reset per case."""
+
+    BASES = {
+        "uniform": UniformBase(),
+        "discrete": DiscreteBase(weights=(0.1, 0.2, 0.3, 0.4)),
+        "points": DiscreteBase(weights=(0.1, 0.2, 0.3, 0.4), points=(0.05, 0.3, 0.6, 0.9)),
+    }
+    PARAMS = {"dp": (StickBreakingParams.dp, (20.0,)),
+              "pd": (StickBreakingParams.poisson_dirichlet, (0.5, 1.0))}
+    # residual(1e-3) takes 192 DP and 896 PD sticks: several blocks each
+    TRUNCS = {"fixed": StickTruncation.fixed(300), "residual": StickTruncation.residual(1e-3)}
+    STICK_BREAK = {
+        ("dp", "fixed", "uniform"): "8adc39e0eef92881",
+        ("dp", "fixed", "discrete"): "adca58c88ba2c970",
+        ("dp", "fixed", "points"): "4212680d9153e889",
+        ("dp", "residual", "uniform"): "3009ae4d7da67362",
+        ("dp", "residual", "discrete"): "46c27c549b6fe709",
+        ("dp", "residual", "points"): "68076108a08941b2",
+        ("pd", "fixed", "uniform"): "fee9890dbbc4bc18",
+        ("pd", "fixed", "discrete"): "db12f6536c19a2bb",
+        ("pd", "fixed", "points"): "f9cc9c3f6d37c027",
+        ("pd", "residual", "uniform"): "ecc956e021b8382b",
+        ("pd", "residual", "discrete"): "30fa53c31dd1c2b2",
+        ("pd", "residual", "points"): "9198c85d65d2bab5",
+    }
+    # a discrete base with points still gives posterior draws without xs
+    POSTERIOR = {
+        ("uniform", 0): "0d2c43ba1dfa7764",
+        ("uniform", 1): "9dc4a0fc7c7d3a82",
+        ("uniform", 5): "82e6f13f40aa1f10",
+        ("discrete", 0): "8fa3cd830b282428",
+        ("discrete", 1): "60969a5ef2d33417",
+        ("discrete", 5): "e63dacd132a59a34",
+        ("points", 0): "8fa3cd830b282428",
+        ("points", 1): "60969a5ef2d33417",
+        ("points", 5): "e63dacd132a59a34",
+    }
+    MASS_ROWS = {
+        "prior-uniform": ((1.5, "uniform", Interval(0.25, 0.75), None, 0), "199a303bdbb8cdaa"),
+        "prior-discrete": ((1.5, "discrete", AtomSet({1, 3}), 50, 0), "b63feb9d48caaaa8"),
+        "prior-points": ((4.0, "points", Interval(0.25, 0.75), None, 0), "781c427ccfb94fc5"),
+        "cond3-uniform": ((1.5, "uniform", Interval(0.25, 0.75), None, 3), "4d3d5808e32622a2"),
+        "cond3-discrete": ((0.5, "discrete", AtomSet({2}), 50, 3), "2b176d5d5e3199de"),
+    }
+
+    @pytest.mark.parametrize("key", list(STICK_BREAK))
+    def test_stick_break(self, key, monkeypatch):
+        monkeypatch.setattr(rm, "_UID", itertools.count(1))
+        make, args = self.PARAMS[key[0]]
+        mu = stick_break(make(*args), self.BASES[key[2]], self.TRUNCS[key[1]],
+                         np.random.default_rng(101))
+        assert _measure_digest(mu) == self.STICK_BREAK[key]
+
+    @pytest.mark.parametrize("key", list(POSTERIOR))
+    def test_sample_posterior(self, key, monkeypatch):
+        monkeypatch.setattr(rm, "_UID", itertools.count(1))
+        name, n = key
+        atoms = ([Point(10**6 + i, 0.1 + 0.15 * i) for i in range(n)] if name == "uniform"
+                 else [i % 4 for i in range(n)])
+        mu = sample_posterior(posterior(0.8, self.BASES[name], atoms), DEFAULT_TRUNCATION,
+                              np.random.default_rng(202))
+        assert _measure_digest(mu) == self.POSTERIOR[key]
+
+    @pytest.mark.parametrize("name", list(MASS_ROWS))
+    def test_mass_rows(self, name):
+        (theta, base, A, k, n_cond), expected = self.MASS_ROWS[name]
+        trunc = DEFAULT_TRUNCATION if k is None else StickTruncation.fixed(k)
+        cond = np.arange(40 * n_cond).reshape(40, n_cond) % 3 == 0 if n_cond else None
+        vals = _measure_mass_rows(theta, self.BASES[base], A, 40, trunc,
+                                  np.random.default_rng(303), cond, n_cond)
+        assert _digest(vals) == expected
