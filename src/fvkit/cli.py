@@ -126,14 +126,12 @@ def main():
               help="stick-breaking discount for the measures suite")
 @click.option("--s", "svals", type=RATIONAL, multiple=True, help="time grid override")
 @click.option("--reps", type=int, default=None, help="Monte Carlo replicates")
-@click.option("--grid", type=click.Choice(["default"]), default="default",
-              help="named grid (only 'default')")
 @_apply(precision_options)
 @_apply(output_options)
 @seed_option
 @_exit_codes
-def verify(suite, m_max, n_max, thetas, sigma, svals, reps, grid, digits, tail_tol,
-           max_terms, fmt, out, seed):
+def verify(suite, m_max, n_max, thetas, sigma, svals, reps, digits, tail_tol, max_terms,
+           fmt, out, seed):
     """Run a verification suite; nonzero exit on any failed check."""
     floats = [float(th) for th in thetas] or None
     kwargs = {  # per suite; a None value (flag unset) keeps the suite's default

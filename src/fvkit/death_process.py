@@ -18,9 +18,10 @@ from typing import Optional, Union
 import mpmath
 import numpy as np
 
-from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product
-
-Rational = Union[int, Fraction]
+from . import polya_urn
+# falling_factorial is unused here but stays importable: bench/tracing.py
+# rebinds this module's combinatorics names
+from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product  # noqa: F401
 
 
 class PrecisionExhaustedError(RuntimeError):
@@ -292,6 +293,24 @@ def _inner_prec(prec: PrecisionConfig, shrink: float) -> PrecisionConfig:
     )
 
 
+def _transition_entry(pmf: DeathPmf, n: int, r: int) -> mpmath.mpf:
+    """P(count = r after s | count = n) from the pmf {d_m(s)}:
+    (theta)_n n! / ((theta)_r (n-r)!) sum_{m>=r} C(m,r)/(theta+m)_(n) d_m(s),
+    under the caller's mp context.
+
+    With theta = p/q each weight is one integer ratio: the q**n of
+    (theta)_n and of (theta+m)_(n) cancel, leaving q**r on top."""
+    theta = pmf.params.theta_fraction
+    p, q = theta.numerator, theta.denominator
+    top = rising_product(p, q, n) * math.factorial(n) * q**r
+    bottom = rising_product(p, q, r) * math.factorial(n - r)
+    acc = mpmath.mpf(0)
+    for m in range(r, pmf.n_max + 1):
+        w = mpmath.mpf(top * binomial(m, r)) / (bottom * rising_product(p + m * q, q, n))
+        acc += w * pmf.probs[m]
+    return acc
+
+
 def transition_given_n(n: int, s, params: DeathParams, prec: PrecisionConfig = PrecisionConfig()):
     """Transition vector P(count = r after s | count = n now) for r = 0..n,
     recovered from the pmf series by inverting the urn-weighted sum that
@@ -303,23 +322,11 @@ def transition_given_n(n: int, s, params: DeathParams, prec: PrecisionConfig = P
         raise ValueError("theta = 0 transitions go through transition_closed_form")
     theta = params.theta_fraction
     # absolute output error scales with the largest prefactor, so shrink accordingly
-    pre_max = max(
-        Fraction(rising_factorial(theta, n) * math.factorial(n),
-                 rising_factorial(theta, r) * math.factorial(n - r))
-        for r in range(n + 1)
-    )
+    pre_max = max(rising_factorial(theta, n) * math.factorial(n)
+                  / (rising_factorial(theta, r) * math.factorial(n - r)) for r in range(n + 1))
     pmf = death_pmf(s, params, _inner_prec(prec, 1e-4 / float(pre_max)))
-    out = []
     with mpmath.workdps(prec.working_digits):
-        for r in range(n + 1):
-            acc = mpmath.mpf(0)
-            for m in range(r, pmf.n_max + 1):
-                w = Fraction(binomial(m, r), rising_factorial(theta + m, n))
-                acc += _mpf_frac(w) * pmf.probs[m]
-            pre = Fraction(rising_factorial(theta, n) * math.factorial(n),
-                           rising_factorial(theta, r) * math.factorial(n - r))
-            out.append(float(_mpf_frac(pre) * acc))
-    return out
+        return [float(_transition_entry(pmf, n, r)) for r in range(n + 1)]
 
 
 def transition_closed_form(n: int, r: int, s, params: DeathParams,
@@ -365,30 +372,18 @@ def check_survival_identity(n: int, s, params: DeathParams,
         raise ValueError("requires theta > 0")
     theta = params.theta_fraction
     pmf = death_pmf(s, params, _inner_prec(prec, 1e-4))
-    sf = Fraction(s)
     with mpmath.workdps(prec.working_digits):
-        acc = mpmath.mpf(0)
-        for m in range(n, pmf.n_max + 1):
-            w = Fraction(falling_factorial(m, n), rising_factorial(theta + m, n))
-            acc += _mpf_frac(w) * pmf.probs[m]
-        rhs = mpmath.exp(-_mpf_frac(_death_rate_fraction(n, theta) * sf))
-        return abs(float(acc - rhs))
-
-
-def _single_death_closed_form(n: int, s, theta: Fraction, dps: int):
-    lam_hi = _death_rate_fraction(n, theta)
-    lam_lo = _death_rate_fraction(n - 1, theta)
-    sf = Fraction(s)
-    with mpmath.workdps(dps):
-        gap = _mpf_frac(lam_hi - lam_lo)
-        return (mpmath.exp(-_mpf_frac(lam_lo * sf)) - mpmath.exp(-_mpf_frac(lam_hi * sf))) / (2 * gap)
+        rhs = mpmath.exp(-_mpf_frac(_death_rate_fraction(n, theta) * Fraction(s)))
+        return abs(float(_transition_entry(pmf, n, n) - rhs))
 
 
 def check_single_death_identity(n: int, s, params: DeathParams,
                                 prec: PrecisionConfig = PrecisionConfig()) -> float:
     """Residual of the one-death identity: the urn-weighted pmf sum
-    H(s) = sum_m m_[n-1]/(theta+m)_(n) d_m(s) against its closed form
-    0.5*(exp(-lambda_{n-1} s) - exp(-lambda_n s))/(lambda_n - lambda_{n-1}).
+    H(s) = sum_m m_[n-1]/(theta+m)_(n) d_m(s), which is P(n-1 | n) over
+    n(n-1+theta), against its closed form
+    0.5*(exp(-lambda_{n-1} s) - exp(-lambda_n s))/(lambda_n - lambda_{n-1}),
+    read off ``transition_closed_form`` the same way.
 
     Also sanity-checks the s -> 0+ behavior of the closed form: H vanishes
     linearly, so 0 < H(1e-3) <= 5e-4, and a RuntimeError is raised if not."""
@@ -396,25 +391,22 @@ def check_single_death_identity(n: int, s, params: DeathParams,
         raise ValueError("n must be >= 1")
     if params.is_coalescent:
         raise ValueError("requires theta > 0")
-    theta = params.theta_fraction
-    h_small = float(_single_death_closed_form(n, Fraction(1, 1000), theta, prec.working_digits))
+    scale = n * (n - 1 + params.theta_fraction)
+    h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), params,
+                                     prec.working_digits) / scale
     if not 0 < h_small <= 5e-4:
         raise RuntimeError(f"H(1e-3) = {h_small} outside (0, 5e-4]")
     pmf = death_pmf(s, params, _inner_prec(prec, 1e-4))
+    closed = transition_closed_form(n, n - 1, s, params, prec.working_digits) / scale
     with mpmath.workdps(prec.working_digits):
-        acc = mpmath.mpf(0)
-        for m in range(n - 1, pmf.n_max + 1):
-            w = Fraction(falling_factorial(m, n - 1), rising_factorial(theta + m, n))
-            acc += _mpf_frac(w) * pmf.probs[m]
-        closed = _single_death_closed_form(n, s, theta, prec.working_digits)
-        return abs(float(acc - closed))
+        return abs(float(_transition_entry(pmf, n, n - 1) / _mpf_frac(scale)) - closed)
 
 
 def check_chapman_kolmogorov(r: int, t, s, params: DeathParams,
                              prec: PrecisionConfig = PrecisionConfig()) -> float:
     """Residual of the composition law
     d_r(t+s) = sum_{n,m} P(r | m, n) d_m(s) d_n(t),
-    with P(r|m,n) the urn overlap pmf coefficient, computed exactly."""
+    with P(r|m,n) the urn overlap pmf entry ``polya_urn.overlap_entry``."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if params.is_coalescent:
@@ -423,21 +415,13 @@ def check_chapman_kolmogorov(r: int, t, s, params: DeathParams,
     inner = _inner_prec(prec, 1e-4)
     pmf_t = death_pmf(t, params, inner)
     pmf_s = death_pmf(s, params, inner)
-    tf, sf = Fraction(t), Fraction(s)
     with mpmath.workdps(prec.working_digits):
-        lhs, _ = _death_prob(r, tf + sf, params, inner)
-        # theta_(k) table up to the largest n + m needed
-        top = pmf_t.n_max + pmf_s.n_max
-        rises = [Fraction(1)] * (top + 1)
-        for k in range(1, top + 1):
-            rises[k] = rises[k - 1] * (theta + k - 1)
-        fact_r = math.factorial(r)
+        lhs, _ = _death_prob(r, Fraction(t) + Fraction(s), params, inner)
         rhs = mpmath.mpf(0)
         for n in range(r, pmf_t.n_max + 1):
-            cn = fact_r * binomial(n, r) * rises[n]
             for m in range(r, pmf_s.n_max + 1):
-                coef = Fraction(cn * binomial(m, r) * rises[m], rises[n + m] * rises[r])
-                rhs += _mpf_frac(coef) * pmf_s.probs[m] * pmf_t.probs[n]
+                num, den = polya_urn.overlap_entry(r, m, n, theta)
+                rhs += mpmath.mpf(num) / den * pmf_s.probs[m] * pmf_t.probs[n]
         return abs(float(lhs - rhs))
 
 

@@ -18,8 +18,6 @@ import numpy as np
 
 from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product
 
-Rational = Union[int, Fraction]
-
 BRUTEFORCE_PATH_BUDGET = 10**7
 
 
@@ -161,29 +159,34 @@ def _shifted_rising_numerator(p: int, q: int, r: int, m: int, via_expansion: boo
     return total
 
 
-def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
-    """Closed-form overlap pmf for theta > 0 through the direct form
-    n_[r] C(m,r) (theta+r)_(m-r) / (theta+n)_(m); exact rational output,
-    checked to sum to exactly 1.  ``overlap_pmf_extended`` computes the
-    other published form for cross-checking.
+def overlap_entry(r: int, m: int, n: int, theta: Fraction,
+                  via_expansion: bool = False) -> tuple[int, int]:
+    """P(r | m, n) for theta > 0 through the direct form
+    n_[r] C(m,r) (theta+r)_(m-r) / (theta+n)_(m), as an unnormalised
+    integer pair (num, den).
 
     With theta = p/q both rising factorials are integer products over
-    q**m, so every entry is an integer numerator over one shared
-    denominator, normalised once.
-
-    ``via_expansion`` swaps the shifted rising factorial in the direct form
-    for its combinatorial expansion, tying the pmf to the underlying
-    identity.
+    q**m, so ``den`` = q**m (theta+n)_(m) is the same for every r.
+    ``via_expansion`` swaps the shifted rising factorial for its
+    combinatorial expansion, tying the entry to the underlying identity.
     """
-    theta = _check_exact_args(m, n, theta)
     p, q = theta.numerator, theta.denominator
-    den = rising_product(p + n * q, q, m)
-    nums = [falling_factorial(n, r) * binomial(m, r) * q**r
-            * _shifted_rising_numerator(p, q, r, m, via_expansion)
-            for r in range(min(m, n) + 1)]
-    if sum(nums) != den:
+    num = (falling_factorial(n, r) * binomial(m, r) * q**r
+           * _shifted_rising_numerator(p, q, r, m, via_expansion))
+    return num, rising_product(p + n * q, q, m)
+
+
+def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
+    """Closed-form overlap pmf for theta > 0: ``overlap_entry`` for every
+    r, exact rational output, checked to sum to exactly 1.
+    ``overlap_pmf_extended`` computes the other published form for
+    cross-checking."""
+    theta = _check_exact_args(m, n, theta)
+    nums, dens = zip(*(overlap_entry(r, m, n, theta, via_expansion)
+                       for r in range(min(m, n) + 1)))
+    if len(set(dens)) != 1 or sum(nums) != dens[0]:
         raise RuntimeError(f"overlap pmf does not sum to 1 for m={m}, n={n}, theta={theta}")
-    return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, den) for a in nums))
+    return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, dens[0]) for a in nums))
 
 
 def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:

@@ -428,9 +428,12 @@ def sample_posterior(post: DirichletPosterior,
         out[held] = np.asarray(atom_vals, dtype=dtype)[pick[held]]
         return out
 
-    continuous = post.base.kind == "continuous"
-    ids = place(f_ids, [p.uid for p in post.atoms] if continuous else post.atoms, np.int64)
-    xs = place(f_xs, [p.x for p in post.atoms], float) if continuous else None
+    if post.base.kind == "continuous":
+        ids = place(f_ids, [p.uid for p in post.atoms], np.int64)
+        xs = place(f_xs, [p.x for p in post.atoms], float)
+    else:
+        ids = place(f_ids, post.atoms, np.int64)
+        xs = None if post.base.points is None else np.asarray(post.base.points, dtype=float)[ids]
     return _merge_atoms(post.base.kind, ids, xs, rho, residual)
 
 

@@ -186,6 +186,15 @@ class TestVerifyCommand:
         assert r.returncode == 2
         assert r.stderr == "invalid arguments: working_digits must be >= 16\n"
 
+    @pytest.mark.parametrize("suite", ["measures", "processes"])
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_too_few_reps_exit_code(self, suite, reps):
+        # a Monte Carlo standard error needs two replicates
+        r = run_cli("verify", suite, "--reps", reps)
+        assert r.returncode == 2
+        assert r.stderr == ("invalid arguments: reps must be >= 2 for a Monte Carlo "
+                            f"standard error, got {reps}\n")
+
     @pytest.mark.parametrize("args, expected", [
         ([], {"combinatorics": {}, "death": {}, "urn": {},
               "measures": {"seed": 7}, "processes": {"seed": 11}}),

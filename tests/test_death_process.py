@@ -233,7 +233,7 @@ class TestSingleDeathIdentity:
     def test_closed_form_out_of_range_raises(self, monkeypatch):
         # the H(1e-3) range check raises, so it also holds under python -O
         import fvkit.death_process as dp
-        monkeypatch.setattr(dp, "_single_death_closed_form", lambda n, s, theta, dps: 1.0)
+        monkeypatch.setattr(dp, "transition_closed_form", lambda n, r, s, params, dps: 1.0)
         with pytest.raises(RuntimeError, match="outside"):
             check_single_death_identity(2, 1.0, P1, PREC)
 

@@ -1,0 +1,54 @@
+"""Fault injection: each test plants one known bug and asserts that the
+verification rows meant to catch it go red, on grids small enough to run
+in seconds.  Each suite first runs unpatched on the same grid as a control."""
+from math import comb
+
+from fvkit import death_process as dp
+from fvkit import polya_urn as urn
+from fvkit import verify as V
+
+
+def _failing(report, check):
+    rows = [row for row in report.rows if row.check == check]
+    assert rows, f"no {check} rows"
+    return [row.instance for row in rows if not row.passed]
+
+
+def _small_death():
+    return V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=3, r_max=1,
+                          ck_pairs=((0.5, 0.5),), ineq_ts=())
+
+
+def _small_urn():
+    return V.verify_urn(form_max=3, bruteforce_max=2, theta0_max=2)
+
+
+def test_overlap_entry_perturbed_at_r1(monkeypatch):
+    # P(1 | m, n) off by a relative 1e-6, in the one entry function that the
+    # urn pmf and the composition check share
+    assert _small_death().ok and _small_urn().ok
+    exact = urn.overlap_entry
+
+    def perturbed(r, m, n, theta, via_expansion=False):
+        num, den = exact(r, m, n, theta, via_expansion)
+        return (num * (10**6 + 1), den * 10**6) if r == 1 else (num, den)
+
+    monkeypatch.setattr(urn, "overlap_entry", perturbed)
+    death = _small_death()
+    assert [i for i in _failing(death, "chapman-kolmogorov") if i.startswith("r=1,")]
+    for check in ("survival-identity", "single-death-identity", "transition-vs-closed-form"):
+        assert not _failing(death, check)
+    report = _small_urn()
+    for check in ("overlap-forms-agree", "exact-vs-bruteforce", "expansion-route-identical"):
+        assert _failing(report, check)
+    assert not _failing(report, "theta0-forms-agree")
+
+
+def test_transition_weight_perturbed(monkeypatch):
+    # the transition sum's weight C(m, r) off by one at m = r + 1
+    assert _small_death().ok
+    monkeypatch.setattr(dp, "binomial", lambda m, r: comb(m, r) + (m == r + 1))
+    death = _small_death()
+    for check in ("survival-identity", "single-death-identity", "transition-vs-closed-form"):
+        assert _failing(death, check), check
+    assert not _failing(death, "chapman-kolmogorov")

@@ -197,6 +197,14 @@ class TestPosterior:
         assert mu.ids.size == 1
         assert abs(mu.mass(AtomSet({0})) - (1 - mu.residual)) < 1e-12
 
+    def test_points_base_interval_mass(self, rng):
+        # positions survive the posterior, so an interval picks out the atoms inside it
+        base = DiscreteBase(weights=(0.1, 0.2, 0.3, 0.4), points=(0.05, 0.3, 0.6, 0.9))
+        mu = sample_posterior(posterior(0.8, base, [1, 3, 3]), DEFAULT_TRUNCATION, rng)
+        inside = mu.mass(Interval(0.25, 0.75))
+        assert inside > 0
+        assert inside == mu.mass(AtomSet({1, 2}))
+
     def test_seeded_content_identical(self):
         base = UniformBase()
         post = posterior(1.0, base, [])
@@ -438,7 +446,8 @@ class TestStreamPins:
         ("pd", "residual", "discrete"): "30fa53c31dd1c2b2",
         ("pd", "residual", "points"): "9198c85d65d2bab5",
     }
-    # a discrete base with points still gives posterior draws without xs
+    # a discrete base with points draws the discrete case's ids, weights and
+    # residual from the same stream, and adds xs = points[ids]
     POSTERIOR = {
         ("uniform", 0): "0d2c43ba1dfa7764",
         ("uniform", 1): "9dc4a0fc7c7d3a82",
@@ -446,9 +455,9 @@ class TestStreamPins:
         ("discrete", 0): "8fa3cd830b282428",
         ("discrete", 1): "60969a5ef2d33417",
         ("discrete", 5): "e63dacd132a59a34",
-        ("points", 0): "8fa3cd830b282428",
-        ("points", 1): "60969a5ef2d33417",
-        ("points", 5): "e63dacd132a59a34",
+        ("points", 0): "7a89f5fee29dd448",
+        ("points", 1): "adf1c78863feda9f",
+        ("points", 5): "d1a6183bedf9536a",
     }
     MASS_ROWS = {
         "prior-uniform": ((1.5, "uniform", Interval(0.25, 0.75), None, 0), "199a303bdbb8cdaa"),
@@ -466,15 +475,23 @@ class TestStreamPins:
                          np.random.default_rng(101))
         assert _measure_digest(mu) == self.STICK_BREAK[key]
 
+    def _posterior_draw(self, name, n):
+        atoms = ([Point(10**6 + i, 0.1 + 0.15 * i) for i in range(n)] if name == "uniform"
+                 else [i % 4 for i in range(n)])
+        return sample_posterior(posterior(0.8, self.BASES[name], atoms), DEFAULT_TRUNCATION,
+                                np.random.default_rng(202))
+
     @pytest.mark.parametrize("key", list(POSTERIOR))
     def test_sample_posterior(self, key, monkeypatch):
         monkeypatch.setattr(rm, "_UID", itertools.count(1))
-        name, n = key
-        atoms = ([Point(10**6 + i, 0.1 + 0.15 * i) for i in range(n)] if name == "uniform"
-                 else [i % 4 for i in range(n)])
-        mu = sample_posterior(posterior(0.8, self.BASES[name], atoms), DEFAULT_TRUNCATION,
-                              np.random.default_rng(202))
+        mu = self._posterior_draw(*key)
         assert _measure_digest(mu) == self.POSTERIOR[key]
+        if key[0] == "points":
+            plain = self._posterior_draw("discrete", key[1])
+            assert np.array_equal(mu.ids, plain.ids) and np.array_equal(mu.weights, plain.weights)
+            assert mu.residual == plain.residual
+            points = np.asarray(self.BASES["points"].points)
+            assert np.array_equal(mu.xs, points[mu.ids])
 
     @pytest.mark.parametrize("name", list(MASS_ROWS))
     def test_mass_rows(self, name):
