@@ -7,8 +7,8 @@ harnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -21,14 +21,19 @@ from .random_measures import (
     DiscreteBase,
     DiscreteMeasure,
     Interval,
+    MeasureRows,
     Point,
     StickTruncation,
     TestSet,
     UniformBase,
+    _draw_atoms,
+    _posterior_rows,
     posterior,
-    sample_from_measure,
     sample_posterior,
 )
+# sample_from_measure is unused here but stays importable: bench/tracing.py
+# rebinds this module's random_measures names
+from .random_measures import sample_from_measure  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -81,18 +86,6 @@ class FvConfig:
         return death_pmf(self.t, DeathParams(self.theta), self.prec)
 
 
-def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
-    """Content equality: identical weights, positions, and residual.  Atom
-    ids are nominal labels from the process-wide counter and are excluded."""
-    if a.base_kind != b.base_kind or a.residual != b.residual:
-        return False
-    if not np.array_equal(a.weights, b.weights):
-        return False
-    if (a.xs is None) != (b.xs is None):
-        return False
-    return a.xs is None or np.array_equal(a.xs, b.xs)
-
-
 # ---------------------------------------------------------------------------
 # steps
 
@@ -117,33 +110,33 @@ def dar1_detailed_balance(cfg: Dar1Config) -> float:
     return float(np.abs(flux - flux.T).max())
 
 
-def _chain_step(mu: DiscreteMeasure, theta: float, base: BaseMeasure, n: int,
-                trunc: StickTruncation, rng: np.random.Generator) -> DiscreteMeasure:
-    atoms = sample_from_measure(mu, n, rng) if n else []
-    return sample_posterior(posterior(theta, base, atoms), trunc, rng)
-
-
-def measure_chain_step(mu: DiscreteMeasure, cfg: MeasureChainConfig,
-                       rng: np.random.Generator) -> DiscreteMeasure:
-    return _chain_step(mu, cfg.theta, cfg.base, cfg.n, cfg.trunc, rng)
-
-
-def fv_step(mu: DiscreteMeasure, cfg: FvConfig, rng: np.random.Generator,
-            n_override: Optional[int] = None) -> DiscreteMeasure:
-    """One transition of duration cfg.t: draw the conditioning count from
-    the death pmf, then run the measure-chain step with that count.  A
-    count of 0 is a fresh prior draw.  ``n_override`` forces the count,
-    bypassing the pmf (used to check consistency with the discrete chain).
-    """
-    if n_override is None:
+def _step_rows(rows: MeasureRows, cfg, rng: np.random.Generator) -> MeasureRows:
+    """One step of every row: cfg.n atom draws per row for the measure
+    chain, or for the FV transition a count per row from the death pmf at
+    cfg.t (a count of 0 is a fresh prior draw); the drawn atoms feed one
+    posterior draw per row."""
+    if isinstance(cfg, FvConfig):
         pmf = cfg.death_pmf()
         if pmf.residual > 1e-6:
             raise ValueError(f"death pmf residual {pmf.residual:g} too large; "
                              "tighten tail_tol")
-        n = sample_death_count(pmf, rng)
+        n = sample_death_count(pmf, rng, size=rows.residual.size)
     else:
-        n = n_override
-    return _chain_step(mu, cfg.theta, cfg.base, n, cfg.trunc, rng)
+        n = np.full(rows.residual.size, cfg.n)
+    atom_ids, atom_xs = _draw_atoms(rows, n, rng)
+    return _posterior_rows(cfg.theta, cfg.base, n, atom_ids, atom_xs, cfg.trunc, rng)
+
+
+def measure_chain_step(mu: DiscreteMeasure, cfg: MeasureChainConfig,
+                       rng: np.random.Generator) -> DiscreteMeasure:
+    return _step_rows(MeasureRows.of(mu), cfg, rng).measure()
+
+
+def fv_step(mu: DiscreteMeasure, cfg: FvConfig, rng: np.random.Generator) -> DiscreteMeasure:
+    """One transition of duration cfg.t: draw the conditioning count from
+    the death pmf, then run the measure-chain step with that count.  A
+    count of 0 is a fresh prior draw."""
+    return _step_rows(MeasureRows.of(mu), cfg, rng).measure()
 
 
 def stationary_measure(theta: float, base: BaseMeasure,
@@ -151,6 +144,13 @@ def stationary_measure(theta: float, base: BaseMeasure,
                        rng: np.random.Generator = None) -> DiscreteMeasure:
     """A draw from the stationary law: the prior with total mass theta."""
     return sample_posterior(posterior(theta, base, []), trunc, rng)
+
+
+def _stationary_rows(cfg, reps: int, rng: np.random.Generator) -> MeasureRows:
+    """reps independent draws from the chain's stationary law, as rows."""
+    none = np.zeros(0)
+    return _posterior_rows(cfg.theta, cfg.base, np.zeros(reps, dtype=np.int64),
+                           none.astype(np.int64), none, cfg.trunc, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,9 @@ def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
 @dataclass(frozen=True)
 class MomentCheck:
     """Empirical mean/variance of mu(A) after a number of chained steps,
-    against the stationary targets, with Monte Carlo standard errors."""
+    against the stationary targets, with Monte Carlo standard errors; and,
+    from a chain run, the OLS slope of mu_k(A) on the start's mu_0(A)
+    against its target rho**k (NaN without a start)."""
 
     after_steps: int
     mean: float
@@ -215,6 +217,9 @@ class MomentCheck:
     var_se: float
     var_target: float
     reps: int
+    slope: float = math.nan
+    slope_se: float = math.nan
+    slope_target: float = math.nan
 
     @property
     def mean_z(self) -> float:
@@ -223,6 +228,10 @@ class MomentCheck:
     @property
     def var_z(self) -> float:
         return abs(self.var - self.var_target) / self.var_se
+
+    @property
+    def slope_z(self) -> float:
+        return abs(self.slope - self.slope_target) / self.slope_se
 
 
 def _moment_check(vals: np.ndarray, after: int, p: float, theta: float) -> MomentCheck:
@@ -241,24 +250,38 @@ def _moment_check(vals: np.ndarray, after: int, p: float, theta: float) -> Momen
     )
 
 
+def _lag_slope(u: np.ndarray, v: np.ndarray) -> dict:
+    """OLS slope of v on u with its heteroscedasticity-robust (HC0
+    sandwich) standard error; NaN when u does not vary."""
+    du, dv = u - u.mean(), v - v.mean()
+    sxx = float(du @ du)
+    if sxx == 0:
+        return {"slope": math.nan, "slope_se": math.nan}
+    slope = float(du @ dv) / sxx
+    score = du * (dv - slope * du)
+    return {"slope": slope, "slope_se": math.sqrt(float(score @ score)) / sxx}
+
+
 def stationarity_checks(kind: str, cfg, A: TestSet, reps: int,
                         checkpoints: Sequence[int], rng: np.random.Generator):
-    """Start each replicate at a stationary draw, chain the step, and test
-    the observable's mean and variance at the requested checkpoints."""
+    """Start reps rows at stationary draws, step them together, and test
+    the observable's mean and variance at the requested checkpoints, and
+    the lag identity E[mu_k(A) | mu_0(A) = u] = p + (u - p) rho**k, with
+    rho = n/(theta+n) for the measure chain and exp(-theta t/2) for FV."""
     if kind not in ("measure-chain", "fv"):
         raise ValueError("stationarity harness covers the measure-valued chains")
-    step = measure_chain_step if kind == "measure-chain" else fv_step
+    rho = math.exp(-cfg.theta * cfg.t / 2) if kind == "fv" else cfg.n / (cfg.theta + cfg.n)
     marks = sorted(set(checkpoints))
-    last = marks[-1]
-    vals = {m: np.empty(reps) for m in marks}
-    for i in range(reps):
-        mu = stationary_measure(cfg.theta, cfg.base, cfg.trunc, rng)
-        for k in range(1, last + 1):
-            mu = step(mu, cfg, rng)
-            if k in vals:
-                vals[k][i] = mu.mass(A)
+    rows = _stationary_rows(cfg, reps, rng)
+    start = rows.mass(A)
+    vals = {}
+    for k in range(1, marks[-1] + 1):
+        rows = _step_rows(rows, cfg, rng)
+        if k in marks:
+            vals[k] = rows.mass(A)
     p = cfg.base.measure(A)
-    return [_moment_check(vals[m], m, p, cfg.theta) for m in marks]
+    return [replace(_moment_check(vals[m], m, p, cfg.theta), slope_target=rho**m,
+                    **_lag_slope(start, vals[m])) for m in marks]
 
 
 def _ks_2samp_equal(x, y) -> tuple[float, float]:
@@ -322,15 +345,9 @@ def fv_chapman_kolmogorov_process_test(cfg: FvConfig, t: float, s: float, A: Tes
     duration-t then duration-s pair, per replicate from a shared stationary
     start.  Sharing starts correlates the arms positively, which only makes
     the two-sample comparison conservative."""
-    cfg_ts = FvConfig(cfg.theta, cfg.base, t + s, cfg.prec, cfg.trunc)
-    cfg_t = FvConfig(cfg.theta, cfg.base, t, cfg.prec, cfg.trunc)
-    cfg_s = FvConfig(cfg.theta, cfg.base, s, cfg.prec, cfg.trunc)
-    one = np.empty(reps)
-    two = np.empty(reps)
-    for i in range(reps):
-        mu0 = stationary_measure(cfg.theta, cfg.base, cfg.trunc, rng)
-        one[i] = fv_step(mu0, cfg_ts, rng).mass(A)
-        two[i] = fv_step(fv_step(mu0, cfg_t, rng), cfg_s, rng).mass(A)
+    start = _stationary_rows(cfg, reps, rng)
+    one = _step_rows(start, replace(cfg, t=t + s), rng).mass(A)
+    two = _step_rows(_step_rows(start, replace(cfg, t=t), rng), replace(cfg, t=s), rng).mass(A)
     ks_stat, ks_pvalue = _ks_2samp_equal(one, two)
     diff = one - two
     mean_diff_se = float(diff.std(ddof=1) / math.sqrt(reps))
@@ -358,12 +375,9 @@ class ReversibilityReport:
 
 def measure_chain_reversibility_test(cfg: MeasureChainConfig, A: TestSet, reps: int,
                                      rng: np.random.Generator) -> ReversibilityReport:
-    u = np.empty(reps)
-    v = np.empty(reps)
-    for i in range(reps):
-        mu0 = stationary_measure(cfg.theta, cfg.base, cfg.trunc, rng)
-        u[i] = mu0.mass(A)
-        v[i] = measure_chain_step(mu0, cfg, rng).mass(A)
+    start = _stationary_rows(cfg, reps, rng)
+    u = start.mass(A)
+    v = _step_rows(start, cfg, rng).mass(A)
     d = u * u * v - u * v * v
     return ReversibilityReport(
         marginal_ks_pvalue=_ks_2samp_equal(u, v)[1],

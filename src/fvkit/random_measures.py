@@ -165,8 +165,10 @@ class StickBreakingParams:
     """Beta(alpha_j, beta_j) stick proportions, j = 1, 2, ...
 
     ``alpha`` and ``beta`` are called on an int64 array of stick indices and
-    return an array of that shape or a scalar.  ``dp(theta)`` and
-    ``poisson_dirichlet(sigma, theta)`` build the two standard presets."""
+    return an array of that shape, a scalar, or an array that broadcasts
+    against it with leading axes of independent rows (a ``(rows, 1)`` array
+    of total masses breaks one DP stick sequence per row).  ``dp(theta)``
+    and ``poisson_dirichlet(sigma, theta)`` build the two standard presets."""
 
     alpha: Callable[[np.ndarray], Union[np.ndarray, float]]
     beta: Callable[[np.ndarray], Union[np.ndarray, float]]
@@ -191,9 +193,10 @@ class StickBreakingParams:
 
     def shape_arrays(self, j0: int, count: int):
         js = np.arange(j0, j0 + count, dtype=np.int64)
-        ab = np.empty((2, count))
-        ab[0], ab[1] = self.alpha(js), self.beta(js)  # broadcasts a scalar
-        if (ab <= 0).any():
+        a, b = self.alpha(js), self.beta(js)
+        ab = np.empty((2,) + np.broadcast(a, b, js).shape)
+        ab[0], ab[1] = a, b  # broadcasts a scalar or a column of rows
+        if ab.min() <= 0:
             raise ValueError("alpha_j and beta_j must be > 0")
         return ab[0], ab[1]
 
@@ -228,9 +231,9 @@ DEFAULT_TRUNCATION = StickTruncation.residual(1e-8)
 _STICK_BLOCK = 64
 
 
-def _break_sticks(a, b, rng: np.random.Generator, size=None, left: float = 1.0):
+def _break_sticks(a, b, rng: np.random.Generator, size=None, left=1.0):
     """Beta(a, b) proportions broken along the last axis off a stick of
-    length ``left``: the stick masses and cumprod(1 - w)."""
+    length ``left`` (one per row): the stick masses and cumprod(1 - w)."""
     w = rng.beta(a, b, size)
     keep = np.cumprod(1.0 - w, axis=-1)
     rho = w * left
@@ -240,25 +243,26 @@ def _break_sticks(a, b, rng: np.random.Generator, size=None, left: float = 1.0):
 
 def _stick_weights(params: StickBreakingParams, trunc: StickTruncation,
                    rng: np.random.Generator):
-    """Stick masses rho_j and the leftover residual, as (array, float): one
-    block of k sticks, or blocks of _STICK_BLOCK until the residual is below
-    eps."""
+    """Stick masses rho_j along the last axis and the leftover residual per
+    row: one block of k sticks, or blocks of _STICK_BLOCK until every row's
+    residual is below eps.  Rows are the leading axes of the params' shapes;
+    plain params give one 1-D row and a 0-d residual."""
     block, cap = ((trunc.k, trunc.k) if trunc.k is not None
                   else (_STICK_BLOCK, trunc.max_sticks))
     blocks = []
     left = 1.0
     k = 0
-    while not blocks or trunc.eps is not None and left >= trunc.eps:
+    while not blocks or trunc.eps is not None and left.max() >= trunc.eps:
         if k >= cap:
             raise StickBudgetError(
-                f"residual {left:g} still above {trunc.eps:g} after {k} sticks"
+                f"residual {np.max(left):g} still above {trunc.eps:g} after {k} sticks"
             )
         count = min(block, cap - k)
         rho, keep = _break_sticks(*params.shape_arrays(k + 1, count), rng, left=left)
         blocks.append(rho)
-        left *= keep[-1]
+        left = left * keep[..., -1:]
         k += count
-    return np.concatenate(blocks), float(left)
+    return np.concatenate(blocks, axis=-1), left[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +303,64 @@ class DiscreteMeasure:
             return 1.0  # atoms plus residual partition the space
         if isinstance(A, EmptySet):
             return 0.0
-        if isinstance(A, Interval):
-            if self.xs is None:
-                raise TypeError("interval observables need atom positions")
-            sel = (self.xs >= A.lo) & (self.xs < A.hi)
-            return float(self.weights[sel].sum())
-        if isinstance(A, AtomSet):
-            if self.base_kind != "discrete":
-                raise TypeError("atom-set observables need a discrete base")
-            sel = np.isin(self.ids, np.fromiter(A.indices, dtype=np.int64))
-            return float(self.weights[sel].sum())
-        raise TypeError(f"unsupported test set {A!r}")
+        return float(self.weights[_members(self.base_kind, self.ids, self.xs, A)].sum())
+
+
+def _members(base_kind: str, ids: np.ndarray, xs, A: TestSet) -> np.ndarray:
+    """Which atoms lie in A, elementwise over ids and positions of any shape."""
+    if isinstance(A, Interval):
+        if xs is None:
+            raise TypeError("interval observables need atom positions")
+        return (xs >= A.lo) & (xs < A.hi)
+    if isinstance(A, AtomSet):
+        if base_kind != "discrete":
+            raise TypeError("atom-set observables need a discrete base")
+        return np.isin(ids, np.fromiter(A.indices, dtype=np.int64))
+    raise TypeError(f"unsupported test set {A!r}")
+
+
+@dataclass(frozen=True)
+class MeasureRows:
+    """A batch of atomic measures, one per row: atom ids, optional positions
+    and weights as (rows, K) arrays, and each row's residual.  Rows stay
+    unmerged (an id may repeat within a row); ``measure`` merges one row."""
+
+    base_kind: str
+    ids: np.ndarray
+    xs: Optional[np.ndarray]
+    weights: np.ndarray
+    residual: np.ndarray
+
+    @staticmethod
+    def of(mu: DiscreteMeasure) -> "MeasureRows":
+        """The one-row batch holding mu."""
+        return MeasureRows(mu.base_kind, mu.ids[None], None if mu.xs is None else mu.xs[None],
+                           mu.weights[None], np.array([mu.residual]))
+
+    def measure(self, i: int = 0) -> DiscreteMeasure:
+        return _merge_atoms(self.base_kind, self.ids[i], None if self.xs is None else self.xs[i],
+                            self.weights[i], float(self.residual[i]))
+
+    def mass(self, A: TestSet) -> np.ndarray:
+        """mu(A) per row."""
+        if isinstance(A, WholeSpace):
+            return np.ones(self.residual.size)
+        if isinstance(A, EmptySet):
+            return np.zeros(self.residual.size)
+        sel = _members(self.base_kind, self.ids, self.xs, A)
+        return np.where(sel, self.weights, 0.0).sum(axis=1)
 
 
 def _merge_atoms(base_kind: str, ids: np.ndarray, xs, weights: np.ndarray,
                  residual: float) -> DiscreteMeasure:
     # merge weight on exact atom identity; canonical order is ascending id
-    uids, inverse = np.unique(ids, return_inverse=True)
-    w = np.zeros(uids.size)
-    np.add.at(w, inverse, weights)
+    # (np.unique with return_inverse does the same at about twice the cost)
+    srt = np.sort(ids)
+    first = np.ones(srt.size, dtype=bool)
+    first[1:] = srt[1:] != srt[:-1]
+    uids = srt[first]
+    inverse = np.searchsorted(uids, ids)
+    w = np.bincount(inverse, weights, minlength=uids.size)  # sums in index order
     merged_xs = None
     if xs is not None:
         merged_xs = np.empty(uids.size)
@@ -333,7 +376,7 @@ def stick_break(params: StickBreakingParams, base: BaseMeasure,
     independently from the base."""
     rho, residual = _stick_weights(params, trunc, rng)
     ids, xs = base.sample_batch(rng, rho.size)
-    return _merge_atoms(base.kind, ids, xs, rho, residual)
+    return _merge_atoms(base.kind, ids, xs, rho, float(residual))
 
 
 @dataclass(frozen=True)
@@ -402,11 +445,46 @@ def posterior(theta, base: BaseMeasure, atoms) -> DirichletPosterior:
     return DirichletPosterior(theta=float(theta), base=base, atoms=tuple(atoms))
 
 
-def _posterior_pick(u: np.ndarray, theta: float, n: int):
+def _posterior_pick(u: np.ndarray, theta: float, n):
     """Where posterior sticks land, from u uniform on [0, theta + n): a
     fresh base draw below theta, else conditioning atom floor(u - theta)
-    clipped to n - 1.  The pick under a fresh stick is unused."""
+    clipped to n - 1 (n broadcasts against u).  The pick under a fresh
+    stick is unused."""
     return u < theta, np.minimum(np.maximum(u - theta, 0.0).astype(np.int64), n - 1)
+
+
+def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np.ndarray,
+                    atom_xs: Optional[np.ndarray], trunc: StickTruncation,
+                    rng: np.random.Generator) -> MeasureRows:
+    """One posterior draw per row: row i conditions on its n[i] atoms, the
+    next n[i] entries of the flat atom_ids (and atom_xs, for a continuous
+    base) in row order, with sticks at total mass theta + n[i] until every
+    row's residual meets the truncation.  A stick lands on a fresh base
+    draw w.p. theta/(theta+n[i]) or on each conditioning atom w.p.
+    1/(theta+n[i]); one base.sample_batch call draws the fresh cells in
+    row-major order."""
+    total = theta + n
+    rho, residual = _stick_weights(
+        StickBreakingParams(lambda j: 1.0, lambda j: total[:, None]), trunc, rng)
+    fresh, pick = _posterior_pick(rng.random(rho.shape) * total[:, None], theta, n[:, None])
+    f_ids, f_xs = base.sample_batch(rng, int(fresh.sum()))
+    # index of the picked atom in the flat arrays.  A row with n = 0 has only
+    # fresh sticks (u < theta), so its picks of -1 land on cells that the
+    # fresh draws overwrite
+    pick += (np.cumsum(n) - n)[:, None]
+
+    def place(fresh_vals, atom_vals, dtype):
+        out = (np.asarray(atom_vals, dtype=dtype)[pick] if atom_vals.size
+               else np.empty(rho.shape, dtype=dtype))
+        out[fresh] = fresh_vals
+        return out
+
+    ids = place(f_ids, atom_ids, np.int64)
+    if base.kind == "continuous":
+        xs = place(f_xs, atom_xs, float)
+    else:
+        xs = None if base.points is None else np.asarray(base.points, dtype=float)[ids]
+    return MeasureRows(base.kind, ids, xs, rho, residual)
 
 
 def sample_posterior(post: DirichletPosterior,
@@ -415,43 +493,47 @@ def sample_posterior(post: DirichletPosterior,
     """One draw from the posterior: sticks at total mass theta + n, each
     stick location a fresh base draw w.p. theta/(theta+n) or a conditioning
     atom w.p. 1/(theta+n) each.  Weight landing on the same atom id merges."""
-    n = len(post.atoms)
-    total = post.theta + n
-    rho, residual = _stick_weights(StickBreakingParams.dp(total), trunc, rng)
-    fresh, pick = _posterior_pick(rng.random(rho.size) * total, post.theta, n)
-    held = ~fresh
-    f_ids, f_xs = post.base.sample_batch(rng, int(fresh.sum()))
-
-    def place(fresh_vals, atom_vals, dtype):
-        out = np.empty(rho.size, dtype=dtype)
-        out[fresh] = fresh_vals
-        out[held] = np.asarray(atom_vals, dtype=dtype)[pick[held]]
-        return out
-
     if post.base.kind == "continuous":
-        ids = place(f_ids, [p.uid for p in post.atoms], np.int64)
-        xs = place(f_xs, [p.x for p in post.atoms], float)
+        ids = np.array([p.uid for p in post.atoms], dtype=np.int64)
+        xs = np.array([p.x for p in post.atoms], dtype=float)
     else:
-        ids = place(f_ids, post.atoms, np.int64)
-        xs = None if post.base.points is None else np.asarray(post.base.points, dtype=float)[ids]
-    return _merge_atoms(post.base.kind, ids, xs, rho, residual)
+        ids, xs = np.array(post.atoms, dtype=np.int64), None
+    n = np.array([len(post.atoms)])
+    return _posterior_rows(post.theta, post.base, n, ids, xs, trunc, rng).measure()
+
+
+def _draw_atoms(rows: MeasureRows, n: np.ndarray, rng: np.random.Generator):
+    """n[i] independent atom draws from row i, proportional to weight and
+    renormalized over the row's truncated support, as flat (ids, xs) arrays
+    in row order (xs for a continuous base only).  One inverse-CDF search
+    covers all rows: row i's cumulative weights, which end at most at 1,
+    are offset by i, so its targets fall inside its own row (the offset
+    costs the sums about log2(i) bits).  Rejects a drawing row whose
+    residual exceeds 1%."""
+    worst = rows.residual.max(where=n > 0, initial=0.0)
+    if worst > 0.01:
+        raise ValueError(f"residual {worst:g} too large to sample from")
+    row = np.repeat(np.arange(n.size), n)
+    idx = row  # empty when no row draws; such rows may hold no atoms
+    if row.size:
+        cum = np.cumsum(rows.weights, axis=1)
+        target = rng.random(row.size) * cum[row, -1] + row
+        cum += np.arange(n.size)[:, None]
+        k = cum.shape[1]
+        idx = np.minimum(np.searchsorted(cum.ravel(), target, side="right"), row * k + (k - 1))
+    return (rows.ids.ravel()[idx],
+            rows.xs.ravel()[idx] if rows.base_kind == "continuous" else None)
 
 
 def sample_from_measure(mu: DiscreteMeasure, k: int, rng: np.random.Generator):
     """k independent atom draws, proportional to weight, renormalized over
-    the truncated support.  Rejects measures with residual > 1%."""
+    the truncated support.  Rejects measures with residual > 1% when k > 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if mu.residual > 0.01:
-        raise ValueError(f"residual {mu.residual:g} too large to sample from")
-    if k == 0:
-        return []
-    cum = np.cumsum(mu.weights)
-    idx = np.searchsorted(cum, rng.random(k) * cum[-1], side="right")
-    idx = np.minimum(idx, mu.ids.size - 1)
+    ids, xs = _draw_atoms(MeasureRows.of(mu), np.array([k]), rng)
     if mu.base_kind == "continuous":
-        return [Point(int(mu.ids[i]), float(mu.xs[i])) for i in idx]
-    return [int(mu.ids[i]) for i in idx]
+        return [Point(int(i), float(x)) for i, x in zip(ids, xs)]
+    return [int(i) for i in ids]
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,8 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
                  ineq_ts=(0.1, 0.5, 1.0, 3.0, 10.0),
                  prec: dp.PrecisionConfig = dp.PrecisionConfig(),
                  mc_reps: int = 0, mc_n0: int = 500, mc_seed: int = 20240817) -> VerifyReport:
+    if mc_reps != 0:  # 0 skips the Monte Carlo oracle
+        _check_reps(mc_reps)
     rows = []
     tol10 = 10 * prec.tail_tol
     tol100 = 100 * prec.tail_tol
@@ -240,20 +242,20 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
             checks = mk.stationarity_checks("measure-chain", cfg, A, reps, checkpoints,
                                             np.random.default_rng(seed + 2))
             for c in checks:
-                rows.append(_z_row("measure-chain-mean",
-                                   f"theta={theta},n={n},steps={c.after_steps}", c.mean_z))
-                rows.append(_z_row("measure-chain-variance",
-                                   f"theta={theta},n={n},steps={c.after_steps}", c.var_z))
+                instance = f"theta={theta},n={n},steps={c.after_steps}"
+                rows.append(_z_row("measure-chain-mean", instance, c.mean_z))
+                rows.append(_z_row("measure-chain-variance", instance, c.var_z))
+                rows.append(_z_row("measure-chain-lag-slope", instance, c.slope_z))
     for theta in thetas:
         for t in fv_ts:
             cfg = mk.FvConfig(theta, base, t)
             checks = mk.stationarity_checks("fv", cfg, A, reps, checkpoints,
                                             np.random.default_rng(seed + 3))
             for c in checks:
-                rows.append(_z_row("fv-mean", f"theta={theta},t={t},steps={c.after_steps}",
-                                   c.mean_z))
-                rows.append(_z_row("fv-variance", f"theta={theta},t={t},steps={c.after_steps}",
-                                   c.var_z))
+                instance = f"theta={theta},t={t},steps={c.after_steps}"
+                rows.append(_z_row("fv-mean", instance, c.mean_z))
+                rows.append(_z_row("fv-variance", instance, c.var_z))
+                rows.append(_z_row("fv-lag-slope", instance, c.slope_z))
     rep = mk.fv_chapman_kolmogorov_process_test(mk.FvConfig(1.0, base, 1.0), 0.5, 0.5, A,
                                                 reps, np.random.default_rng(seed + 4))
     rows.append(_pvalue_row("fv-composition-ks", f"theta=1,t=s=0.5,reps={reps}", rep.ks_pvalue))

@@ -121,11 +121,12 @@ def test_criterion_11_pmf_vs_monte_carlo(death_report):
 def test_criterion_12_stationarity(measures_report, processes_report):
     stat_checks = {"prior-mean-identity", "mixture-first-moment", "mixture-second-moment",
                    "prior-variance", "measure-chain-mean", "measure-chain-variance",
-                   "fv-mean", "fv-variance", "dar1-detailed-balance"}
+                   "fv-mean", "fv-variance", "measure-chain-lag-slope", "fv-lag-slope",
+                   "dar1-detailed-balance"}
     rows = [r for r in measures_report.rows + processes_report.rows
             if r.check in stat_checks]
     bad = [r for r in rows if not r.passed]
-    print(f"criterion 12 (stationarity of moments + detailed balance): "
+    print(f"criterion 12 (stationarity of moments, lag slopes + detailed balance): "
           f"{'FAIL' if bad else 'PASS'} ({len(rows)} checks)")
     assert not bad, "; ".join(f"{r.check} {r.instance}: {r.observed}" for r in bad[:5])
 

@@ -186,8 +186,9 @@ class TestVerifyCommand:
         assert r.returncode == 2
         assert r.stderr == "invalid arguments: working_digits must be >= 16\n"
 
-    @pytest.mark.parametrize("suite", ["measures", "processes"])
-    @pytest.mark.parametrize("reps", ["0", "1"])
+    @pytest.mark.parametrize("reps, suite", [("0", "measures"), ("0", "processes"),
+                                             ("1", "measures"), ("1", "processes"),
+                                             ("1", "death")])  # death's 0 skips the oracle
     def test_too_few_reps_exit_code(self, suite, reps):
         # a Monte Carlo standard error needs two replicates
         r = run_cli("verify", suite, "--reps", reps)

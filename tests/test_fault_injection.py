@@ -4,6 +4,7 @@ in seconds.  Each suite first runs unpatched on the same grid as a control."""
 from math import comb
 
 from fvkit import death_process as dp
+from fvkit import markov_processes as mk
 from fvkit import polya_urn as urn
 from fvkit import verify as V
 
@@ -52,3 +53,25 @@ def test_transition_weight_perturbed(monkeypatch):
     for check in ("survival-identity", "single-death-identity", "transition-vs-closed-form"):
         assert _failing(death, check), check
     assert not _failing(death, "chapman-kolmogorov")
+
+
+def _fv_processes():
+    return V.verify_processes(reps=3000, seed=11, thetas=(1.0, 4.0), chain_ns=(1,),
+                              fv_ts=(0.2, 0.5), checkpoints=(1,))
+
+
+def test_fv_clock_doubled(monkeypatch):
+    # every FV step mixes over the death pmf at 2t instead of t: the pmf
+    # layer itself stays correct, but the transition runs on a wrong clock
+    assert _fv_processes().ok
+    monkeypatch.setattr(mk.FvConfig, "death_pmf",
+                        lambda self: dp.death_pmf(2 * self.t, dp.DeathParams(self.theta), self.prec))
+    failing = _failing(_fv_processes(), "fv-lag-slope")
+    for instance in ("theta=1.0,t=0.5,steps=1", "theta=4.0,t=0.2,steps=1"):
+        assert instance in failing
+    death = V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=3, r_max=1,
+                           ck_pairs=((0.5, 0.5),), ineq_ts=(0.5,), mc_reps=20_000, mc_n0=100)
+    for check in ("survival-identity", "single-death-identity", "chapman-kolmogorov",
+                  "transition-vs-closed-form", "nonabsorption-bounds", "pmf-vs-monte-carlo",
+                  "mc-start-sensitivity"):
+        assert not _failing(death, check), check

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import assert_within_se
+from conftest import assert_within_se, digest
+import fvkit.markov_processes as mk
+import fvkit.random_measures as rm
 from fvkit.markov_processes import (
     Dar1Config,
     FvConfig,
@@ -16,7 +19,6 @@ from fvkit.markov_processes import (
     fv_step,
     measure_chain_reversibility_test,
     measure_chain_step,
-    measures_equal,
     run_chain,
     stationarity_checks,
     stationary_measure,
@@ -89,15 +91,6 @@ class TestMeasureChain:
 
 
 class TestFvStep:
-    def test_degenerate_consistency_with_forced_n(self, rng):
-        mu = stationary_measure(1.0, UB, DEFAULT_TRUNCATION, rng)
-        for n in (1, 3, 7):
-            out_fv = fv_step(mu, FvConfig(1.0, UB, 1.0), np.random.default_rng(42),
-                             n_override=n)
-            out_mc = measure_chain_step(mu, MeasureChainConfig(1.0, UB, n),
-                                        np.random.default_rng(42))
-            assert measures_equal(out_fv, out_mc)
-
     def test_large_t_forgets_input(self, rng):
         from scipy import stats
         cfg = FvConfig(1.0, UB, 50.0)
@@ -110,13 +103,15 @@ class TestFvStep:
         assert stats.ks_2samp(a, b).pvalue > 1e-3
 
     def test_more_conditioning_tracks_input_closer(self, rng):
-        cfg = FvConfig(1.0, UB, 1.0)
+        # a count of 0 is a fresh prior draw; larger counts hold more of mu
         mu = stationary_measure(1.0, UB, DEFAULT_TRUNCATION, rng)
         target = mu.mass(A)
+        draw = {0: lambda: stationary_measure(1.0, UB, DEFAULT_TRUNCATION, rng)}
+        for n in (8, 64):
+            draw[n] = lambda cfg=MeasureChainConfig(1.0, UB, n): measure_chain_step(mu, cfg, rng)
         devs = []
         for n in (0, 8, 64):
-            vals = np.array([fv_step(mu, cfg, rng, n_override=n).mass(A)
-                             for _ in range(1200)])
+            vals = np.array([draw[n]().mass(A) for _ in range(1200)])
             devs.append(np.abs(vals - target).mean())
         assert devs[2] < devs[1] < devs[0]
 
@@ -190,3 +185,133 @@ class TestReversibility:
         rep = measure_chain_reversibility_test(cfg, A, 4000, np.random.default_rng(13))
         assert rep.marginal_ks_pvalue > 1e-3
         assert abs(rep.cross_moment) < 4 * rep.cross_moment_se
+
+
+class TestRunChainPins:
+    """Exact digests of seeded run_chain trajectories and final measures,
+    recorded while the chain steps were still scalar code: the one-row
+    calls of the batched kernel must consume the same random stream.  Ids
+    from a continuous base come from the process-wide counter, reset per
+    case."""
+
+    BASES = {
+        "uniform": (UB, A),
+        "discrete": (DB, AtomSet({1, 3})),
+        "points": (DiscreteBase(weights=(0.1, 0.2, 0.3, 0.4), points=(0.05, 0.3, 0.6, 0.9)),
+                   Interval(0.25, 0.75)),
+    }
+    CONFIGS = {"measure-chain": lambda base: MeasureChainConfig(1.0, base, 3),
+               "fv": lambda base: FvConfig(1.0, base, 0.5)}
+    PINS = {
+        ("measure-chain", "uniform"): "1f72ed51835ad1f8",
+        ("measure-chain", "discrete"): "7f57c4ecaaab113a",
+        ("measure-chain", "points"): "85479c96a7efaeb8",
+        ("fv", "uniform"): "9686d7735d72daea",
+        ("fv", "discrete"): "e4f591362cb500af",
+        ("fv", "points"): "a9ae30d6f3967361",
+    }
+
+    @pytest.mark.parametrize("kind, name", list(PINS))
+    def test_run_chain(self, kind, name, monkeypatch):
+        monkeypatch.setattr(rm, "_UID", itertools.count(1))
+        base, obs = self.BASES[name]
+        traj, final = run_chain(kind, self.CONFIGS[kind](base), 25, [obs],
+                                np.random.default_rng(9), return_state=True)
+        got = digest(traj, final.ids, final.xs, final.weights, np.float64(final.residual))
+        assert got == self.PINS[kind, name]
+
+
+class TestBatchedKernel:
+    def test_rows_draw_only_their_own_atoms(self, rng):
+        # row i holds ids 10i .. 10i+9; the row-offset search must stay inside
+        w = rng.random((50, 10))
+        w /= w.sum(axis=1, keepdims=True)
+        rows = rm.MeasureRows("discrete", np.arange(500).reshape(50, 10), None, w, np.zeros(50))
+        n = np.arange(50) % 4
+        got, xs = rm._draw_atoms(rows, n, rng)
+        assert xs is None
+        assert np.array_equal(got // 10, np.repeat(np.arange(50), n))
+
+    def test_row_draw_frequencies_match_weights(self, rng):
+        w = np.array([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]])
+        rows = rm.MeasureRows("discrete", np.array([[0, 1, 2], [3, 4, 5]]), None, w,
+                              np.zeros(2))
+        reps = 200_000
+        got, _ = rm._draw_atoms(rows, np.array([reps, reps]), rng)
+        for i in range(2):
+            freq = np.bincount(got[i * reps:(i + 1) * reps] - 3 * i, minlength=3) / reps
+            for j in range(3):
+                assert_within_se(freq[j], w[i, j], math.sqrt(w[i, j] * (1 - w[i, j]) / reps),
+                                 label=f"row {i} atom {j}")
+
+    def test_residual_check_only_on_drawing_rows(self, rng):
+        w = np.array([[0.5, 0.3], [0.5, 0.5]])
+        rows = rm.MeasureRows("discrete", np.array([[0, 1], [2, 3]]), None, w,
+                              np.array([0.2, 0.0]))
+        assert rm._draw_atoms(rows, np.array([0, 3]), rng)[0].size == 3
+        with pytest.raises(ValueError, match="residual 0.2 too large"):
+            rm._draw_atoms(rows, np.array([1, 3]), rng)
+
+    def test_posterior_rows_condition_on_their_own_atoms(self, rng):
+        # rows hold 0, 1, 3 and 2 atoms: ids 7 | 4, 5, 6 | 8, 9
+        n = np.array([0, 1, 3, 2])
+        atom_ids = np.array([7, 4, 5, 6, 8, 9])
+        rows = rm._posterior_rows(1.0, DB, n, atom_ids, None, DEFAULT_TRUNCATION, rng)
+        assert (rows.residual < DEFAULT_TRUNCATION.eps).all()
+        assert np.allclose(rows.weights.sum(axis=1) + rows.residual, 1.0, rtol=0, atol=1e-12)
+        # a discrete base draws ids 0..3, so ids 4..9 can only be conditioning atoms
+        held = [set(rows.ids[i][rows.ids[i] >= 4].tolist()) for i in range(4)]
+        assert held[0] == set() and held[1] <= {7} and held[2] <= {4, 5, 6} and held[3] <= {8, 9}
+        assert held[1] and held[2] and held[3]
+
+    def test_row_mass_matches_merged_measure(self, rng):
+        cfg = FvConfig(1.0, UB, 0.3)
+        rows = mk._step_rows(mk._stationary_rows(cfg, 20, rng), cfg, rng)
+        masses = rows.mass(A)
+        for i in range(20):
+            assert masses[i] == pytest.approx(rows.measure(i).mass(A), abs=1e-12)
+
+    @pytest.mark.parametrize("reps", [10, 300])
+    def test_one_kernel_call_per_step(self, reps, monkeypatch):
+        calls = []
+        step = mk._step_rows
+
+        def counted(rows, cfg, rng):
+            calls.append(rows.residual.size)
+            return step(rows, cfg, rng)
+
+        monkeypatch.setattr(mk, "_step_rows", counted)
+        cfg = MeasureChainConfig(1.0, UB, 2)
+        stationarity_checks("measure-chain", cfg, A, reps, (1, 3), np.random.default_rng(1))
+        measure_chain_reversibility_test(cfg, A, reps, np.random.default_rng(2))
+        fv_chapman_kolmogorov_process_test(FvConfig(1.0, UB, 1.0), 0.5, 0.5, A, reps,
+                                           np.random.default_rng(3))
+        assert calls == [reps] * (3 + 1 + 3)
+
+
+class TestLagSlope:
+    def test_slope_and_target(self):
+        cfg = MeasureChainConfig(1.0, UB, 3)
+        checks = stationarity_checks("measure-chain", cfg, A, 4000, (1, 2),
+                                     np.random.default_rng(8))
+        for c in checks:
+            assert c.slope_target == pytest.approx(0.75**c.after_steps)
+            assert c.slope_z < 4
+
+    def test_fv_target_is_single_lineage_survival(self):
+        checks = stationarity_checks("fv", FvConfig(2.0, UB, 0.4), A, 50, (1,),
+                                     np.random.default_rng(9))
+        assert checks[0].slope_target == pytest.approx(math.exp(-0.4))
+
+    def test_robust_se_on_a_known_fit(self):
+        u = np.array([0.0, 1.0, 2.0, 3.0])
+        v = np.array([0.0, 2.0, 2.0, 6.0])
+        fit = mk._lag_slope(u, v)
+        # slope 9/5 over Sxx = 5; residuals 0.2, 0.4, -1.4, 0.8, so the
+        # scores du*e are -0.3, -0.2, -0.7, 1.2 with squares summing to 2.06
+        assert fit["slope"] == pytest.approx(1.8)
+        assert fit["slope_se"] == pytest.approx(math.sqrt(2.06) / 5.0)
+
+    def test_constant_start_gives_nan(self):
+        fit = mk._lag_slope(np.ones(5), np.arange(5.0))
+        assert math.isnan(fit["slope"]) and math.isnan(fit["slope_se"])

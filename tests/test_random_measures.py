@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import json
 import math
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_within_se
+from conftest import assert_within_se, digest as _digest
 from fvkit.random_measures import (
     DEFAULT_TRUNCATION,
     AtomSet,
@@ -404,13 +403,6 @@ class TestSerialization:
         back = measure_from_json(measure_to_json(mu))
         fresh = UniformBase().sample(rng)
         assert fresh.uid not in set(back.ids.tolist())
-
-
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(b"none" if a is None else np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()[:16]
 
 
 def _measure_digest(mu):
