@@ -16,17 +16,16 @@ import numpy as np
 from .death_process import DeathParams, DeathPmf, PrecisionConfig, death_pmf, sample_death_count
 from .random_measures import (
     DEFAULT_TRUNCATION,
-    AtomSet,
     BaseMeasure,
     DiscreteBase,
     DiscreteMeasure,
-    Interval,
     MeasureRows,
     Point,
     StickTruncation,
     TestSet,
     UniformBase,
     _draw_atoms,
+    _members,
     _posterior_rows,
     posterior,
     sample_posterior,
@@ -89,25 +88,15 @@ class FvConfig:
 # ---------------------------------------------------------------------------
 # steps
 
-def dar1_step(x, cfg: Dar1Config, rng: np.random.Generator):
-    """Redraw from the base w.p. theta/(1+theta), else keep x."""
-    if rng.random() * (1 + cfg.theta) < cfg.theta:
-        return cfg.base.sample(rng)
-    return x
-
-
-def dar1_detailed_balance(cfg: Dar1Config) -> float:
-    """Max violation of w(x) P(x,y) = w(y) P(y,x) on the explicit transition
-    matrix over a finite-discrete base.  The off-diagonal part is
-    theta*w(x)*w(y)/(1+theta), symmetric by inspection, so this is a pure
-    floating-point exercise."""
-    if not isinstance(cfg.base, DiscreteBase):
-        raise TypeError("detailed balance check needs a finite-discrete base")
-    w = np.asarray(cfg.base.weights, dtype=float)
-    k = w.size
-    P = cfg.theta * np.tile(w, (k, 1)) / (1 + cfg.theta) + np.eye(k) / (1 + cfg.theta)
-    flux = w[:, None] * P
-    return float(np.abs(flux - flux.T).max())
+def _dar1_path(cfg: Dar1Config, steps: int, rng: np.random.Generator):
+    """States 0..steps of one keep-or-redraw run as (ids, xs) arrays: a
+    start drawn from the base, then at each step a redraw w.p.
+    theta/(1+theta), else the state kept.  One base draw covers the start
+    and every redraw; states are filled forward between redraws."""
+    redraw = rng.random(steps) * (1 + cfg.theta) < cfg.theta
+    ids, xs = cfg.base.sample_batch(rng, 1 + int(redraw.sum()), 1)
+    idx = np.concatenate(([0], np.cumsum(redraw)))
+    return ids[idx], None if xs is None else xs[idx]
 
 
 def _step_rows(rows: MeasureRows, cfg, rng: np.random.Generator) -> MeasureRows:
@@ -124,7 +113,10 @@ def _step_rows(rows: MeasureRows, cfg, rng: np.random.Generator) -> MeasureRows:
     else:
         n = np.full(rows.residual.size, cfg.n)
     atom_ids, atom_xs = _draw_atoms(rows, n, rng)
-    return _posterior_rows(cfg.theta, cfg.base, n, atom_ids, atom_xs, cfg.trunc, rng)
+    # fresh ids start past every id in the batch, so they stay unique
+    # along a trajectory
+    return _posterior_rows(cfg.theta, cfg.base, n, atom_ids, atom_xs, cfg.trunc, rng,
+                           int(rows.ids.max(initial=0)) + 1)
 
 
 def measure_chain_step(mu: DiscreteMeasure, cfg: MeasureChainConfig,
@@ -150,23 +142,11 @@ def _stationary_rows(cfg, reps: int, rng: np.random.Generator) -> MeasureRows:
     """reps independent draws from the chain's stationary law, as rows."""
     none = np.zeros(0)
     return _posterior_rows(cfg.theta, cfg.base, np.zeros(reps, dtype=np.int64),
-                           none.astype(np.int64), none, cfg.trunc, rng)
+                           none.astype(np.int64), none, cfg.trunc, rng, 1)
 
 
 # ---------------------------------------------------------------------------
 # trajectory driver
-
-def _state_observable(x, A: TestSet) -> float:
-    if isinstance(x, Point):
-        if isinstance(A, Interval):
-            return float(A.lo <= x.x < A.hi)
-        raise TypeError("continuous states support interval observables only")
-    if isinstance(A, AtomSet):
-        return float(int(x) in A.indices)
-    if isinstance(A, Interval):
-        raise TypeError("discrete states need atom-set observables")
-    raise TypeError(f"unsupported observable {A!r}")
-
 
 def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
               rng: np.random.Generator, return_state: bool = False):
@@ -186,10 +166,10 @@ def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
         raise TypeError(f"kind {kind!r} needs a {expected[kind].__name__}")
     out = np.empty((steps, len(observables)))
     if kind == "dar1":
-        x = cfg.base.sample(rng)
-        for i in range(steps):
-            x = dar1_step(x, cfg, rng)
-            out[i] = [_state_observable(x, A) for A in observables]
+        ids, xs = _dar1_path(cfg, steps, rng)
+        for j, A in enumerate(observables):
+            out[:, j] = _members(cfg.base.kind, ids[1:], None if xs is None else xs[1:], A)
+        x = Point(int(ids[-1]), float(xs[-1])) if cfg.base.kind == "continuous" else int(ids[-1])
         return (out, x) if return_state else out
     mu = stationary_measure(cfg.theta, cfg.base, cfg.trunc, rng)
     step = measure_chain_step if kind == "measure-chain" else fv_step
@@ -223,15 +203,23 @@ class MomentCheck:
 
     @property
     def mean_z(self) -> float:
-        return abs(self.mean - self.mean_target) / self.mean_se
+        return _z(self.mean - self.mean_target, self.mean_se)
 
     @property
     def var_z(self) -> float:
-        return abs(self.var - self.var_target) / self.var_se
+        return _z(self.var - self.var_target, self.var_se)
 
     @property
     def slope_z(self) -> float:
-        return abs(self.slope - self.slope_target) / self.slope_se
+        return _z(self.slope - self.slope_target, self.slope_se)
+
+
+def _z(diff: float, se: float) -> float:
+    """|diff| in standard errors: 0 when there is no difference, inf when a
+    zero standard error cannot explain one."""
+    if diff == 0:
+        return 0.0
+    return math.inf if se == 0 else abs(diff) / se
 
 
 def _moment_check(vals: np.ndarray, after: int, p: float, theta: float) -> MomentCheck:
@@ -241,7 +229,7 @@ def _moment_check(vals: np.ndarray, after: int, p: float, theta: float) -> Momen
     var = float(vals.var(ddof=1))
     centered = vals - vals.mean()
     m4 = float((centered**4).mean())
-    var_se = float(math.sqrt(max(m4 - var**2, 1e-300) / reps))
+    var_se = float(math.sqrt(max(m4 - var**2, 0.0) / reps))
     return MomentCheck(
         after_steps=after,
         mean=mean, mean_se=mean_se, mean_target=p,
@@ -311,8 +299,7 @@ def _ks_2samp_equal(x, y) -> tuple[float, float]:
 
 def _chisquare_pvalue(counts, expected) -> float:
     """Upper-tail p-value of Pearson's chi-square statistic with k - 1
-    degrees of freedom, as the regularized upper incomplete gamma
-    Q(df/2, stat/2).  Observed and expected totals must agree to a relative
+    degrees of freedom.  Observed and expected totals must agree to a relative
     sqrt(float eps)."""
     obs = np.asarray(counts, dtype=float)
     exp = np.asarray(expected, dtype=float)
@@ -322,7 +309,13 @@ def _chisquare_pvalue(counts, expected) -> float:
     if abs(tot_obs - tot_exp) > np.finfo(float).eps ** 0.5 * min(tot_obs, tot_exp):
         raise ValueError(f"observed total {tot_obs} does not match expected total {tot_exp}")
     stat = float(((obs - exp) ** 2 / exp).sum())
-    return float(mpmath.gammainc((obs.size - 1) / 2, stat / 2, mpmath.inf, regularized=True))
+    return _chi2_sf(stat, obs.size - 1)
+
+
+def _chi2_sf(stat: float, df: int) -> float:
+    """Upper tail of the chi-square law with df degrees of freedom: the
+    regularized upper incomplete gamma Q(df/2, stat/2)."""
+    return float(mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True))
 
 
 @dataclass(frozen=True)
@@ -388,18 +381,13 @@ def measure_chain_reversibility_test(cfg: MeasureChainConfig, A: TestSet, reps: 
 
 
 def dar1_retention_frequency(cfg: Dar1Config, steps: int, rng: np.random.Generator) -> float:
-    """Observed fraction of steps that kept the state, detected by object
-    identity.  Needs a nonatomic base: on an atomic base a redraw can land
-    on the held atom, confounding the count."""
+    """Observed fraction of steps that kept the state, detected by atom
+    id.  Needs a nonatomic base: on an atomic base a redraw can land on the
+    held atom, confounding the count."""
     if not isinstance(cfg.base, UniformBase):
         raise TypeError("retention frequency needs a nonatomic base")
-    x = cfg.base.sample(rng)
-    kept = 0
-    for _ in range(steps):
-        nxt = dar1_step(x, cfg, rng)
-        kept += nxt is x
-        x = nxt
-    return kept / steps
+    ids, _ = _dar1_path(cfg, steps, rng)
+    return float(np.mean(ids[1:] == ids[:-1]))
 
 
 def dar1_marginal_chisquare(cfg: Dar1Config, samples: int, rng: np.random.Generator) -> float:
@@ -410,11 +398,29 @@ def dar1_marginal_chisquare(cfg: Dar1Config, samples: int, rng: np.random.Genera
         raise TypeError("chi-square marginal check needs a finite-discrete base")
     keep = 1.0 / (1.0 + cfg.theta)
     stride = max(1, math.ceil(math.log(0.01) / math.log(keep)))
-    x = cfg.base.sample(rng)
-    counts = np.zeros(cfg.base.size, dtype=np.int64)
-    for _ in range(samples):
-        for _ in range(stride):
-            x = dar1_step(x, cfg, rng)
-        counts[int(x)] += 1
+    ids, _ = _dar1_path(cfg, samples * stride, rng)
+    counts = np.bincount(ids[stride::stride], minlength=cfg.base.size)
     expected = np.asarray(cfg.base.weights, dtype=float) * samples
     return _chisquare_pvalue(counts, expected)
+
+
+def dar1_detailed_balance(cfg: Dar1Config, steps: int, rng: np.random.Generator) -> float:
+    """p-value of a symmetry test on the transition counts N(x, y) of one
+    run over a finite-discrete base (Bowker 1948): under detailed balance
+    N(x, y) - N(y, x) has mean zero, and sum_{x<y} (N(x,y) - N(y,x))**2 /
+    (N(x,y) + N(y,x)) is chi-square.  Flow conservation fixes all but the
+    cycle space, so the degrees of freedom are (k-1)(k-2)/2 (Kolmogorov's
+    criterion); below three atoms every chain is reversible and the
+    p-value is 1."""
+    if not isinstance(cfg.base, DiscreteBase):
+        raise TypeError("detailed balance check needs a finite-discrete base")
+    k = cfg.base.size
+    if k < 3:
+        return 1.0
+    ids, _ = _dar1_path(cfg, steps, rng)
+    N = np.bincount(ids[:-1] * k + ids[1:], minlength=k * k).reshape(k, k)
+    upper = np.triu_indices(k, 1)
+    both, diff = (N + N.T)[upper], (N - N.T)[upper]
+    seen = both > 0
+    stat = float((diff[seen] ** 2 / both[seen]).sum())
+    return _chi2_sf(stat, (k - 1) * (k - 2) // 2)

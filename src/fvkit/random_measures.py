@@ -2,33 +2,20 @@
 posterior updates, and the moment identities used as statistical checks.
 
 Atom identity is structural: draws from a nonatomic base are tagged with
-process-unique integer ids, so posterior conditioning atoms and fresh stick
-locations can never collide through floating-point accident.  Truncation
-residual is always recorded, never redistributed.
+integer ids, each fresh one past the largest id in play, so posterior
+conditioning atoms and fresh stick locations can never collide through
+floating-point accident.  Ids are unique within a run and depend on nothing
+else the process did.  Truncation residual is always recorded, never
+redistributed.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
-
-_UID = itertools.count(1)
-
-
-def _take_uids(k: int) -> np.ndarray:
-    return np.fromiter(itertools.islice(_UID, k), dtype=np.int64, count=k)
-
-
-def _advance_uids_past(value: int) -> None:
-    global _UID
-    nxt = next(_UID)
-    if value >= nxt:
-        _UID = itertools.count(value + 1)
-
 
 class StickBudgetError(RuntimeError):
     """Residual-target stick breaking hit the hard stick cap; the weight
@@ -84,11 +71,9 @@ class UniformBase:
 
     kind = "continuous"
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        return Point(int(_take_uids(1)[0]), float(rng.random()))
-
-    def sample_batch(self, rng: np.random.Generator, k: int):
-        return _take_uids(k), rng.random(k)
+    def sample_batch(self, rng: np.random.Generator, k: int, first_id: int):
+        """k fresh points: ids first_id, first_id + 1, ... and positions."""
+        return first_id + np.arange(k, dtype=np.int64), rng.random(k)
 
     def measure(self, A: TestSet) -> float:
         if isinstance(A, WholeSpace):
@@ -129,10 +114,9 @@ class DiscreteBase:
         cum.setflags(write=False)
         return cum
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cum, rng.random(), side="right"))
-
-    def sample_batch(self, rng: np.random.Generator, k: int):
+    def sample_batch(self, rng: np.random.Generator, k: int, first_id: int):
+        """k support indices and their points; first_id is unused, since
+        a discrete atom's id is its index."""
         cum = self._cum
         ids = np.searchsorted(cum, rng.random(k) * cum[-1], side="right").astype(np.int64)
         xs = None if self.points is None else np.asarray(self.points, dtype=float)[ids]
@@ -375,7 +359,7 @@ def stick_break(params: StickBreakingParams, base: BaseMeasure,
     """Draw a random measure: stick weights from the params, atom locations
     independently from the base."""
     rho, residual = _stick_weights(params, trunc, rng)
-    ids, xs = base.sample_batch(rng, rho.size)
+    ids, xs = base.sample_batch(rng, rho.size, 1)
     return _merge_atoms(base.kind, ids, xs, rho, float(residual))
 
 
@@ -455,19 +439,19 @@ def _posterior_pick(u: np.ndarray, theta: float, n):
 
 def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np.ndarray,
                     atom_xs: Optional[np.ndarray], trunc: StickTruncation,
-                    rng: np.random.Generator) -> MeasureRows:
+                    rng: np.random.Generator, first_id: int) -> MeasureRows:
     """One posterior draw per row: row i conditions on its n[i] atoms, the
     next n[i] entries of the flat atom_ids (and atom_xs, for a continuous
     base) in row order, with sticks at total mass theta + n[i] until every
     row's residual meets the truncation.  A stick lands on a fresh base
     draw w.p. theta/(theta+n[i]) or on each conditioning atom w.p.
     1/(theta+n[i]); one base.sample_batch call draws the fresh cells in
-    row-major order."""
+    row-major order, with ids from first_id on."""
     total = theta + n
     rho, residual = _stick_weights(
         StickBreakingParams(lambda j: 1.0, lambda j: total[:, None]), trunc, rng)
     fresh, pick = _posterior_pick(rng.random(rho.shape) * total[:, None], theta, n[:, None])
-    f_ids, f_xs = base.sample_batch(rng, int(fresh.sum()))
+    f_ids, f_xs = base.sample_batch(rng, int(fresh.sum()), first_id)
     # index of the picked atom in the flat arrays.  A row with n = 0 has only
     # fresh sticks (u < theta), so its picks of -1 land on cells that the
     # fresh draws overwrite
@@ -492,14 +476,16 @@ def sample_posterior(post: DirichletPosterior,
                      rng: np.random.Generator = None) -> DiscreteMeasure:
     """One draw from the posterior: sticks at total mass theta + n, each
     stick location a fresh base draw w.p. theta/(theta+n) or a conditioning
-    atom w.p. 1/(theta+n) each.  Weight landing on the same atom id merges."""
+    atom w.p. 1/(theta+n) each.  Weight landing on the same atom id merges;
+    fresh ids start one past the largest conditioning id."""
     if post.base.kind == "continuous":
         ids = np.array([p.uid for p in post.atoms], dtype=np.int64)
         xs = np.array([p.x for p in post.atoms], dtype=float)
     else:
         ids, xs = np.array(post.atoms, dtype=np.int64), None
     n = np.array([len(post.atoms)])
-    return _posterior_rows(post.theta, post.base, n, ids, xs, trunc, rng).measure()
+    first_id = int(ids.max(initial=0)) + 1
+    return _posterior_rows(post.theta, post.base, n, ids, xs, trunc, rng, first_id).measure()
 
 
 def _draw_atoms(rows: MeasureRows, n: np.ndarray, rng: np.random.Generator):
@@ -674,7 +660,5 @@ def measure_from_json(d: dict) -> DiscreteMeasure:
     residual = float(d["residual"])
     if not (np.isfinite(weights).all() and 0 <= residual <= 1):
         raise ValueError("weights must be finite and the residual in [0, 1]")
-    if ids.size:
-        _advance_uids_past(int(ids.max()))
     return DiscreteMeasure(base_kind=d["base_kind"], ids=ids, xs=xs, weights=weights,
                            residual=residual)

@@ -225,12 +225,13 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
     base = rm.UniformBase()
     A = rm.Interval(0.0, 0.5)
     dbase = rm.DiscreteBase(weights=(0.1, 0.2, 0.3, 0.4))
-    for theta in thetas:
-        viol = mk.dar1_detailed_balance(mk.Dar1Config(theta, dbase))
-        rows.append(_residual_row("dar1-detailed-balance", f"theta={theta}", viol, 1e-15))
-    rng = np.random.default_rng(seed)
-    f = mk.dar1_retention_frequency(mk.Dar1Config(1.0, base), min(10**6, 100 * reps), rng)
     n_steps = min(10**6, 100 * reps)
+    rng = np.random.default_rng(seed + 6)
+    for theta in thetas:
+        pv = mk.dar1_detailed_balance(mk.Dar1Config(theta, dbase), n_steps, rng)
+        rows.append(_pvalue_row("dar1-detailed-balance", f"theta={theta},steps={n_steps}", pv))
+    f = mk.dar1_retention_frequency(mk.Dar1Config(1.0, base), n_steps,
+                                    np.random.default_rng(seed))
     z = abs(f - 0.5) / math.sqrt(0.25 / n_steps)
     rows.append(_z_row("dar1-retention", f"theta=1,steps={n_steps}", z))
     pv = mk.dar1_marginal_chisquare(mk.Dar1Config(1.0, dbase), max(reps, 1000),

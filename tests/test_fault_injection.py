@@ -75,3 +75,36 @@ def test_fv_clock_doubled(monkeypatch):
                   "transition-vs-closed-form", "nonabsorption-bounds", "pmf-vs-monte-carlo",
                   "mc-start-sensitivity"):
         assert not _failing(death, check), check
+
+
+def _dar1_processes():
+    return V.verify_processes(reps=100, seed=11, chain_ns=(1,), fv_ts=(0.2,), checkpoints=(1,))
+
+
+def test_dar1_redraw_rotates(monkeypatch):
+    # a redraw on a discrete base moves x to x + 1 mod k w.p. 0.2 instead of
+    # drawing from the base: a net flow around the cycle 0 -> 1 -> ... -> 0
+    assert _dar1_processes().ok
+    path = mk._dar1_path
+
+    def rotating(cfg, steps, rng):
+        if cfg.base.kind == "continuous":
+            return path(cfg, steps, rng)
+        u = rng.random((steps, 2))
+        draws, _ = cfg.base.sample_batch(rng, steps + 1, 1)
+        ids = draws.copy()
+        for i in range(steps):
+            x = ids[i]
+            if u[i, 0] * (1 + cfg.theta) < cfg.theta:
+                x = (x + 1) % cfg.base.size if u[i, 1] < 0.2 else draws[i + 1]
+            ids[i + 1] = x
+        return ids, None
+
+    monkeypatch.setattr(mk, "_dar1_path", rotating)
+    report = _dar1_processes()
+    assert _failing(report, "dar1-detailed-balance") == [
+        f"theta={theta},steps=10000" for theta in (0.5, 1.0, 4.0)]
+    for check in ("measure-chain-mean", "measure-chain-variance", "measure-chain-lag-slope",
+                  "fv-mean", "fv-variance", "fv-lag-slope", "fv-composition-ks",
+                  "reversibility-marginal-ks", "reversibility-cross-moment"):
+        assert not _failing(report, check), check

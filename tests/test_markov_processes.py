@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from fvkit.markov_processes import (
     dar1_detailed_balance,
     dar1_marginal_chisquare,
     dar1_retention_frequency,
-    dar1_step,
     fv_chapman_kolmogorov_process_test,
     fv_step,
     measure_chain_reversibility_test,
@@ -29,7 +27,9 @@ from fvkit.random_measures import (
     DiscreteBase,
     DiscreteMeasure,
     Interval,
+    Point,
     UniformBase,
+    WholeSpace,
 )
 
 UB = UniformBase()
@@ -38,18 +38,24 @@ A = Interval(0.0, 0.5)
 
 
 class TestDar1:
-    def test_detailed_balance_zero(self):
+    def test_detailed_balance_zero(self, rng):
+        # a reversible chain carries no net flow around any cycle
         for theta in (0.5, 1.0, 4.0):
-            assert dar1_detailed_balance(Dar1Config(theta, DB)) < 1e-15
+            assert dar1_detailed_balance(Dar1Config(theta, DB), 100_000, rng) > 1e-3
 
-    def test_detailed_balance_single_atom(self):
-        assert dar1_detailed_balance(Dar1Config(2.0, DiscreteBase(weights=(1.0,)))) == 0.0
+    def test_detailed_balance_single_atom(self, rng):
+        for weights in ((1.0,), (0.3, 0.7)):  # no cycle through three atoms
+            cfg = Dar1Config(2.0, DiscreteBase(weights=weights))
+            assert dar1_detailed_balance(cfg, 100, rng) == 1.0
 
-    def test_transition_rows_sum_to_one(self):
-        theta = 1.5
-        w = np.asarray(DB.weights)
-        P = theta * np.tile(w, (4, 1)) / (1 + theta) + np.eye(4) / (1 + theta)
-        assert np.abs(P.sum(axis=1) - 1).max() < 1e-15
+    def test_path_fills_forward_between_redraws(self, rng):
+        ids, xs = mk._dar1_path(Dar1Config(1.0, UB), 1000, rng)
+        assert ids.size == xs.size == 1001
+        # every redraw is a fresh point with the next id; a kept state
+        # repeats both the id and the position
+        step = np.diff(ids)
+        assert ids[0] == 1 and set(step.tolist()) == {0, 1}
+        assert np.array_equal(np.diff(xs) != 0, step == 1)
 
     def test_huge_theta_rarely_retains(self, rng):
         f = dar1_retention_frequency(Dar1Config(1e6, UB), 100_000, rng)
@@ -156,6 +162,23 @@ class TestRunChain:
                          np.random.default_rng(6))
         assert set(np.unique(traj)) <= {0.0, 1.0}
 
+    def test_dar1_reads_observables_off_the_path(self):
+        traj, x = run_chain("dar1", Dar1Config(1.0, UB), 30, [A], np.random.default_rng(6),
+                            return_state=True)
+        ids, xs = mk._dar1_path(Dar1Config(1.0, UB), 30, np.random.default_rng(6))
+        assert np.array_equal(traj[:, 0], (xs[1:] < 0.5).astype(float))
+        assert x == Point(int(ids[-1]), float(xs[-1]))
+        _, i = run_chain("dar1", Dar1Config(1.0, DB), 30, [AtomSet({0})],
+                         np.random.default_rng(6), return_state=True)
+        assert type(i) is int
+
+    def test_ids_do_not_depend_on_earlier_runs(self):
+        # fresh ids come from the run, not from a counter shared by the process
+        cfg = FvConfig(1.0, UB, 0.5)
+        finals = [run_chain("fv", cfg, 5, [A], np.random.default_rng(4), return_state=True)[1]
+                  for _ in range(2)]
+        assert np.array_equal(finals[0].ids, finals[1].ids)
+
     def test_kind_config_mismatch(self):
         with pytest.raises(TypeError):
             run_chain("fv", Dar1Config(1.0, UB), 3, [A], np.random.default_rng(1))
@@ -191,8 +214,8 @@ class TestRunChainPins:
     """Exact digests of seeded run_chain trajectories and final measures,
     recorded while the chain steps were still scalar code: the one-row
     calls of the batched kernel must consume the same random stream.  Ids
-    from a continuous base come from the process-wide counter, reset per
-    case."""
+    from a continuous base start at 1 in the stationary draw and continue
+    past the largest id in play at each step."""
 
     BASES = {
         "uniform": (UB, A),
@@ -212,8 +235,7 @@ class TestRunChainPins:
     }
 
     @pytest.mark.parametrize("kind, name", list(PINS))
-    def test_run_chain(self, kind, name, monkeypatch):
-        monkeypatch.setattr(rm, "_UID", itertools.count(1))
+    def test_run_chain(self, kind, name):
         base, obs = self.BASES[name]
         traj, final = run_chain(kind, self.CONFIGS[kind](base), 25, [obs],
                                 np.random.default_rng(9), return_state=True)
@@ -256,7 +278,7 @@ class TestBatchedKernel:
         # rows hold 0, 1, 3 and 2 atoms: ids 7 | 4, 5, 6 | 8, 9
         n = np.array([0, 1, 3, 2])
         atom_ids = np.array([7, 4, 5, 6, 8, 9])
-        rows = rm._posterior_rows(1.0, DB, n, atom_ids, None, DEFAULT_TRUNCATION, rng)
+        rows = rm._posterior_rows(1.0, DB, n, atom_ids, None, DEFAULT_TRUNCATION, rng, 1)
         assert (rows.residual < DEFAULT_TRUNCATION.eps).all()
         assert np.allclose(rows.weights.sum(axis=1) + rows.residual, 1.0, rtol=0, atol=1e-12)
         # a discrete base draws ids 0..3, so ids 4..9 can only be conditioning atoms
@@ -311,6 +333,20 @@ class TestLagSlope:
         # scores du*e are -0.3, -0.2, -0.7, 1.2 with squares summing to 2.06
         assert fit["slope"] == pytest.approx(1.8)
         assert fit["slope_se"] == pytest.approx(math.sqrt(2.06) / 5.0)
+
+    def test_constant_observable_scores_zero(self):
+        # mu(whole space) = 1 on every row: zero spread, zero difference
+        cfg = MeasureChainConfig(1.0, UB, 2)
+        c = stationarity_checks("measure-chain", cfg, WholeSpace(), 20, (1,),
+                                np.random.default_rng(1))[0]
+        assert c.mean_se == 0 and c.mean_z == 0
+        assert c.var_se == 0 and c.var_z == 0
+
+    def test_z_without_spread(self):
+        assert mk._z(0.0, 0.0) == 0.0
+        assert mk._z(-1e-9, 0.0) == math.inf
+        assert mk._z(-1.0, 0.5) == 2.0
+        assert math.isnan(mk._z(math.nan, math.nan))
 
     def test_constant_start_gives_nan(self):
         fit = mk._lag_slope(np.ones(5), np.arange(5.0))

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -167,7 +166,7 @@ class TestPosterior:
     def test_posterior_mean_formula(self, rng):
         theta, reps = 1.0, 4000
         base = UniformBase()
-        X = [base.sample(rng), base.sample(rng)]
+        X = [Point(int(i), float(x)) for i, x in zip(*base.sample_batch(rng, 2, 1))]
         A = Interval(0.0, 0.5)
         inside = sum(1 for p in X if 0.0 <= p.x < 0.5)
         post = posterior(theta, base, X)
@@ -275,13 +274,9 @@ class TestDiscreteBaseSampling:
     def test_batch_stream_unchanged(self):
         base = DiscreteBase(weights=self.BASE.weights, points=self.BASE.points)
         for _ in range(2):  # the first call fills the cache, the second reads it
-            ids, xs = base.sample_batch(np.random.default_rng(5), 12)
+            ids, xs = base.sample_batch(np.random.default_rng(5), 12, 1)
             assert ids.tolist() == self.IDS
             assert xs.tolist() == [self.BASE.points[i] for i in self.IDS]
-
-    def test_single_draws_follow_the_same_stream(self):
-        r = np.random.default_rng(5)
-        assert [self.BASE.sample(r) for _ in range(12)] == self.IDS
 
     def test_cumulative_weights_read_only(self):
         with pytest.raises(ValueError):
@@ -399,10 +394,20 @@ class TestSerialization:
             measure_from_json({**self.VALID, **change})
 
     def test_loaded_ids_do_not_collide_with_fresh_draws(self, rng):
-        mu = stick_break(StickBreakingParams.dp(1.0), UniformBase(), DEFAULT_TRUNCATION, rng)
-        back = measure_from_json(measure_to_json(mu))
-        fresh = UniformBase().sample(rng)
-        assert fresh.uid not in set(back.ids.tolist())
+        from fvkit.markov_processes import MeasureChainConfig, measure_chain_step
+        mu = measure_from_json({**self.VALID, "ids": [3, 10**9]})
+        nxt = measure_chain_step(mu, MeasureChainConfig(1.0, UniformBase(), 2), rng)
+        fresh = nxt.ids[~np.isin(nxt.ids, mu.ids)]
+        assert fresh.size and fresh.min() > 10**9
+
+    def test_loading_leaves_later_draws_alone(self):
+        def draw():
+            return stick_break(StickBreakingParams.dp(1.0), UniformBase(), DEFAULT_TRUNCATION,
+                               np.random.default_rng(3))
+
+        before = draw()
+        measure_from_json({**self.VALID, "ids": [3, 10**9]})
+        assert np.array_equal(draw().ids, before.ids)
 
 
 def _measure_digest(mu):
@@ -412,8 +417,8 @@ def _measure_digest(mu):
 class TestStreamPins:
     """Exact digests of seeded draws, recorded before the stick-breaking
     kernels were merged: any change to the consumed random stream, the stick
-    recurrence or its floating-point order shows up here.  Ids from a
-    continuous base come from the process-wide counter, reset per case."""
+    recurrence or its floating-point order shows up here.  Fresh ids from a
+    continuous base start at 1, or one past the largest conditioning id."""
 
     BASES = {
         "uniform": UniformBase(),
@@ -442,8 +447,8 @@ class TestStreamPins:
     # residual from the same stream, and adds xs = points[ids]
     POSTERIOR = {
         ("uniform", 0): "0d2c43ba1dfa7764",
-        ("uniform", 1): "9dc4a0fc7c7d3a82",
-        ("uniform", 5): "82e6f13f40aa1f10",
+        ("uniform", 1): "1b5cbc384f02d6b3",
+        ("uniform", 5): "560b630f331bc339",
         ("discrete", 0): "8fa3cd830b282428",
         ("discrete", 1): "60969a5ef2d33417",
         ("discrete", 5): "e63dacd132a59a34",
@@ -460,8 +465,7 @@ class TestStreamPins:
     }
 
     @pytest.mark.parametrize("key", list(STICK_BREAK))
-    def test_stick_break(self, key, monkeypatch):
-        monkeypatch.setattr(rm, "_UID", itertools.count(1))
+    def test_stick_break(self, key):
         make, args = self.PARAMS[key[0]]
         mu = stick_break(make(*args), self.BASES[key[2]], self.TRUNCS[key[1]],
                          np.random.default_rng(101))
@@ -474,8 +478,7 @@ class TestStreamPins:
                                 np.random.default_rng(202))
 
     @pytest.mark.parametrize("key", list(POSTERIOR))
-    def test_sample_posterior(self, key, monkeypatch):
-        monkeypatch.setattr(rm, "_UID", itertools.count(1))
+    def test_sample_posterior(self, key):
         mu = self._posterior_draw(*key)
         assert _measure_digest(mu) == self.POSTERIOR[key]
         if key[0] == "points":
@@ -484,6 +487,20 @@ class TestStreamPins:
             assert mu.residual == plain.residual
             points = np.asarray(self.BASES["points"].points)
             assert np.array_equal(mu.xs, points[mu.ids])
+
+    # (xs, weights, residual) in position order of the uniform draws with
+    # conditioning atoms, recorded when fresh ids still came from a counter
+    # shared by the whole process (pinned then as 9dc4a0fc7c7d3a82 and
+    # 82e6f13f40aa1f10): the draws have changed only by relabelling
+    BY_POSITION = {1: "b7e29d83950b0ee7", 5: "76576ffa60cd83e6"}
+
+    @pytest.mark.parametrize("n", list(BY_POSITION))
+    def test_posterior_ids_only_relabelled(self, n):
+        mu = self._posterior_draw("uniform", n)
+        order = np.argsort(mu.xs, kind="stable")
+        assert (_digest(mu.xs[order], mu.weights[order], np.float64(mu.residual))
+                == self.BY_POSITION[n])
+        assert mu.ids.min() >= 10**6  # fresh ids follow the conditioning ids
 
     @pytest.mark.parametrize("name", list(MASS_ROWS))
     def test_mass_rows(self, name):
