@@ -234,7 +234,8 @@ def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms,
               help="lo:hi interval or comma-separated atom indices; repeatable")
 @click.option("--trunc-eps", type=float, default=1e-8, show_default=True,
               help="stick-breaking residual target")
-@click.option("--dump-final", default=None, help="write the final measure as JSON here")
+@click.option("--dump-final", default=None,
+              help="write the final measure as JSON here (measure-chain, fv)")
 @_apply(precision_options)
 @_apply(output_options)
 @seed_option
@@ -250,6 +251,8 @@ def simulate(kind, theta, tval, n, steps, base_spec, observables, trunc_eps, dum
     th = float(theta)
     trunc = StickTruncation.residual(trunc_eps)
     if kind == "dar1":
+        if dump_final is not None:
+            raise click.UsageError("--dump-final needs a measure-valued chain, not dar1")
         cfg = Dar1Config(theta=th, base=base)
     elif kind == "measure-chain":
         if n is None:
@@ -271,7 +274,7 @@ def simulate(kind, theta, tval, n, steps, base_spec, observables, trunc_eps, dum
     }
     columns = ["step"] + [f"obs_{i}" for i in range(len(obs))]
     emit(render_table(config, columns, rows, {"steps": steps}, fmt), out)
-    if dump_final is not None and kind != "dar1":
+    if dump_final is not None:
         import json as _json
         doc = {"seed": seed, "config": {k: str(v) for k, v in config.items()},
                "measure": measure_to_json(final)}

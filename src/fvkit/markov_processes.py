@@ -24,6 +24,7 @@ from .random_measures import (
     StickTruncation,
     TestSet,
     UniformBase,
+    _dirichlet_rows,
     _draw_atoms,
     _members,
     _posterior_rows,
@@ -136,13 +137,6 @@ def stationary_measure(theta: float, base: BaseMeasure,
                        rng: np.random.Generator = None) -> DiscreteMeasure:
     """A draw from the stationary law: the prior with total mass theta."""
     return sample_posterior(posterior(theta, base, []), trunc, rng)
-
-
-def _stationary_rows(cfg, reps: int, rng: np.random.Generator) -> MeasureRows:
-    """reps independent draws from the chain's stationary law, as rows."""
-    none = np.zeros(0)
-    return _posterior_rows(cfg.theta, cfg.base, np.zeros(reps, dtype=np.int64),
-                           none.astype(np.int64), none, cfg.trunc, rng, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +254,7 @@ def stationarity_checks(kind: str, cfg, A: TestSet, reps: int,
         raise ValueError("stationarity harness covers the measure-valued chains")
     rho = math.exp(-cfg.theta * cfg.t / 2) if kind == "fv" else cfg.n / (cfg.theta + cfg.n)
     marks = sorted(set(checkpoints))
-    rows = _stationary_rows(cfg, reps, rng)
+    rows = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
     start = rows.mass(A)
     vals = {}
     for k in range(1, marks[-1] + 1):
@@ -338,7 +332,7 @@ def fv_chapman_kolmogorov_process_test(cfg: FvConfig, t: float, s: float, A: Tes
     duration-t then duration-s pair, per replicate from a shared stationary
     start.  Sharing starts correlates the arms positively, which only makes
     the two-sample comparison conservative."""
-    start = _stationary_rows(cfg, reps, rng)
+    start = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
     one = _step_rows(start, replace(cfg, t=t + s), rng).mass(A)
     two = _step_rows(_step_rows(start, replace(cfg, t=t), rng), replace(cfg, t=s), rng).mass(A)
     ks_stat, ks_pvalue = _ks_2samp_equal(one, two)
@@ -368,7 +362,7 @@ class ReversibilityReport:
 
 def measure_chain_reversibility_test(cfg: MeasureChainConfig, A: TestSet, reps: int,
                                      rng: np.random.Generator) -> ReversibilityReport:
-    start = _stationary_rows(cfg, reps, rng)
+    start = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
     u = start.mass(A)
     v = _step_rows(start, cfg, rng).mass(A)
     d = u * u * v - u * v * v

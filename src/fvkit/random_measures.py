@@ -215,10 +215,10 @@ DEFAULT_TRUNCATION = StickTruncation.residual(1e-8)
 _STICK_BLOCK = 64
 
 
-def _break_sticks(a, b, rng: np.random.Generator, size=None, left=1.0):
+def _break_sticks(a, b, rng: np.random.Generator, left=1.0):
     """Beta(a, b) proportions broken along the last axis off a stick of
     length ``left`` (one per row): the stick masses and cumprod(1 - w)."""
-    w = rng.beta(a, b, size)
+    w = rng.beta(a, b)
     keep = np.cumprod(1.0 - w, axis=-1)
     rho = w * left
     rho[..., 1:] *= keep[..., :-1]
@@ -429,14 +429,6 @@ def posterior(theta, base: BaseMeasure, atoms) -> DirichletPosterior:
     return DirichletPosterior(theta=float(theta), base=base, atoms=tuple(atoms))
 
 
-def _posterior_pick(u: np.ndarray, theta: float, n):
-    """Where posterior sticks land, from u uniform on [0, theta + n): a
-    fresh base draw below theta, else conditioning atom floor(u - theta)
-    clipped to n - 1 (n broadcasts against u).  The pick under a fresh
-    stick is unused."""
-    return u < theta, np.minimum(np.maximum(u - theta, 0.0).astype(np.int64), n - 1)
-
-
 def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np.ndarray,
                     atom_xs: Optional[np.ndarray], trunc: StickTruncation,
                     rng: np.random.Generator, first_id: int) -> MeasureRows:
@@ -450,11 +442,15 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
     total = theta + n
     rho, residual = _stick_weights(
         StickBreakingParams(lambda j: 1.0, lambda j: total[:, None]), trunc, rng)
-    fresh, pick = _posterior_pick(rng.random(rho.shape) * total[:, None], theta, n[:, None])
+    # a stick at u < theta is fresh, else it lands on conditioning atom
+    # floor(u - theta), clipped to n - 1
+    u = rng.random(rho.shape) * total[:, None]
+    fresh = u < theta
+    pick = np.minimum(np.maximum(u - theta, 0.0).astype(np.int64), n[:, None] - 1)
     f_ids, f_xs = base.sample_batch(rng, int(fresh.sum()), first_id)
     # index of the picked atom in the flat arrays.  A row with n = 0 has only
-    # fresh sticks (u < theta), so its picks of -1 land on cells that the
-    # fresh draws overwrite
+    # fresh sticks, so its picks of -1 land on cells that the fresh draws
+    # overwrite
     pick += (np.cumsum(n) - n)[:, None]
 
     def place(fresh_vals, atom_vals, dtype):
@@ -523,45 +519,22 @@ def sample_from_measure(mu: DiscreteMeasure, k: int, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# batched observable sampling and the moment identity checks
+# batched draws and the moment identity checks
 
-def _batch_stick_count(total_mass: float, trunc: StickTruncation) -> int:
-    if trunc.k is not None:
-        return trunc.k
-    # sticks needed so the row residual beats eps with overwhelming margin:
-    # -log residual ~ Gamma(K, 1/total_mass)
-    target = total_mass * math.log(1.0 / trunc.eps)
-    return int(math.ceil(target + 12 * math.sqrt(max(target, 1.0)) + 30))
+def _dirichlet_rows(theta: float, base: BaseMeasure, reps: int, trunc: StickTruncation,
+                    rng: np.random.Generator, n_cond: int = 0) -> MeasureRows:
+    """reps independent draws as rows through the posterior row kernel:
+    prior draws when n_cond = 0, else each row the posterior given n_cond
+    atoms of its own, drawn independently from the base.  At n_cond = 1
+    the mixture over the atom X ~ base is the prior again."""
+    ids, xs = base.sample_batch(rng, reps * n_cond, 1)
+    return _posterior_rows(theta, base, np.full(reps, n_cond), ids, xs, trunc, rng,
+                           reps * n_cond + 1)
 
 
-def _measure_mass_rows(theta: float, base: BaseMeasure, A: TestSet, reps: int,
-                       trunc: StickTruncation, rng: np.random.Generator,
-                       cond_in_A=None, n_cond: int = 0):
-    """mu(A) for reps independent Dirichlet draws, vectorized: prior draws
-    when n_cond = 0, else posterior draws conditioned on n_cond atoms whose
-    A-membership indicators are in cond_in_A (reps x n_cond)."""
-    if isinstance(A, WholeSpace):
-        return np.ones(reps)
-    if isinstance(A, EmptySet):
-        return np.zeros(reps)
-    total = theta + n_cond
-    K = _batch_stick_count(total, trunc)
-    rho, _ = _break_sticks(1.0, total, rng, size=(reps, K))
-    u = rng.random((reps, K)) * total
-    if isinstance(A, Interval) and base.kind == "continuous":
-        pos = rng.random((reps, K))
-        fresh_in = (pos >= A.lo) & (pos < A.hi)
-    elif isinstance(A, (Interval, AtomSet)):
-        fresh_in = rng.random((reps, K)) < base.measure(A)
-    else:
-        raise TypeError(f"unsupported test set {A!r}")
-    if n_cond:
-        fresh, pick = _posterior_pick(u, theta, n_cond)
-        cond = np.take_along_axis(np.asarray(cond_in_A, dtype=bool), pick, axis=1)
-        member = np.where(fresh, fresh_in, cond)
-    else:
-        member = fresh_in
-    return (rho * member).sum(axis=1)
+# _measure_mass_rows is unused but stays importable: bench/tracing.py wraps
+# it by name
+_measure_mass_rows = _dirichlet_rows
 
 
 @dataclass(frozen=True)
@@ -578,7 +551,7 @@ def check_mean_identity(theta, base: BaseMeasure, A: TestSet, reps: int,
                         rng: np.random.Generator = None) -> MeanIdentityReport:
     """Monte Carlo check that the prior mean measure is the base:
     E[mu(A)] = nu_0(A)."""
-    vals = _measure_mass_rows(float(theta), base, A, reps, trunc, rng)
+    vals = _dirichlet_rows(float(theta), base, reps, trunc, rng).mass(A)
     expected = base.measure(A)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
@@ -608,13 +581,8 @@ def check_mixture_identity(theta, base: BaseMeasure, A: TestSet, reps: int,
     """Statistical check that mixing the one-observation posterior over the
     base reproduces the prior."""
     th = float(theta)
-    direct = _measure_mass_rows(th, base, A, reps, trunc, rng)
-    if isinstance(A, (WholeSpace, EmptySet)):
-        cond = np.zeros((reps, 1), dtype=bool)
-    else:
-        base_mass = base.measure(A)
-        cond = (rng.random((reps, 1)) < base_mass)
-    hier = _measure_mass_rows(th, base, A, reps, trunc, rng, cond_in_A=cond, n_cond=1)
+    direct = _dirichlet_rows(th, base, reps, trunc, rng).mass(A)
+    hier = _dirichlet_rows(th, base, reps, trunc, rng, n_cond=1).mass(A)
     m1d, m1h = float(direct.mean()), float(hier.mean())
     s1 = math.sqrt((direct.var(ddof=1) + hier.var(ddof=1)) / reps) if reps > 1 else 0.0
     d2, h2 = direct**2, hier**2

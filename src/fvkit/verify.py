@@ -200,8 +200,8 @@ def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
         rows.append(_z_row("mixture-first-moment", f"theta={theta}", mx.mean_diff / mx.mean_se))
         rows.append(_z_row("mixture-second-moment", f"theta={theta}", mx.second_diff / mx.second_se))
         # prior variance against the closed form
-        vals = rm._measure_mass_rows(theta, base, A, reps, rm.DEFAULT_TRUNCATION,
-                                     np.random.default_rng(seed + 1))
+        vals = rm._dirichlet_rows(theta, base, reps, rm.DEFAULT_TRUNCATION,
+                                  np.random.default_rng(seed + 1)).mass(A)
         var_z = mk._moment_check(vals, 0, base.measure(A), theta).var_z
         rows.append(_z_row("prior-variance", f"theta={theta}", var_z))
     pd_params = rm.StickBreakingParams.poisson_dirichlet(sigma, 0.0 if sigma else 1.0)

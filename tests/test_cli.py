@@ -116,6 +116,14 @@ class TestSimulateCommands:
         mu = measure_from_json(doc["measure"])
         assert abs(mu.weights.sum() + mu.residual - 1) < 1e-12
 
+    def test_dump_final_rejected_for_dar1(self, tmp_path):
+        path = tmp_path / "final.json"
+        r = run_cli("simulate", "dar1", "--theta", "1", "--steps", "3",
+                    "--dump-final", str(path))
+        assert r.returncode == 2
+        assert "--dump-final" in r.stderr
+        assert not path.exists()
+
     def test_discrete_base_simulation(self):
         r = run_cli("simulate", "dar1", "--theta", "2", "--base", "0.3,0.7",
                     "--observable", "0", "--steps", "8", "--seed", "5")

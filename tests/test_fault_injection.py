@@ -3,9 +3,12 @@ verification rows meant to catch it go red, on grids small enough to run
 in seconds.  Each suite first runs unpatched on the same grid as a control."""
 from math import comb
 
+import numpy as np
+
 from fvkit import death_process as dp
 from fvkit import markov_processes as mk
 from fvkit import polya_urn as urn
+from fvkit import random_measures as rm
 from fvkit import verify as V
 
 
@@ -108,3 +111,22 @@ def test_dar1_redraw_rotates(monkeypatch):
                   "fv-mean", "fv-variance", "fv-lag-slope", "fv-composition-ks",
                   "reversibility-marginal-ks", "reversibility-cross-moment"):
         assert not _failing(report, check), check
+
+
+def test_uniform_positions_squeezed(monkeypatch):
+    # the uniform base draws positions on [0, 0.5) instead of [0, 1), so every
+    # atom, fresh or conditioning, lands in A = [0, 0.5) and mu(A) reads
+    # 1 - residual.  The prior rows go red at every theta.  The mixture
+    # identity holds over any base, so its rows see only the gap between the
+    # prior's (total mass theta) and the one-atom posterior's (theta + 1)
+    # truncation residuals, which shows at theta = 4
+    assert V.verify_measures(reps=2000, seed=7).ok
+    monkeypatch.setattr(rm.UniformBase, "sample_batch", lambda self, rng, k, first_id: (
+        first_id + np.arange(k, dtype=np.int64), 0.5 * rng.random(k)))
+    report = V.verify_measures(reps=2000, seed=7)
+    for check in ("prior-mean-identity", "prior-variance"):
+        assert _failing(report, check) == [
+            f"theta={theta}" + (",A=[0,0.5)" if check == "prior-mean-identity" else "")
+            for theta in (0.5, 1.0, 4.0)], check
+    for check in ("mixture-first-moment", "mixture-second-moment"):
+        assert _failing(report, check), check

@@ -288,10 +288,11 @@ class TestBatchedKernel:
 
     def test_row_mass_matches_merged_measure(self, rng):
         cfg = FvConfig(1.0, UB, 0.3)
-        rows = mk._step_rows(mk._stationary_rows(cfg, 20, rng), cfg, rng)
-        masses = rows.mass(A)
-        for i in range(20):
-            assert masses[i] == pytest.approx(rows.measure(i).mass(A), abs=1e-12)
+        start = rm._dirichlet_rows(cfg.theta, cfg.base, 20, cfg.trunc, rng)
+        for rows in (start, mk._step_rows(start, cfg, rng)):
+            masses = rows.mass(A)
+            for i in range(20):
+                assert masses[i] == pytest.approx(rows.measure(i).mass(A), abs=1e-12)
 
     @pytest.mark.parametrize("reps", [10, 300])
     def test_one_kernel_call_per_step(self, reps, monkeypatch):

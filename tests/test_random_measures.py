@@ -29,7 +29,7 @@ from fvkit.random_measures import (
     sample_from_measure,
     sample_posterior,
     stick_break,
-    _measure_mass_rows,
+    _dirichlet_rows,
 )
 import fvkit.random_measures as rm
 
@@ -336,8 +336,9 @@ class TestPriorVariance:
     def test_variance_identity(self):
         reps = 100_000
         for theta in (0.5, 1.0, 4.0):
-            vals = _measure_mass_rows(theta, UniformBase(), Interval(0.0, 0.5), reps,
-                                      DEFAULT_TRUNCATION, np.random.default_rng(11))
+            rows = _dirichlet_rows(theta, UniformBase(), reps, DEFAULT_TRUNCATION,
+                                   np.random.default_rng(11))
+            vals = rows.mass(Interval(0.0, 0.5))
             p = 0.5
             target = p * (1 - p) / (1 + theta)
             var = vals.var(ddof=1)
@@ -456,14 +457,6 @@ class TestStreamPins:
         ("points", 1): "adf1c78863feda9f",
         ("points", 5): "d1a6183bedf9536a",
     }
-    MASS_ROWS = {
-        "prior-uniform": ((1.5, "uniform", Interval(0.25, 0.75), None, 0), "199a303bdbb8cdaa"),
-        "prior-discrete": ((1.5, "discrete", AtomSet({1, 3}), 50, 0), "b63feb9d48caaaa8"),
-        "prior-points": ((4.0, "points", Interval(0.25, 0.75), None, 0), "781c427ccfb94fc5"),
-        "cond3-uniform": ((1.5, "uniform", Interval(0.25, 0.75), None, 3), "4d3d5808e32622a2"),
-        "cond3-discrete": ((0.5, "discrete", AtomSet({2}), 50, 3), "2b176d5d5e3199de"),
-    }
-
     @pytest.mark.parametrize("key", list(STICK_BREAK))
     def test_stick_break(self, key):
         make, args = self.PARAMS[key[0]]
@@ -502,11 +495,38 @@ class TestStreamPins:
                 == self.BY_POSITION[n])
         assert mu.ids.min() >= 10**6  # fresh ids follow the conditioning ids
 
-    @pytest.mark.parametrize("name", list(MASS_ROWS))
-    def test_mass_rows(self, name):
-        (theta, base, A, k, n_cond), expected = self.MASS_ROWS[name]
-        trunc = DEFAULT_TRUNCATION if k is None else StickTruncation.fixed(k)
-        cond = np.arange(40 * n_cond).reshape(40, n_cond) % 3 == 0 if n_cond else None
-        vals = _measure_mass_rows(theta, self.BASES[base], A, 40, trunc,
-                                  np.random.default_rng(303), cond, n_cond)
-        assert _digest(vals) == expected
+    # rows of the prior (n_cond 0) and of the one-atom posterior (n_cond 1)
+    DIRICHLET_ROWS = {
+        ("uniform", 0): "20a410e3ee3b71ea",
+        ("uniform", 1): "557c8f1faeb1c427",
+        ("discrete", 0): "708d92b3864cb90e",
+        ("discrete", 1): "1d39dbdabae85a41",
+        ("points", 0): "e9ee4b2622a11928",
+        ("points", 1): "afd62685de19f887",
+    }
+
+    def _dirichlet_rows(self, name, n_cond):
+        return _dirichlet_rows(1.5, self.BASES[name], 40, DEFAULT_TRUNCATION,
+                               np.random.default_rng(303), n_cond)
+
+    @pytest.mark.parametrize("key", list(DIRICHLET_ROWS))
+    def test_dirichlet_rows(self, key):
+        rows = self._dirichlet_rows(*key)
+        assert (rows.residual < DEFAULT_TRUNCATION.eps).all()
+        assert _digest(rows.ids, rows.xs, rows.weights, rows.residual) == self.DIRICHLET_ROWS[key]
+        if key[0] == "points":
+            plain = self._dirichlet_rows("discrete", key[1])
+            assert np.array_equal(rows.ids, plain.ids)
+            assert np.array_equal(rows.weights, plain.weights)
+            assert np.array_equal(rows.xs, np.asarray(self.BASES["points"].points)[rows.ids])
+
+    def test_posterior_rows_hold_their_own_atom(self):
+        # row i conditions on atom X_i, id i + 1 at the first position drawn
+        # from the seed; every other atom is fresh, with an id past 40
+        rows = self._dirichlet_rows("uniform", 1)
+        own = np.arange(1, 41)[:, None]
+        assert ((rows.ids == own) | (rows.ids > 40)).all()
+        held = rows.ids == own
+        assert held.any(axis=1).mean() > 0.5
+        x = np.random.default_rng(303).random(40)
+        assert np.array_equal(rows.xs[held], np.broadcast_to(x[:, None], rows.xs.shape)[held])
