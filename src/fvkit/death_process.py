@@ -19,8 +19,8 @@ import mpmath
 import numpy as np
 
 from . import polya_urn
-# falling_factorial is unused here but stays importable: bench/tracing.py
-# rebinds this module's combinatorics names
+# binomial, falling_factorial and rising_factorial are unused here but stay
+# importable: bench/tracing.py rebinds this module's combinatorics names
 from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product  # noqa: F401
 
 
@@ -150,33 +150,26 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
     th = float(theta)
     tf = float(t)
     p, q = theta.numerator, theta.denominator
-    if n >= 1:
-        # (theta+n)_(n-1) / n!
-        m0 = n
-        num = rising_product(p + n * q, q, n - 1)
-        den = q ** (n - 1) * math.factorial(n)
-    else:
-        # complement series sum_{m>=1} (-1)^(m-1) theta_(m-1)/m! gamma_m
-        m0 = 1
-        num = den = 1
+    # first coefficient (theta+n)_(m-1) / (n! (m-n)!) at m = max(n, 1); for
+    # n = 0 this starts the complement series
+    # sum_{m>=1} (-1)^(m-1) theta_(m-1)/m! gamma_m
+    m = max(n, 1)
+    num = rising_product(p + n * q, q, m - 1)
+    den = q ** (m - 1) * math.factorial(n) * math.factorial(m - n)
 
     total = mpmath.mpf(0)
     peak = 0.0
     nterms = 0
     best_cert = math.inf
     sign = 1
-    m = m0
     while nterms < prec.max_terms:
         g = gamma.get(m)
         if g is None:
             g = gamma[m] = _gamma_factor(m, theta, t)
         a_mpf = mpmath.mpf(num) / den * g
-        a = float(a_mpf)
+        a = abs(float(a_mpf))
         # sup over m' >= m of the rational part of the term ratio
-        if n >= 1:
-            f = (th + n + m - 1) / (m + 1 - n)
-        else:
-            f = max(1.0, (th + m - 1) / (m + 1))
+        f = max(1.0, (th + n + m - 1) / (m + 1 - n))
         ratio_bound = f * (2 * m + 1 + th) / (2 * m - 1 + th) * math.exp(-(m + th / 2) * tf)
         if ratio_bound < 0.999:
             if a < prec.tail_tol:
@@ -189,11 +182,11 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
                 return total, a + round_slack
             best_cert = min(best_cert, a)
         total += sign * a_mpf
-        peak = max(peak, abs(a))
+        peak = max(peak, a)
         sign = -sign
-        # times (theta+n+m-1)/(m+1-n), or (theta+m-1)/(m+1) for n = 0
+        # times (theta+n+m-1)/(m+1-n)
         num *= p + (n + m - 1) * q
-        den *= q * (m + 1 - n if n >= 1 else m + 1)
+        den *= q * (m + 1 - n)
         m += 1
         nterms += 1
     raise PrecisionExhaustedError(
@@ -294,37 +287,30 @@ def _inner_prec(prec: PrecisionConfig, shrink: float) -> PrecisionConfig:
 
 
 def _transition_entry(pmf: DeathPmf, n: int, r: int) -> mpmath.mpf:
-    """P(count = r after s | count = n) from the pmf {d_m(s)}:
-    (theta)_n n! / ((theta)_r (n-r)!) sum_{m>=r} C(m,r)/(theta+m)_(n) d_m(s),
-    under the caller's mp context.
+    """P(count = r after s | count = n) = sum_{m>=r} P(r | n draws, m atoms) d_m(s)
+    from the pmf {d_m(s)}, under the caller's mp context: the m lineages alive
+    at s are the atoms of an urn, and n draws from it hit exactly r of them
+    with the overlap probability ``polya_urn.overlap_entry(r, n, m, theta)``.
 
-    With theta = p/q each weight is one integer ratio: the q**n of
-    (theta)_n and of (theta+m)_(n) cancel, leaving q**r on top."""
+    Every weight is a probability, so the sum is as accurate as the pmf."""
     theta = pmf.params.theta_fraction
-    p, q = theta.numerator, theta.denominator
-    top = rising_product(p, q, n) * math.factorial(n) * q**r
-    bottom = rising_product(p, q, r) * math.factorial(n - r)
     acc = mpmath.mpf(0)
     for m in range(r, pmf.n_max + 1):
-        w = mpmath.mpf(top * binomial(m, r)) / (bottom * rising_product(p + m * q, q, n))
-        acc += w * pmf.probs[m]
+        num, den = polya_urn.overlap_entry(r, n, m, theta)
+        acc += mpmath.mpf(num) / den * pmf.probs[m]
     return acc
 
 
 def transition_given_n(n: int, s, params: DeathParams, prec: PrecisionConfig = PrecisionConfig()):
     """Transition vector P(count = r after s | count = n now) for r = 0..n,
-    recovered from the pmf series by inverting the urn-weighted sum that
-    links d_m(s) to the transition probabilities.  Requires theta > 0
-    (the theta = 0 regime is served by ``transition_closed_form``)."""
+    recovered from the pmf series by the urn-weighted sum of
+    ``_transition_entry``.  Requires theta > 0 (the theta = 0 regime is
+    served by ``transition_closed_form``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if params.is_coalescent:
         raise ValueError("theta = 0 transitions go through transition_closed_form")
-    theta = params.theta_fraction
-    # absolute output error scales with the largest prefactor, so shrink accordingly
-    pre_max = max(rising_factorial(theta, n) * math.factorial(n)
-                  / (rising_factorial(theta, r) * math.factorial(n - r)) for r in range(n + 1))
-    pmf = death_pmf(s, params, _inner_prec(prec, 1e-4 / float(pre_max)))
+    pmf = death_pmf(s, params, _inner_prec(prec, 1e-4))
     with mpmath.workdps(prec.working_digits):
         return [float(_transition_entry(pmf, n, r)) for r in range(n + 1)]
 
@@ -404,24 +390,20 @@ def check_single_death_identity(n: int, s, params: DeathParams,
 
 def check_chapman_kolmogorov(r: int, t, s, params: DeathParams,
                              prec: PrecisionConfig = PrecisionConfig()) -> float:
-    """Residual of the composition law
-    d_r(t+s) = sum_{n,m} P(r | m, n) d_m(s) d_n(t),
-    with P(r|m,n) the urn overlap pmf entry ``polya_urn.overlap_entry``."""
+    """Residual of Chapman-Kolmogorov read literally:
+    d_r(t+s) = sum_n d_n(t) P(count = r after s | count = n),
+    with the transition probability from ``_transition_entry``."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if params.is_coalescent:
         raise ValueError("requires theta > 0")
-    theta = params.theta_fraction
     inner = _inner_prec(prec, 1e-4)
     pmf_t = death_pmf(t, params, inner)
     pmf_s = death_pmf(s, params, inner)
     with mpmath.workdps(prec.working_digits):
         lhs, _ = _death_prob(r, Fraction(t) + Fraction(s), params, inner)
-        rhs = mpmath.mpf(0)
-        for n in range(r, pmf_t.n_max + 1):
-            for m in range(r, pmf_s.n_max + 1):
-                num, den = polya_urn.overlap_entry(r, m, n, theta)
-                rhs += mpmath.mpf(num) / den * pmf_s.probs[m] * pmf_t.probs[n]
+        rhs = mpmath.fsum(pmf_t.probs[n] * _transition_entry(pmf_s, n, r)
+                          for n in range(r, pmf_t.n_max + 1))
         return abs(float(lhs - rhs))
 
 

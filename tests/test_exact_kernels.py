@@ -15,6 +15,7 @@ from fvkit.death_process import (
     PrecisionConfig,
     _death_pmf_cached,
     death_pmf,
+    transition_given_n,
 )
 from fvkit.polya_urn import (
     overlap_pmf_bruteforce,
@@ -136,6 +137,14 @@ class TestDeathPmfMemo:
         assert after.misses - before.misses == 2
         assert (a.working_digits, b.working_digits) == (60, 70)
         assert max(abs(float(x - y)) for x, y in zip(a.probs, b.probs)) < 1e-11
+
+    def test_transitions_share_one_inner_pmf(self):
+        # every transition weight is an urn probability, so no n needs a
+        # tighter pmf than the others
+        _death_pmf_cached.cache_clear()
+        for n in range(1, 9):
+            transition_given_n(n, 1.0, DeathParams(1.0))
+        assert _death_pmf_cached.cache_info().currsize == 1
 
     def test_cache_is_bounded(self):
         assert _death_pmf_cached.cache_info().maxsize == PMF_CACHE_SIZE

@@ -1,9 +1,8 @@
 """Fault injection: each test plants one known bug and asserts that the
 verification rows meant to catch it go red, on grids small enough to run
 in seconds.  Each suite first runs unpatched on the same grid as a control."""
-from math import comb
-
 import numpy as np
+import pytest
 
 from fvkit import death_process as dp
 from fvkit import markov_processes as mk
@@ -29,7 +28,7 @@ def _small_urn():
 
 def test_overlap_entry_perturbed_at_r1(monkeypatch):
     # P(1 | m, n) off by a relative 1e-6, in the one entry function that the
-    # urn pmf and the composition check share
+    # urn pmf and every transition weight of the death process share
     assert _small_death().ok and _small_urn().ok
     exact = urn.overlap_entry
 
@@ -39,23 +38,37 @@ def test_overlap_entry_perturbed_at_r1(monkeypatch):
 
     monkeypatch.setattr(urn, "overlap_entry", perturbed)
     death = _small_death()
+    # r = 1 is the stay-put entry at n = 1 and the one-death entry at n = 2
+    assert "n=1,theta=1.0,s=1.0" in _failing(death, "survival-identity")
+    assert "n=2,theta=1.0,s=1.0" in _failing(death, "single-death-identity")
+    assert _failing(death, "transition-vs-closed-form")
     assert [i for i in _failing(death, "chapman-kolmogorov") if i.startswith("r=1,")]
-    for check in ("survival-identity", "single-death-identity", "transition-vs-closed-form"):
-        assert not _failing(death, check)
     report = _small_urn()
     for check in ("overlap-forms-agree", "exact-vs-bruteforce", "expansion-route-identical"):
         assert _failing(report, check)
     assert not _failing(report, "theta0-forms-agree")
 
 
-def test_transition_weight_perturbed(monkeypatch):
-    # the transition sum's weight C(m, r) off by one at m = r + 1
-    assert _small_death().ok
-    monkeypatch.setattr(dp, "binomial", lambda m, r: comb(m, r) + (m == r + 1))
-    death = _small_death()
-    for check in ("survival-identity", "single-death-identity", "transition-vs-closed-form"):
-        assert _failing(death, check), check
-    assert not _failing(death, "chapman-kolmogorov")
+def _death_with_oracle():
+    return V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=3, r_max=1,
+                          ck_pairs=((0.5, 0.5),), ineq_ts=(0.5,), mc_reps=20_000, mc_n0=100)
+
+
+def test_series_sign_flipped(monkeypatch):
+    # the series factor gamma_3 enters with the wrong sign, so d_1(1) comes
+    # out negative beyond its certified bound and the pmf refuses to build.
+    # The error bound is each term's size: a signed bound goes negative
+    # here, and the pmf's stop test then never holds
+    assert _death_with_oracle().ok
+    gamma = dp._gamma_factor
+    monkeypatch.setattr(dp, "_gamma_factor",
+                        lambda m, theta, t: -gamma(m, theta, t) if m == 3 else gamma(m, theta, t))
+    dp._death_pmf_cached.cache_clear()
+    try:
+        with pytest.raises(dp.PrecisionExhaustedError, match="d_1"):
+            _death_with_oracle()
+    finally:
+        dp._death_pmf_cached.cache_clear()
 
 
 def _fv_processes():
@@ -72,12 +85,42 @@ def test_fv_clock_doubled(monkeypatch):
     failing = _failing(_fv_processes(), "fv-lag-slope")
     for instance in ("theta=1.0,t=0.5,steps=1", "theta=4.0,t=0.2,steps=1"):
         assert instance in failing
-    death = V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=3, r_max=1,
-                           ck_pairs=((0.5, 0.5),), ineq_ts=(0.5,), mc_reps=20_000, mc_n0=100)
+    death = _death_with_oracle()
     for check in ("survival-identity", "single-death-identity", "chapman-kolmogorov",
                   "transition-vs-closed-form", "nonabsorption-bounds", "pmf-vs-monte-carlo",
                   "mc-start-sensitivity"):
         assert not _failing(death, check), check
+
+
+def test_posterior_conditions_on_first_atom(monkeypatch):
+    # every row of the posterior kernel conditions on n copies of its first
+    # atom instead of its n atoms.  With n = 1 nothing changes, and the
+    # stationary mean and the lag-k slope hold for any such pick, so only
+    # the variance rows at n > 1 and the composition KS see it
+    def processes():
+        return V.verify_processes(reps=3000, seed=11, thetas=(1.0, 4.0), chain_ns=(1, 5),
+                                  fv_ts=(0.2, 1.0), checkpoints=(1,))
+
+    assert processes().ok
+    rows = mk._posterior_rows
+
+    def first_atom(theta, base, n, atom_ids, atom_xs, trunc, rng, first_id):
+        first = np.repeat(np.cumsum(n) - n, n)
+        return rows(theta, base, n, atom_ids[first],
+                    None if atom_xs is None else atom_xs[first], trunc, rng, first_id)
+
+    monkeypatch.setattr(mk, "_posterior_rows", first_atom)
+    report = processes()
+    # every other row stays green: each n = 1, mean, lag-slope and DAR(1) row
+    failing = [(row.check, row.instance) for row in report.rows if not row.passed]
+    assert failing == [
+        ("measure-chain-variance", "theta=1.0,n=5,steps=1"),
+        ("measure-chain-variance", "theta=4.0,n=5,steps=1"),
+        ("fv-variance", "theta=1.0,t=0.2,steps=1"),
+        ("fv-variance", "theta=1.0,t=1.0,steps=1"),
+        ("fv-variance", "theta=4.0,t=0.2,steps=1"),
+        ("fv-composition-ks", "theta=1,t=s=0.5,reps=3000"),
+    ]
 
 
 def _dar1_processes():
