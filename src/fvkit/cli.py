@@ -60,9 +60,12 @@ def _parse_observable(spec: str, base):
     if ":" in spec:
         lo, hi = spec.split(":", 1)
         return Interval(float(lo), float(hi))
-    if isinstance(base, DiscreteBase):
-        return AtomSet(int(i) for i in spec.split(","))
-    raise click.UsageError(f"observable {spec!r} needs lo:hi form for a continuous base")
+    if not isinstance(base, DiscreteBase):
+        raise click.UsageError(f"observable {spec!r} needs lo:hi form for a continuous base")
+    A = AtomSet(int(i) for i in spec.split(","))
+    if not A.indices <= set(range(base.size)):
+        raise click.UsageError(f"observable {spec!r} names an atom outside 0..{base.size - 1}")
+    return A
 
 
 precision_options = [

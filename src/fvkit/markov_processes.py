@@ -27,13 +27,12 @@ from .random_measures import (
     _dirichlet_rows,
     _draw_atoms,
     _members,
+    _moment_check,
     _posterior_rows,
-    posterior,
-    sample_posterior,
 )
-# sample_from_measure is unused here but stays importable: bench/tracing.py
-# rebinds this module's random_measures names
-from .random_measures import sample_from_measure  # noqa: F401
+# sample_posterior and sample_from_measure are unused here but stay
+# importable: bench/tracing.py rebinds this module's random_measures names
+from .random_measures import sample_from_measure, sample_posterior  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def stationary_measure(theta: float, base: BaseMeasure,
                        trunc: StickTruncation = DEFAULT_TRUNCATION,
                        rng: np.random.Generator = None) -> DiscreteMeasure:
     """A draw from the stationary law: the prior with total mass theta."""
-    return sample_posterior(posterior(theta, base, []), trunc, rng)
+    return _dirichlet_rows(float(theta), base, 1, trunc, rng).measure()
 
 
 # ---------------------------------------------------------------------------
@@ -175,62 +174,6 @@ def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
 
 # ---------------------------------------------------------------------------
 # harnesses
-
-@dataclass(frozen=True)
-class MomentCheck:
-    """Empirical mean/variance of mu(A) after a number of chained steps,
-    against the stationary targets, with Monte Carlo standard errors; and,
-    from a chain run, the OLS slope of mu_k(A) on the start's mu_0(A)
-    against its target rho**k (NaN without a start)."""
-
-    after_steps: int
-    mean: float
-    mean_se: float
-    mean_target: float
-    var: float
-    var_se: float
-    var_target: float
-    reps: int
-    slope: float = math.nan
-    slope_se: float = math.nan
-    slope_target: float = math.nan
-
-    @property
-    def mean_z(self) -> float:
-        return _z(self.mean - self.mean_target, self.mean_se)
-
-    @property
-    def var_z(self) -> float:
-        return _z(self.var - self.var_target, self.var_se)
-
-    @property
-    def slope_z(self) -> float:
-        return _z(self.slope - self.slope_target, self.slope_se)
-
-
-def _z(diff: float, se: float) -> float:
-    """|diff| in standard errors: 0 when there is no difference, inf when a
-    zero standard error cannot explain one."""
-    if diff == 0:
-        return 0.0
-    return math.inf if se == 0 else abs(diff) / se
-
-
-def _moment_check(vals: np.ndarray, after: int, p: float, theta: float) -> MomentCheck:
-    reps = vals.size
-    mean = float(vals.mean())
-    mean_se = float(vals.std(ddof=1) / math.sqrt(reps))
-    var = float(vals.var(ddof=1))
-    centered = vals - vals.mean()
-    m4 = float((centered**4).mean())
-    var_se = float(math.sqrt(max(m4 - var**2, 0.0) / reps))
-    return MomentCheck(
-        after_steps=after,
-        mean=mean, mean_se=mean_se, mean_target=p,
-        var=var, var_se=var_se, var_target=p * (1 - p) / (1 + theta),
-        reps=reps,
-    )
-
 
 def _lag_slope(u: np.ndarray, v: np.ndarray) -> dict:
     """OLS slope of v on u with its heteroscedasticity-robust (HC0

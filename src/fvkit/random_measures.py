@@ -537,26 +537,77 @@ def _dirichlet_rows(theta: float, base: BaseMeasure, reps: int, trunc: StickTrun
 _measure_mass_rows = _dirichlet_rows
 
 
+def _check_masses(theta, base: BaseMeasure, A: TestSet, reps: int, trunc: StickTruncation,
+                  rng: np.random.Generator, n_cond: int = 0) -> np.ndarray:
+    """mu(A) per row of _dirichlet_rows, for a check that needs reps >= 2."""
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2 for a Monte Carlo standard error, got {reps}")
+    return _dirichlet_rows(float(theta), base, reps, trunc, rng, n_cond).mass(A)
+
+
 @dataclass(frozen=True)
-class MeanIdentityReport:
-    expected: float
-    observed_mean: float
-    residual: float
-    stderr: float
+class MomentCheck:
+    """Mean and variance of mu(A) against the Dirichlet prior's p = nu_0(A)
+    and p(1-p)/(1+theta), with standard errors, over prior draws (after_steps
+    0) or chains from the prior after that many steps; from a chain run also
+    the OLS slope of mu_k(A) on mu_0(A) against rho**k (NaN without one)."""
+
+    after_steps: int
+    mean: float
+    mean_se: float
+    mean_target: float
+    var: float
+    var_se: float
+    var_target: float
     reps: int
+    slope: float = math.nan
+    slope_se: float = math.nan
+    slope_target: float = math.nan
+
+    @property
+    def mean_z(self) -> float:
+        return _z(self.mean - self.mean_target, self.mean_se)
+
+    @property
+    def var_z(self) -> float:
+        return _z(self.var - self.var_target, self.var_se)
+
+    @property
+    def slope_z(self) -> float:
+        return _z(self.slope - self.slope_target, self.slope_se)
+
+
+def _z(diff: float, se: float) -> float:
+    """|diff| in standard errors: 0 when there is no difference, inf when a
+    zero standard error cannot explain one."""
+    if diff == 0:
+        return 0.0
+    return math.inf if se == 0 else abs(diff) / se
+
+
+def _moment_check(vals: np.ndarray, after: int, p: float, theta: float) -> MomentCheck:
+    reps = vals.size
+    mean = float(vals.mean())
+    mean_se = float(vals.std(ddof=1) / math.sqrt(reps))
+    var = float(vals.var(ddof=1))
+    centered = vals - vals.mean()
+    m4 = float((centered**4).mean())
+    var_se = float(math.sqrt(max(m4 - var**2, 0.0) / reps))
+    return MomentCheck(
+        after_steps=after,
+        mean=mean, mean_se=mean_se, mean_target=p,
+        var=var, var_se=var_se, var_target=p * (1 - p) / (1 + theta),
+        reps=reps,
+    )
 
 
 def check_mean_identity(theta, base: BaseMeasure, A: TestSet, reps: int,
                         trunc: StickTruncation = DEFAULT_TRUNCATION,
-                        rng: np.random.Generator = None) -> MeanIdentityReport:
-    """Monte Carlo check that the prior mean measure is the base:
-    E[mu(A)] = nu_0(A)."""
-    vals = _dirichlet_rows(float(theta), base, reps, trunc, rng).mass(A)
-    expected = base.measure(A)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return MeanIdentityReport(expected=expected, observed_mean=mean,
-                              residual=abs(mean - expected), stderr=se, reps=reps)
+                        rng: np.random.Generator = None) -> MomentCheck:
+    """Monte Carlo check on one batch of reps >= 2 prior draws that
+    E[mu(A)] = nu_0(A) = p and Var[mu(A)] = p(1-p)/(1+theta)."""
+    vals = _check_masses(theta, base, A, reps, trunc, rng)
+    return _moment_check(vals, 0, base.measure(A), float(theta))
 
 
 @dataclass(frozen=True)
@@ -578,16 +629,15 @@ class MixtureIdentityReport:
 def check_mixture_identity(theta, base: BaseMeasure, A: TestSet, reps: int,
                            trunc: StickTruncation = DEFAULT_TRUNCATION,
                            rng: np.random.Generator = None) -> MixtureIdentityReport:
-    """Statistical check that mixing the one-observation posterior over the
-    base reproduces the prior."""
-    th = float(theta)
-    direct = _dirichlet_rows(th, base, reps, trunc, rng).mass(A)
-    hier = _dirichlet_rows(th, base, reps, trunc, rng, n_cond=1).mass(A)
+    """Statistical check, on reps >= 2 draws per route, that mixing the
+    one-observation posterior over the base reproduces the prior."""
+    direct = _check_masses(theta, base, A, reps, trunc, rng)
+    hier = _check_masses(theta, base, A, reps, trunc, rng, n_cond=1)
     m1d, m1h = float(direct.mean()), float(hier.mean())
-    s1 = math.sqrt((direct.var(ddof=1) + hier.var(ddof=1)) / reps) if reps > 1 else 0.0
+    s1 = math.sqrt((direct.var(ddof=1) + hier.var(ddof=1)) / reps)
     d2, h2 = direct**2, hier**2
     m2d, m2h = float(d2.mean()), float(h2.mean())
-    s2 = math.sqrt((d2.var(ddof=1) + h2.var(ddof=1)) / reps) if reps > 1 else 0.0
+    s2 = math.sqrt((d2.var(ddof=1) + h2.var(ddof=1)) / reps)
     return MixtureIdentityReport(
         mean_direct=m1d, mean_hier=m1h, mean_diff=abs(m1d - m1h), mean_se=s1,
         second_direct=m2d, second_hier=m2h, second_diff=abs(m2d - m2h), second_se=s2,

@@ -124,6 +124,15 @@ class TestSimulateCommands:
         assert "--dump-final" in r.stderr
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind, extra, observable", [
+        ("dar1", (), "2"), ("measure-chain", ("--n", "2"), "-1,7")])
+    def test_observable_outside_support_rejected(self, kind, extra, observable):
+        r = run_cli("simulate", kind, "--theta", "1", "--base", "0.3,0.7", *extra,
+                    "--observable", observable, "--steps", "5")
+        assert r.returncode == 2
+        assert f"observable {observable!r} names an atom outside 0..1" in r.stderr
+        assert r.stdout == ""
+
     def test_discrete_base_simulation(self):
         r = run_cli("simulate", "dar1", "--theta", "2", "--base", "0.3,0.7",
                     "--observable", "0", "--steps", "8", "--seed", "5")

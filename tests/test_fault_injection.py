@@ -173,3 +173,51 @@ def test_uniform_positions_squeezed(monkeypatch):
             for theta in (0.5, 1.0, 4.0)], check
     for check in ("mixture-first-moment", "mixture-second-moment"):
         assert _failing(report, check), check
+
+
+def _measures_failing(reps):
+    report = V.verify_measures(reps=reps, seed=7)
+    return [(row.check, row.instance) for row in report.rows if not row.passed]
+
+
+def test_posterior_conditions_three_times(monkeypatch):
+    # every row of the posterior kernel conditions on each of its atoms three
+    # times, so the one-atom posterior puts mass 3/(theta + 3) on its atom.
+    # Mixed over the atom its mean is still the prior's, but its second
+    # moment is not: only the mixture's second-moment rows see it
+    assert _measures_failing(10_000) == []
+    rows = rm._posterior_rows
+
+    def thrice(theta, base, n, atom_ids, atom_xs, trunc, rng, first_id):
+        return rows(theta, base, 3 * n, np.repeat(atom_ids, 3),
+                    None if atom_xs is None else np.repeat(atom_xs, 3), trunc, rng, first_id)
+
+    monkeypatch.setattr(rm, "_posterior_rows", thrice)
+    assert _measures_failing(10_000) == [
+        ("mixture-second-moment", f"theta={theta}") for theta in (0.5, 1.0, 4.0)]
+
+
+def test_stick_beta_biased(monkeypatch):
+    # every stick proportion is Beta(a, 1.5 b): the prior's total mass reads
+    # 1.5 theta.  The mean measure is still the base, so the prior's variance
+    # rows, read off the same batch as its mean, are the ones that go red
+    assert _measures_failing(2000) == []
+    sticks = rm._break_sticks
+    monkeypatch.setattr(rm, "_break_sticks",
+                        lambda a, b, rng, left=1.0: sticks(a, 1.5 * b, rng, left))
+    assert _measures_failing(2000) == [
+        ("prior-variance", f"theta={theta}") for theta in (0.5, 1.0, 4.0)]
+
+
+def test_entry_compensation_dropped(monkeypatch):
+    # the death oracle's runs start at n0 with the full clock t, instead of
+    # t less the mean time the chain from infinity takes to come down to n0
+    def oracle():
+        return V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=1, r_max=0,
+                              ck_pairs=((0.5, 0.5),), ineq_ts=(), mc_reps=100_000, mc_n0=50)
+
+    assert oracle().ok
+    monkeypatch.setattr(dp, "mean_entry_time", lambda n0, theta: 0.0)
+    report = oracle()
+    assert [row.check for row in report.rows if not row.passed] == [
+        "pmf-vs-monte-carlo", "mc-start-sensitivity"]

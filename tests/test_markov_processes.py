@@ -344,10 +344,10 @@ class TestLagSlope:
         assert c.var_se == 0 and c.var_z == 0
 
     def test_z_without_spread(self):
-        assert mk._z(0.0, 0.0) == 0.0
-        assert mk._z(-1e-9, 0.0) == math.inf
-        assert mk._z(-1.0, 0.5) == 2.0
-        assert math.isnan(mk._z(math.nan, math.nan))
+        assert rm._z(0.0, 0.0) == 0.0
+        assert rm._z(-1e-9, 0.0) == math.inf
+        assert rm._z(-1.0, 0.5) == 2.0
+        assert math.isnan(rm._z(math.nan, math.nan))
 
     def test_constant_start_gives_nan(self):
         fit = mk._lag_slope(np.ones(5), np.arange(5.0))

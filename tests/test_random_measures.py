@@ -288,24 +288,31 @@ class TestMeanIdentity:
     def test_uniform_interval(self):
         r = check_mean_identity(1.0, UniformBase(), Interval(0.0, 0.5), 100_000,
                                 DEFAULT_TRUNCATION, np.random.default_rng(7))
-        assert r.residual < 4 * r.stderr
+        assert r.after_steps == 0 and r.reps == 100_000
+        assert r.mean_z < 4
 
     def test_whole_space_exact(self):
         r = check_mean_identity(1.0, UniformBase(), WholeSpace(), 500,
                                 DEFAULT_TRUNCATION, np.random.default_rng(7))
-        assert r.residual == 0.0
+        assert r.mean == r.mean_target == 1.0 and r.mean_z == 0.0
 
     def test_empty_exact(self):
         r = check_mean_identity(1.0, UniformBase(), EmptySet(), 500,
                                 DEFAULT_TRUNCATION, np.random.default_rng(7))
-        assert r.residual == 0.0
+        assert r.mean == r.mean_target == 0.0 and r.mean_z == 0.0
 
     def test_discrete_base(self):
         base = DiscreteBase(weights=(0.25, 0.75))
         r = check_mean_identity(2.0, base, AtomSet({0}), 60_000,
                                 DEFAULT_TRUNCATION, np.random.default_rng(8))
-        assert r.expected == 0.25
-        assert r.residual < 4 * r.stderr
+        assert r.mean_target == 0.25
+        assert r.mean_z < 4
+
+    @pytest.mark.parametrize("check", [check_mean_identity, check_mixture_identity])
+    def test_one_rep_has_no_standard_error(self, check):
+        with pytest.raises(ValueError, match="reps must be >= 2"):
+            check(1.0, UniformBase(), Interval(0.0, 0.5), 1, DEFAULT_TRUNCATION,
+                  np.random.default_rng(7))
 
 
 class TestMixtureIdentity:
@@ -345,6 +352,10 @@ class TestPriorVariance:
             c = vals - vals.mean()
             se = math.sqrt(max((c**4).mean() - var**2, 0) / reps)
             assert_within_se(var, target, se, label=f"var theta={theta}")
+            # the prior check reads the same moments off the same batch
+            r = check_mean_identity(theta, UniformBase(), Interval(0.0, 0.5), reps,
+                                    DEFAULT_TRUNCATION, np.random.default_rng(11))
+            assert (r.var, r.var_se, r.var_target) == (var, se, target)
 
     def test_oracle_matches_closed_form(self):
         for theta in (0.5, 1.0, 4.0):
