@@ -18,7 +18,7 @@ from typing import Optional, Union
 import mpmath
 import numpy as np
 
-from . import polya_urn
+from . import parallel, polya_urn
 # binomial, falling_factorial and rising_factorial are unused here but stay
 # importable: bench/tracing.py rebinds this module's combinatorics names
 from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product  # noqa: F401
@@ -477,7 +477,8 @@ class EmpiricalPmf:
     stderr: np.ndarray
 
 
-_MC_CHUNK_TARGET = 5_000_000  # floats per simulation chunk
+_MC_CHUNK_TARGET = 5_000_000  # floats per simulation chunk, one substream each
+_MC_BLOCK_ROWS = 256  # rows drawn at once inside a chunk, about L2-sized
 
 
 def mean_entry_time(n0: int, theta: float) -> float:
@@ -514,8 +515,9 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
     With ``entry_compensation`` each run's clock is discounted by the mean
     entry time of the infinite-start chain into its start state, so the
     counts estimate the infinite-start law with O(1/n0^3) bias instead of
-    O(1/n0).  Chunks draw from independently spawned substreams, so the
-    result for a fixed generator is identical however chunks are scheduled.
+    O(1/n0).  Chunks draw from independently spawned substreams and run as
+    parallel jobs; the result for a fixed generator is identical however
+    the chunks are scheduled.
     """
     lowest = 2 if theta == 0 else 1
     _, rates_low = _hold_rates(theta, n0, lowest)
@@ -532,22 +534,34 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
     chunk = max(1, _MC_CHUNK_TARGET // start_hi)
     nchunks = -(-reps // chunk)
     streams = rng.spawn(2 * nchunks if paired_double else nchunks)
+
+    def run_chunk(i):
+        # a Generator fills row-major, so drawing a chunk's rows one block at
+        # a time reproduces a single (rows, states) draw of the whole chunk
+        c = min(chunk, reps - i * chunk)
+        counts = np.zeros(n0 + 1, dtype=np.int64)
+        counts_hi = np.zeros(2 * n0 + 1, dtype=np.int64) if paired_double else None
+        for lo in range(0, c, _MC_BLOCK_ROWS):
+            rows = min(_MC_BLOCK_ROWS, c - lo)
+            reach = streams[i].standard_exponential((rows, rates_low.size))
+            reach /= rates_low
+            np.cumsum(reach, axis=1, out=reach)
+            counts += np.bincount(n0 - (reach <= t_low).sum(axis=1), minlength=n0 + 1)
+            if paired_double:
+                reach_hi = streams[nchunks + i].standard_exponential((rows, rates_high.size))
+                reach_hi /= rates_high
+                np.cumsum(reach_hi, axis=1, out=reach_hi)
+                reach += reach_hi[:, -1:]
+                jumps = (reach_hi <= t_hi).sum(axis=1) + (reach <= t_hi).sum(axis=1)
+                counts_hi += np.bincount(2 * n0 - jumps, minlength=2 * n0 + 1)
+        return counts, counts_hi
+
     counts = np.zeros(n0 + 1, dtype=np.int64)
     counts_hi = np.zeros(2 * n0 + 1, dtype=np.int64) if paired_double else None
-    done = 0
-    for i in range(nchunks):
-        c = min(chunk, reps - done)
-        h_low = streams[i].standard_exponential((c, rates_low.size)) / rates_low
-        reach = np.cumsum(h_low, axis=1)
-        states = n0 - (reach <= t_low).sum(axis=1)
-        counts += np.bincount(states, minlength=n0 + 1)
+    for chunk_counts, chunk_counts_hi in parallel.map_jobs(run_chunk, range(nchunks)):
+        counts += chunk_counts
         if paired_double:
-            h_high = streams[nchunks + i].standard_exponential((c, rates_high.size)) / rates_high
-            reach_hi = np.cumsum(h_high, axis=1)
-            offset = reach_hi[:, -1]
-            jumps = (reach_hi <= t_hi).sum(axis=1) + (reach + offset[:, None] <= t_hi).sum(axis=1)
-            counts_hi += np.bincount(2 * n0 - jumps, minlength=2 * n0 + 1)
-        done += c
+            counts_hi += chunk_counts_hi
     return (counts, counts_hi) if paired_double else counts
 
 
@@ -593,6 +607,8 @@ def mc_death_pmf_sensitivity(t: float, params: DeathParams, n0: int, reps: int,
     pmf shift, in absolute terms and in units of the joint standard error."""
     if n0 < 2:
         raise ValueError("n0 must be >= 2")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     theta = float(params.theta)
     counts, counts_hi = _death_chain_counts(t, theta, n0, reps, rng, paired_double=True)
     probs = counts / reps

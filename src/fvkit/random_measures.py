@@ -444,22 +444,31 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
         StickBreakingParams(lambda j: 1.0, lambda j: total[:, None]), trunc, rng)
     # a stick at u < theta is fresh, else it lands on conditioning atom
     # floor(u - theta), clipped to n - 1
-    u = rng.random(rho.shape) * total[:, None]
+    u = rng.random(rho.shape)
+    u *= total[:, None]
     fresh = u < theta
-    pick = np.minimum(np.maximum(u - theta, 0.0).astype(np.int64), n[:, None] - 1)
+    if atom_ids.size:
+        # index of the picked atom in the flat arrays.  A row with n = 0 has
+        # only fresh sticks, so its picks of -1 land on cells that the fresh
+        # draws overwrite
+        u -= theta
+        pick = np.maximum(u, 0.0, out=u).astype(np.int64)
+        np.minimum(pick, n[:, None] - 1, out=pick)
+        pick += (np.cumsum(n) - n)[:, None]
+    del u
     f_ids, f_xs = base.sample_batch(rng, int(fresh.sum()), first_id)
-    # index of the picked atom in the flat arrays.  A row with n = 0 has only
-    # fresh sticks, so its picks of -1 land on cells that the fresh draws
-    # overwrite
-    pick += (np.cumsum(n) - n)[:, None]
+    every_fresh = f_ids.size == fresh.size
 
     def place(fresh_vals, atom_vals, dtype):
+        if every_fresh:
+            return np.asarray(fresh_vals, dtype=dtype).reshape(rho.shape)
         out = (np.asarray(atom_vals, dtype=dtype)[pick] if atom_vals.size
                else np.empty(rho.shape, dtype=dtype))
         out[fresh] = fresh_vals
         return out
 
     ids = place(f_ids, atom_ids, np.int64)
+    del f_ids
     if base.kind == "continuous":
         xs = place(f_xs, atom_xs, float)
     else:

@@ -17,6 +17,7 @@ import numpy as np
 from . import combinatorics as comb
 from . import death_process as dp
 from . import markov_processes as mk
+from . import parallel
 from . import polya_urn as urn
 from . import random_measures as rm
 
@@ -187,17 +188,21 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
 
 def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
                     sigma: float = 0.5) -> VerifyReport:
-    rows = []
     base = rm.UniformBase()
     A = rm.Interval(0.0, 0.5)
-    for theta in thetas:
+
+    def theta_rows(theta):
+        # each theta draws from a stream of its own, so thetas run as jobs
         rng = np.random.default_rng(seed)
         prior = rm.check_mean_identity(theta, base, A, reps, rm.DEFAULT_TRUNCATION, rng)
-        rows.append(_z_row("prior-mean-identity", f"theta={theta},A=[0,0.5)", prior.mean_z))
         mx = rm.check_mixture_identity(theta, base, A, reps, rm.DEFAULT_TRUNCATION, rng)
-        rows.append(_z_row("mixture-first-moment", f"theta={theta}", mx.mean_diff / mx.mean_se))
-        rows.append(_z_row("mixture-second-moment", f"theta={theta}", mx.second_diff / mx.second_se))
-        rows.append(_z_row("prior-variance", f"theta={theta}", prior.var_z))
+        return [_z_row("prior-mean-identity", f"theta={theta},A=[0,0.5)", prior.mean_z),
+                _z_row("mixture-first-moment", f"theta={theta}", mx.mean_diff / mx.mean_se),
+                _z_row("mixture-second-moment", f"theta={theta}",
+                       mx.second_diff / mx.second_se),
+                _z_row("prior-variance", f"theta={theta}", prior.var_z)]
+
+    rows = [row for job in parallel.map_jobs(theta_rows, thetas) for row in job]
     pd_params = rm.StickBreakingParams.poisson_dirichlet(sigma, 0.0 if sigma else 1.0)
     for check, instance, params in (
             ("summability-dp", "theta=1,J=1e4", rm.StickBreakingParams.dp(1.0)),

@@ -106,6 +106,13 @@ class TestMcSensitivity:
         with pytest.raises(ValueError):
             mc_death_pmf(1.0, P1, n0=1, reps=10, rng=rng)
 
+    @pytest.mark.parametrize("reps", [0, -5])
+    def test_rejects_reps_below_one(self, rng, reps):
+        # no replicates would read as a pass: a NaN or zero shift, z = 0
+        for oracle in (mc_death_pmf, mc_death_pmf_sensitivity):
+            with pytest.raises(ValueError, match="reps"):
+                oracle(1.0, P1, n0=10, reps=reps, rng=rng)
+
 
 class TestSampleDeathCount:
     def test_frequencies(self, rng):

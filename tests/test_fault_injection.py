@@ -71,6 +71,22 @@ def test_series_sign_flipped(monkeypatch):
         dp._death_pmf_cached.cache_clear()
 
 
+def test_hold_rate_off_by_one(monkeypatch):
+    # the oracle's chain leaves state n at rate n(n + theta)/2 instead of
+    # n(n - 1 + theta)/2, so it dies too fast.  The series rows never see
+    # the oracle, and the n0-doubling row compares two runs of the same
+    # wrong chain
+    assert _death_with_oracle().ok
+
+    def shifted(theta, hi, lo):
+        states = np.arange(hi, lo - 1, -1)
+        return states, 0.5 * states * (states + theta)
+
+    monkeypatch.setattr(dp, "_hold_rates", shifted)
+    report = _death_with_oracle()
+    assert [row.check for row in report.rows if not row.passed] == ["pmf-vs-monte-carlo"]
+
+
 def _fv_processes():
     return V.verify_processes(reps=3000, seed=11, thetas=(1.0, 4.0), chain_ns=(1,),
                               fv_ts=(0.2, 0.5), checkpoints=(1,))

@@ -1,0 +1,107 @@
+"""Jobs on several threads give what one thread gives: the oracle's chunks
+and the measure suite's thetas each draw from their own stream."""
+import threading
+
+import numpy as np
+import pytest
+
+from fvkit import death_process as dp
+from fvkit import parallel
+from fvkit import verify as V
+
+
+def _serial_map(fn, jobs):
+    return list(map(fn, jobs))
+
+
+def _threaded_and_serial(monkeypatch, run):
+    # several threads even on a one-core machine, then a plain map
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+    threaded = run()
+    monkeypatch.setattr(parallel, "map_jobs", _serial_map)
+    return threaded, run()
+
+
+class TestMapJobs:
+    def test_results_in_job_order(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+        assert parallel.map_jobs(lambda x: x * x, range(20)) == [x * x for x in range(20)]
+
+    def test_no_jobs(self):
+        assert parallel.map_jobs(pytest.fail, []) == []
+
+    def test_one_job_runs_in_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+        assert parallel.map_jobs(lambda _: threading.get_ident(), [0]) == [
+            threading.get_ident()]
+
+    def test_several_jobs_leave_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+        idents = parallel.map_jobs(lambda _: threading.get_ident(), range(4))
+        assert threading.get_ident() not in idents
+
+    def test_one_core_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+        assert set(parallel.map_jobs(lambda _: threading.get_ident(), range(3))) == {
+            threading.get_ident()}
+
+    def test_job_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+        with pytest.raises(ZeroDivisionError):
+            parallel.map_jobs(lambda x: 1 / x, [1, 0, 2])
+
+
+def _oracle(t, theta, n0, reps, paired, comp):
+    out = dp._death_chain_counts(t, theta, n0, reps, np.random.default_rng(5),
+                                 paired_double=paired, entry_compensation=comp)
+    return out if paired else (out,)
+
+
+def _whole_chunk_counts(t, theta, n0, reps, paired, comp):
+    # the oracle with one (rows, states) draw per chunk substream
+    _, rates = dp._hold_rates(theta, n0, 2 if theta == 0 else 1)
+    _, rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
+    t_low = t - dp.mean_entry_time(n0, theta) if comp else t
+    t_hi = t - dp.mean_entry_time(2 * n0, theta) if comp else t
+    chunk = max(1, dp._MC_CHUNK_TARGET // (2 * n0 if paired else n0))
+    nchunks = -(-reps // chunk)
+    streams = np.random.default_rng(5).spawn(2 * nchunks if paired else nchunks)
+    counts = np.zeros(n0 + 1, dtype=np.int64)
+    counts_hi = np.zeros(2 * n0 + 1, dtype=np.int64)
+    for i in range(nchunks):
+        c = min(chunk, reps - i * chunk)
+        reach = np.cumsum(streams[i].standard_exponential((c, rates.size)) / rates, axis=1)
+        counts += np.bincount(n0 - (reach <= t_low).sum(axis=1), minlength=n0 + 1)
+        if paired:
+            h_hi = streams[nchunks + i].standard_exponential((c, rates_hi.size)) / rates_hi
+            reach_hi = np.cumsum(h_hi, axis=1)
+            jumps = ((reach_hi <= t_hi).sum(axis=1)
+                     + (reach + reach_hi[:, -1:] <= t_hi).sum(axis=1))
+            counts_hi += np.bincount(2 * n0 - jumps, minlength=2 * n0 + 1)
+    return (counts, counts_hi) if paired else (counts,)
+
+
+# (t, theta, n0, reps, paired_double, entry_compensation).  At n0 = 5000 a
+# chunk is 1000 rows (500 paired), neither a multiple of the 256-row block,
+# and reps is not a multiple of the chunk
+@pytest.mark.parametrize("case", [
+    (0.8, 0.0, 300, 3000, False, True),
+    (0.8, 0.0, 300, 3000, True, True),
+    (1.0, 1.0, 5000, 2500, False, True),
+    (1.0, 4.0, 5000, 1300, True, True),
+    (0.7, 1.0, 3, 1000, False, False),
+])
+def test_oracle_counts_match_serial_and_whole_chunks(monkeypatch, case):
+    threaded, serial = _threaded_and_serial(monkeypatch, lambda: _oracle(*case))
+    for a, b, whole in zip(threaded, serial, _whole_chunk_counts(*case), strict=True):
+        assert np.array_equal(a, b) and np.array_equal(a, whole)
+    if case[1] == 0:
+        assert threaded[0][0] == 0 and threaded[0][1] > 0  # state 1 absorbs
+
+
+def test_measure_rows_match_serial(monkeypatch):
+    threaded, serial = _threaded_and_serial(
+        monkeypatch, lambda: V.verify_measures(reps=500, seed=7))
+    assert threaded == serial
+    assert [r.instance for r in threaded.rows[:12:4]] == [
+        f"theta={theta},A=[0,0.5)" for theta in (0.5, 1.0, 4.0)]
