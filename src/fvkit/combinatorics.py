@@ -100,131 +100,54 @@ def stirling1_unsigned(n: int, k: int) -> int:
     return _STIRLING.value(n, k)
 
 
-class RationalPolynomial:
-    """Univariate polynomial with exact rational coefficients.
-
-    Coefficient i is the coefficient of theta^i.  Trailing zeros are
-    trimmed on construction, so the zero polynomial has no coefficients
-    and equality is plain coefficient equality.
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients=()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
-
-    @classmethod
-    def constant(cls, c: Rational) -> "RationalPolynomial":
-        return cls([c])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return RationalPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RationalPolynomial(out)
-
-    def scale(self, c: Rational) -> "RationalPolynomial":
-        return RationalPolynomial([Fraction(c) * x for x in self.coefficients])
-
-    def evaluate(self, x: Rational) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self) -> str:
-        return f"RationalPolynomial({list(self.coefficients)!r})"
-
-
-def rising_factorial_poly(offset: Rational, m: int) -> RationalPolynomial:
-    """The polynomial (theta + offset)(theta + offset + 1)...(theta + offset + m - 1)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    out = RationalPolynomial([1])
-    for i in range(m):
-        out = out * RationalPolynomial([Fraction(offset) + i, 1])
-    return out
+def rising_expansion(p: int, q: int, r: int, m: int) -> int:
+    """q**(m-r) (theta+r)_(m-r) at theta = p/q, summed through the expansion
+    (theta+r)_(m-r) = sum_k k! C(k+r-1, k) C(m-r, k) theta_(m-r-k), which
+    holds for 1 <= r <= m: the integer numerator of each theta_(m-r-k) is
+    over q**(m-r-k), so term k carries q**k."""
+    if not 0 < r <= m:
+        raise ValueError("need m >= r > 0")
+    total = 0
+    fact_k = 1
+    for k in range(m - r + 1):
+        if k > 0:
+            fact_k *= k
+        total += (fact_k * binomial(k + r - 1, k) * binomial(m - r, k)
+                  * rising_product(p, q, m - r - k) * q**k)
+    return total
 
 
 def check_vanishing_alternating_sum(k: int, r: int, phi: Rational) -> bool:
     """Check that sum_{l=0}^{k} (-1)^(k-l) C(k,l) (phi+l)_(k-r) is exactly 0.
 
     The summand is a degree k-r polynomial in l with k-r < k, so the k-th
-    order alternating binomial difference annihilates it.  Requires
-    1 <= r <= k.
+    order alternating binomial difference annihilates it.  With phi = p/q
+    every term is an integer numerator over the common q**(k-r), so the
+    numerators are summed.  Requires 1 <= r <= k.
     """
     if not 1 <= r <= k:
         raise ValueError("need 1 <= r <= k")
     phi = Fraction(phi)
-    total = Fraction(0)
+    p, q = phi.numerator, phi.denominator
+    total = 0
     for l in range(k + 1):
         sign = -1 if (k - l) % 2 else 1
-        total += sign * binomial(k, l) * rising_factorial(phi + l, k - r)
+        total += sign * binomial(k, l) * rising_product(p + l * q, q, k - r)
     return total == 0
 
 
-def _shifted_rising_expansion_lhs(m: int, r: int) -> RationalPolynomial:
-    # sum_{k=0}^{m-r} k! C(k+r-1,k) C(m-r,k) theta_(m-r-k), as a polynomial in theta
-    total = RationalPolynomial()
-    fact_k = 1
-    for k in range(m - r + 1):
-        if k > 0:
-            fact_k *= k
-        coef = fact_k * binomial(k + r - 1, k) * binomial(m - r, k)
-        total = total + rising_factorial_poly(0, m - r - k).scale(coef)
-    return total
+def check_shifted_rising_factorial_expansion(m: int, r: int) -> bool:
+    """Check the expansion of (theta+r)_(m-r) as a weighted sum of theta_(j)
+    terms (``rising_expansion``) against the direct product.
 
-
-def check_shifted_rising_factorial_expansion(m: int, r: int, method: str = "coefficients") -> bool:
-    """Check the expansion of (theta+r)_(m-r) as a weighted sum of theta_(j) terms.
-
-    ``method="coefficients"`` compares both sides as polynomials in theta,
-    which establishes the identity for every theta at once.
-    ``method="points"`` instead evaluates both sides at degree+1 distinct
-    rationals, a cross-validation of the symbolic route.
+    Both sides are polynomials in theta of degree m-r, so agreeing at the
+    m-r+1 distinct points theta = (2i+1)/3 proves the identity for every
+    theta.  Each side is compared as its integer numerator over 3**(m-r).
     """
     if not 0 < r <= m:
         raise ValueError("need m >= r > 0")
-    lhs = _shifted_rising_expansion_lhs(m, r)
-    rhs = rising_factorial_poly(r, m - r)
-    if method == "coefficients":
-        return lhs == rhs
-    if method == "points":
-        deg = m - r
-        points = [Fraction(2 * i + 1, 3) for i in range(deg + 1)]
-        return all(lhs.evaluate(x) == rhs.evaluate(x) for x in points)
-    raise ValueError(f"unknown method {method!r}")
+    return all(rising_expansion(2 * i + 1, 3, r, m) == rising_product(2 * i + 1 + 3 * r, 3, m - r)
+               for i in range(m - r + 1))
 
 
 def check_stirling_convolution(a: int, b: int, c: int) -> bool:

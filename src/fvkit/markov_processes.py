@@ -119,16 +119,17 @@ def _step_rows(rows: MeasureRows, cfg, rng: np.random.Generator) -> MeasureRows:
                            int(rows.ids.max(initial=0)) + 1)
 
 
-def measure_chain_step(mu: DiscreteMeasure, cfg: MeasureChainConfig,
+def measure_chain_step(mu: DiscreteMeasure, cfg: MeasureChainConfig | FvConfig,
                        rng: np.random.Generator) -> DiscreteMeasure:
+    """One step of the chain that cfg names: cfg.n atom draws from mu for
+    the measure chain, or for the FV transition of duration cfg.t a count
+    drawn from the death pmf (a count of 0 is a fresh prior draw); the
+    drawn atoms condition one posterior draw.  ``fv_step`` is this
+    function."""
     return _step_rows(MeasureRows.of(mu), cfg, rng).measure()
 
 
-def fv_step(mu: DiscreteMeasure, cfg: FvConfig, rng: np.random.Generator) -> DiscreteMeasure:
-    """One transition of duration cfg.t: draw the conditioning count from
-    the death pmf, then run the measure-chain step with that count.  A
-    count of 0 is a fresh prior draw."""
-    return _step_rows(MeasureRows.of(mu), cfg, rng).measure()
+fv_step = measure_chain_step
 
 
 def stationary_measure(theta: float, base: BaseMeasure,
@@ -165,9 +166,8 @@ def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
         x = Point(int(ids[-1]), float(xs[-1])) if cfg.base.kind == "continuous" else int(ids[-1])
         return (out, x) if return_state else out
     mu = stationary_measure(cfg.theta, cfg.base, cfg.trunc, rng)
-    step = measure_chain_step if kind == "measure-chain" else fv_step
     for i in range(steps):
-        mu = step(mu, cfg, rng)
+        mu = measure_chain_step(mu, cfg, rng)
         out[i] = [mu.mass(A) for A in observables]
     return (out, mu) if return_state else out
 

@@ -16,7 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product
+from .combinatorics import (binomial, falling_factorial, rising_expansion, rising_factorial,
+                            rising_product)
 
 BRUTEFORCE_PATH_BUDGET = 10**7
 
@@ -146,19 +147,6 @@ def _check_exact_args(m: int, n: int, theta) -> Fraction:
     return theta
 
 
-def _shifted_rising_numerator(p: int, q: int, r: int, m: int, via_expansion: bool) -> int:
-    # q**(m-r) * (theta+r)_(m-r) for theta = p/q.  via_expansion recomputes
-    # it as the weighted sum of plain rising factorials theta_(m-r-k) that
-    # expands it, which holds for r >= 1.
-    if not via_expansion or r == 0:
-        return rising_product(p + r * q, q, m - r)
-    total = 0
-    for k in range(m - r + 1):
-        total += (math.factorial(k) * binomial(k + r - 1, k) * binomial(m - r, k)
-                  * rising_product(p, q, m - r - k) * q**k)
-    return total
-
-
 def overlap_entry(r: int, m: int, n: int, theta: Fraction,
                   via_expansion: bool = False) -> tuple[int, int]:
     """P(r | m, n) for theta > 0 through the direct form
@@ -171,8 +159,10 @@ def overlap_entry(r: int, m: int, n: int, theta: Fraction,
     combinatorial expansion, tying the entry to the underlying identity.
     """
     p, q = theta.numerator, theta.denominator
-    num = (falling_factorial(n, r) * binomial(m, r) * q**r
-           * _shifted_rising_numerator(p, q, r, m, via_expansion))
+    # q**(m-r) (theta+r)_(m-r); the expansion holds for r >= 1 only
+    shifted = (rising_expansion(p, q, r, m) if via_expansion and r
+               else rising_product(p + r * q, q, m - r))
+    num = falling_factorial(n, r) * binomial(m, r) * q**r * shifted
     return num, rising_product(p + n * q, q, m)
 
 

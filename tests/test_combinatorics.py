@@ -5,14 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fvkit.combinatorics import (
-    RationalPolynomial,
     binomial,
     check_shifted_rising_factorial_expansion,
     check_stirling_convolution,
     check_vanishing_alternating_sum,
     falling_factorial,
+    rising_expansion,
     rising_factorial,
-    rising_factorial_poly,
+    rising_product,
     stirling1_unsigned,
 )
 
@@ -109,35 +109,6 @@ class TestStirling:
             small.value(9, 2)
 
 
-class TestRationalPolynomial:
-    def test_rising_poly_examples(self):
-        assert rising_factorial_poly(0, 1).coefficients == (0, 1)
-        assert rising_factorial_poly(1, 2).coefficients == (2, 3, 1)
-
-    def test_rising_poly_coefficients_are_stirling(self):
-        for m in range(10):
-            coeffs = rising_factorial_poly(0, m).coefficients
-            for k, c in enumerate(coeffs):
-                assert c == stirling1_unsigned(m, k)
-
-    def test_zero_polynomial_trimming(self):
-        assert RationalPolynomial([0, 0]).coefficients == ()
-        assert RationalPolynomial([1, 2, 0]).coefficients == (1, 2)
-        assert RationalPolynomial().degree == -1
-
-    @given(st.lists(rationals, max_size=6), st.lists(rationals, max_size=6), rationals)
-    def test_ring_ops_match_evaluation(self, a, b, x):
-        pa, pb = RationalPolynomial(a), RationalPolynomial(b)
-        assert (pa + pb).evaluate(x) == pa.evaluate(x) + pb.evaluate(x)
-        assert (pa - pb).evaluate(x) == pa.evaluate(x) - pb.evaluate(x)
-        assert (pa * pb).evaluate(x) == pa.evaluate(x) * pb.evaluate(x)
-
-    @given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5))
-    def test_mul_commutes(self, a, b):
-        pa, pb = RationalPolynomial(a), RationalPolynomial(b)
-        assert pa * pb == pb * pa
-
-
 class TestVanishingAlternatingSum:
     def test_k1(self):
         assert check_vanishing_alternating_sum(1, 1, Fraction(3, 2))
@@ -161,7 +132,7 @@ class TestVanishingAlternatingSum:
 
 class TestShiftedRisingExpansion:
     def test_m_equals_r_is_trivially_one(self):
-        assert rising_factorial_poly(5, 0).coefficients == (1,)
+        assert rising_expansion(4, 3, 5, 5) == 1
         assert check_shifted_rising_factorial_expansion(7, 7)
 
     def test_examples(self):
@@ -169,16 +140,28 @@ class TestShiftedRisingExpansion:
         assert check_shifted_rising_factorial_expansion(12, 5)
 
     def test_grid_both_methods(self):
+        # the check at its points theta = (2i+1)/3, and the kernel at the
+        # integer points theta = -m..m, roots of the direct product included
         for m in range(1, 11):
             for r in range(1, m + 1):
                 assert check_shifted_rising_factorial_expansion(m, r)
-                assert check_shifted_rising_factorial_expansion(m, r, method="points")
+                for p in range(-m, m + 1):
+                    assert rising_expansion(p, 1, r, m) == rising_product(p + r, 1, m - r)
+
+    @given(rationals, st.integers(1, 14), st.integers(0, 14))
+    def test_kernel_is_the_shifted_rising_factorial(self, theta, r, extra):
+        # any rational theta, negative ones included, at its own denominator
+        m = r + extra
+        p, q = theta.numerator, theta.denominator
+        assert rising_expansion(p, q, r, m) == rising_factorial(theta + r, m - r) * q ** (m - r)
 
     def test_rejects(self):
         with pytest.raises(ValueError):
             check_shifted_rising_factorial_expansion(3, 0)
         with pytest.raises(ValueError):
             check_shifted_rising_factorial_expansion(3, 4)
+        with pytest.raises(ValueError):
+            rising_expansion(1, 1, 0, 3)
 
 
 class TestStirlingConvolution:

@@ -1,9 +1,14 @@
 """Fault injection: each test plants one known bug and asserts that the
 verification rows meant to catch it go red, on grids small enough to run
 in seconds.  Each suite first runs unpatched on the same grid as a control."""
+import math
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
+from fvkit import combinatorics as comb
 from fvkit import death_process as dp
 from fvkit import markov_processes as mk
 from fvkit import polya_urn as urn
@@ -49,6 +54,30 @@ def test_overlap_entry_perturbed_at_r1(monkeypatch):
     assert not _failing(report, "theta0-forms-agree")
 
 
+def test_expansion_coefficient_shifted(monkeypatch):
+    # the expansion kernel weighs theta_(m-r-k) by C(k+r, k) instead of
+    # C(k+r-1, k).  At m = r the sum is its single term 1, so only those
+    # criterion-1 rows stay green; the urn rows that take the expansion
+    # route go red wherever some 1 <= r < m is in the pmf's support
+    assert V.verify_combinatorics().ok and _small_urn().ok
+
+    def shifted(p, q, r, m):
+        return sum(math.factorial(k) * math.comb(k + r, k) * math.comb(m - r, k)
+                   * comb.rising_product(p, q, m - r - k) * q**k for k in range(m - r + 1))
+
+    monkeypatch.setattr(comb, "rising_expansion", shifted)
+    monkeypatch.setattr(urn, "rising_expansion", shifted)
+    report = V.verify_combinatorics()
+    assert _failing(report, "shifted-rising-expansion") == [
+        f"m={m},r={r}" for m in range(1, 16) for r in range(1, m)]
+    assert {row.check for row in report.rows if not row.passed} == {"shifted-rising-expansion"}
+    report = _small_urn()
+    assert _failing(report, "expansion-route-identical") == [
+        f"m={m},n={n},theta={theta}" for theta in (1, Fraction(7, 2))
+        for m in range(6) for n in range(6) if m >= 2 and n >= 1]
+    assert {row.check for row in report.rows if not row.passed} == {"expansion-route-identical"}
+
+
 def _death_with_oracle():
     return V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=3, r_max=1,
                           ck_pairs=((0.5, 0.5),), ineq_ts=(0.5,), mc_reps=20_000, mc_n0=100)
@@ -69,6 +98,29 @@ def test_series_sign_flipped(monkeypatch):
             _death_with_oracle()
     finally:
         dp._death_pmf_cached.cache_clear()
+
+
+def test_series_hold_rate_off_by_one(monkeypatch):
+    # the series factor gamma_m decays at the rate m(m + theta)/2 instead of
+    # m(m - 1 + theta)/2, the slip test_hold_rate_off_by_one plants in the
+    # oracle.  The Chapman-Kolmogorov row composes the wrong pmf with
+    # itself, the non-absorption bounds still hold, and the n0-doubling row
+    # compares two oracle runs that never read the series
+    assert _death_with_oracle().ok
+
+    def shifted(m, theta, t):
+        lam_t = Fraction(m, 2) * (m + theta) * t
+        return (2 * m - 1 + dp._mpf_frac(theta)) * mpmath.exp(-dp._mpf_frac(lam_t))
+
+    monkeypatch.setattr(dp, "_gamma_factor", shifted)
+    dp._death_pmf_cached.cache_clear()
+    try:
+        report = _death_with_oracle()
+    finally:
+        dp._death_pmf_cached.cache_clear()
+    assert list(dict.fromkeys(row.check for row in report.rows if not row.passed)) == [
+        "survival-identity", "single-death-identity", "transition-vs-closed-form",
+        "pmf-vs-monte-carlo"]
 
 
 def test_hold_rate_off_by_one(monkeypatch):
