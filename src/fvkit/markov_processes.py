@@ -190,14 +190,27 @@ def _lag_slope(u: np.ndarray, v: np.ndarray) -> dict:
 def stationarity_checks(kind: str, cfg, A: TestSet, reps: int,
                         checkpoints: Sequence[int], rng: np.random.Generator):
     """Start reps rows at stationary draws, step them together, and test
-    the observable's mean and variance at the requested checkpoints, and
-    the lag identity E[mu_k(A) | mu_0(A) = u] = p + (u - p) rho**k, with
-    rho = n/(theta+n) for the measure chain and exp(-theta t/2) for FV."""
+    the observable's mean and variance at the requested checkpoints, the
+    lag identity E[mu_k(A) | mu_0(A) = u] = p + (u - p) rho**k, with
+    rho = n/(theta+n) for the measure chain and exp(-theta t/2) for FV, and
+    its degree-2 form E[f2(mu_k(A)) | mu_0(A) = u] = rho2**k f2(u).
+
+    Here f2(x) = x**2 + c1 x + c0, with c1 = -2(1 + theta p)/(2 + theta)
+    and c0 = -theta p c1/(2(1 + theta)), is the degree-2 eigenfunction of
+    mu(A)'s Wright-Fisher diffusion with mutation (theta p, theta(1-p)),
+    with rho2 = exp(-(1+theta) t) for FV and n(n-1)/((theta+n)(theta+n+1))
+    for the measure chain.  The lag slope sees the death-count law only
+    through E[N/(theta+N)]; rho2 sees its second factorial moment too."""
     if kind not in ("measure-chain", "fv"):
         raise ValueError("stationarity harness covers the measure-valued chains")
-    rho = math.exp(-cfg.theta * cfg.t / 2) if kind == "fv" else cfg.n / (cfg.theta + cfg.n)
+    th = cfg.theta
+    if kind == "fv":
+        rho, rho2 = math.exp(-th * cfg.t / 2), math.exp(-(1 + th) * cfg.t)
+    else:
+        n = cfg.n
+        rho, rho2 = n / (th + n), n * (n - 1) / ((th + n) * (th + n + 1))
     marks = sorted(set(checkpoints))
-    rows = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
+    rows = _dirichlet_rows(th, cfg.base, reps, cfg.trunc, rng)
     start = rows.mass(A)
     vals = {}
     for k in range(1, marks[-1] + 1):
@@ -205,8 +218,20 @@ def stationarity_checks(kind: str, cfg, A: TestSet, reps: int,
         if k in marks:
             vals[k] = rows.mass(A)
     p = cfg.base.measure(A)
-    return [replace(_moment_check(vals[m], m, p, cfg.theta), slope_target=rho**m,
-                    **_lag_slope(start, vals[m])) for m in marks]
+    c1 = -2 * (1 + th * p) / (2 + th)
+    c0 = -th * p * c1 / (2 * (1 + th))
+
+    def f2(x):
+        return x * (x + c1) + c0
+
+    checks = []
+    for m in marks:
+        eigen2 = _lag_slope(f2(start), f2(vals[m]))
+        checks.append(replace(_moment_check(vals[m], m, p, th), slope_target=rho**m,
+                              **_lag_slope(start, vals[m]),
+                              eigen2_slope=eigen2["slope"], eigen2_slope_se=eigen2["slope_se"],
+                              eigen2_slope_target=rho2**m))
+    return checks
 
 
 def _ks_2samp_equal(x, y) -> tuple[float, float]:

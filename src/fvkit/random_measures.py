@@ -149,10 +149,9 @@ class StickBreakingParams:
     """Beta(alpha_j, beta_j) stick proportions, j = 1, 2, ...
 
     ``alpha`` and ``beta`` are called on an int64 array of stick indices and
-    return an array of that shape, a scalar, or an array that broadcasts
-    against it with leading axes of independent rows (a ``(rows, 1)`` array
-    of total masses breaks one DP stick sequence per row).  ``dp(theta)``
-    and ``poisson_dirichlet(sigma, theta)`` build the two standard presets."""
+    return an array of that shape or a scalar.  ``dp(theta)`` and
+    ``poisson_dirichlet(sigma, theta)`` build the two standard presets;
+    batched Dirichlet-process rows take ``_dp_sticks`` instead."""
 
     alpha: Callable[[np.ndarray], Union[np.ndarray, float]]
     beta: Callable[[np.ndarray], Union[np.ndarray, float]]
@@ -178,8 +177,8 @@ class StickBreakingParams:
     def shape_arrays(self, j0: int, count: int):
         js = np.arange(j0, j0 + count, dtype=np.int64)
         a, b = self.alpha(js), self.beta(js)
-        ab = np.empty((2,) + np.broadcast(a, b, js).shape)
-        ab[0], ab[1] = a, b  # broadcasts a scalar or a column of rows
+        ab = np.empty((2, count))
+        ab[0], ab[1] = a, b  # broadcasts a scalar
         if ab.min() <= 0:
             raise ValueError("alpha_j and beta_j must be > 0")
         return ab[0], ab[1]
@@ -215,38 +214,78 @@ DEFAULT_TRUNCATION = StickTruncation.residual(1e-8)
 _STICK_BLOCK = 64
 
 
-def _break_sticks(a, b, rng: np.random.Generator, left=1.0):
-    """Beta(a, b) proportions broken along the last axis off a stick of
-    length ``left`` (one per row): the stick masses and cumprod(1 - w)."""
-    w = rng.beta(a, b)
-    keep = np.cumprod(1.0 - w, axis=-1)
-    rho = w * left
-    rho[..., 1:] *= keep[..., :-1]
-    return rho, keep
-
-
 def _stick_weights(params: StickBreakingParams, trunc: StickTruncation,
                    rng: np.random.Generator):
-    """Stick masses rho_j along the last axis and the leftover residual per
-    row: one block of k sticks, or blocks of _STICK_BLOCK until every row's
-    residual is below eps.  Rows are the leading axes of the params' shapes;
-    plain params give one 1-D row and a 0-d residual."""
+    """Stick masses rho_j and the leftover residual: one block of k sticks,
+    or blocks of _STICK_BLOCK until the residual is below eps."""
     block, cap = ((trunc.k, trunc.k) if trunc.k is not None
                   else (_STICK_BLOCK, trunc.max_sticks))
     blocks = []
     left = 1.0
     k = 0
-    while not blocks or trunc.eps is not None and left.max() >= trunc.eps:
+    while not blocks or trunc.eps is not None and left >= trunc.eps:
         if k >= cap:
-            raise StickBudgetError(
-                f"residual {np.max(left):g} still above {trunc.eps:g} after {k} sticks"
-            )
+            raise StickBudgetError(f"residual {left:g} still above {trunc.eps:g} after {k} sticks")
         count = min(block, cap - k)
-        rho, keep = _break_sticks(*params.shape_arrays(k + 1, count), rng, left=left)
+        w = rng.beta(*params.shape_arrays(k + 1, count))
+        keep = np.cumprod(1.0 - w)
+        rho = w * left
+        rho[1:] *= keep[:-1]
         blocks.append(rho)
-        left = left * keep[..., -1:]
+        left = left * keep[-1]
         k += count
-    return np.concatenate(blocks, axis=-1), left[..., 0]
+    return np.concatenate(blocks), left
+
+
+def _dp_sticks(total: np.ndarray, trunc: StickTruncation, rng: np.random.Generator):
+    """Dirichlet-process stick masses at total mass b = total[i] for row i,
+    flat in row order, with the row offsets and each row's residual.
+
+    A Beta(1, b) stick leaves 1 - w = exp(-E/b) of the stick, E standard
+    exponential, so after j sticks the residual is exp(-G_j/b), G_j the
+    j-th arrival of a unit-rate Poisson process.  The residual falls below
+    eps at the first arrival past L = b ln(1/eps): a row takes 1 + Poisson(L)
+    sticks, its arrivals below L are sorted uniforms on [0, L] (one flat
+    sort of the uniforms shifted by their row index, which costs each about
+    log2(rows) bits), and its last is L + Exp(1).  A fixed truncation gives
+    every row k sticks from cumulative exponentials.  Stick j weighs
+    exp(-G_{j-1}/b) (1 - exp(-(G_j - G_{j-1})/b)), so small sticks keep
+    full relative precision."""
+    rows = total.size
+    if trunc.k is not None:
+        counts = np.full(rows, trunc.k)
+        arrival = np.cumsum(rng.standard_exponential((rows, trunc.k)), axis=1).ravel()
+    else:
+        reach = total * -math.log(trunc.eps)
+        cap = trunc.max_sticks
+        if 1 + reach.max(initial=0.0) > cap:  # the mean count, before any draw
+            raise StickBudgetError(f"a residual below {trunc.eps:g} needs {1 + reach.max():.0f} "
+                                   f"sticks on average, over the cap of {cap}")
+        counts = 1 + rng.poisson(reach)
+        if counts.max(initial=0) > cap:  # a row's count, before any stick
+            raise StickBudgetError(f"a row drew {counts.max()} sticks, over the cap of {cap}")
+        row = np.repeat(np.arange(rows), counts - 1)
+        below = rng.random(row.size)
+        below += row
+        below.sort()
+        below -= row
+        below *= reach[row]
+        del row
+        arrival = np.insert(below, np.cumsum(counts - 1), reach + rng.standard_exponential(rows))
+        del below
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    starts = offsets[:-1]
+    # in place where it can be: the cells of a batch set a chain step's peak memory
+    arrival /= np.repeat(total, counts)  # G_j / b
+    rho = np.empty_like(arrival)  # the spacings G_j - G_{j-1}, then the masses
+    np.subtract(arrival[1:], arrival[:-1], out=rho[1:])
+    rho[starts] = arrival[starts]
+    np.negative(np.expm1(np.negative(rho, out=rho), out=rho), out=rho)  # 1 - exp(-spacing)
+    keep = np.exp(np.negative(arrival, out=arrival), out=arrival)
+    first = rho[starts]  # a row's first stick has nothing before it
+    rho[1:] *= keep[:-1]
+    rho[starts] = first
+    return rho, offsets, keep[offsets[1:] - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +344,30 @@ def _members(base_kind: str, ids: np.ndarray, xs, A: TestSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasureRows:
-    """A batch of atomic measures, one per row: atom ids, optional positions
-    and weights as (rows, K) arrays, and each row's residual.  Rows stay
-    unmerged (an id may repeat within a row); ``measure`` merges one row."""
+    """A batch of atomic measures, one per row, stored flat: row i's atom
+    ids, optional positions and weights are the slice
+    offsets[i]:offsets[i + 1] of ids, xs and weights, and residual[i] is
+    its residual.  Rows stay unmerged (an id may repeat within a row);
+    ``measure`` merges one row."""
 
     base_kind: str
     ids: np.ndarray
     xs: Optional[np.ndarray]
     weights: np.ndarray
+    offsets: np.ndarray
     residual: np.ndarray
 
     @staticmethod
     def of(mu: DiscreteMeasure) -> "MeasureRows":
         """The one-row batch holding mu."""
-        return MeasureRows(mu.base_kind, mu.ids[None], None if mu.xs is None else mu.xs[None],
-                           mu.weights[None], np.array([mu.residual]))
+        return MeasureRows(mu.base_kind, mu.ids, mu.xs, mu.weights,
+                           np.array([0, mu.ids.size]), np.array([mu.residual]))
 
     def measure(self, i: int = 0) -> DiscreteMeasure:
-        return _merge_atoms(self.base_kind, self.ids[i], None if self.xs is None else self.xs[i],
-                            self.weights[i], float(self.residual[i]))
+        cells = slice(self.offsets[i], self.offsets[i + 1])
+        return _merge_atoms(self.base_kind, self.ids[cells],
+                            None if self.xs is None else self.xs[cells],
+                            self.weights[cells], float(self.residual[i]))
 
     def mass(self, A: TestSet) -> np.ndarray:
         """mu(A) per row."""
@@ -331,8 +375,11 @@ class MeasureRows:
             return np.ones(self.residual.size)
         if isinstance(A, EmptySet):
             return np.zeros(self.residual.size)
-        sel = _members(self.base_kind, self.ids, self.xs, A)
-        return np.where(sel, self.weights, 0.0).sum(axis=1)
+        inside = np.where(_members(self.base_kind, self.ids, self.xs, A), self.weights, 0.0)
+        # reduceat sums from each start to the next; an empty row reads one
+        # cell, so it is zeroed
+        sums = np.add.reduceat(np.append(inside, 0.0), self.offsets[:-1])
+        return np.where(self.offsets[1:] > self.offsets[:-1], sums, 0.0)
 
 
 def _merge_atoms(base_kind: str, ids: np.ndarray, xs, weights: np.ndarray,
@@ -434,18 +481,18 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
                     rng: np.random.Generator, first_id: int) -> MeasureRows:
     """One posterior draw per row: row i conditions on its n[i] atoms, the
     next n[i] entries of the flat atom_ids (and atom_xs, for a continuous
-    base) in row order, with sticks at total mass theta + n[i] until every
-    row's residual meets the truncation.  A stick lands on a fresh base
-    draw w.p. theta/(theta+n[i]) or on each conditioning atom w.p.
-    1/(theta+n[i]); one base.sample_batch call draws the fresh cells in
-    row-major order, with ids from first_id on."""
+    base) in row order, with Dirichlet-process sticks at total mass
+    theta + n[i] until the row's residual meets the truncation.  A stick
+    lands on a fresh base draw w.p. theta/(theta+n[i]) or on each
+    conditioning atom w.p. 1/(theta+n[i]); one base.sample_batch call draws
+    the fresh sticks in order, with ids from first_id on."""
     total = theta + n
-    rho, residual = _stick_weights(
-        StickBreakingParams(lambda j: 1.0, lambda j: total[:, None]), trunc, rng)
+    rho, offsets, residual = _dp_sticks(total, trunc, rng)
+    counts = np.diff(offsets)
     # a stick at u < theta is fresh, else it lands on conditioning atom
     # floor(u - theta), clipped to n - 1
-    u = rng.random(rho.shape)
-    u *= total[:, None]
+    u = rng.random(rho.size)
+    u *= np.repeat(total, counts)
     fresh = u < theta
     if atom_ids.size:
         # index of the picked atom in the flat arrays.  A row with n = 0 has
@@ -453,17 +500,17 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
         # draws overwrite
         u -= theta
         pick = np.maximum(u, 0.0, out=u).astype(np.int64)
-        np.minimum(pick, n[:, None] - 1, out=pick)
-        pick += (np.cumsum(n) - n)[:, None]
+        np.minimum(pick, np.repeat(n - 1, counts), out=pick)
+        pick += np.repeat(np.cumsum(n) - n, counts)
     del u
     f_ids, f_xs = base.sample_batch(rng, int(fresh.sum()), first_id)
     every_fresh = f_ids.size == fresh.size
 
     def place(fresh_vals, atom_vals, dtype):
         if every_fresh:
-            return np.asarray(fresh_vals, dtype=dtype).reshape(rho.shape)
+            return np.asarray(fresh_vals, dtype=dtype)
         out = (np.asarray(atom_vals, dtype=dtype)[pick] if atom_vals.size
-               else np.empty(rho.shape, dtype=dtype))
+               else np.empty(rho.size, dtype=dtype))
         out[fresh] = fresh_vals
         return out
 
@@ -473,7 +520,7 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
         xs = place(f_xs, atom_xs, float)
     else:
         xs = None if base.points is None else np.asarray(base.points, dtype=float)[ids]
-    return MeasureRows(base.kind, ids, xs, rho, residual)
+    return MeasureRows(base.kind, ids, xs, rho, offsets, residual)
 
 
 def sample_posterior(post: DirichletPosterior,
@@ -497,23 +544,22 @@ def _draw_atoms(rows: MeasureRows, n: np.ndarray, rng: np.random.Generator):
     """n[i] independent atom draws from row i, proportional to weight and
     renormalized over the row's truncated support, as flat (ids, xs) arrays
     in row order (xs for a continuous base only).  One inverse-CDF search
-    covers all rows: row i's cumulative weights, which end at most at 1,
-    are offset by i, so its targets fall inside its own row (the offset
-    costs the sums about log2(i) bits).  Rejects a drawing row whose
-    residual exceeds 1%."""
+    covers all rows: the cumulative sum of the flat weights runs through
+    row i between the sums before and after it, so its targets fall inside
+    its own row (every row before it, near 1 each, costs the sums about
+    log2(i) bits).  Rejects a drawing row whose residual exceeds 1%."""
     worst = rows.residual.max(where=n > 0, initial=0.0)
     if worst > 0.01:
         raise ValueError(f"residual {worst:g} too large to sample from")
     row = np.repeat(np.arange(n.size), n)
     idx = row  # empty when no row draws; such rows may hold no atoms
     if row.size:
-        cum = np.cumsum(rows.weights, axis=1)
-        target = rng.random(row.size) * cum[row, -1] + row
-        cum += np.arange(n.size)[:, None]
-        k = cum.shape[1]
-        idx = np.minimum(np.searchsorted(cum.ravel(), target, side="right"), row * k + (k - 1))
-    return (rows.ids.ravel()[idx],
-            rows.xs.ravel()[idx] if rows.base_kind == "continuous" else None)
+        cum = np.cumsum(rows.weights)
+        end = np.concatenate(([0.0], cum))[rows.offsets]
+        lo, hi = end[:-1][row], end[1:][row]
+        target = lo + rng.random(row.size) * (hi - lo)
+        idx = np.minimum(np.searchsorted(cum, target, side="right"), rows.offsets[1:][row] - 1)
+    return (rows.ids[idx], rows.xs[idx] if rows.base_kind == "continuous" else None)
 
 
 def sample_from_measure(mu: DiscreteMeasure, k: int, rng: np.random.Generator):
@@ -559,7 +605,9 @@ class MomentCheck:
     """Mean and variance of mu(A) against the Dirichlet prior's p = nu_0(A)
     and p(1-p)/(1+theta), with standard errors, over prior draws (after_steps
     0) or chains from the prior after that many steps; from a chain run also
-    the OLS slope of mu_k(A) on mu_0(A) against rho**k (NaN without one)."""
+    the OLS slope of mu_k(A) on mu_0(A) against rho**k, and of f2(mu_k(A))
+    on f2(mu_0(A)) against the degree-2 eigenvalue to the k (NaN without a
+    run)."""
 
     after_steps: int
     mean: float
@@ -572,6 +620,9 @@ class MomentCheck:
     slope: float = math.nan
     slope_se: float = math.nan
     slope_target: float = math.nan
+    eigen2_slope: float = math.nan
+    eigen2_slope_se: float = math.nan
+    eigen2_slope_target: float = math.nan
 
     @property
     def mean_z(self) -> float:
@@ -584,6 +635,10 @@ class MomentCheck:
     @property
     def slope_z(self) -> float:
         return _z(self.slope - self.slope_target, self.slope_se)
+
+    @property
+    def eigen2_slope_z(self) -> float:
+        return _z(self.eigen2_slope - self.eigen2_slope_target, self.eigen2_slope_se)
 
 
 def _z(diff: float, se: float) -> float:
@@ -635,12 +690,14 @@ class MixtureIdentityReport:
     reps: int
 
 
-def check_mixture_identity(theta, base: BaseMeasure, A: TestSet, reps: int,
+def check_mixture_identity(theta, base: BaseMeasure, A: TestSet, direct: np.ndarray,
                            trunc: StickTruncation = DEFAULT_TRUNCATION,
                            rng: np.random.Generator = None) -> MixtureIdentityReport:
-    """Statistical check, on reps >= 2 draws per route, that mixing the
-    one-observation posterior over the base reproduces the prior."""
-    direct = _check_masses(theta, base, A, reps, trunc, rng)
+    """Statistical check that mixing the one-observation posterior over the
+    base reproduces the prior: direct holds mu(A) over reps >= 2 prior
+    draws (in verify_measures, the prior moment rows' batch), and as many
+    hierarchical draws are made here."""
+    reps = direct.size
     hier = _check_masses(theta, base, A, reps, trunc, rng, n_cond=1)
     m1d, m1h = float(direct.mean()), float(hier.mean())
     s1 = math.sqrt((direct.var(ddof=1) + hier.var(ddof=1)) / reps)

@@ -194,8 +194,10 @@ def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
     def theta_rows(theta):
         # each theta draws from a stream of its own, so thetas run as jobs
         rng = np.random.default_rng(seed)
-        prior = rm.check_mean_identity(theta, base, A, reps, rm.DEFAULT_TRUNCATION, rng)
-        mx = rm.check_mixture_identity(theta, base, A, reps, rm.DEFAULT_TRUNCATION, rng)
+        # the prior moment rows and the mixture's direct arm read one batch
+        direct = rm._check_masses(theta, base, A, reps, rm.DEFAULT_TRUNCATION, rng)
+        prior = rm._moment_check(direct, 0, base.measure(A), theta)
+        mx = rm.check_mixture_identity(theta, base, A, direct, rm.DEFAULT_TRUNCATION, rng)
         return [_z_row("prior-mean-identity", f"theta={theta},A=[0,0.5)", prior.mean_z),
                 _z_row("mixture-first-moment", f"theta={theta}", mx.mean_diff / mx.mean_se),
                 _z_row("mixture-second-moment", f"theta={theta}",
@@ -246,6 +248,7 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
                 rows.append(_z_row("measure-chain-mean", instance, c.mean_z))
                 rows.append(_z_row("measure-chain-variance", instance, c.var_z))
                 rows.append(_z_row("measure-chain-lag-slope", instance, c.slope_z))
+                rows.append(_z_row("measure-chain-eigen2-slope", instance, c.eigen2_slope_z))
     for theta in thetas:
         for t in fv_ts:
             cfg = mk.FvConfig(theta, base, t)
@@ -256,6 +259,7 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
                 rows.append(_z_row("fv-mean", instance, c.mean_z))
                 rows.append(_z_row("fv-variance", instance, c.var_z))
                 rows.append(_z_row("fv-lag-slope", instance, c.slope_z))
+                rows.append(_z_row("fv-eigen2-slope", instance, c.eigen2_slope_z))
     rep = mk.fv_chapman_kolmogorov_process_test(mk.FvConfig(1.0, base, 1.0), 0.5, 0.5, A,
                                                 reps, np.random.default_rng(seed + 4))
     rows.append(_pvalue_row("fv-composition-ks", f"theta=1,t=s=0.5,reps={reps}", rep.ks_pvalue))

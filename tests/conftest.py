@@ -31,3 +31,14 @@ def digest(*arrays):
     for a in arrays:
         h.update(b"none" if a is None else np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:16]
+
+
+def portable_digest(*arrays):
+    """digest with float arrays rounded to float32 first.  numpy's exp and
+    expm1 differ in the last bit between CPUs with and without AVX-512, and
+    the Dirichlet-process stick kernel calls both; a last-bit change flips a
+    float32 rounding about once in 2**29 values, while any change to the
+    random stream or the stick law still changes the digest."""
+    return digest(*(np.asarray(a, dtype=np.float32)
+                    if a is not None and np.asarray(a).dtype.kind == "f" else a
+                    for a in arrays))

@@ -160,11 +160,38 @@ def test_fv_clock_doubled(monkeypatch):
         assert not _failing(death, check), check
 
 
+def test_death_count_spread_to_two_points(monkeypatch):
+    # every FV step draws its death count from {1, 20} instead of d(t), with
+    # the weights that keep E[N/(theta+N)] = exp(-theta t/2).  The mixture
+    # keeps the stationary law, so the mean and variance rows hold; the lag
+    # slope reads only E[N/(theta+N)], and the composition KS compares two
+    # stationary samples.  The degree-2 eigenvalue also reads the second
+    # factorial moment of N, so only the eigen2 rows see it
+    def processes():
+        return V.verify_processes(reps=4000, seed=11, thetas=(1.0, 4.0), chain_ns=(1,),
+                                  fv_ts=(0.2, 0.5), checkpoints=(1,))
+
+    assert processes().ok
+
+    def two_point(pmf, rng, size=None):
+        theta = pmf.params.theta
+        hi = 20 / (theta + 20)
+        p1 = (hi - math.exp(-theta * pmf.t / 2)) / (hi - 1 / (theta + 1))
+        return np.where(rng.random(size) < p1, 1, 20)
+
+    monkeypatch.setattr(mk, "sample_death_count", two_point)
+    report = processes()
+    assert [(row.check, row.instance) for row in report.rows if not row.passed] == [
+        ("fv-eigen2-slope", f"theta={theta},t={t},steps=1")
+        for theta in (1.0, 4.0) for t in (0.2, 0.5)]
+
+
 def test_posterior_conditions_on_first_atom(monkeypatch):
     # every row of the posterior kernel conditions on n copies of its first
     # atom instead of its n atoms.  With n = 1 nothing changes, and the
     # stationary mean and the lag-k slope hold for any such pick, so only
-    # the variance rows at n > 1 and the composition KS see it
+    # the variance and degree-2 eigenfunction rows at n > 1 and the
+    # composition KS see it
     def processes():
         return V.verify_processes(reps=3000, seed=11, thetas=(1.0, 4.0), chain_ns=(1, 5),
                                   fv_ts=(0.2, 1.0), checkpoints=(1,))
@@ -183,10 +210,15 @@ def test_posterior_conditions_on_first_atom(monkeypatch):
     failing = [(row.check, row.instance) for row in report.rows if not row.passed]
     assert failing == [
         ("measure-chain-variance", "theta=1.0,n=5,steps=1"),
+        ("measure-chain-eigen2-slope", "theta=1.0,n=5,steps=1"),
         ("measure-chain-variance", "theta=4.0,n=5,steps=1"),
+        ("measure-chain-eigen2-slope", "theta=4.0,n=5,steps=1"),
         ("fv-variance", "theta=1.0,t=0.2,steps=1"),
+        ("fv-eigen2-slope", "theta=1.0,t=0.2,steps=1"),
         ("fv-variance", "theta=1.0,t=1.0,steps=1"),
+        ("fv-eigen2-slope", "theta=1.0,t=1.0,steps=1"),
         ("fv-variance", "theta=4.0,t=0.2,steps=1"),
+        ("fv-eigen2-slope", "theta=4.0,t=0.2,steps=1"),
         ("fv-composition-ks", "theta=1,t=s=0.5,reps=3000"),
     ]
 
@@ -266,13 +298,15 @@ def test_posterior_conditions_three_times(monkeypatch):
 
 
 def test_stick_beta_biased(monkeypatch):
-    # every stick proportion is Beta(a, 1.5 b): the prior's total mass reads
-    # 1.5 theta.  The mean measure is still the base, so the prior's variance
-    # rows, read off the same batch as its mean, are the ones that go red
+    # every Dirichlet-process row breaks its sticks at rate 1.5 b, as if each
+    # proportion were Beta(1, 1.5 b): the prior's total mass reads 1.5 theta.
+    # The mean measure is still the base, and at theta = 1 the mixture's
+    # second-moment arms part by about one standard error at these reps, so
+    # the prior's variance rows, read off the same batch as its mean, are
+    # the ones that go red
     assert _measures_failing(2000) == []
-    sticks = rm._break_sticks
-    monkeypatch.setattr(rm, "_break_sticks",
-                        lambda a, b, rng, left=1.0: sticks(a, 1.5 * b, rng, left))
+    sticks = rm._dp_sticks
+    monkeypatch.setattr(rm, "_dp_sticks", lambda total, trunc, rng: sticks(1.5 * total, trunc, rng))
     assert _measures_failing(2000) == [
         ("prior-variance", f"theta={theta}") for theta in (0.5, 1.0, 4.0)]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_within_se, digest
+from conftest import assert_within_se, portable_digest
 import fvkit.markov_processes as mk
 import fvkit.random_measures as rm
 from fvkit.markov_processes import (
@@ -211,11 +211,12 @@ class TestReversibility:
 
 
 class TestRunChainPins:
-    """Exact digests of seeded run_chain trajectories and final measures,
-    recorded while the chain steps were still scalar code: the one-row
-    calls of the batched kernel must consume the same random stream.  Ids
-    from a continuous base start at 1 in the stationary draw and continue
-    past the largest id in play at each step."""
+    """Digests of seeded run_chain trajectories and final measures, at
+    float32 (see conftest.portable_digest), recorded with the ragged
+    Dirichlet-process stick kernel; the one-row calls of the batched kernel
+    consume the stream the batched harnesses do.  Ids from a continuous
+    base start at 1 in the stationary draw and continue past the largest id
+    in play at each step."""
 
     BASES = {
         "uniform": (UB, A),
@@ -226,12 +227,12 @@ class TestRunChainPins:
     CONFIGS = {"measure-chain": lambda base: MeasureChainConfig(1.0, base, 3),
                "fv": lambda base: FvConfig(1.0, base, 0.5)}
     PINS = {
-        ("measure-chain", "uniform"): "1f72ed51835ad1f8",
-        ("measure-chain", "discrete"): "7f57c4ecaaab113a",
-        ("measure-chain", "points"): "85479c96a7efaeb8",
-        ("fv", "uniform"): "9686d7735d72daea",
-        ("fv", "discrete"): "e4f591362cb500af",
-        ("fv", "points"): "a9ae30d6f3967361",
+        ("measure-chain", "uniform"): "aa5021c58413a099",
+        ("measure-chain", "discrete"): "ab559a346665ec13",
+        ("measure-chain", "points"): "bcbbf116d5f145c4",
+        ("fv", "uniform"): "5afc4fab57286d16",
+        ("fv", "discrete"): "5afc6f1c9daa1474",
+        ("fv", "points"): "cc0186d12a39bea5",
     }
 
     @pytest.mark.parametrize("kind, name", list(PINS))
@@ -239,8 +240,17 @@ class TestRunChainPins:
         base, obs = self.BASES[name]
         traj, final = run_chain(kind, self.CONFIGS[kind](base), 25, [obs],
                                 np.random.default_rng(9), return_state=True)
-        got = digest(traj, final.ids, final.xs, final.weights, np.float64(final.residual))
+        got = portable_digest(traj, final.ids, final.xs, final.weights,
+                              np.float64(final.residual))
         assert got == self.PINS[kind, name]
+
+
+def _discrete_rows(ids, weights, residual):
+    """MeasureRows on a discrete base from equal-length rows of ids and weights."""
+    weights = np.asarray(weights, dtype=float)
+    offsets = np.arange(0, weights.size + 1, weights.shape[1])
+    return rm.MeasureRows("discrete", np.asarray(ids).ravel(), None, weights.ravel(), offsets,
+                          np.asarray(residual, dtype=float))
 
 
 class TestBatchedKernel:
@@ -248,7 +258,7 @@ class TestBatchedKernel:
         # row i holds ids 10i .. 10i+9; the row-offset search must stay inside
         w = rng.random((50, 10))
         w /= w.sum(axis=1, keepdims=True)
-        rows = rm.MeasureRows("discrete", np.arange(500).reshape(50, 10), None, w, np.zeros(50))
+        rows = _discrete_rows(np.arange(500).reshape(50, 10), w, np.zeros(50))
         n = np.arange(50) % 4
         got, xs = rm._draw_atoms(rows, n, rng)
         assert xs is None
@@ -256,8 +266,7 @@ class TestBatchedKernel:
 
     def test_row_draw_frequencies_match_weights(self, rng):
         w = np.array([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]])
-        rows = rm.MeasureRows("discrete", np.array([[0, 1, 2], [3, 4, 5]]), None, w,
-                              np.zeros(2))
+        rows = _discrete_rows([[0, 1, 2], [3, 4, 5]], w, np.zeros(2))
         reps = 200_000
         got, _ = rm._draw_atoms(rows, np.array([reps, reps]), rng)
         for i in range(2):
@@ -267,9 +276,7 @@ class TestBatchedKernel:
                                  label=f"row {i} atom {j}")
 
     def test_residual_check_only_on_drawing_rows(self, rng):
-        w = np.array([[0.5, 0.3], [0.5, 0.5]])
-        rows = rm.MeasureRows("discrete", np.array([[0, 1], [2, 3]]), None, w,
-                              np.array([0.2, 0.0]))
+        rows = _discrete_rows([[0, 1], [2, 3]], [[0.5, 0.3], [0.5, 0.5]], [0.2, 0.0])
         assert rm._draw_atoms(rows, np.array([0, 3]), rng)[0].size == 3
         with pytest.raises(ValueError, match="residual 0.2 too large"):
             rm._draw_atoms(rows, np.array([1, 3]), rng)
@@ -280,9 +287,10 @@ class TestBatchedKernel:
         atom_ids = np.array([7, 4, 5, 6, 8, 9])
         rows = rm._posterior_rows(1.0, DB, n, atom_ids, None, DEFAULT_TRUNCATION, rng, 1)
         assert (rows.residual < DEFAULT_TRUNCATION.eps).all()
-        assert np.allclose(rows.weights.sum(axis=1) + rows.residual, 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(np.add.reduceat(rows.weights, rows.offsets[:-1]) + rows.residual, 1.0,
+                           rtol=0, atol=1e-12)
         # a discrete base draws ids 0..3, so ids 4..9 can only be conditioning atoms
-        held = [set(rows.ids[i][rows.ids[i] >= 4].tolist()) for i in range(4)]
+        held = [set(ids[ids >= 4].tolist()) for ids in np.split(rows.ids, rows.offsets[1:-1])]
         assert held[0] == set() and held[1] <= {7} and held[2] <= {4, 5, 6} and held[3] <= {8, 9}
         assert held[1] and held[2] and held[3]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_within_se, digest as _digest
+from conftest import assert_within_se, digest as _digest, portable_digest
 from fvkit.random_measures import (
     DEFAULT_TRUNCATION,
     AtomSet,
@@ -92,6 +92,81 @@ def _stick_weights_first(params, trunc, rng):
     from fvkit.random_measures import _stick_weights
     w, res = _stick_weights(params, trunc, rng)
     return w[0], res
+
+
+class TestDpSticks:
+    """The ragged Dirichlet-process kernel: 1 + Poisson(b ln(1/eps)) sticks per
+    row from the arrivals of a unit-rate Poisson process."""
+
+    def test_count_is_one_plus_poisson(self):
+        b, eps, rows = 2.0, 1e-3, 40_000
+        _, offsets, _ = rm._dp_sticks(np.full(rows, b), StickTruncation.residual(eps),
+                                      np.random.default_rng(41))
+        extra = np.diff(offsets) - 1
+        lam = b * math.log(1 / eps)
+        top = int(lam + 6 * math.sqrt(lam))
+        observed = np.bincount(np.minimum(extra, top), minlength=top + 1)
+        pmf = np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+                        for k in range(top)])
+        expected = rows * np.append(pmf, 1 - pmf.sum())
+        from fvkit.markov_processes import _chisquare_pvalue
+        assert _chisquare_pvalue(observed, expected) > 1e-3
+        assert_within_se(extra.mean(), lam, math.sqrt(lam / rows), label="mean count - 1")
+
+    def test_rows_take_their_own_counts(self):
+        # alternating total masses 0.5 and 4: each row's count follows its own rate
+        total = np.tile([0.5, 4.0], 20_000)
+        _, offsets, _ = rm._dp_sticks(total, DEFAULT_TRUNCATION, np.random.default_rng(42))
+        extra = np.diff(offsets) - 1
+        for b in (0.5, 4.0):
+            lam = b * math.log(1e8)
+            sel = extra[total == b]
+            assert_within_se(sel.mean(), lam, math.sqrt(lam / sel.size), label=f"b={b}")
+
+    @pytest.mark.parametrize("theta", [0.5, 4.0, 25.0])
+    def test_residual_below_eps_and_weights_telescope(self, theta):
+        total = theta + np.arange(200) % 7
+        rho, offsets, residual = rm._dp_sticks(total, DEFAULT_TRUNCATION,
+                                               np.random.default_rng(43))
+        assert (residual < DEFAULT_TRUNCATION.eps).all() and (residual > 0).all()
+        assert (rho > 0).all() and offsets[-1] == rho.size
+        gap = np.abs(np.add.reduceat(rho, offsets[:-1]) + residual - 1)
+        assert gap.max() < 1e-12
+
+    def test_fixed_truncation_gives_k_sticks(self):
+        rho, offsets, residual = rm._dp_sticks(np.array([0.5, 1.0, 30.0]),
+                                               StickTruncation.fixed(7),
+                                               np.random.default_rng(44))
+        assert offsets.tolist() == [0, 7, 14, 21]
+        gap = np.add.reduceat(rho, offsets[:-1]) + residual - 1
+        assert np.abs(gap).max() < 1e-12
+        assert residual[2] > residual[0]  # a larger total mass keeps more back
+
+    def test_budget_checked_before_any_draw(self):
+        rng = np.random.default_rng(45)
+        state = rng.bit_generator.state
+        with pytest.raises(StickBudgetError, match="over the cap of 1000"):
+            rm._dp_sticks(np.array([1.0, 1e3]), StickTruncation.residual(1e-8, max_sticks=1000),
+                          rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("theta", [0.5, 4.0])
+    def test_mass_law_matches_general_stick_breaking(self, theta):
+        # mu(A) of prior rows against one-at-a-time Beta(1, theta) sticks
+        from fvkit.markov_processes import _ks_2samp_equal
+        reps, A, base = 2000, Interval(0.0, 0.5), UniformBase()
+        ragged = _dirichlet_rows(theta, base, reps, DEFAULT_TRUNCATION,
+                                 np.random.default_rng(46)).mass(A)
+        rng = np.random.default_rng(47)
+        general = np.array([stick_break(StickBreakingParams.dp(theta), base,
+                                        DEFAULT_TRUNCATION, rng).mass(A) for _ in range(reps)])
+        assert _ks_2samp_equal(ragged, general)[1] > 1e-3
+
+    def test_mass_of_an_empty_row_is_zero(self):
+        rows = rm.MeasureRows("discrete", np.array([0, 1, 2]), None, np.array([0.5, 0.5, 1.0]),
+                              np.array([0, 2, 2, 3]), np.array([0.0, 1.0, 0.0]))
+        assert rows.mass(AtomSet({0, 2})).tolist() == [0.5, 0.0, 1.0]
+        assert rows.measure(1).ids.size == 0
 
 
 class TestTruncationAndParams:
@@ -308,24 +383,32 @@ class TestMeanIdentity:
         assert r.mean_target == 0.25
         assert r.mean_z < 4
 
-    @pytest.mark.parametrize("check", [check_mean_identity, check_mixture_identity])
-    def test_one_rep_has_no_standard_error(self, check):
+    # the mixture check takes its direct arm as masses, as many as its reps
+    @pytest.mark.parametrize("check, batch", [(check_mean_identity, 1),
+                                              (check_mixture_identity, np.array([0.5]))],
+                             ids=["check_mean_identity", "check_mixture_identity"])
+    def test_one_rep_has_no_standard_error(self, check, batch):
         with pytest.raises(ValueError, match="reps must be >= 2"):
-            check(1.0, UniformBase(), Interval(0.0, 0.5), 1, DEFAULT_TRUNCATION,
+            check(1.0, UniformBase(), Interval(0.0, 0.5), batch, DEFAULT_TRUNCATION,
                   np.random.default_rng(7))
+
+
+def _mixture(A, reps, seed):
+    """The mixture check with its direct arm drawn first from the same stream,
+    as verify_measures draws it for the prior moment rows."""
+    rng = np.random.default_rng(seed)
+    direct = rm._check_masses(1.0, UniformBase(), A, reps, DEFAULT_TRUNCATION, rng)
+    return check_mixture_identity(1.0, UniformBase(), A, direct, DEFAULT_TRUNCATION, rng)
 
 
 class TestMixtureIdentity:
     def test_moments_agree(self):
-        mx = check_mixture_identity(1.0, UniformBase(), Interval(0.0, 0.5), 100_000,
-                                    DEFAULT_TRUNCATION, np.random.default_rng(8))
+        mx = _mixture(Interval(0.0, 0.5), 100_000, 8)
         assert mx.mean_diff < 4 * mx.mean_se
         assert mx.second_diff < 4 * mx.second_se
 
     def test_second_moment_matches_oracle(self):
-        reps = 100_000
-        mx = check_mixture_identity(1.0, UniformBase(), Interval(0.0, 0.5), reps,
-                                    DEFAULT_TRUNCATION, np.random.default_rng(9))
+        mx = _mixture(Interval(0.0, 0.5), 100_000, 9)
         oracle = stick_moment_oracle(1.0, 0.5)
         closed = 0.5 * (1 + 1.0 * 0.5) / (1 + 1.0)
         assert abs(oracle - closed) < 1e-12
@@ -333,8 +416,7 @@ class TestMixtureIdentity:
         assert abs(mx.second_direct - closed) < 4 * se
 
     def test_whole_space_degenerate(self):
-        mx = check_mixture_identity(1.0, UniformBase(), WholeSpace(), 200,
-                                    DEFAULT_TRUNCATION, np.random.default_rng(10))
+        mx = _mixture(WholeSpace(), 200, 10)
         assert mx.mean_direct == mx.mean_hier == 1.0
         assert mx.second_diff == 0.0
 
@@ -422,15 +504,18 @@ class TestSerialization:
         assert np.array_equal(draw().ids, before.ids)
 
 
-def _measure_digest(mu):
-    return _digest(mu.ids, mu.xs, mu.weights, np.float64(mu.residual))
+def _measure_digest(mu, digest=_digest):
+    return digest(mu.ids, mu.xs, mu.weights, np.float64(mu.residual))
 
 
 class TestStreamPins:
-    """Exact digests of seeded draws, recorded before the stick-breaking
-    kernels were merged: any change to the consumed random stream, the stick
-    recurrence or its floating-point order shows up here.  Fresh ids from a
-    continuous base start at 1, or one past the largest conditioning id."""
+    """Digests of seeded draws: any change to the consumed random stream or
+    the stick recurrence shows up here.  STICK_BREAK, the general kernel's,
+    is exact and dates from before the stick-breaking kernels were merged,
+    so its floating-point order is pinned too.  The Dirichlet-process row
+    kernel's pins were recorded with the ragged kernel, at float32 (see
+    conftest.portable_digest).  Fresh ids from a continuous base start at 1,
+    or one past the largest conditioning id."""
 
     BASES = {
         "uniform": UniformBase(),
@@ -458,15 +543,15 @@ class TestStreamPins:
     # a discrete base with points draws the discrete case's ids, weights and
     # residual from the same stream, and adds xs = points[ids]
     POSTERIOR = {
-        ("uniform", 0): "0d2c43ba1dfa7764",
-        ("uniform", 1): "1b5cbc384f02d6b3",
-        ("uniform", 5): "560b630f331bc339",
-        ("discrete", 0): "8fa3cd830b282428",
-        ("discrete", 1): "60969a5ef2d33417",
-        ("discrete", 5): "e63dacd132a59a34",
-        ("points", 0): "7a89f5fee29dd448",
-        ("points", 1): "adf1c78863feda9f",
-        ("points", 5): "d1a6183bedf9536a",
+        ("uniform", 0): "c32ddb98d2f9bfb6",
+        ("uniform", 1): "28da3fb8b04acc0b",
+        ("uniform", 5): "9fd309c44bf1a277",
+        ("discrete", 0): "0d6841b1b0193a21",
+        ("discrete", 1): "062d3d8479e00443",
+        ("discrete", 5): "581eebfb434f45eb",
+        ("points", 0): "7eb720f89040a3b7",
+        ("points", 1): "08d72106666ace03",
+        ("points", 5): "55112ee5666bbd01",
     }
     @pytest.mark.parametrize("key", list(STICK_BREAK))
     def test_stick_break(self, key):
@@ -484,7 +569,7 @@ class TestStreamPins:
     @pytest.mark.parametrize("key", list(POSTERIOR))
     def test_sample_posterior(self, key):
         mu = self._posterior_draw(*key)
-        assert _measure_digest(mu) == self.POSTERIOR[key]
+        assert _measure_digest(mu, portable_digest) == self.POSTERIOR[key]
         if key[0] == "points":
             plain = self._posterior_draw("discrete", key[1])
             assert np.array_equal(mu.ids, plain.ids) and np.array_equal(mu.weights, plain.weights)
@@ -493,27 +578,28 @@ class TestStreamPins:
             assert np.array_equal(mu.xs, points[mu.ids])
 
     # (xs, weights, residual) in position order of the uniform draws with
-    # conditioning atoms, recorded when fresh ids still came from a counter
-    # shared by the whole process (pinned then as 9dc4a0fc7c7d3a82 and
-    # 82e6f13f40aa1f10): the draws have changed only by relabelling
-    BY_POSITION = {1: "b7e29d83950b0ee7", 5: "76576ffa60cd83e6"}
+    # conditioning atoms: ids do not enter, so this pin held, as
+    # 9dc4a0fc7c7d3a82 and 82e6f13f40aa1f10, while fresh ids moved from a
+    # counter shared by the whole process to run-scoped ids, and moved only
+    # with the ragged stick kernel
+    BY_POSITION = {1: "6fc42cba4ba20c87", 5: "7fbd4664e045f02c"}
 
     @pytest.mark.parametrize("n", list(BY_POSITION))
     def test_posterior_ids_only_relabelled(self, n):
         mu = self._posterior_draw("uniform", n)
         order = np.argsort(mu.xs, kind="stable")
-        assert (_digest(mu.xs[order], mu.weights[order], np.float64(mu.residual))
+        assert (portable_digest(mu.xs[order], mu.weights[order], np.float64(mu.residual))
                 == self.BY_POSITION[n])
         assert mu.ids.min() >= 10**6  # fresh ids follow the conditioning ids
 
     # rows of the prior (n_cond 0) and of the one-atom posterior (n_cond 1)
     DIRICHLET_ROWS = {
-        ("uniform", 0): "20a410e3ee3b71ea",
-        ("uniform", 1): "557c8f1faeb1c427",
-        ("discrete", 0): "708d92b3864cb90e",
-        ("discrete", 1): "1d39dbdabae85a41",
-        ("points", 0): "e9ee4b2622a11928",
-        ("points", 1): "afd62685de19f887",
+        ("uniform", 0): "886fb66b6d3c87a5",
+        ("uniform", 1): "42a9d26745bd17bd",
+        ("discrete", 0): "aa2aae03458aad6b",
+        ("discrete", 1): "5d0607861b359931",
+        ("points", 0): "97e86c9a6c81f26f",
+        ("points", 1): "f776e0fbc7ee65a7",
     }
 
     def _dirichlet_rows(self, name, n_cond):
@@ -524,7 +610,8 @@ class TestStreamPins:
     def test_dirichlet_rows(self, key):
         rows = self._dirichlet_rows(*key)
         assert (rows.residual < DEFAULT_TRUNCATION.eps).all()
-        assert _digest(rows.ids, rows.xs, rows.weights, rows.residual) == self.DIRICHLET_ROWS[key]
+        got = portable_digest(rows.ids, rows.xs, rows.weights, rows.offsets, rows.residual)
+        assert got == self.DIRICHLET_ROWS[key]
         if key[0] == "points":
             plain = self._dirichlet_rows("discrete", key[1])
             assert np.array_equal(rows.ids, plain.ids)
@@ -535,9 +622,10 @@ class TestStreamPins:
         # row i conditions on atom X_i, id i + 1 at the first position drawn
         # from the seed; every other atom is fresh, with an id past 40
         rows = self._dirichlet_rows("uniform", 1)
-        own = np.arange(1, 41)[:, None]
+        counts = np.diff(rows.offsets)
+        own = np.repeat(np.arange(1, 41), counts)
         assert ((rows.ids == own) | (rows.ids > 40)).all()
         held = rows.ids == own
-        assert held.any(axis=1).mean() > 0.5
+        assert (np.add.reduceat(held, rows.offsets[:-1]) > 0).mean() > 0.5
         x = np.random.default_rng(303).random(40)
-        assert np.array_equal(rows.xs[held], np.broadcast_to(x[:, None], rows.xs.shape)[held])
+        assert np.array_equal(rows.xs[held], np.repeat(x, counts)[held])
