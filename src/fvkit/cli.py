@@ -74,7 +74,7 @@ precision_options = [
     click.option("--tail-tol", type=float, default=1e-12, show_default=True,
                  help="absolute series truncation target"),
     click.option("--max-terms", type=int, default=400, show_default=True,
-                 help="series term budget before failing"),
+                 help="series term and pmf entry budget before failing"),
 ]
 
 output_options = [

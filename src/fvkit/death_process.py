@@ -10,7 +10,7 @@ which point the alternating-series bound applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional, Union
@@ -196,28 +196,13 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
     )
 
 
-def _death_prob(n: int, t: Fraction, params: DeathParams, prec: PrecisionConfig, gamma=None):
-    """Single entry d_n(t) with its error bound, evaluated at the precision
-    the config asks for regardless of the ambient mp context."""
-    theta = params.theta_fraction
-    with mpmath.workdps(prec.working_digits):
-        if gamma is None:
-            gamma = {}
-        if n == 0:
-            if params.is_coalescent:
-                return mpmath.mpf(0), 0.0
-            s, bound = _alternating_series(0, theta, t, gamma, prec)
-            return 1 - s, bound
-        s, bound = _alternating_series(n, theta, t, gamma, prec)
-        return s, bound
-
-
 PMF_CACHE_SIZE = 256
 
 
 def death_pmf(t, params: DeathParams, prec: PrecisionConfig = PrecisionConfig()) -> DeathPmf:
-    """Compute {d_n(t)} for n = 0..n_max, with n_max chosen so the
-    accumulated mass reaches 1 - tail_tol.
+    """Compute {d_n(t)} for n = 0..n_max, with n_max < max_terms chosen so
+    the accumulated mass reaches 1 - tail_tol; a pmf whose first max_terms
+    entries fall short of that raises ``PrecisionExhaustedError``.
 
     Results are memoized per (t, params, prec) in a bounded LRU cache, so
     callers share one immutable pmf per key; equal keys such as 0.5 and
@@ -238,15 +223,14 @@ def _death_pmf_cached(t, params: DeathParams, prec: PrecisionConfig) -> DeathPmf
         gamma = {}
         mass = mpmath.mpf(0)
         total_bound = 0.0
-        n = 0
-        while True:
-            if n >= 2:
-                # the computed mass can sit below 1 - tail_tol by up to the
-                # summed per-entry truncation bounds, so the stop condition
-                # allows that slack; it still certifies true tail <= tail_tol
-                if 1 - float(mass) <= prec.tail_tol + total_bound:
-                    break
-            p, b = _death_prob(n, tf, params, prec, gamma)
+        for n in range(prec.max_terms):
+            if n:
+                p, b = _alternating_series(n, theta, tf, gamma, prec)
+            elif params.is_coalescent:
+                p, b = mpmath.mpf(0), 0.0
+            else:  # d_0 is 1 minus the complement series
+                alive, b = _alternating_series(0, theta, tf, gamma, prec)
+                p = 1 - alive
             if p < 0:
                 if float(-p) <= max(b, prec.tail_tol):
                     clamped.append(n)
@@ -260,7 +244,19 @@ def _death_pmf_cached(t, params: DeathParams, prec: PrecisionConfig) -> DeathPmf
             bounds.append(b)
             mass += p
             total_bound += b
-            n += 1
+            # the computed mass can sit below 1 - tail_tol by up to the
+            # summed per-entry truncation bounds, so the stop condition
+            # allows that slack; it still certifies true tail <= tail_tol
+            if n and 1 - float(mass) <= prec.tail_tol + total_bound:
+                break
+        else:
+            shortfall = 1 - float(mass) - total_bound
+            raise PrecisionExhaustedError(
+                f"the first {prec.max_terms} entries of the pmf at t={float(t)} fall "
+                f"{shortfall:g} short of mass 1 beyond their error bounds; "
+                "increase max_terms or tail_tol",
+                smallest_achievable=shortfall,
+            )
         residual = max(0.0, float(1 - mass))
     return DeathPmf(
         t=float(t),
@@ -301,16 +297,22 @@ def _transition_entry(pmf: DeathPmf, n: int, r: int) -> mpmath.mpf:
     return acc
 
 
-def transition_given_n(n: int, s, params: DeathParams, prec: PrecisionConfig = PrecisionConfig()):
-    """Transition vector P(count = r after s | count = n now) for r = 0..n,
-    recovered from the pmf series by the urn-weighted sum of
-    ``_transition_entry``.  Requires theta > 0 (the theta = 0 regime is
-    served by ``transition_closed_form``)."""
+def _inner_pmf(s, params: DeathParams, prec: PrecisionConfig, n: int = 1) -> DeathPmf:
+    """The pmf {d_m(s)} that the urn-weighted transition sums from count n
+    read, at a tail tolerance 1e-4 of the caller's.  Requires n >= 1 and
+    theta > 0 (the theta = 0 regime is served by ``transition_closed_form``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if params.is_coalescent:
         raise ValueError("theta = 0 transitions go through transition_closed_form")
-    pmf = death_pmf(s, params, _inner_prec(prec, 1e-4))
+    return death_pmf(s, params, _inner_prec(prec, 1e-4))
+
+
+def transition_given_n(n: int, s, params: DeathParams, prec: PrecisionConfig = PrecisionConfig()):
+    """Transition vector P(count = r after s | count = n now) for r = 0..n,
+    recovered from the pmf series by the urn-weighted sum of
+    ``_transition_entry``.  Requires theta > 0."""
+    pmf = _inner_pmf(s, params, prec, n)
     with mpmath.workdps(prec.working_digits):
         return [float(_transition_entry(pmf, n, r)) for r in range(n + 1)]
 
@@ -345,22 +347,24 @@ def transition_closed_form(n: int, r: int, s, params: DeathParams,
         return float(_mpf_frac(prod_rates) * total)
 
 
+def _closed_form_residual(n: int, r: int, s, params: DeathParams, prec: PrecisionConfig,
+                          scale=1) -> float:
+    # |series - closed form| of P(count = r after s | count = n), both over scale
+    pmf = _inner_pmf(s, params, prec, n)
+    closed = transition_closed_form(n, r, s, params, prec.working_digits) / scale
+    with mpmath.workdps(prec.working_digits):
+        return abs(float(_transition_entry(pmf, n, r) / _mpf_frac(scale)) - closed)
+
+
 def check_survival_identity(n: int, s, params: DeathParams,
                             prec: PrecisionConfig = PrecisionConfig()) -> float:
     """Residual of: sum_m m_[n]/(theta+m)_(n) d_m(s) = exp(-lambda_n s).
 
     The left side is the stay-put transition probability recovered from the
-    pmf series; the right side is the direct exponential holding-time law.
+    pmf series; the right side is the exponential holding-time law, the
+    r = n case of ``transition_closed_form``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if params.is_coalescent:
-        raise ValueError("requires theta > 0")
-    theta = params.theta_fraction
-    pmf = death_pmf(s, params, _inner_prec(prec, 1e-4))
-    with mpmath.workdps(prec.working_digits):
-        rhs = mpmath.exp(-_mpf_frac(_death_rate_fraction(n, theta) * Fraction(s)))
-        return abs(float(_transition_entry(pmf, n, n) - rhs))
+    return _closed_form_residual(n, n, s, params, prec)
 
 
 def check_single_death_identity(n: int, s, params: DeathParams,
@@ -373,35 +377,28 @@ def check_single_death_identity(n: int, s, params: DeathParams,
 
     Also sanity-checks the s -> 0+ behavior of the closed form: H vanishes
     linearly, so 0 < H(1e-3) <= 5e-4, and a RuntimeError is raised if not."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if params.is_coalescent:
-        raise ValueError("requires theta > 0")
     scale = n * (n - 1 + params.theta_fraction)
+    residual = _closed_form_residual(n, n - 1, s, params, prec, scale)
     h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), params,
                                      prec.working_digits) / scale
     if not 0 < h_small <= 5e-4:
         raise RuntimeError(f"H(1e-3) = {h_small} outside (0, 5e-4]")
-    pmf = death_pmf(s, params, _inner_prec(prec, 1e-4))
-    closed = transition_closed_form(n, n - 1, s, params, prec.working_digits) / scale
-    with mpmath.workdps(prec.working_digits):
-        return abs(float(_transition_entry(pmf, n, n - 1) / _mpf_frac(scale)) - closed)
+    return residual
 
 
 def check_chapman_kolmogorov(r: int, t, s, params: DeathParams,
                              prec: PrecisionConfig = PrecisionConfig()) -> float:
     """Residual of Chapman-Kolmogorov read literally:
     d_r(t+s) = sum_n d_n(t) P(count = r after s | count = n),
-    with the transition probability from ``_transition_entry``."""
+    with the transition probability from ``_transition_entry``.  The left
+    side is read off the pmf at t+s; an r past its n_max reads 0, which
+    that pmf's residual bounds."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    if params.is_coalescent:
-        raise ValueError("requires theta > 0")
-    inner = _inner_prec(prec, 1e-4)
-    pmf_t = death_pmf(t, params, inner)
-    pmf_s = death_pmf(s, params, inner)
+    pmf_t, pmf_s, pmf_ts = (_inner_pmf(u, params, prec)
+                            for u in (t, s, Fraction(t) + Fraction(s)))
     with mpmath.workdps(prec.working_digits):
-        lhs, _ = _death_prob(r, Fraction(t) + Fraction(s), params, inner)
+        lhs = pmf_ts.probs[r] if r <= pmf_ts.n_max else 0
         rhs = mpmath.fsum(pmf_t.probs[n] * _transition_entry(pmf_s, n, r)
                           for n in range(r, pmf_t.n_max + 1))
         return abs(float(lhs - rhs))
@@ -411,7 +408,7 @@ def check_nonabsorption_bounds(t, params: DeathParams,
                                prec: PrecisionConfig = PrecisionConfig()) -> bool:
     """True iff exp(-lambda_1 t) < 1 - d_0(t) < (1+theta) exp(-lambda_1 t),
     strictly, certified against a margin of 10x the achieved evaluation
-    error.
+    error.  The middle term is the complement series itself.
 
     For large t the true value sits within ~exp(-(lambda_2-lambda_1)t) of
     the upper bound, far below any fixed tolerance, so the evaluation
@@ -427,19 +424,17 @@ def check_nonabsorption_bounds(t, params: DeathParams,
     inner = _inner_prec(prec, 1e-12)
     floor = 10.0 ** (-(inner.working_digits - 10))
     with mpmath.workdps(inner.working_digits):
-        lam1_t = _mpf_frac(_death_rate_fraction(1, theta) * tf)
-        lo = mpmath.exp(-lam1_t)
-        hi = (1 + _mpf_frac(theta)) * mpmath.exp(-lam1_t)
+        lo = mpmath.exp(-_mpf_frac(_death_rate_fraction(1, theta) * tf))
+        hi = (1 + _mpf_frac(theta)) * lo
+        gamma = {}
         tol = inner.tail_tol
         while True:
-            d0, bound = _death_prob(0, tf, params,
-                                    PrecisionConfig(inner.working_digits, tol,
-                                                    inner.max_terms))
-            mid = 1 - d0
+            alive, bound = _alternating_series(0, theta, tf, gamma,
+                                               replace(inner, tail_tol=tol))
             margin = 10 * max(bound, 5e-324)
-            if lo + margin < mid < hi - margin:
+            if lo + margin < alive < hi - margin:
                 return True
-            if mid < lo - margin or mid > hi + margin:
+            if alive < lo - margin or alive > hi + margin:
                 return False
             # within the margin of an endpoint: unresolved at this depth
             if tol <= floor:
@@ -506,22 +501,26 @@ def _hold_rates(theta: float, hi: int, lo: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
-                        rng: np.random.Generator, paired_double: bool = False,
-                        entry_compensation: bool = True):
+                        rng: np.random.Generator, paired_double: bool = False):
     """Simulate the chain from n0 (and, when ``paired_double``, also from
     2*n0 reusing the same holding times for states <= n0) and return state
     counts at time t.  State 1 is absorbing when theta = 0.
 
-    With ``entry_compensation`` each run's clock is discounted by the mean
-    entry time of the infinite-start chain into its start state, so the
-    counts estimate the infinite-start law with O(1/n0^3) bias instead of
-    O(1/n0).  Chunks draw from independently spawned substreams and run as
-    parallel jobs; the result for a fixed generator is identical however
-    the chunks are scheduled.
+    Each run's clock is discounted by the mean entry time of the
+    infinite-start chain into its start state, so the counts estimate the
+    infinite-start law with O(1/n0^3) bias instead of O(1/n0); the plain
+    chain from n0 over a time s is the call at t = s + mean_entry_time(n0).
+    Chunks draw from independently spawned substreams and run as parallel
+    jobs; the result for a fixed generator is identical however the chunks
+    are scheduled.
     """
+    if n0 < 2:
+        raise ValueError("n0 must be >= 2")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     lowest = 2 if theta == 0 else 1
     _, rates_low = _hold_rates(theta, n0, lowest)
-    t_low = t - mean_entry_time(n0, theta) if entry_compensation else t
+    t_low = t - mean_entry_time(n0, theta)
     if t_low <= 0:
         raise ValueError(
             f"t={t:g} is within the mean entry time of the start n0={n0}; "
@@ -529,7 +528,7 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
         )
     if paired_double:
         _, rates_high = _hold_rates(theta, 2 * n0, n0 + 1)
-        t_hi = t - mean_entry_time(2 * n0, theta) if entry_compensation else t
+        t_hi = t - mean_entry_time(2 * n0, theta)
     start_hi = 2 * n0 if paired_double else n0
     chunk = max(1, _MC_CHUNK_TARGET // start_hi)
     nchunks = -(-reps // chunk)
@@ -565,25 +564,19 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
     return (counts, counts_hi) if paired_double else counts
 
 
-def mc_death_pmf(t: float, params: DeathParams, n0: int, reps: int,
-                 rng: np.random.Generator, entry_compensation: bool = True) -> EmpiricalPmf:
-    """Monte Carlo oracle for the death-count pmf: simulate the chain from
-    the finite start n0, reps times, with the clock discounted by the mean
-    time the infinite-start chain spends above n0.
-
-    Pass ``entry_compensation=False`` to simulate the plain chain started
-    exactly at n0 for duration t (the finite-chain law rather than the
-    infinite-start approximation)."""
-    if n0 < 2:
-        raise ValueError("n0 must be >= 2")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    theta = float(params.theta)
-    counts = _death_chain_counts(t, theta, n0, reps, rng,
-                                 entry_compensation=entry_compensation)
+def _empirical(t: float, theta: float, n0: int, reps: int, counts: np.ndarray) -> EmpiricalPmf:
     probs = counts / reps
     stderr = np.sqrt(probs * (1 - probs) / reps)
     return EmpiricalPmf(t=t, theta=theta, n0=n0, reps=reps, probs=probs, stderr=stderr)
+
+
+def mc_death_pmf(t: float, params: DeathParams, n0: int, reps: int,
+                 rng: np.random.Generator) -> EmpiricalPmf:
+    """Monte Carlo oracle for the death-count pmf: simulate the chain from
+    the finite start n0, reps times, with the clock discounted by the mean
+    time the infinite-start chain spends above n0."""
+    theta = float(params.theta)
+    return _empirical(t, theta, n0, reps, _death_chain_counts(t, theta, n0, reps, rng))
 
 
 @dataclass(frozen=True)
@@ -605,21 +598,13 @@ def mc_death_pmf_sensitivity(t: float, params: DeathParams, n0: int, reps: int,
                              rng: np.random.Generator) -> SensitivityReport:
     """Run the Monte Carlo oracle at n0 and 2*n0 and report the largest
     pmf shift, in absolute terms and in units of the joint standard error."""
-    if n0 < 2:
-        raise ValueError("n0 must be >= 2")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     theta = float(params.theta)
     counts, counts_hi = _death_chain_counts(t, theta, n0, reps, rng, paired_double=True)
-    probs = counts / reps
-    probs_hi = counts_hi / reps
-    se = np.sqrt(probs * (1 - probs) / reps)
-    se_hi = np.sqrt(probs_hi * (1 - probs_hi) / reps)
-    base = EmpiricalPmf(t=t, theta=theta, n0=n0, reps=reps, probs=probs, stderr=se)
-    doubled = EmpiricalPmf(t=t, theta=theta, n0=2 * n0, reps=reps, probs=probs_hi, stderr=se_hi)
-    k = probs.size
-    shift = np.abs(probs_hi[:k] - probs)
-    joint = np.sqrt(se ** 2 + se_hi[:k] ** 2)
+    base = _empirical(t, theta, n0, reps, counts)
+    doubled = _empirical(t, theta, 2 * n0, reps, counts_hi)
+    k = base.probs.size
+    shift = np.abs(doubled.probs[:k] - base.probs)
+    joint = np.sqrt(base.stderr ** 2 + doubled.stderr[:k] ** 2)
     seen = shift > 0
     max_in_se = float(np.max(shift[seen] / joint[seen])) if seen.any() else 0.0
     return SensitivityReport(

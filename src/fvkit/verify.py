@@ -17,7 +17,6 @@ import numpy as np
 from . import combinatorics as comb
 from . import death_process as dp
 from . import markov_processes as mk
-from . import parallel
 from . import polya_urn as urn
 from . import random_measures as rm
 
@@ -191,20 +190,19 @@ def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
     base = rm.UniformBase()
     A = rm.Interval(0.0, 0.5)
 
-    def theta_rows(theta):
-        # each theta draws from a stream of its own, so thetas run as jobs
+    rows = []
+    for theta in thetas:
+        # each theta draws from a stream of its own
         rng = np.random.default_rng(seed)
         # the prior moment rows and the mixture's direct arm read one batch
         direct = rm._check_masses(theta, base, A, reps, rm.DEFAULT_TRUNCATION, rng)
         prior = rm._moment_check(direct, 0, base.measure(A), theta)
         mx = rm.check_mixture_identity(theta, base, A, direct, rm.DEFAULT_TRUNCATION, rng)
-        return [_z_row("prior-mean-identity", f"theta={theta},A=[0,0.5)", prior.mean_z),
-                _z_row("mixture-first-moment", f"theta={theta}", mx.mean_diff / mx.mean_se),
-                _z_row("mixture-second-moment", f"theta={theta}",
-                       mx.second_diff / mx.second_se),
-                _z_row("prior-variance", f"theta={theta}", prior.var_z)]
-
-    rows = [row for job in parallel.map_jobs(theta_rows, thetas) for row in job]
+        rows += [_z_row("prior-mean-identity", f"theta={theta},A=[0,0.5)", prior.mean_z),
+                 _z_row("mixture-first-moment", f"theta={theta}", mx.mean_diff / mx.mean_se),
+                 _z_row("mixture-second-moment", f"theta={theta}",
+                        mx.second_diff / mx.second_se),
+                 _z_row("prior-variance", f"theta={theta}", prior.var_z)]
     pd_params = rm.StickBreakingParams.poisson_dirichlet(sigma, 0.0 if sigma else 1.0)
     for check, instance, params in (
             ("summability-dp", "theta=1,J=1e4", rm.StickBreakingParams.dp(1.0)),

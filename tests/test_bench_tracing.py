@@ -1,13 +1,16 @@
 """The benchmark tracer rebinds fvkit names by plain getattr, so removing or
 renaming one of them breaks ``bench/run.py --trace 1``.  Every wrap point
-must resolve once the CLI and the verify suites are imported."""
+must resolve once the CLI and the verify suites are imported, and the hooks
+that bind a wrapped call's arguments must still bind them."""
 import functools
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import fvkit.cli  # noqa: F401  (loads every module the wrap points name)
 import fvkit.verify  # noqa: F401
+from fvkit import death_process as dp
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,3 +33,12 @@ def test_every_wrap_point_resolves():
         if not callable(target):
             missing.append(f"{mod_name}.{attr}")
     assert not missing, f"tracer wrap points that do not resolve: {missing}"
+
+
+def test_hooks_bind_their_signatures():
+    # the oracle hook passes every argument of _death_chain_counts on to
+    # oracle_kernel_counts, and the pmf hook reads t, params and prec
+    kernel = inspect.signature(_load_tracing().oracle_kernel_counts).parameters
+    oracle = inspect.signature(dp._death_chain_counts).parameters
+    assert set(oracle) <= set(kernel), set(oracle) - set(kernel)
+    assert list(inspect.signature(dp.death_pmf).parameters) == ["t", "params", "prec"]

@@ -176,9 +176,10 @@ class TestTransition:
             assert abs(transition_closed_form(1, 0, s, P1) - (1 - math.exp(-s / 2))) < 1e-15
 
     def test_closed_form_against_simulation(self, rng):
-        # plain chain started exactly at 3: P(state 1 after 0.7)
+        # plain chain started exactly at 3: P(state 1 after 0.7); the oracle
+        # discounts its clock by the mean entry time, so add that back
         reps = 1_000_000
-        emp = mc_death_pmf(0.7, P1, n0=3, reps=reps, rng=rng, entry_compensation=False)
+        emp = mc_death_pmf(0.7 + mean_entry_time(3, 1.0), P1, n0=3, reps=reps, rng=rng)
         p = transition_closed_form(3, 1, 0.7, P1)
         assert_within_se(emp.probs[1], p, math.sqrt(p * (1 - p) / reps), label="3->1")
 

@@ -123,6 +123,68 @@ def test_series_hold_rate_off_by_one(monkeypatch):
         "pmf-vs-monte-carlo"]
 
 
+def test_complement_series_sign_flipped(monkeypatch):
+    # gamma_2 enters with the wrong sign.  Only the non-absorption rows run
+    # on this grid, and they read the complement series 1 - d_0(t) directly,
+    # without building a pmf
+    def bounds():
+        return V.verify_death(svals=(), ck_pairs=())
+
+    assert bounds().ok
+    gamma = dp._gamma_factor
+    monkeypatch.setattr(dp, "_gamma_factor",
+                        lambda m, theta, t: -gamma(m, theta, t) if m == 2 else gamma(m, theta, t))
+    report = bounds()
+    assert _failing(report, "nonabsorption-bounds") == [
+        f"theta={theta},t={t}" for theta in (0.5, 1.0, 4.0) for t in (0.1, 0.5, 1.0, 3.0, 10.0)]
+    assert {row.observed for row in report.rows} == {"OUTSIDE"}
+
+
+def _scale_d1(monkeypatch, factor):
+    # every d_1(t) series sum comes out multiplied by factor
+    series = dp._alternating_series
+
+    def scaled(n, theta, t, gamma, prec):
+        value, bound = series(n, theta, t, gamma, prec)
+        return (value * factor if n == 1 else value), bound
+
+    monkeypatch.setattr(dp, "_alternating_series", scaled)
+
+
+def test_d1_inflated(monkeypatch):
+    # d_1(t) comes out a relative 1e-6 high, so the pmf holds more than mass
+    # 1 and stops early.  The normalization row sees the excess; every row
+    # that weighs d_1 against a closed form sees it too
+    assert _small_death().ok
+    _scale_d1(monkeypatch, 1 + mpmath.mpf(10) ** -6)
+    dp._death_pmf_cached.cache_clear()
+    try:
+        report = _small_death()
+    finally:
+        dp._death_pmf_cached.cache_clear()
+    assert _failing(report, "pmf-normalization") == ["theta=1.0,t=1.0"]
+    assert list(dict.fromkeys(row.check for row in report.rows if not row.passed)) == [
+        "pmf-normalization", "survival-identity", "single-death-identity",
+        "transition-vs-closed-form", "chapman-kolmogorov"]
+
+
+def test_d1_deflated_pmf_stops(monkeypatch):
+    # d_1(t) comes out a relative 1e-6 low, so no number of entries brings
+    # the mass within tail_tol of 1.  The pmf stops after max_terms entries
+    # and names the shortfall, about d_1(1) * 1e-6
+    params = dp.DeathParams(1.0)
+    dp._death_pmf_cached.cache_clear()
+    assert dp.death_pmf(1.0, params).residual < 1e-12
+    _scale_d1(monkeypatch, 1 - mpmath.mpf(10) ** -6)
+    dp._death_pmf_cached.cache_clear()
+    try:
+        with pytest.raises(dp.PrecisionExhaustedError, match="short of mass 1") as exc:
+            dp.death_pmf(1.0, params)
+    finally:
+        dp._death_pmf_cached.cache_clear()
+    assert 1e-7 < exc.value.smallest_achievable < 1e-6
+
+
 def test_hold_rate_off_by_one(monkeypatch):
     # the oracle's chain leaves state n at rate n(n + theta)/2 instead of
     # n(n - 1 + theta)/2, so it dies too fast.  The series rows never see

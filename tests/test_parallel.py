@@ -1,5 +1,5 @@
 """Jobs on several threads give what one thread gives: the oracle's chunks
-and the measure suite's thetas each draw from their own stream."""
+each draw from their own stream."""
 import threading
 
 import numpy as np
@@ -7,7 +7,6 @@ import pytest
 
 from fvkit import death_process as dp
 from fvkit import parallel
-from fvkit import verify as V
 
 
 def _serial_map(fn, jobs):
@@ -51,18 +50,18 @@ class TestMapJobs:
             parallel.map_jobs(lambda x: 1 / x, [1, 0, 2])
 
 
-def _oracle(t, theta, n0, reps, paired, comp):
+def _oracle(t, theta, n0, reps, paired):
     out = dp._death_chain_counts(t, theta, n0, reps, np.random.default_rng(5),
-                                 paired_double=paired, entry_compensation=comp)
+                                 paired_double=paired)
     return out if paired else (out,)
 
 
-def _whole_chunk_counts(t, theta, n0, reps, paired, comp):
+def _whole_chunk_counts(t, theta, n0, reps, paired):
     # the oracle with one (rows, states) draw per chunk substream
     _, rates = dp._hold_rates(theta, n0, 2 if theta == 0 else 1)
     _, rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
-    t_low = t - dp.mean_entry_time(n0, theta) if comp else t
-    t_hi = t - dp.mean_entry_time(2 * n0, theta) if comp else t
+    t_low = t - dp.mean_entry_time(n0, theta)
+    t_hi = t - dp.mean_entry_time(2 * n0, theta)
     chunk = max(1, dp._MC_CHUNK_TARGET // (2 * n0 if paired else n0))
     nchunks = -(-reps // chunk)
     streams = np.random.default_rng(5).spawn(2 * nchunks if paired else nchunks)
@@ -81,15 +80,15 @@ def _whole_chunk_counts(t, theta, n0, reps, paired, comp):
     return (counts, counts_hi) if paired else (counts,)
 
 
-# (t, theta, n0, reps, paired_double, entry_compensation).  At n0 = 5000 a
-# chunk is 1000 rows (500 paired), neither a multiple of the 256-row block,
-# and reps is not a multiple of the chunk
+# (t, theta, n0, reps, paired_double).  At n0 = 5000 a chunk is 1000 rows
+# (500 paired), neither a multiple of the 256-row block, and reps is not a
+# multiple of the chunk.  The last case is the plain chain from 3 over 0.7
 @pytest.mark.parametrize("case", [
-    (0.8, 0.0, 300, 3000, False, True),
-    (0.8, 0.0, 300, 3000, True, True),
-    (1.0, 1.0, 5000, 2500, False, True),
-    (1.0, 4.0, 5000, 1300, True, True),
-    (0.7, 1.0, 3, 1000, False, False),
+    (0.8, 0.0, 300, 3000, False),
+    (0.8, 0.0, 300, 3000, True),
+    (1.0, 1.0, 5000, 2500, False),
+    (1.0, 4.0, 5000, 1300, True),
+    (0.7 + dp.mean_entry_time(3, 1.0), 1.0, 3, 1000, False),
 ])
 def test_oracle_counts_match_serial_and_whole_chunks(monkeypatch, case):
     threaded, serial = _threaded_and_serial(monkeypatch, lambda: _oracle(*case))
@@ -98,10 +97,3 @@ def test_oracle_counts_match_serial_and_whole_chunks(monkeypatch, case):
     if case[1] == 0:
         assert threaded[0][0] == 0 and threaded[0][1] > 0  # state 1 absorbs
 
-
-def test_measure_rows_match_serial(monkeypatch):
-    threaded, serial = _threaded_and_serial(
-        monkeypatch, lambda: V.verify_measures(reps=500, seed=7))
-    assert threaded == serial
-    assert [r.instance for r in threaded.rows[:12:4]] == [
-        f"theta={theta},A=[0,0.5)" for theta in (0.5, 1.0, 4.0)]
