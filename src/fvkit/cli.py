@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 from __future__ import annotations
 
 import functools
+import json
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from . import verify as verify_mod
 from .death_process import DeathParams, PrecisionConfig, PrecisionExhaustedError, death_pmf
 from .markov_processes import Dar1Config, FvConfig, MeasureChainConfig, run_chain
 from .polya_urn import overlap_pmf_bruteforce, overlap_pmf_exact, overlap_pmf_montecarlo, overlap_pmf_theta0
-from .random_measures import AtomSet, DiscreteBase, Interval, UniformBase
+from .random_measures import (DEFAULT_TRUNCATION, AtomSet, DiscreteBase, Interval, StickTruncation,
+                              UniformBase, measure_to_json)
 from .reporting import emit, render_table
 
 EXIT_VERIFY_FAILED = 1
@@ -31,8 +33,6 @@ class RationalParam(click.ParamType):
     name = "rational"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, (int, float, Fraction)):
-            return Fraction(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -40,10 +40,6 @@ class RationalParam(click.ParamType):
 
 
 RATIONAL = RationalParam()
-
-
-def _precision(digits, tail_tol, max_terms) -> PrecisionConfig:
-    return PrecisionConfig(working_digits=digits, tail_tol=tail_tol, max_terms=max_terms)
 
 
 def _parse_base(spec: str):
@@ -69,11 +65,11 @@ def _parse_observable(spec: str, base):
 
 
 precision_options = [
-    click.option("--digits", type=int, default=60, show_default=True,
+    click.option("--digits", type=int, default=PrecisionConfig.working_digits, show_default=True,
                  help="working decimal digits for series evaluation"),
-    click.option("--tail-tol", type=float, default=1e-12, show_default=True,
+    click.option("--tail-tol", type=float, default=PrecisionConfig.tail_tol, show_default=True,
                  help="absolute series truncation target"),
-    click.option("--max-terms", type=int, default=400, show_default=True,
+    click.option("--max-terms", type=int, default=PrecisionConfig.max_terms, show_default=True,
                  help="series term and pmf entry budget before failing"),
 ]
 
@@ -139,14 +135,14 @@ def verify(suite, m_max, n_max, thetas, sigma, svals, reps, digits, tail_tol, ma
     floats = [float(th) for th in thetas] or None
     kwargs = {  # per suite; a None value (flag unset) keeps the suite's default
         "combinatorics": {"m_max": m_max},
-        "death": {"prec": _precision(digits, tail_tol, max_terms),
+        "death": {"prec": PrecisionConfig(digits, tail_tol, max_terms),
                   "thetas": [th if th.denominator > 1 else float(th) for th in thetas] or None,
                   "svals": [float(s) for s in svals] or None, "n_max": n_max,
-                  "mc_reps": reps, "mc_seed": None if reps is None else seed or 20240817},
+                  "mc_reps": reps, "mc_seed": seed or None},
         "urn": {"form_max": m_max, "bruteforce_max": None if m_max is None else min(m_max, 5)},
-        "measures": {"seed": seed or 7, "reps": reps, "thetas": floats,
+        "measures": {"seed": seed or None, "reps": reps, "thetas": floats,
                      "sigma": None if sigma is None else float(sigma)},
-        "processes": {"seed": seed or 11, "reps": reps, "thetas": floats},
+        "processes": {"seed": seed or None, "reps": reps, "thetas": floats},
     }
     names = list(kwargs) if suite == "all" else [suite]
     reports = [getattr(verify_mod, f"verify_{name}")(
@@ -192,7 +188,7 @@ def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms,
     if which == "death":
         if tval is None:
             raise click.UsageError("pmf death needs --t")
-        prec = _precision(digits, tail_tol, max_terms)
+        prec = PrecisionConfig(digits, tail_tol, max_terms)
         params = DeathParams(theta if theta.denominator > 1 else float(theta))
         table = death_pmf(tval, params, prec)
         rows = table.rows()
@@ -235,7 +231,7 @@ def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms,
               help="'uniform' or comma-separated discrete weights")
 @click.option("--observable", "observables", multiple=True,
               help="lo:hi interval or comma-separated atom indices; repeatable")
-@click.option("--trunc-eps", type=float, default=1e-8, show_default=True,
+@click.option("--trunc-eps", type=float, default=DEFAULT_TRUNCATION.eps, show_default=True,
               help="stick-breaking residual target")
 @click.option("--dump-final", default=None,
               help="write the final measure as JSON here (measure-chain, fv)")
@@ -246,7 +242,6 @@ def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms,
 def simulate(kind, theta, tval, n, steps, base_spec, observables, trunc_eps, dump_final,
              digits, tail_tol, max_terms, fmt, out, seed):
     """Run a chain for a number of steps, recording observables per step."""
-    from .random_measures import StickTruncation, measure_to_json
     base = _parse_base(base_spec)
     if not observables:
         observables = ("0:0.5",) if isinstance(base, UniformBase) else ("0",)
@@ -265,7 +260,7 @@ def simulate(kind, theta, tval, n, steps, base_spec, observables, trunc_eps, dum
         if tval is None:
             raise click.UsageError("fv needs --t")
         cfg = FvConfig(theta=th, base=base, t=float(tval),
-                       prec=_precision(digits, tail_tol, max_terms), trunc=trunc)
+                       prec=PrecisionConfig(digits, tail_tol, max_terms), trunc=trunc)
     rng = np.random.default_rng(seed)
     traj, final = run_chain(kind, cfg, steps, obs, rng, return_state=True)
     rows = [(i + 1, *row) for i, row in enumerate(traj.tolist())]
@@ -278,11 +273,10 @@ def simulate(kind, theta, tval, n, steps, base_spec, observables, trunc_eps, dum
     columns = ["step"] + [f"obs_{i}" for i in range(len(obs))]
     emit(render_table(config, columns, rows, {"steps": steps}, fmt), out)
     if dump_final is not None:
-        import json as _json
         doc = {"seed": seed, "config": {k: str(v) for k, v in config.items()},
                "measure": measure_to_json(final)}
         with open(dump_final, "w") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
 
 
 if __name__ == "__main__":

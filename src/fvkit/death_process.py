@@ -94,10 +94,6 @@ class DeathPmf:
     def n_max(self) -> int:
         return len(self.probs) - 1
 
-    @property
-    def term_bound(self) -> float:
-        return max(self.term_bounds, default=0.0)
-
     @cached_property
     def probs_float(self) -> np.ndarray:
         """Float copy of ``probs``, computed once and read-only."""
@@ -318,40 +314,41 @@ def transition_given_n(n: int, s, params: DeathParams, prec: PrecisionConfig = P
 
 
 def transition_closed_form(n: int, r: int, s, params: DeathParams,
-                           working_digits: int = 60) -> float:
+                           prec: PrecisionConfig = PrecisionConfig()) -> float:
     """P(count = r after s | count = n) for the finite pure death chain with
-    pairwise distinct rates, via the standard partial-fraction formula.
-    This is the independent oracle for ``transition_given_n``."""
+    pairwise distinct rates, via the standard partial-fraction formula
+    prod_{k>r} lambda_k sum_i exp(-lambda_i s) / prod_{j!=i} (lambda_j - lambda_i).
+    This is the independent oracle for ``transition_given_n``.
+
+    With theta = p/q each 2q lambda_k = k((k-1)q + p) is an integer, so the
+    (2q)**(n-r) factors cancel and each weight is one integer over another;
+    only exp(-lambda_i s) is evaluated in working precision.  The rates are
+    coded here, apart from the series' ``_death_rate_fraction``."""
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
     if not s > 0:
         raise ValueError("s must be > 0")
     theta = params.theta_fraction
-    rates = [_death_rate_fraction(k, theta) for k in range(r, n + 1)]
-    if len(set(rates)) != len(rates):
+    p, q = theta.numerator, theta.denominator
+    rates = {k: k * ((k - 1) * q + p) for k in range(r, n + 1)}  # 2q lambda_k
+    if len(set(rates.values())) != len(rates):
         raise ValueError("coincident rates: closed form needs pairwise distinct rates")
+    top = math.prod(rates[k] for k in range(r + 1, n + 1))
     sf = Fraction(s)
-    with mpmath.workdps(working_digits):
-        if r == n:
-            return float(mpmath.exp(-_mpf_frac(rates[-1] * sf)))
-        prod_rates = Fraction(1)
-        for lam in rates[1:]:
-            prod_rates *= lam
+    with mpmath.workdps(prec.working_digits):
         total = mpmath.mpf(0)
-        for i, lam_k in enumerate(rates):
-            denom = Fraction(1)
-            for j, lam_j in enumerate(rates):
-                if j != i:
-                    denom *= lam_j - lam_k
-            total += mpmath.exp(-_mpf_frac(lam_k * sf)) / _mpf_frac(denom)
-        return float(_mpf_frac(prod_rates) * total)
+        for i, rate in rates.items():
+            den = math.prod(rates[j] - rate for j in rates if j != i)
+            lam_s = mpmath.mpf(rate * sf.numerator) / (2 * q * sf.denominator)
+            total += mpmath.mpf(top) / den * mpmath.exp(-lam_s)
+        return float(total)
 
 
 def _closed_form_residual(n: int, r: int, s, params: DeathParams, prec: PrecisionConfig,
                           scale=1) -> float:
     # |series - closed form| of P(count = r after s | count = n), both over scale
     pmf = _inner_pmf(s, params, prec, n)
-    closed = transition_closed_form(n, r, s, params, prec.working_digits) / scale
+    closed = transition_closed_form(n, r, s, params, prec) / scale
     with mpmath.workdps(prec.working_digits):
         return abs(float(_transition_entry(pmf, n, r) / _mpf_frac(scale)) - closed)
 
@@ -379,8 +376,7 @@ def check_single_death_identity(n: int, s, params: DeathParams,
     linearly, so 0 < H(1e-3) <= 5e-4, and a RuntimeError is raised if not."""
     scale = n * (n - 1 + params.theta_fraction)
     residual = _closed_form_residual(n, n - 1, s, params, prec, scale)
-    h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), params,
-                                     prec.working_digits) / scale
+    h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), params, prec) / scale
     if not 0 < h_small <= 5e-4:
         raise RuntimeError(f"H(1e-3) = {h_small} outside (0, 5e-4]")
     return residual

@@ -16,8 +16,10 @@ from typing import Union
 
 import numpy as np
 
-from .combinatorics import (binomial, falling_factorial, rising_expansion, rising_factorial,
-                            rising_product)
+# rising_factorial is unused here but stays importable: bench/tracing.py
+# rebinds this module's combinatorics names
+from .combinatorics import (binomial, falling_factorial, rising_expansion,  # noqa: F401
+                            rising_factorial, rising_product)
 
 BRUTEFORCE_PATH_BUDGET = 10**7
 
@@ -149,7 +151,7 @@ def _check_exact_args(m: int, n: int, theta) -> Fraction:
 
 def overlap_entry(r: int, m: int, n: int, theta: Fraction,
                   via_expansion: bool = False) -> tuple[int, int]:
-    """P(r | m, n) for theta > 0 through the direct form
+    """P(r | m, n) for theta >= 0 through the direct form
     n_[r] C(m,r) (theta+r)_(m-r) / (theta+n)_(m), as an unnormalised
     integer pair (num, den).
 
@@ -166,17 +168,21 @@ def overlap_entry(r: int, m: int, n: int, theta: Fraction,
     return num, rising_product(p + n * q, q, m)
 
 
-def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
-    """Closed-form overlap pmf for theta > 0: ``overlap_entry`` for every
-    r, exact rational output, checked to sum to exactly 1.
-    ``overlap_pmf_extended`` computes the other published form for
-    cross-checking."""
-    theta = _check_exact_args(m, n, theta)
+def _entry_pmf(m: int, n: int, theta: Fraction, via_expansion: bool = False) -> OverlapPmf:
+    # ``overlap_entry`` for every r, checked to sum to exactly 1
     nums, dens = zip(*(overlap_entry(r, m, n, theta, via_expansion)
                        for r in range(min(m, n) + 1)))
     if len(set(dens)) != 1 or sum(nums) != dens[0]:
         raise RuntimeError(f"overlap pmf does not sum to 1 for m={m}, n={n}, theta={theta}")
     return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, dens[0]) for a in nums))
+
+
+def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
+    """Closed-form overlap pmf for theta > 0: ``overlap_entry`` for every
+    r, exact rational output, checked to sum to exactly 1.
+    ``overlap_pmf_extended`` computes the other published form for
+    cross-checking."""
+    return _entry_pmf(m, n, _check_exact_args(m, n, theta), via_expansion)
 
 
 def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:
@@ -198,18 +204,16 @@ def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:
 
 def overlap_pmf_theta0(m: int, n: int) -> OverlapPmf:
     """Overlap pmf in the theta = 0 regime (no fresh mass): requires
-    m, n >= 1, and r = 0 has probability 0.  Computed through
-    n_[r] (r)_(m-r) C(m,r) / (n)_(m), every entry an integer numerator over
-    one shared denominator; ``overlap_pmf_theta0_factorial`` computes the
-    other printed form for cross-checking."""
+    m, n >= 1, and r = 0 has probability 0.  ``overlap_entry`` at theta = 0
+    is n_[r] (r)_(m-r) C(m,r) / (n)_(m), every entry an integer numerator
+    over one shared denominator; ``overlap_pmf_theta0_factorial`` computes
+    the other printed form for cross-checking."""
     if m < 1 or n < 1:
         raise ValueError("theta = 0 pmf needs m >= 1 and n >= 1")
-    den = rising_factorial(n, m)
-    nums = [falling_factorial(n, r) * rising_factorial(r, m - r) * binomial(m, r)
-            for r in range(min(m, n) + 1)]
-    if nums[0] != 0 or sum(nums) != den:
+    pmf = _entry_pmf(m, n, Fraction(0))
+    if pmf.probs[0] != 0:
         raise RuntimeError(f"theta=0 overlap pmf invalid for m={m}, n={n}")
-    return OverlapPmf(m=m, n=n, theta=Fraction(0), probs=tuple(Fraction(a, den) for a in nums))
+    return pmf
 
 
 def overlap_pmf_theta0_factorial(m: int, n: int) -> OverlapPmf:

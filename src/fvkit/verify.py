@@ -156,8 +156,7 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
                 rows.append(_residual_row("single-death-identity", f"n={n},theta={theta},s={s}", rb, tol10))
             for n in range(1, n_max + 1):
                 series = dp.transition_given_n(n, s, params, prec)
-                closed = [dp.transition_closed_form(n, r, s, params, prec.working_digits)
-                          for r in range(n + 1)]
+                closed = [dp.transition_closed_form(n, r, s, params, prec) for r in range(n + 1)]
                 worst = max(abs(a - b) for a, b in zip(series, closed))
                 rows.append(_residual_row("transition-vs-closed-form",
                                           f"n={n},theta={theta},s={s}", worst, tol10))
@@ -236,28 +235,20 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
     pv = mk.dar1_marginal_chisquare(mk.Dar1Config(1.0, dbase), max(reps, 1000),
                                     np.random.default_rng(seed + 1))
     rows.append(_pvalue_row("dar1-marginal-chisquare", f"theta=1,samples={max(reps,1000)}", pv))
-    for theta in thetas:
-        for n in chain_ns:
-            cfg = mk.MeasureChainConfig(theta, base, n)
-            checks = mk.stationarity_checks("measure-chain", cfg, A, reps, checkpoints,
-                                            np.random.default_rng(seed + 2))
-            for c in checks:
-                instance = f"theta={theta},n={n},steps={c.after_steps}"
-                rows.append(_z_row("measure-chain-mean", instance, c.mean_z))
-                rows.append(_z_row("measure-chain-variance", instance, c.var_z))
-                rows.append(_z_row("measure-chain-lag-slope", instance, c.slope_z))
-                rows.append(_z_row("measure-chain-eigen2-slope", instance, c.eigen2_slope_z))
-    for theta in thetas:
-        for t in fv_ts:
-            cfg = mk.FvConfig(theta, base, t)
-            checks = mk.stationarity_checks("fv", cfg, A, reps, checkpoints,
-                                            np.random.default_rng(seed + 3))
-            for c in checks:
-                instance = f"theta={theta},t={t},steps={c.after_steps}"
-                rows.append(_z_row("fv-mean", instance, c.mean_z))
-                rows.append(_z_row("fv-variance", instance, c.var_z))
-                rows.append(_z_row("fv-lag-slope", instance, c.slope_z))
-                rows.append(_z_row("fv-eigen2-slope", instance, c.eigen2_slope_z))
+    # (row prefix and chain kind, instance, config, seed offset)
+    chains = ([("measure-chain", f"theta={theta},n={n}", mk.MeasureChainConfig(theta, base, n), 2)
+               for theta in thetas for n in chain_ns]
+              + [("fv", f"theta={theta},t={t}", mk.FvConfig(theta, base, t), 3)
+                 for theta in thetas for t in fv_ts])
+    for kind, instance, cfg, offset in chains:
+        checks = mk.stationarity_checks(kind, cfg, A, reps, checkpoints,
+                                        np.random.default_rng(seed + offset))
+        for c in checks:
+            at = f"{instance},steps={c.after_steps}"
+            rows += [_z_row(f"{kind}-mean", at, c.mean_z),
+                     _z_row(f"{kind}-variance", at, c.var_z),
+                     _z_row(f"{kind}-lag-slope", at, c.slope_z),
+                     _z_row(f"{kind}-eigen2-slope", at, c.eigen2_slope_z)]
     rep = mk.fv_chapman_kolmogorov_process_test(mk.FvConfig(1.0, base, 1.0), 0.5, 0.5, A,
                                                 reps, np.random.default_rng(seed + 4))
     rows.append(_pvalue_row("fv-composition-ks", f"theta=1,t=s=0.5,reps={reps}", rep.ks_pvalue))

@@ -214,27 +214,33 @@ class TestVerifyCommand:
                             f"standard error, got {reps}\n")
 
     @pytest.mark.parametrize("args, expected", [
-        ([], {"combinatorics": {}, "death": {}, "urn": {},
-              "measures": {"seed": 7}, "processes": {"seed": 11}}),
+        ([], {"combinatorics": {}, "death": {}, "urn": {}, "measures": {}, "processes": {}}),
         (["--m-max", "7", "--n-max", "2", "--theta", "1/2", "--theta", "2", "--s", "1",
           "--reps", "50", "--sigma", "0"],
          {"combinatorics": {"m_max": 7},
           "death": {"thetas": [Fraction(1, 2), 2.0], "svals": [1.0], "n_max": 2,
-                    "mc_reps": 50, "mc_seed": 20240817},
+                    "mc_reps": 50},
           "urn": {"form_max": 7, "bruteforce_max": 5},
-          "measures": {"seed": 7, "reps": 50, "thetas": [0.5, 2.0], "sigma": 0.0},
-          "processes": {"seed": 11, "reps": 50, "thetas": [0.5, 2.0]}}),
+          "measures": {"reps": 50, "thetas": [0.5, 2.0], "sigma": 0.0},
+          "processes": {"reps": 50, "thetas": [0.5, 2.0]}}),
         (["--m-max", "3", "--reps", "0", "--seed", "4"],
          {"combinatorics": {"m_max": 3}, "death": {"mc_reps": 0, "mc_seed": 4},
           "urn": {"form_max": 3, "bruteforce_max": 3},
           "measures": {"seed": 4, "reps": 0}, "processes": {"seed": 4, "reps": 0}}),
     ])
     def test_flags_reach_each_suite(self, monkeypatch, args, expected):
+        import inspect
+
         from click.testing import CliRunner
         from fvkit import cli as cli_mod
         from fvkit import verify as verify_mod
         from fvkit.verify import VerifyReport
 
+        # an unset --seed passes no seed, so these signature defaults apply
+        for suite, key, seed in (("measures", "seed", 7), ("processes", "seed", 11),
+                                 ("death", "mc_seed", 20240817)):
+            params = inspect.signature(getattr(verify_mod, f"verify_{suite}")).parameters
+            assert params[key].default == seed
         calls = {}
         for name in expected:
             def record(_name=name, **kw):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -194,6 +195,62 @@ class TestTransition:
         p = transition_closed_form(3, 1, 1.0, DeathParams(0))
         assert 0 < p < 1
 
+
+
+def _fraction_closed_form(n, r, s, theta, digits):
+    # the partial-fraction formula multiplied out in Fractions, rates and
+    # all, as the closed form was first coded: the reference for the
+    # integer kernel of transition_closed_form
+    def mpf(x):
+        x = Fraction(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    rates = [Fraction(k, 2) * (k - 1 + theta) for k in range(r, n + 1)]
+    if len(set(rates)) != len(rates):
+        raise ValueError("coincident rates")
+    sf = Fraction(s)
+    with mpmath.workdps(digits):
+        if r == n:
+            return float(mpmath.exp(-mpf(rates[-1] * sf)))
+        prod_rates = Fraction(1)
+        for lam in rates[1:]:
+            prod_rates *= lam
+        total = mpmath.mpf(0)
+        for i, lam_k in enumerate(rates):
+            denom = Fraction(1)
+            for j, lam_j in enumerate(rates):
+                if j != i:
+                    denom *= lam_j - lam_k
+            total += mpmath.exp(-mpf(lam_k * sf)) / mpf(denom)
+        return float(mpf(prod_rates) * total)
+
+
+class TestClosedFormKernel:
+    THETAS = (0, 0.1, Fraction(1, 3), 0.5, 1, Fraction(7, 2), 4)
+    SVALS = (Fraction(1, 1000), 0.2, 0.7, 1, 5)
+
+    @pytest.mark.parametrize("digits", [60, 90])
+    def test_integer_kernel_matches_fraction_formula(self, digits):
+        # 1,500 inputs per precision, compared float for float
+        prec = PrecisionConfig(working_digits=digits)
+        compared = 0
+        for theta in self.THETAS:
+            params = DeathParams(theta)
+            for s in self.SVALS:
+                for n in range(1, 9):
+                    for r in range(1 if theta == 0 else 0, n + 1):
+                        got = transition_closed_form(n, r, s, params, prec)
+                        expected = _fraction_closed_form(n, r, s, Fraction(theta), digits)
+                        assert got == expected, (n, r, s, theta)
+                        compared += 1
+        assert compared == 1500
+
+    def test_theta0_to_zero_still_raises(self):
+        for n in (1, 4, 8):
+            with pytest.raises(ValueError, match="coincident rates"):
+                transition_closed_form(n, 0, 0.5, DeathParams(0))
+            with pytest.raises(ValueError, match="coincident rates"):
+                _fraction_closed_form(n, 0, 0.5, Fraction(0), 60)
 
 class TestSurvivalIdentity:
     def test_n1_example(self):

@@ -22,9 +22,9 @@ def _failing(report, check):
     return [row.instance for row in rows if not row.passed]
 
 
-def _small_death():
+def _small_death(ineq_ts=()):
     return V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=3, r_max=1,
-                          ck_pairs=((0.5, 0.5),), ineq_ts=())
+                          ck_pairs=((0.5, 0.5),), ineq_ts=ineq_ts)
 
 
 def _small_urn():
@@ -51,7 +51,8 @@ def test_overlap_entry_perturbed_at_r1(monkeypatch):
     report = _small_urn()
     for check in ("overlap-forms-agree", "exact-vs-bruteforce", "expansion-route-identical"):
         assert _failing(report, check)
-    assert not _failing(report, "theta0-forms-agree")
+    # the theta = 0 pmf is built from the same entries, so its rows go red too
+    assert _failing(report, "theta0-forms-agree")
 
 
 def test_expansion_coefficient_shifted(monkeypatch):
@@ -121,6 +122,26 @@ def test_series_hold_rate_off_by_one(monkeypatch):
     assert list(dict.fromkeys(row.check for row in report.rows if not row.passed)) == [
         "survival-identity", "single-death-identity", "transition-vs-closed-form",
         "pmf-vs-monte-carlo"]
+
+
+def test_series_rate_off_by_one_leaves_oracle_alone(monkeypatch):
+    # the series' rate helper gives m(m + theta)/2 instead of m(m - 1 + theta)/2.
+    # The partial-fraction oracle codes its rates as integers of its own, so
+    # exactly the rows that compare the series with it go red, while the
+    # composition and non-absorption rows read the patched rate on both sides
+    assert _small_death(ineq_ts=(0.5,)).ok
+    monkeypatch.setattr(dp, "_death_rate_fraction",
+                        lambda n, theta: Fraction(n, 2) * (n + theta))
+    dp._death_pmf_cached.cache_clear()
+    try:
+        report = _small_death(ineq_ts=(0.5,))
+    finally:
+        dp._death_pmf_cached.cache_clear()
+    assert len(report.rows) == 13
+    for check in ("survival-identity", "single-death-identity", "transition-vs-closed-form"):
+        assert _failing(report, check) == [f"n={n},theta=1.0,s=1.0" for n in (1, 2, 3)]
+    assert {row.check for row in report.rows if not row.passed} == {
+        "survival-identity", "single-death-identity", "transition-vs-closed-form"}
 
 
 def test_complement_series_sign_flipped(monkeypatch):
