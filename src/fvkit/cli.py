@@ -12,9 +12,9 @@ import sys
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import verify as verify_mod
+from ._lazy import np
 from .death_process import DeathParams, PrecisionConfig, PrecisionExhaustedError, death_pmf
 from .markov_processes import Dar1Config, FvConfig, MeasureChainConfig, run_chain
 from .polya_urn import overlap_pmf_bruteforce, overlap_pmf_exact, overlap_pmf_montecarlo, overlap_pmf_theta0

@@ -15,10 +15,8 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
-import numpy as np
-
 from . import parallel, polya_urn
+from ._lazy import mpmath, np
 # binomial, falling_factorial and rising_factorial are unused here but stay
 # importable: bench/tracing.py rebinds this module's combinatorics names
 from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product  # noqa: F401

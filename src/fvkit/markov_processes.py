@@ -10,9 +10,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import mpmath
-import numpy as np
-
+from ._lazy import mpmath, np
 from .death_process import DeathParams, DeathPmf, PrecisionConfig, death_pmf, sample_death_count
 from .random_measures import (
     DEFAULT_TRUNCATION,

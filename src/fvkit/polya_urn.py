@@ -14,8 +14,7 @@ from functools import cached_property, partial
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
+from ._lazy import np
 # rising_factorial is unused here but stays importable: bench/tracing.py
 # rebinds this module's combinatorics names
 from .combinatorics import (binomial, falling_factorial, rising_expansion,  # noqa: F401

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
-import numpy as np
+from ._lazy import np
+
 
 class StickBudgetError(RuntimeError):
     """Residual-target stick breaking hit the hard stick cap; the weight

@@ -24,8 +24,8 @@ def config_hash(cfg: dict) -> str:
 def _cell(v) -> str:
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # float() drops numpy's np.float64(...) repr
+        return repr(float(v))
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)

@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import combinatorics as comb
 from . import death_process as dp
 from . import markov_processes as mk
 from . import polya_urn as urn
 from . import random_measures as rm
+from ._lazy import np
 
 KS_LEVEL = 1e-3
 SE_BUDGET = 4.0

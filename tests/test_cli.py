@@ -46,6 +46,18 @@ class TestPmfCommands:
         for row in rows:
             assert row[i_exact] == row[i_bf]
 
+    def test_overlap_monte_carlo_cells_are_plain_floats(self):
+        args = ("pmf", "overlap", "--theta", "7/2", "--m", "4", "--n", "3", "--reps", "2000")
+        header, rows = parse_csv(run_cli(*args).stdout)
+        doc = json.loads(run_cli(*args, "--format", "json").stdout)
+        assert doc["columns"] == header == ["r", "p_exact", "p_float", "p_mc", "stderr"]
+        assert doc["rows"] == rows
+        for row in rows:
+            p, se = float(row[3]), float(row[4])
+            assert row[3:] == [repr(p), repr(se)]  # no np.float64(...) wrapper
+            assert (p * 2000).is_integer()
+            assert se == pytest.approx((p * (1 - p) / 2000) ** 0.5, rel=1e-12)
+
     def test_overlap_theta0(self):
         r = run_cli("pmf", "overlap", "--theta", "0", "--m", "2", "--n", "2")
         _, rows = parse_csv(r.stdout)

@@ -151,8 +151,32 @@ class TestBadInput:
             _chisquare_pvalue([5, 5], [2.5, 2.5, 5.0])
 
 
+# Run one CLI command (none: import only) and print which of the heavy
+# third-party modules the process loaded.
+FOOTPRINT_CODE = """
+import os, sys, fvkit.cli, fvkit.verify
+if sys.argv[1:]:
+    try:
+        fvkit.cli.main(sys.argv[1:] + ["--out", os.devnull], prog_name="fvkit")
+    except SystemExit as e:
+        if e.code:
+            raise
+print(",".join(m for m in ("mpmath", "numpy", "scipy") if m in sys.modules))
+"""
+
+
 def test_runtime_does_not_import_scipy():
-    code = "import sys, fvkit.cli, fvkit.verify; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    """scipy is never imported; numpy and mpmath only by the commands that
+    compute with them: the exact-rational commands load neither, the death
+    pmf series needs mpmath alone and the Fleming-Viot chain needs both."""
+    cases = [
+        ([], ""),
+        (["verify", "urn", "--m-max", "3"], ""),
+        (["pmf", "overlap", "--theta", "7/2", "--m", "4", "--n", "3", "--bruteforce"], ""),
+        (["pmf", "death", "--theta", "1", "--t", "1"], "mpmath"),
+        (["simulate", "fv", "--theta", "1", "--t", "0.5", "--steps", "3"], "mpmath,numpy"),
+    ]
+    for args, loaded in cases:
+        out = subprocess.run([sys.executable, "-c", FOOTPRINT_CODE, *args],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == loaded, (args, out.stdout)
