@@ -47,9 +47,9 @@ def _parse_base(spec: str):
         return UniformBase()
     try:
         weights = tuple(float(w) for w in spec.split(","))
-        return DiscreteBase(weights=weights)
     except ValueError:
         raise click.UsageError(f"--base must be 'uniform' or comma-separated weights, got {spec!r}")
+    return DiscreteBase(weights=weights)  # a bad weight is a ValueError, exit 2
 
 
 def _parse_observable(spec: str, base):

@@ -5,8 +5,8 @@ All arithmetic here is arbitrary-precision integer/rational.  No floats.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 from typing import Union
 
@@ -57,47 +57,29 @@ def binomial(m: int, n: int) -> int:
     return math.comb(m, n)
 
 
-class _StirlingTable:
-    """Triangular table of unsigned Stirling numbers of the first kind.
-
-    Rows are grown on demand via |s(n,k)| = |s(n-1,k-1)| + (n-1)|s(n-1,k)|.
-    Growth is serialized by a lock so concurrent readers see a consistent
-    table; a cap bounds memory.
-    """
-
-    def __init__(self, cap: int = 512):
-        self.cap = cap
-        self._rows: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("n and k must be >= 0")
-        if k > n:
-            return 0
-        if n >= len(self._rows):
-            self._grow(n)
-        return self._rows[n][k]
-
-    def _grow(self, n: int) -> None:
-        if n > self.cap:
-            raise ValueError(f"Stirling table capped at n <= {self.cap}")
-        with self._lock:
-            while len(self._rows) <= n:
-                i = len(self._rows)
-                prev = self._rows[i - 1]
-                row = [0] * (i + 1)
-                for k in range(1, i + 1):
-                    row[k] = prev[k - 1] + (i - 1) * (prev[k] if k < i else 0)
-                self._rows.append(row)
+STIRLING_MAX_N = 512  # bounds the rows the cache can hold
 
 
-_STIRLING = _StirlingTable()
+@functools.cache
+def _stirling_row(n: int) -> tuple:
+    """Row n of the unsigned Stirling numbers of the first kind, built
+    bottom-up through |s(i,k)| = |s(i-1,k-1)| + (i-1)|s(i-1,k)|."""
+    row = [1]
+    for i in range(1, n + 1):
+        row = [0] + [row[k - 1] + (i - 1) * (row[k] if k < i else 0) for k in range(1, i + 1)]
+    return tuple(row)
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
-    """|s(n, k)|: the coefficient of x^k in x(x+1)...(x+n-1)."""
-    return _STIRLING.value(n, k)
+    """|s(n, k)|: the coefficient of x^k in x(x+1)...(x+n-1), for
+    n <= STIRLING_MAX_N."""
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be >= 0")
+    if k > n:
+        return 0
+    if n > STIRLING_MAX_N:
+        raise ValueError(f"Stirling numbers capped at n <= {STIRLING_MAX_N}")
+    return _stirling_row(n)[k]
 
 
 def rising_expansion(p: int, q: int, r: int, m: int) -> int:

@@ -17,6 +17,7 @@ from .random_measures import (
     BaseMeasure,
     DiscreteBase,
     DiscreteMeasure,
+    Estimate,
     MeasureRows,
     Point,
     StickTruncation,
@@ -173,16 +174,16 @@ def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
 # ---------------------------------------------------------------------------
 # harnesses
 
-def _lag_slope(u: np.ndarray, v: np.ndarray) -> dict:
+def _lag_slope(u: np.ndarray, v: np.ndarray, target: float) -> Estimate:
     """OLS slope of v on u with its heteroscedasticity-robust (HC0
-    sandwich) standard error; NaN when u does not vary."""
+    sandwich) standard error, against target; NaN when u does not vary."""
     du, dv = u - u.mean(), v - v.mean()
     sxx = float(du @ du)
     if sxx == 0:
-        return {"slope": math.nan, "slope_se": math.nan}
+        return Estimate(math.nan, math.nan, target)
     slope = float(du @ dv) / sxx
     score = du * (dv - slope * du)
-    return {"slope": slope, "slope_se": math.sqrt(float(score @ score)) / sxx}
+    return Estimate(slope, math.sqrt(float(score @ score)) / sxx, target)
 
 
 def stationarity_checks(kind: str, cfg, A: TestSet, reps: int,
@@ -222,14 +223,10 @@ def stationarity_checks(kind: str, cfg, A: TestSet, reps: int,
     def f2(x):
         return x * (x + c1) + c0
 
-    checks = []
-    for m in marks:
-        eigen2 = _lag_slope(f2(start), f2(vals[m]))
-        checks.append(replace(_moment_check(vals[m], m, p, th), slope_target=rho**m,
-                              **_lag_slope(start, vals[m]),
-                              eigen2_slope=eigen2["slope"], eigen2_slope_se=eigen2["slope_se"],
-                              eigen2_slope_target=rho2**m))
-    return checks
+    return [replace(_moment_check(vals[m], m, p, th),
+                    slope=_lag_slope(start, vals[m], rho**m),
+                    eigen2_slope=_lag_slope(f2(start), f2(vals[m]), rho2**m))
+            for m in marks]
 
 
 def _ks_2samp_equal(x, y) -> tuple[float, float]:
@@ -285,10 +282,8 @@ class CompositionReport:
 
     ks_stat: float
     ks_pvalue: float
-    mean_diff: float
-    mean_diff_se: float
-    var_diff: float
-    var_diff_se: float
+    mean_diff: Estimate
+    var_diff: Estimate
     reps: int
 
 
@@ -302,14 +297,11 @@ def fv_chapman_kolmogorov_process_test(cfg: FvConfig, t: float, s: float, A: Tes
     one = _step_rows(start, replace(cfg, t=t + s), rng).mass(A)
     two = _step_rows(_step_rows(start, replace(cfg, t=t), rng), replace(cfg, t=s), rng).mass(A)
     ks_stat, ks_pvalue = _ks_2samp_equal(one, two)
-    diff = one - two
-    mean_diff_se = float(diff.std(ddof=1) / math.sqrt(reps))
     d2 = (one - one.mean())**2 - (two - two.mean())**2
-    var_diff_se = float(d2.std(ddof=1) / math.sqrt(reps))
     return CompositionReport(
-        ks_stat=ks_stat, ks_pvalue=ks_pvalue,
-        mean_diff=float(diff.mean()), mean_diff_se=mean_diff_se,
-        var_diff=float(one.var(ddof=1) - two.var(ddof=1)), var_diff_se=var_diff_se,
+        ks_stat=ks_stat, ks_pvalue=ks_pvalue, mean_diff=Estimate.mean_of(one - two),
+        var_diff=Estimate(float(one.var(ddof=1) - two.var(ddof=1)),
+                          Estimate.mean_of(d2).se),
         reps=reps,
     )
 
@@ -321,8 +313,7 @@ class ReversibilityReport:
     the antisymmetric cross moment E[u^2 v - u v^2] vanishes."""
 
     marginal_ks_pvalue: float
-    cross_moment: float
-    cross_moment_se: float
+    cross_moment: Estimate
     reps: int
 
 
@@ -331,13 +322,9 @@ def measure_chain_reversibility_test(cfg: MeasureChainConfig, A: TestSet, reps: 
     start = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
     u = start.mass(A)
     v = _step_rows(start, cfg, rng).mass(A)
-    d = u * u * v - u * v * v
-    return ReversibilityReport(
-        marginal_ks_pvalue=_ks_2samp_equal(u, v)[1],
-        cross_moment=float(d.mean()),
-        cross_moment_se=float(d.std(ddof=1) / math.sqrt(reps)),
-        reps=reps,
-    )
+    return ReversibilityReport(marginal_ks_pvalue=_ks_2samp_equal(u, v)[1],
+                               cross_moment=Estimate.mean_of(u * u * v - u * v * v),
+                               reps=reps)
 
 
 def dar1_retention_frequency(cfg: Dar1Config, steps: int, rng: np.random.Generator) -> float:

@@ -32,6 +32,10 @@ class Interval:
     lo: float
     hi: float
 
+    def __post_init__(self):
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise ValueError("interval endpoints must not be NaN")
+
 
 @dataclass(frozen=True)
 class AtomSet:
@@ -98,8 +102,8 @@ class DiscreteBase:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.size == 0 or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        if w.size == 0 or not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("weights must be finite, nonnegative and sum to 1")
         if self.points is not None and len(self.points) != w.size:
             raise ValueError("points must match weights in length")
 
@@ -593,77 +597,73 @@ def _dirichlet_rows(theta: float, base: BaseMeasure, reps: int, trunc: StickTrun
 _measure_mass_rows = _dirichlet_rows
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2 for a Monte Carlo standard error, got {reps}")
+
+
 def _check_masses(theta, base: BaseMeasure, A: TestSet, reps: int, trunc: StickTruncation,
                   rng: np.random.Generator, n_cond: int = 0) -> np.ndarray:
     """mu(A) per row of _dirichlet_rows, for a check that needs reps >= 2."""
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2 for a Monte Carlo standard error, got {reps}")
+    _check_reps(reps)
     return _dirichlet_rows(float(theta), base, reps, trunc, rng, n_cond).mass(A)
+
+
+def _z(diff, se):
+    """|diff| in standard errors, elementwise: 0 where there is no
+    difference, inf where a zero standard error cannot explain one; NaN
+    passes through.  A scalar comes back as a float."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(np.equal(diff, 0), 0.0, np.abs(diff) / se)
+    return z if z.ndim else float(z)
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A Monte Carlo estimate with its standard error, against a target."""
+
+    value: float
+    se: float
+    target: float = 0.0
+
+    @property
+    def z(self) -> float:
+        return _z(self.value - self.target, self.se)
+
+    @staticmethod
+    def mean_of(samples: np.ndarray, target: float = 0.0) -> "Estimate":
+        """The sample mean with its standard error, for samples.size >= 2."""
+        return Estimate(float(samples.mean()),
+                        float(samples.std(ddof=1) / math.sqrt(samples.size)), target)
+
+
+_NO_RUN = Estimate(math.nan, math.nan, math.nan)
 
 
 @dataclass(frozen=True)
 class MomentCheck:
     """Mean and variance of mu(A) against the Dirichlet prior's p = nu_0(A)
-    and p(1-p)/(1+theta), with standard errors, over prior draws (after_steps
-    0) or chains from the prior after that many steps; from a chain run also
-    the OLS slope of mu_k(A) on mu_0(A) against rho**k, and of f2(mu_k(A))
-    on f2(mu_0(A)) against the degree-2 eigenvalue to the k (NaN without a
-    run)."""
+    and p(1-p)/(1+theta), over prior draws (after_steps 0) or chains from
+    the prior after that many steps; from a chain run also the OLS slope of
+    mu_k(A) on mu_0(A) against rho**k, and of f2(mu_k(A)) on f2(mu_0(A))
+    against the degree-2 eigenvalue to the k (NaN without a run)."""
 
     after_steps: int
-    mean: float
-    mean_se: float
-    mean_target: float
-    var: float
-    var_se: float
-    var_target: float
     reps: int
-    slope: float = math.nan
-    slope_se: float = math.nan
-    slope_target: float = math.nan
-    eigen2_slope: float = math.nan
-    eigen2_slope_se: float = math.nan
-    eigen2_slope_target: float = math.nan
-
-    @property
-    def mean_z(self) -> float:
-        return _z(self.mean - self.mean_target, self.mean_se)
-
-    @property
-    def var_z(self) -> float:
-        return _z(self.var - self.var_target, self.var_se)
-
-    @property
-    def slope_z(self) -> float:
-        return _z(self.slope - self.slope_target, self.slope_se)
-
-    @property
-    def eigen2_slope_z(self) -> float:
-        return _z(self.eigen2_slope - self.eigen2_slope_target, self.eigen2_slope_se)
-
-
-def _z(diff: float, se: float) -> float:
-    """|diff| in standard errors: 0 when there is no difference, inf when a
-    zero standard error cannot explain one."""
-    if diff == 0:
-        return 0.0
-    return math.inf if se == 0 else abs(diff) / se
+    mean: Estimate
+    var: Estimate
+    slope: Estimate = _NO_RUN
+    eigen2_slope: Estimate = _NO_RUN
 
 
 def _moment_check(vals: np.ndarray, after: int, p: float, theta: float) -> MomentCheck:
     reps = vals.size
-    mean = float(vals.mean())
-    mean_se = float(vals.std(ddof=1) / math.sqrt(reps))
     var = float(vals.var(ddof=1))
     centered = vals - vals.mean()
     m4 = float((centered**4).mean())
     var_se = float(math.sqrt(max(m4 - var**2, 0.0) / reps))
-    return MomentCheck(
-        after_steps=after,
-        mean=mean, mean_se=mean_se, mean_target=p,
-        var=var, var_se=var_se, var_target=p * (1 - p) / (1 + theta),
-        reps=reps,
-    )
+    return MomentCheck(after_steps=after, reps=reps, mean=Estimate.mean_of(vals, p),
+                       var=Estimate(var, var_se, p * (1 - p) / (1 + theta)))
 
 
 def check_mean_identity(theta, base: BaseMeasure, A: TestSet, reps: int,
@@ -677,17 +677,12 @@ def check_mean_identity(theta, base: BaseMeasure, A: TestSet, reps: int,
 
 @dataclass(frozen=True)
 class MixtureIdentityReport:
-    """First and second moments of mu(A) under (i) direct prior draws and
-    (ii) the hierarchical route X ~ base then mu ~ posterior(theta, [X])."""
+    """First and second moments of mu(A) under the hierarchical route
+    X ~ base then mu ~ posterior(theta, [X]), each against its value under
+    direct prior draws as the target, with the two-sample standard error."""
 
-    mean_direct: float
-    mean_hier: float
-    mean_diff: float
-    mean_se: float
-    second_direct: float
-    second_hier: float
-    second_diff: float
-    second_se: float
+    first: Estimate
+    second: Estimate
     reps: int
 
 
@@ -700,16 +695,13 @@ def check_mixture_identity(theta, base: BaseMeasure, A: TestSet, direct: np.ndar
     hierarchical draws are made here."""
     reps = direct.size
     hier = _check_masses(theta, base, A, reps, trunc, rng, n_cond=1)
-    m1d, m1h = float(direct.mean()), float(hier.mean())
-    s1 = math.sqrt((direct.var(ddof=1) + hier.var(ddof=1)) / reps)
-    d2, h2 = direct**2, hier**2
-    m2d, m2h = float(d2.mean()), float(h2.mean())
-    s2 = math.sqrt((d2.var(ddof=1) + h2.var(ddof=1)) / reps)
-    return MixtureIdentityReport(
-        mean_direct=m1d, mean_hier=m1h, mean_diff=abs(m1d - m1h), mean_se=s1,
-        second_direct=m2d, second_hier=m2h, second_diff=abs(m2d - m2h), second_se=s2,
-        reps=reps,
-    )
+
+    def moment(d, h):
+        se = math.sqrt((d.var(ddof=1) + h.var(ddof=1)) / reps)
+        return Estimate(float(h.mean()), se, float(d.mean()))
+
+    return MixtureIdentityReport(first=moment(direct, hier),
+                                 second=moment(direct**2, hier**2), reps=reps)
 
 
 # ---------------------------------------------------------------------------

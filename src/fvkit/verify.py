@@ -65,11 +65,6 @@ def _pvalue_row(check: str, instance: str, p: float, level: float = KS_LEVEL) ->
     return VerifyRow(check, instance, f"p={p:.5f}", f"level {level:g}", p > level)
 
 
-def _check_reps(reps: int) -> None:
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2 for a Monte Carlo standard error, got {reps}")
-
-
 # ---------------------------------------------------------------------------
 
 def verify_combinatorics(m_max: int = 15, k_max: int = 12, conv_max: int = 12) -> VerifyReport:
@@ -138,7 +133,7 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
                  prec: dp.PrecisionConfig = dp.PrecisionConfig(),
                  mc_reps: int = 0, mc_n0: int = 500, mc_seed: int = 20240817) -> VerifyReport:
     if mc_reps != 0:  # 0 skips the Monte Carlo oracle
-        _check_reps(mc_reps)
+        rm._check_reps(mc_reps)
     rows = []
     tol10 = 10 * prec.tail_tol
     tol100 = 100 * prec.tail_tol
@@ -176,7 +171,7 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
         d = pmf.probs_float
         k = min(d.size, rep.base.probs.size)
         se = np.sqrt(d[:k] * (1 - d[:k]) / mc_reps)
-        zmax = float(np.max(np.abs(rep.base.probs[:k] - d[:k]) / np.where(se > 0, se, np.inf)))
+        zmax = float(np.max(rm._z(rep.base.probs[:k] - d[:k], se)))
         rows.append(_z_row("pmf-vs-monte-carlo", f"theta=1,t=1,n0={mc_n0},reps={mc_reps}", zmax))
         rows.append(_z_row("mc-start-sensitivity", f"n0={mc_n0}->{2*mc_n0}",
                            rep.max_shift_in_se, budget=3.0))
@@ -196,11 +191,10 @@ def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
         direct = rm._check_masses(theta, base, A, reps, rm.DEFAULT_TRUNCATION, rng)
         prior = rm._moment_check(direct, 0, base.measure(A), theta)
         mx = rm.check_mixture_identity(theta, base, A, direct, rm.DEFAULT_TRUNCATION, rng)
-        rows += [_z_row("prior-mean-identity", f"theta={theta},A=[0,0.5)", prior.mean_z),
-                 _z_row("mixture-first-moment", f"theta={theta}", mx.mean_diff / mx.mean_se),
-                 _z_row("mixture-second-moment", f"theta={theta}",
-                        mx.second_diff / mx.second_se),
-                 _z_row("prior-variance", f"theta={theta}", prior.var_z)]
+        rows += [_z_row("prior-mean-identity", f"theta={theta},A=[0,0.5)", prior.mean.z),
+                 _z_row("mixture-first-moment", f"theta={theta}", mx.first.z),
+                 _z_row("mixture-second-moment", f"theta={theta}", mx.second.z),
+                 _z_row("prior-variance", f"theta={theta}", prior.var.z)]
     pd_params = rm.StickBreakingParams.poisson_dirichlet(sigma, 0.0 if sigma else 1.0)
     for check, instance, params in (
             ("summability-dp", "theta=1,J=1e4", rm.StickBreakingParams.dp(1.0)),
@@ -217,7 +211,7 @@ def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
 def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
                      chain_ns=(1, 5), fv_ts=(0.2, 1.0, 5.0),
                      checkpoints=(1, 5)) -> VerifyReport:
-    _check_reps(reps)
+    rm._check_reps(reps)
     rows = []
     base = rm.UniformBase()
     A = rm.Interval(0.0, 0.5)
@@ -229,7 +223,7 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
         rows.append(_pvalue_row("dar1-detailed-balance", f"theta={theta},steps={n_steps}", pv))
     f = mk.dar1_retention_frequency(mk.Dar1Config(1.0, base), n_steps,
                                     np.random.default_rng(seed))
-    z = abs(f - 0.5) / math.sqrt(0.25 / n_steps)
+    z = rm.Estimate(f, math.sqrt(0.25 / n_steps), 0.5).z
     rows.append(_z_row("dar1-retention", f"theta=1,steps={n_steps}", z))
     pv = mk.dar1_marginal_chisquare(mk.Dar1Config(1.0, dbase), max(reps, 1000),
                                     np.random.default_rng(seed + 1))
@@ -244,10 +238,10 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
                                         np.random.default_rng(seed + offset))
         for c in checks:
             at = f"{instance},steps={c.after_steps}"
-            rows += [_z_row(f"{kind}-mean", at, c.mean_z),
-                     _z_row(f"{kind}-variance", at, c.var_z),
-                     _z_row(f"{kind}-lag-slope", at, c.slope_z),
-                     _z_row(f"{kind}-eigen2-slope", at, c.eigen2_slope_z)]
+            rows += [_z_row(f"{kind}-mean", at, c.mean.z),
+                     _z_row(f"{kind}-variance", at, c.var.z),
+                     _z_row(f"{kind}-lag-slope", at, c.slope.z),
+                     _z_row(f"{kind}-eigen2-slope", at, c.eigen2_slope.z)]
     rep = mk.fv_chapman_kolmogorov_process_test(mk.FvConfig(1.0, base, 1.0), 0.5, 0.5, A,
                                                 reps, np.random.default_rng(seed + 4))
     rows.append(_pvalue_row("fv-composition-ks", f"theta=1,t=s=0.5,reps={reps}", rep.ks_pvalue))
@@ -256,6 +250,6 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
     rows.append(_pvalue_row("reversibility-marginal-ks", f"theta=1,reps={reps}",
                             rev.marginal_ks_pvalue))
     rows.append(_z_row("reversibility-cross-moment", f"theta=1,reps={reps}",
-                       abs(rev.cross_moment) / rev.cross_moment_se))
+                       rev.cross_moment.z))
     return VerifyReport("processes", tuple(rows))
 

@@ -145,6 +145,16 @@ class TestSimulateCommands:
         assert f"observable {observable!r} names an atom outside 0..1" in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("args, message", [
+        (("--base", "nan,0.5"), "weights must be finite, nonnegative and sum to 1"),
+        (("--observable", "nan:0.5"), "interval endpoints must not be NaN")],
+        ids=["base", "observable"])
+    def test_nan_rejected(self, args, message):
+        r = run_cli("simulate", "dar1", "--theta", "1", *args, "--steps", "5")
+        assert r.returncode == 2
+        assert r.stderr == f"invalid arguments: {message}\n"
+        assert r.stdout == ""
+
     def test_discrete_base_simulation(self):
         r = run_cli("simulate", "dar1", "--theta", "2", "--base", "0.3,0.7",
                     "--observable", "0", "--steps", "8", "--seed", "5")

@@ -102,11 +102,11 @@ class TestStirling:
                 assert direct == summed
 
     def test_cap(self):
-        from fvkit.combinatorics import _StirlingTable
-        small = _StirlingTable(cap=8)
-        assert small.value(8, 3) > 0
+        from fvkit.combinatorics import STIRLING_MAX_N
+        assert STIRLING_MAX_N == 512
+        assert stirling1_unsigned(512, 3) > 0
         with pytest.raises(ValueError):
-            small.value(9, 2)
+            stirling1_unsigned(513, 2)
 
 
 class TestVanishingAlternatingSum:

@@ -2,6 +2,7 @@
 verification rows meant to catch it go red, on grids small enough to run
 in seconds.  Each suite first runs unpatched on the same grid as a control."""
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -220,6 +221,33 @@ def test_hold_rate_off_by_one(monkeypatch):
     monkeypatch.setattr(dp, "_hold_rates", shifted)
     report = _death_with_oracle()
     assert [row.check for row in report.rows if not row.passed] == ["pmf-vs-monte-carlo"]
+
+
+def test_d1_zero_in_monte_carlo_comparison(monkeypatch):
+    # d_1(1) at theta = 1 reads exactly 0, a third of the pmf's mass gone.
+    # Its binomial standard error is then 0 too, and a zero standard error
+    # cannot explain the oracle's d_1, so the comparison row must go red
+    # rather than score that entry as agreement
+    def oracle():
+        return V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=1, r_max=0,
+                              ck_pairs=((0.5, 0.5),), ineq_ts=(1.0,), mc_reps=20_000)
+
+    assert oracle().ok
+    exact = dp.death_pmf
+
+    def zeroed(t, params, prec=dp.PrecisionConfig()):
+        pmf = exact(t, params, prec)
+        if t != 1.0 or params.theta != 1.0:
+            return pmf
+        probs = list(pmf.probs)
+        probs[1] = mpmath.mpf(0)
+        return replace(pmf, probs=tuple(probs))
+
+    monkeypatch.setattr(dp, "death_pmf", zeroed)
+    report = oracle()
+    assert _failing(report, "pmf-vs-monte-carlo") == ["theta=1,t=1,n0=500,reps=20000"]
+    assert [row.observed for row in report.rows if row.check == "pmf-vs-monte-carlo"] == [
+        "z=inf"]
 
 
 def _fv_processes():

@@ -85,15 +85,15 @@ class TestMeasureChain:
         cfg = MeasureChainConfig(1.0, UB, 5)
         checks = stationarity_checks("measure-chain", cfg, A, 4000, (1,),
                                      np.random.default_rng(5))
-        assert checks[0].mean_z < 4
-        assert checks[0].var_z < 4
+        assert checks[0].mean.z < 4
+        assert checks[0].var.z < 4
 
     def test_five_step_moments(self):
         cfg = MeasureChainConfig(0.5, UB, 1)
         checks = stationarity_checks("measure-chain", cfg, A, 3000, (1, 5),
                                      np.random.default_rng(6))
         for c in checks:
-            assert c.mean_z < 4 and c.var_z < 4
+            assert c.mean.z < 4 and c.var.z < 4
 
 
 class TestFvStep:
@@ -135,7 +135,7 @@ class TestFvStep:
     def test_stationary_moments(self):
         cfg = FvConfig(1.0, UB, 1.0)
         checks = stationarity_checks("fv", cfg, A, 4000, (1,), np.random.default_rng(7))
-        assert checks[0].mean_z < 4 and checks[0].var_z < 4
+        assert checks[0].mean.z < 4 and checks[0].var.z < 4
 
 
 class TestRunChain:
@@ -192,7 +192,7 @@ class TestProcessLevelComposition:
         rep = fv_chapman_kolmogorov_process_test(cfg, 0.5, 0.5, A, 4000,
                                                  np.random.default_rng(11))
         assert rep.ks_pvalue > 1e-3
-        assert abs(rep.mean_diff) < 4 * rep.mean_diff_se
+        assert rep.mean_diff.z < 4
 
     def test_long_horizon_matches_prior(self):
         # both arms far past mixing: marginal is the stationary one
@@ -207,7 +207,7 @@ class TestReversibility:
         cfg = MeasureChainConfig(1.0, UB, 1)
         rep = measure_chain_reversibility_test(cfg, A, 4000, np.random.default_rng(13))
         assert rep.marginal_ks_pvalue > 1e-3
-        assert abs(rep.cross_moment) < 4 * rep.cross_moment_se
+        assert rep.cross_moment.z < 4
 
 
 class TestRunChainPins:
@@ -326,37 +326,40 @@ class TestLagSlope:
         checks = stationarity_checks("measure-chain", cfg, A, 4000, (1, 2),
                                      np.random.default_rng(8))
         for c in checks:
-            assert c.slope_target == pytest.approx(0.75**c.after_steps)
-            assert c.slope_z < 4
+            assert c.slope.target == pytest.approx(0.75**c.after_steps)
+            assert c.slope.z < 4
 
     def test_fv_target_is_single_lineage_survival(self):
         checks = stationarity_checks("fv", FvConfig(2.0, UB, 0.4), A, 50, (1,),
                                      np.random.default_rng(9))
-        assert checks[0].slope_target == pytest.approx(math.exp(-0.4))
+        assert checks[0].slope.target == pytest.approx(math.exp(-0.4))
 
     def test_robust_se_on_a_known_fit(self):
         u = np.array([0.0, 1.0, 2.0, 3.0])
         v = np.array([0.0, 2.0, 2.0, 6.0])
-        fit = mk._lag_slope(u, v)
+        fit = mk._lag_slope(u, v, 2.0)
         # slope 9/5 over Sxx = 5; residuals 0.2, 0.4, -1.4, 0.8, so the
         # scores du*e are -0.3, -0.2, -0.7, 1.2 with squares summing to 2.06
-        assert fit["slope"] == pytest.approx(1.8)
-        assert fit["slope_se"] == pytest.approx(math.sqrt(2.06) / 5.0)
+        assert fit.value == pytest.approx(1.8)
+        assert fit.se == pytest.approx(math.sqrt(2.06) / 5.0)
+        assert fit.target == 2.0
 
     def test_constant_observable_scores_zero(self):
         # mu(whole space) = 1 on every row: zero spread, zero difference
         cfg = MeasureChainConfig(1.0, UB, 2)
         c = stationarity_checks("measure-chain", cfg, WholeSpace(), 20, (1,),
                                 np.random.default_rng(1))[0]
-        assert c.mean_se == 0 and c.mean_z == 0
-        assert c.var_se == 0 and c.var_z == 0
+        assert c.mean.se == 0 and c.mean.z == 0
+        assert c.var.se == 0 and c.var.z == 0
 
     def test_z_without_spread(self):
         assert rm._z(0.0, 0.0) == 0.0
         assert rm._z(-1e-9, 0.0) == math.inf
         assert rm._z(-1.0, 0.5) == 2.0
         assert math.isnan(rm._z(math.nan, math.nan))
+        z = rm._z(np.array([0.0, -1e-9, -1.0, math.nan]), np.array([0.0, 0.0, 0.5, 0.5]))
+        assert z[:3].tolist() == [0.0, math.inf, 2.0] and math.isnan(z[3])
 
     def test_constant_start_gives_nan(self):
-        fit = mk._lag_slope(np.ones(5), np.arange(5.0))
-        assert math.isnan(fit["slope"]) and math.isnan(fit["slope_se"])
+        fit = mk._lag_slope(np.ones(5), np.arange(5.0), 1.0)
+        assert math.isnan(fit.value) and math.isnan(fit.se) and math.isnan(fit.z)

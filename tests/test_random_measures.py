@@ -330,6 +330,14 @@ class TestMeasureInvariants:
         total = mu.mass(Interval(0.0, 0.4)) + mu.mass(Interval(0.4, 1.0))
         assert abs(total - mu.weights.sum()) < 1e-12
 
+    def test_nan_rejected(self):
+        for lo, hi in ((math.nan, 0.5), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                Interval(lo, hi)
+        for weights in ((math.nan, 0.5), (0.5, 0.5, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                DiscreteBase(weights=weights)
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMeasure("discrete", np.array([0], dtype=np.int64), None,
@@ -364,24 +372,24 @@ class TestMeanIdentity:
         r = check_mean_identity(1.0, UniformBase(), Interval(0.0, 0.5), 100_000,
                                 DEFAULT_TRUNCATION, np.random.default_rng(7))
         assert r.after_steps == 0 and r.reps == 100_000
-        assert r.mean_z < 4
+        assert r.mean.z < 4
 
     def test_whole_space_exact(self):
         r = check_mean_identity(1.0, UniformBase(), WholeSpace(), 500,
                                 DEFAULT_TRUNCATION, np.random.default_rng(7))
-        assert r.mean == r.mean_target == 1.0 and r.mean_z == 0.0
+        assert r.mean.value == r.mean.target == 1.0 and r.mean.z == 0.0
 
     def test_empty_exact(self):
         r = check_mean_identity(1.0, UniformBase(), EmptySet(), 500,
                                 DEFAULT_TRUNCATION, np.random.default_rng(7))
-        assert r.mean == r.mean_target == 0.0 and r.mean_z == 0.0
+        assert r.mean.value == r.mean.target == 0.0 and r.mean.z == 0.0
 
     def test_discrete_base(self):
         base = DiscreteBase(weights=(0.25, 0.75))
         r = check_mean_identity(2.0, base, AtomSet({0}), 60_000,
                                 DEFAULT_TRUNCATION, np.random.default_rng(8))
-        assert r.mean_target == 0.25
-        assert r.mean_z < 4
+        assert r.mean.target == 0.25
+        assert r.mean.z < 4
 
     # the mixture check takes its direct arm as masses, as many as its reps
     @pytest.mark.parametrize("check, batch", [(check_mean_identity, 1),
@@ -404,21 +412,21 @@ def _mixture(A, reps, seed):
 class TestMixtureIdentity:
     def test_moments_agree(self):
         mx = _mixture(Interval(0.0, 0.5), 100_000, 8)
-        assert mx.mean_diff < 4 * mx.mean_se
-        assert mx.second_diff < 4 * mx.second_se
+        assert mx.first.z < 4 and mx.second.z < 4
 
     def test_second_moment_matches_oracle(self):
         mx = _mixture(Interval(0.0, 0.5), 100_000, 9)
         oracle = stick_moment_oracle(1.0, 0.5)
         closed = 0.5 * (1 + 1.0 * 0.5) / (1 + 1.0)
         assert abs(oracle - closed) < 1e-12
-        se = 2 * mx.second_se
-        assert abs(mx.second_direct - closed) < 4 * se
+        se = 2 * mx.second.se
+        assert abs(mx.second.target - closed) < 4 * se
 
     def test_whole_space_degenerate(self):
         mx = _mixture(WholeSpace(), 200, 10)
-        assert mx.mean_direct == mx.mean_hier == 1.0
-        assert mx.second_diff == 0.0
+        assert mx.first.target == mx.first.value == 1.0
+        assert mx.second.value == mx.second.target
+        assert mx.first.z == mx.second.z == 0.0
 
 
 class TestPriorVariance:
@@ -437,7 +445,7 @@ class TestPriorVariance:
             # the prior check reads the same moments off the same batch
             r = check_mean_identity(theta, UniformBase(), Interval(0.0, 0.5), reps,
                                     DEFAULT_TRUNCATION, np.random.default_rng(11))
-            assert (r.var, r.var_se, r.var_target) == (var, se, target)
+            assert (r.var.value, r.var.se, r.var.target) == (var, se, target)
 
     def test_oracle_matches_closed_form(self):
         for theta in (0.5, 1.0, 4.0):
