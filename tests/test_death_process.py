@@ -5,12 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import assert_within_se
+from conftest import assert_within_se, digest
 from fvkit.death_process import (
     DeathParams,
     DeathPmf,
     PrecisionConfig,
     PrecisionExhaustedError,
+    _death_chain_counts,
     check_chapman_kolmogorov,
     check_nonabsorption_bounds,
     check_single_death_identity,
@@ -98,6 +99,21 @@ class TestDeathPmf:
 
 
 class TestMcSensitivity:
+    # digests of the int64 oracle counts from n0 and 2*n0 at seed 20240817,
+    # keyed by (theta, t, n0, reps).  The kernel calls no transcendental
+    # ufunc and its counts are integers, so they need no float32 rounding.
+    COUNTS = {
+        (1.0, 1.0, 500, 20_000): ("1592c18fa5aaf707", "1f632bdea7c91232"),
+        (0.0, 0.8, 300, 3_000): ("2b4a80d3a804bc59", "dd5a977d10d13c83"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(COUNTS))
+    def test_paired_counts_pinned(self, key):
+        theta, t, n0, reps = key
+        counts = _death_chain_counts(t, theta, n0, reps, np.random.default_rng(20240817),
+                                     paired_double=True)
+        assert tuple(digest(c) for c in counts) == self.COUNTS[key]
+
     def test_doubling_shift_small(self, rng):
         rep = mc_death_pmf_sensitivity(1.0, P1, n0=300, reps=150_000, rng=rng)
         assert rep.max_shift_in_se < 3.0

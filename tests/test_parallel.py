@@ -80,20 +80,60 @@ def _whole_chunk_counts(t, theta, n0, reps, paired):
     return (counts, counts_hi) if paired else (counts,)
 
 
+def _assert_matches_serial_and_whole_chunks(monkeypatch, case):
+    threaded, serial = _threaded_and_serial(monkeypatch, lambda: _oracle(*case))
+    for a, b, whole in zip(threaded, serial, _whole_chunk_counts(*case), strict=True):
+        assert np.array_equal(a, b) and np.array_equal(a, whole)
+    return threaded
+
+
 # (t, theta, n0, reps, paired_double).  At n0 = 5000 a chunk is 1000 rows
 # (500 paired), neither a multiple of the 256-row block, and reps is not a
-# multiple of the chunk.  The last case is the plain chain from 3 over 0.7
+# multiple of the chunk.  The fifth case is the plain chain from 3 over 0.7.
+# The oracle reads most counts off a head row sum and a 64-column tail and
+# recounts the rows near its decision margin: (1, 1, 500, 20000, paired) is
+# the benchmark's oracle; at t = 0.02 from 500 the state is about 100, so
+# every row's crossing lies in the head and every row is recounted; at
+# n0 = 3 the tail is the whole row.
 @pytest.mark.parametrize("case", [
     (0.8, 0.0, 300, 3000, False),
     (0.8, 0.0, 300, 3000, True),
     (1.0, 1.0, 5000, 2500, False),
     (1.0, 4.0, 5000, 1300, True),
     (0.7 + dp.mean_entry_time(3, 1.0), 1.0, 3, 1000, False),
+    (1.0, 1.0, 500, 20_000, True),
+    (0.02, 1.0, 500, 1000, True),
+    (0.7 + dp.mean_entry_time(3, 1.0), 1.0, 3, 1000, True),
 ])
 def test_oracle_counts_match_serial_and_whole_chunks(monkeypatch, case):
-    threaded, serial = _threaded_and_serial(monkeypatch, lambda: _oracle(*case))
-    for a, b, whole in zip(threaded, serial, _whole_chunk_counts(*case), strict=True):
-        assert np.array_equal(a, b) and np.array_equal(a, whole)
+    threaded = _assert_matches_serial_and_whole_chunks(monkeypatch, case)
     if case[1] == 0:
         assert threaded[0][0] == 0 and threaded[0][1] > 0  # state 1 absorbs
 
+
+@pytest.mark.parametrize("tie", ["plain", "doubled", "doubled-high"])
+def test_oracle_counts_at_exact_ties(monkeypatch, tie):
+    # t is one of the exact sums the oracle compares with t, read off row 0
+    # of the first chunk: a plain prefix, a doubled-start prefix (low prefix
+    # plus the high total) or a prefix inside the doubled start's high
+    # segment.  The first two are tail prefixes whose stand-in (head row sum
+    # plus tail cumsum, plus the high row sum) rounds above them, so a count
+    # read off the stand-in alone would miss the tie.  With no entry-time
+    # discount both starts compare with t itself.
+    monkeypatch.setattr(dp, "mean_entry_time", lambda n0, theta: 0.0)
+    theta, n0, reps = 1.0, 300, 600
+    # the first chunk's substreams; a plain run's one chunk draws from the first
+    streams = np.random.default_rng(5).spawn(2)
+    _, rates = dp._hold_rates(theta, n0, 1)
+    _, rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
+    hold = streams[0].standard_exponential(rates.size) / rates
+    hold_hi = streams[1].standard_exponential(rates_hi.size) / rates_hi
+    reach, reach_hi = np.cumsum(hold), np.cumsum(hold_hi)
+    head = rates.size - dp._MC_TAIL
+    stand_in = hold[:head].sum() + np.cumsum(hold[head:])
+    exact, near = reach[head:], stand_in
+    if tie == "doubled":
+        exact, near = exact + reach_hi[-1], near + hold_hi.sum()
+    t = exact[np.flatnonzero(near > exact)[-1]] if tie != "doubled-high" else reach_hi[n0 // 2]
+    _assert_matches_serial_and_whole_chunks(
+        monkeypatch, (float(t), theta, n0, reps, tie != "plain"))
