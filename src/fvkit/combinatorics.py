@@ -62,12 +62,16 @@ STIRLING_MAX_N = 512  # bounds the rows the cache can hold
 
 @functools.cache
 def _stirling_row(n: int) -> tuple:
-    """Row n of the unsigned Stirling numbers of the first kind, built
-    bottom-up through |s(i,k)| = |s(i-1,k-1)| + (i-1)|s(i-1,k)|."""
-    row = [1]
-    for i in range(1, n + 1):
-        row = [0] + [row[k - 1] + (i - 1) * (row[k] if k < i else 0) for k in range(1, i + 1)]
-    return tuple(row)
+    """Row n of the unsigned Stirling numbers of the first kind, built from
+    the cached row n-1 through |s(n,k)| = |s(n-1,k-1)| + (n-1)|s(n-1,k)|, so
+    the rows up to n cost O(n^2) in all.  Row n-128 is built first, which
+    keeps the recursion under n/128 + 128 calls deep."""
+    if n == 0:
+        return (1,)
+    if n > 128:
+        _stirling_row(n - 128)
+    row = _stirling_row(n - 1) + (0,)
+    return (0,) + tuple(row[k - 1] + (n - 1) * row[k] for k in range(1, n + 1))
 
 
 def stirling1_unsigned(n: int, k: int) -> int:

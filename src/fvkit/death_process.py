@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import parallel, polya_urn
+from . import parallel, polya_urn, random_measures
 from ._lazy import mpmath, np
 # binomial, falling_factorial and rising_factorial are unused here but stay
 # importable: bench/tracing.py rebinds this module's combinatorics names
@@ -43,8 +43,8 @@ class DeathParams:
     theta: Union[float, Fraction]
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
 
     @property
     def theta_fraction(self) -> Fraction:
@@ -544,10 +544,10 @@ def _banded_jumps(head_total, tail, head: int, band: tuple[float, float]):
 
 
 def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
-                        rng: np.random.Generator, paired_double: bool = False):
-    """Simulate the chain from n0 (and, when ``paired_double``, also from
-    2*n0 reusing the same holding times for states <= n0) and return state
-    counts at time t.  State 1 is absorbing when theta = 0.
+                        rng: np.random.Generator):
+    """Simulate the chain from n0 and from 2*n0, the doubled start reusing
+    the same holding times for states <= n0, and return the state counts of
+    both runs at time t.  State 1 is absorbing when theta = 0.
 
     Each run's clock is discounted by the mean entry time of the
     infinite-start chain into its start state, so the counts estimate the
@@ -563,31 +563,28 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
         raise ValueError("reps must be >= 1")
     lowest = 2 if theta == 0 else 1
     _, rates_low = _hold_rates(theta, n0, lowest)
+    _, rates_high = _hold_rates(theta, 2 * n0, n0 + 1)
     t_low = t - mean_entry_time(n0, theta)
+    t_hi = t - mean_entry_time(2 * n0, theta)
     if t_low <= 0:
         raise ValueError(
             f"t={t:g} is within the mean entry time of the start n0={n0}; "
             "the finite-start oracle needs a larger n0 or a larger t"
         )
-    if paired_double:
-        _, rates_high = _hold_rates(theta, 2 * n0, n0 + 1)
-        t_hi = t - mean_entry_time(2 * n0, theta)
-    start_hi = 2 * n0 if paired_double else n0
-    chunk = max(1, _MC_CHUNK_TARGET // start_hi)
+    chunk = max(1, _MC_CHUNK_TARGET // (2 * n0))
     nchunks = -(-reps // chunk)
-    streams = rng.spawn(2 * nchunks if paired_double else nchunks)
+    streams = rng.spawn(2 * nchunks)
     head = max(rates_low.size - _MC_TAIL, 0)
-    terms = rates_low.size + (n0 if paired_double else 0)  # the most in any prefix
+    terms = rates_low.size + n0  # the most in any prefix
     low_band = _decision_band(t_low, terms)
-    if paired_double:
-        hi_band = _decision_band(t_hi, terms)
+    hi_band = _decision_band(t_hi, terms)
 
     def run_chunk(i):
         # a Generator fills row-major, so drawing a chunk's rows one block at
         # a time reproduces a single (rows, states) draw of the whole chunk
         c = min(chunk, reps - i * chunk)
         counts = np.zeros(n0 + 1, dtype=np.int64)
-        counts_hi = np.zeros(2 * n0 + 1, dtype=np.int64) if paired_double else None
+        counts_hi = np.zeros(2 * n0 + 1, dtype=np.int64)
         for lo in range(0, c, _MC_BLOCK_ROWS):
             rows = min(_MC_BLOCK_ROWS, c - lo)
             hold = streams[i].standard_exponential((rows, rates_low.size))
@@ -596,32 +593,28 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
             tail = np.cumsum(hold[:, head:], axis=1)
             tail += head_sum[:, None]
             jumps, exact = _banded_jumps(head_sum, tail, head, low_band)
-            if paired_double:
-                hold_hi = streams[nchunks + i].standard_exponential((rows, rates_high.size))
-                hold_hi /= rates_high
-                high_sum = hold_hi.sum(axis=1)
-                tail += high_sum[:, None]
-                jumps_hi, exact_hi = _banded_jumps(head_sum + high_sum, tail, n0 + head, hi_band)
-                exact |= exact_hi
+            hold_hi = streams[nchunks + i].standard_exponential((rows, rates_high.size))
+            hold_hi /= rates_high
+            high_sum = hold_hi.sum(axis=1)
+            tail += high_sum[:, None]
+            jumps_hi, exact_hi = _banded_jumps(head_sum + high_sum, tail, n0 + head, hi_band)
+            exact |= exact_hi
             if exact.any():
                 reach = np.cumsum(hold[exact], axis=1)
                 jumps[exact] = (reach <= t_low).sum(axis=1)
-                if paired_double:
-                    reach_hi = np.cumsum(hold_hi[exact], axis=1)
-                    reach += reach_hi[:, -1:]
-                    jumps_hi[exact] = (reach_hi <= t_hi).sum(axis=1) + (reach <= t_hi).sum(axis=1)
+                reach_hi = np.cumsum(hold_hi[exact], axis=1)
+                reach += reach_hi[:, -1:]
+                jumps_hi[exact] = (reach_hi <= t_hi).sum(axis=1) + (reach <= t_hi).sum(axis=1)
             counts += np.bincount(n0 - jumps, minlength=n0 + 1)
-            if paired_double:
-                counts_hi += np.bincount(2 * n0 - jumps_hi, minlength=2 * n0 + 1)
+            counts_hi += np.bincount(2 * n0 - jumps_hi, minlength=2 * n0 + 1)
         return counts, counts_hi
 
     counts = np.zeros(n0 + 1, dtype=np.int64)
-    counts_hi = np.zeros(2 * n0 + 1, dtype=np.int64) if paired_double else None
+    counts_hi = np.zeros(2 * n0 + 1, dtype=np.int64)
     for chunk_counts, chunk_counts_hi in parallel.map_jobs(run_chunk, range(nchunks)):
         counts += chunk_counts
-        if paired_double:
-            counts_hi += chunk_counts_hi
-    return (counts, counts_hi) if paired_double else counts
+        counts_hi += chunk_counts_hi
+    return counts, counts_hi
 
 
 def _empirical(t: float, theta: float, n0: int, reps: int, counts: np.ndarray) -> EmpiricalPmf:
@@ -634,9 +627,9 @@ def mc_death_pmf(t: float, params: DeathParams, n0: int, reps: int,
                  rng: np.random.Generator) -> EmpiricalPmf:
     """Monte Carlo oracle for the death-count pmf: simulate the chain from
     the finite start n0, reps times, with the clock discounted by the mean
-    time the infinite-start chain spends above n0."""
-    theta = float(params.theta)
-    return _empirical(t, theta, n0, reps, _death_chain_counts(t, theta, n0, reps, rng))
+    time the infinite-start chain spends above n0.  This is the start-n0
+    half of ``mc_death_pmf_sensitivity``'s paired run."""
+    return mc_death_pmf_sensitivity(t, params, n0, reps, rng).base
 
 
 @dataclass(frozen=True)
@@ -659,17 +652,15 @@ def mc_death_pmf_sensitivity(t: float, params: DeathParams, n0: int, reps: int,
     """Run the Monte Carlo oracle at n0 and 2*n0 and report the largest
     pmf shift, in absolute terms and in units of the joint standard error."""
     theta = float(params.theta)
-    counts, counts_hi = _death_chain_counts(t, theta, n0, reps, rng, paired_double=True)
+    counts, counts_hi = _death_chain_counts(t, theta, n0, reps, rng)
     base = _empirical(t, theta, n0, reps, counts)
     doubled = _empirical(t, theta, 2 * n0, reps, counts_hi)
     k = base.probs.size
     shift = np.abs(doubled.probs[:k] - base.probs)
     joint = np.sqrt(base.stderr ** 2 + doubled.stderr[:k] ** 2)
-    seen = shift > 0
-    max_in_se = float(np.max(shift[seen] / joint[seen])) if seen.any() else 0.0
     return SensitivityReport(
         base=base,
         doubled=doubled,
         max_abs_shift=float(shift.max()),
-        max_shift_in_se=max_in_se,
+        max_shift_in_se=float(np.max(random_measures._z(shift, joint))),
     )

@@ -186,8 +186,8 @@ def _lag_slope(u: np.ndarray, v: np.ndarray, target: float) -> Estimate:
     return Estimate(slope, math.sqrt(float(score @ score)) / sxx, target)
 
 
-def stationarity_checks(kind: str, cfg, A: TestSet, reps: int,
-                        checkpoints: Sequence[int], rng: np.random.Generator):
+def stationarity_checks(cfg, A: TestSet, reps: int, checkpoints: Sequence[int],
+                        rng: np.random.Generator):
     """Start reps rows at stationary draws, step them together, and test
     the observable's mean and variance at the requested checkpoints, the
     lag identity E[mu_k(A) | mu_0(A) = u] = p + (u - p) rho**k, with
@@ -199,11 +199,12 @@ def stationarity_checks(kind: str, cfg, A: TestSet, reps: int,
     mu(A)'s Wright-Fisher diffusion with mutation (theta p, theta(1-p)),
     with rho2 = exp(-(1+theta) t) for FV and n(n-1)/((theta+n)(theta+n+1))
     for the measure chain.  The lag slope sees the death-count law only
-    through E[N/(theta+N)]; rho2 sees its second factorial moment too."""
-    if kind not in ("measure-chain", "fv"):
-        raise ValueError("stationarity harness covers the measure-valued chains")
+    through E[N/(theta+N)]; rho2 sees its second factorial moment too.
+    The chain is read off cfg's type, a MeasureChainConfig or an FvConfig."""
+    if not isinstance(cfg, (MeasureChainConfig, FvConfig)):
+        raise TypeError("stationarity harness covers the measure-valued chains")
     th = cfg.theta
-    if kind == "fv":
+    if isinstance(cfg, FvConfig):
         rho, rho2 = math.exp(-th * cfg.t / 2), math.exp(-(1 + th) * cfg.t)
     else:
         n = cfg.n

@@ -228,10 +228,8 @@ def overlap_pmf_theta0_factorial(m: int, n: int) -> OverlapPmf:
 
 
 def bruteforce_path_count(m: int, n: int) -> int:
-    paths = 1
-    for j in range(1, m + 1):
-        paths *= n + j
-    return paths
+    # (n+1)(n+2)...(n+m): draw j hits one of n atoms, repeats one of j-1 draws or is fresh
+    return rising_product(n + 1, 1, m)
 
 
 def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:

@@ -497,25 +497,23 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
     # a stick at u < theta is fresh, else it lands on conditioning atom
     # floor(u - theta), clipped to n - 1
     u = rng.random(rho.size)
+    if not atom_ids.size:  # n = 0 on every row: every stick is fresh, u unread
+        return MeasureRows(base.kind, *base.sample_batch(rng, rho.size, first_id),
+                           rho, offsets, residual)
     u *= np.repeat(total, counts)
     fresh = u < theta
-    if atom_ids.size:
-        # index of the picked atom in the flat arrays.  A row with n = 0 has
-        # only fresh sticks, so its picks of -1 land on cells that the fresh
-        # draws overwrite
-        u -= theta
-        pick = np.maximum(u, 0.0, out=u).astype(np.int64)
-        np.minimum(pick, np.repeat(n - 1, counts), out=pick)
-        pick += np.repeat(np.cumsum(n) - n, counts)
+    # index of the picked atom in the flat arrays.  A row with n = 0 has
+    # only fresh sticks, so its picks of -1 land on cells that the fresh
+    # draws overwrite
+    u -= theta
+    pick = np.maximum(u, 0.0, out=u).astype(np.int64)
+    np.minimum(pick, np.repeat(n - 1, counts), out=pick)
+    pick += np.repeat(np.cumsum(n) - n, counts)
     del u
     f_ids, f_xs = base.sample_batch(rng, int(fresh.sum()), first_id)
-    every_fresh = f_ids.size == fresh.size
 
     def place(fresh_vals, atom_vals, dtype):
-        if every_fresh:
-            return np.asarray(fresh_vals, dtype=dtype)
-        out = (np.asarray(atom_vals, dtype=dtype)[pick] if atom_vals.size
-               else np.empty(rho.size, dtype=dtype))
+        out = np.asarray(atom_vals, dtype=dtype)[pick]
         out[fresh] = fresh_vals
         return out
 

@@ -228,13 +228,13 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
     pv = mk.dar1_marginal_chisquare(mk.Dar1Config(1.0, dbase), max(reps, 1000),
                                     np.random.default_rng(seed + 1))
     rows.append(_pvalue_row("dar1-marginal-chisquare", f"theta=1,samples={max(reps,1000)}", pv))
-    # (row prefix and chain kind, instance, config, seed offset)
+    # (row prefix, instance, config, seed offset)
     chains = ([("measure-chain", f"theta={theta},n={n}", mk.MeasureChainConfig(theta, base, n), 2)
                for theta in thetas for n in chain_ns]
               + [("fv", f"theta={theta},t={t}", mk.FvConfig(theta, base, t), 3)
                  for theta in thetas for t in fv_ts])
     for kind, instance, cfg, offset in chains:
-        checks = mk.stationarity_checks(kind, cfg, A, reps, checkpoints,
+        checks = mk.stationarity_checks(cfg, A, reps, checkpoints,
                                         np.random.default_rng(seed + offset))
         for c in checks:
             at = f"{instance},steps={c.after_steps}"

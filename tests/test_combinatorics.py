@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fvkit import combinatorics
 from fvkit.combinatorics import (
     binomial,
     check_shifted_rising_factorial_expansion,
@@ -100,6 +102,20 @@ class TestStirling:
                 direct = rising_factorial(x, n)
                 summed = sum(stirling1_unsigned(n, k) * x**k for k in range(n + 1))
                 assert direct == summed
+
+    def test_rows_build_on_cached_rows(self):
+        # row n is built from row n - 1, so an upward sweep is O(n^2), not O(n^3)
+        combinatorics._stirling_row.cache_clear()
+        combinatorics._stirling_row(5)
+        assert combinatorics._stirling_row.cache_info().currsize == 6
+
+    def test_first_column_is_factorial(self):
+        # |s(n, 1)| = (n-1)!, from a cold cache straight to the cap
+        combinatorics._stirling_row.cache_clear()
+        top = combinatorics.STIRLING_MAX_N
+        assert stirling1_unsigned(top, 1) == math.factorial(top - 1)
+        for n in range(1, top + 1):
+            assert stirling1_unsigned(n, 1) == math.factorial(n - 1)
 
     def test_cap(self):
         from fvkit.combinatorics import STIRLING_MAX_N

@@ -110,8 +110,7 @@ class TestMcSensitivity:
     @pytest.mark.parametrize("key", sorted(COUNTS))
     def test_paired_counts_pinned(self, key):
         theta, t, n0, reps = key
-        counts = _death_chain_counts(t, theta, n0, reps, np.random.default_rng(20240817),
-                                     paired_double=True)
+        counts = _death_chain_counts(t, theta, n0, reps, np.random.default_rng(20240817))
         assert tuple(digest(c) for c in counts) == self.COUNTS[key]
 
     def test_doubling_shift_small(self, rng):
@@ -380,6 +379,13 @@ class TestParamsValidation:
     def test_negative_theta(self):
         with pytest.raises(ValueError):
             DeathParams(-0.5)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta(self, theta):
+        # NaN compares false with everything, and the series cannot take
+        # either value as a Fraction
+        with pytest.raises(ValueError, match="finite"):
+            DeathParams(theta)
 
     def test_rational_theta_exact(self):
         assert DeathParams(Fraction(1, 3)).theta_fraction == Fraction(1, 3)

@@ -83,15 +83,13 @@ class TestMeasureChain:
 
     def test_stationary_moments_one_step(self):
         cfg = MeasureChainConfig(1.0, UB, 5)
-        checks = stationarity_checks("measure-chain", cfg, A, 4000, (1,),
-                                     np.random.default_rng(5))
+        checks = stationarity_checks(cfg, A, 4000, (1,), np.random.default_rng(5))
         assert checks[0].mean.z < 4
         assert checks[0].var.z < 4
 
     def test_five_step_moments(self):
         cfg = MeasureChainConfig(0.5, UB, 1)
-        checks = stationarity_checks("measure-chain", cfg, A, 3000, (1, 5),
-                                     np.random.default_rng(6))
+        checks = stationarity_checks(cfg, A, 3000, (1, 5), np.random.default_rng(6))
         for c in checks:
             assert c.mean.z < 4 and c.var.z < 4
 
@@ -134,7 +132,7 @@ class TestFvStep:
 
     def test_stationary_moments(self):
         cfg = FvConfig(1.0, UB, 1.0)
-        checks = stationarity_checks("fv", cfg, A, 4000, (1,), np.random.default_rng(7))
+        checks = stationarity_checks(cfg, A, 4000, (1,), np.random.default_rng(7))
         assert checks[0].mean.z < 4 and checks[0].var.z < 4
 
 
@@ -313,25 +311,29 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(mk, "_step_rows", counted)
         cfg = MeasureChainConfig(1.0, UB, 2)
-        stationarity_checks("measure-chain", cfg, A, reps, (1, 3), np.random.default_rng(1))
+        stationarity_checks(cfg, A, reps, (1, 3), np.random.default_rng(1))
         measure_chain_reversibility_test(cfg, A, reps, np.random.default_rng(2))
         fv_chapman_kolmogorov_process_test(FvConfig(1.0, UB, 1.0), 0.5, 0.5, A, reps,
                                            np.random.default_rng(3))
         assert calls == [reps] * (3 + 1 + 3)
 
+    @pytest.mark.parametrize("cfg", [Dar1Config(1.0, UB), None])
+    def test_stationarity_rejects_other_configs(self, cfg):
+        # the chain is read off the config's type; nothing else is a chain
+        with pytest.raises(TypeError, match="measure-valued"):
+            stationarity_checks(cfg, A, 10, (1,), np.random.default_rng(1))
+
 
 class TestLagSlope:
     def test_slope_and_target(self):
         cfg = MeasureChainConfig(1.0, UB, 3)
-        checks = stationarity_checks("measure-chain", cfg, A, 4000, (1, 2),
-                                     np.random.default_rng(8))
+        checks = stationarity_checks(cfg, A, 4000, (1, 2), np.random.default_rng(8))
         for c in checks:
             assert c.slope.target == pytest.approx(0.75**c.after_steps)
             assert c.slope.z < 4
 
     def test_fv_target_is_single_lineage_survival(self):
-        checks = stationarity_checks("fv", FvConfig(2.0, UB, 0.4), A, 50, (1,),
-                                     np.random.default_rng(9))
+        checks = stationarity_checks(FvConfig(2.0, UB, 0.4), A, 50, (1,), np.random.default_rng(9))
         assert checks[0].slope.target == pytest.approx(math.exp(-0.4))
 
     def test_robust_se_on_a_known_fit(self):
@@ -347,8 +349,7 @@ class TestLagSlope:
     def test_constant_observable_scores_zero(self):
         # mu(whole space) = 1 on every row: zero spread, zero difference
         cfg = MeasureChainConfig(1.0, UB, 2)
-        c = stationarity_checks("measure-chain", cfg, WholeSpace(), 20, (1,),
-                                np.random.default_rng(1))[0]
+        c = stationarity_checks(cfg, WholeSpace(), 20, (1,), np.random.default_rng(1))[0]
         assert c.mean.se == 0 and c.mean.z == 0
         assert c.var.se == 0 and c.var.z == 0
 

@@ -50,10 +50,8 @@ class TestMapJobs:
             parallel.map_jobs(lambda x: 1 / x, [1, 0, 2])
 
 
-def _oracle(t, theta, n0, reps, paired):
-    out = dp._death_chain_counts(t, theta, n0, reps, np.random.default_rng(5),
-                                 paired_double=paired)
-    return out if paired else (out,)
+def _oracle(t, theta, n0, reps):
+    return dp._death_chain_counts(t, theta, n0, reps, np.random.default_rng(5))
 
 
 def _whole_chunk_counts(t, theta, n0, reps, paired):
@@ -82,28 +80,29 @@ def _whole_chunk_counts(t, theta, n0, reps, paired):
 
 def _assert_matches_serial_and_whole_chunks(monkeypatch, case):
     threaded, serial = _threaded_and_serial(monkeypatch, lambda: _oracle(*case))
-    for a, b, whole in zip(threaded, serial, _whole_chunk_counts(*case), strict=True):
+    for a, b, whole in zip(threaded, serial, _whole_chunk_counts(*case, paired=True),
+                           strict=True):
         assert np.array_equal(a, b) and np.array_equal(a, whole)
     return threaded
 
 
-# (t, theta, n0, reps, paired_double).  At n0 = 5000 a chunk is 1000 rows
-# (500 paired), neither a multiple of the 256-row block, and reps is not a
-# multiple of the chunk.  The fifth case is the plain chain from 3 over 0.7.
-# The oracle reads most counts off a head row sum and a 64-column tail and
-# recounts the rows near its decision margin: (1, 1, 500, 20000, paired) is
-# the benchmark's oracle; at t = 0.02 from 500 the state is about 100, so
-# every row's crossing lies in the head and every row is recounted; at
-# n0 = 3 the tail is the whole row.
+# (t, theta, n0, reps), each a paired run from n0 and 2*n0.  At n0 = 5000 a
+# chunk is 500 rows, not a multiple of the 256-row block; 2500 reps fill five
+# chunks and 1300 end in a part chunk.  The oracle reads most counts off a
+# head row sum and a 64-column tail and recounts the rows near its decision
+# margin: (1, 1, 500, 20000) is the benchmark's oracle; at t = 0.02 from 500
+# the state is about 100, so every row's crossing lies in the head and every
+# row is recounted; at n0 = 70 the head is six columns; at n0 = 3 the tail
+# is the whole row.
 @pytest.mark.parametrize("case", [
-    (0.8, 0.0, 300, 3000, False),
-    (0.8, 0.0, 300, 3000, True),
-    (1.0, 1.0, 5000, 2500, False),
-    (1.0, 4.0, 5000, 1300, True),
-    (0.7 + dp.mean_entry_time(3, 1.0), 1.0, 3, 1000, False),
-    (1.0, 1.0, 500, 20_000, True),
-    (0.02, 1.0, 500, 1000, True),
-    (0.7 + dp.mean_entry_time(3, 1.0), 1.0, 3, 1000, True),
+    (0.8, 0.0, 300, 3000),
+    (0.8, 0.0, 70, 3000),
+    (1.0, 1.0, 5000, 2500),
+    (1.0, 4.0, 5000, 1300),
+    (0.7 + dp.mean_entry_time(3, 4.0), 4.0, 3, 1000),
+    (1.0, 1.0, 500, 20_000),
+    (0.02, 1.0, 500, 1000),
+    (0.7 + dp.mean_entry_time(3, 1.0), 1.0, 3, 1000),
 ])
 def test_oracle_counts_match_serial_and_whole_chunks(monkeypatch, case):
     threaded = _assert_matches_serial_and_whole_chunks(monkeypatch, case)
@@ -122,7 +121,8 @@ def test_oracle_counts_at_exact_ties(monkeypatch, tie):
     # discount both starts compare with t itself.
     monkeypatch.setattr(dp, "mean_entry_time", lambda n0, theta: 0.0)
     theta, n0, reps = 1.0, 300, 600
-    # the first chunk's substreams; a plain run's one chunk draws from the first
+    # the first chunk's substreams: the low states from the first, the
+    # doubled start's high segment from the second
     streams = np.random.default_rng(5).spawn(2)
     _, rates = dp._hold_rates(theta, n0, 1)
     _, rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
@@ -135,5 +135,4 @@ def test_oracle_counts_at_exact_ties(monkeypatch, tie):
     if tie == "doubled":
         exact, near = exact + reach_hi[-1], near + hold_hi.sum()
     t = exact[np.flatnonzero(near > exact)[-1]] if tie != "doubled-high" else reach_hi[n0 // 2]
-    _assert_matches_serial_and_whole_chunks(
-        monkeypatch, (float(t), theta, n0, reps, tie != "plain"))
+    _assert_matches_serial_and_whole_chunks(monkeypatch, (float(t), theta, n0, reps))
