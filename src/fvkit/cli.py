@@ -84,8 +84,9 @@ seed_option = click.option("--seed", type=int, default=0, show_default=True,
 
 
 def _exit_codes(command):
-    """Report PrecisionExhaustedError as exit 3 and a ValueError or
-    TypeError (a bad argument value) as exit 2, each with one stderr line."""
+    """Report PrecisionExhaustedError as exit 3 and a ValueError, TypeError
+    or OverflowError (a bad argument value) as exit 2, each with one stderr
+    line."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
@@ -93,7 +94,7 @@ def _exit_codes(command):
         except PrecisionExhaustedError as e:
             click.echo(f"precision exhausted: {e}", err=True)
             sys.exit(EXIT_PRECISION)
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             click.echo(f"invalid arguments: {e}", err=True)
             sys.exit(EXIT_BAD_ARGS)
     return run

@@ -442,15 +442,11 @@ def check_nonabsorption_bounds(t, params: DeathParams,
 
 def sample_death_count(pmf: DeathPmf, rng: np.random.Generator, size: Optional[int] = None):
     """Draw the death count from a truncated pmf, renormalized over its
-    support.  Rejects pmfs whose unassigned tail mass exceeds 1%."""
-    if pmf.residual > 0.01:
-        raise ValueError(f"pmf residual {pmf.residual:g} too large to sample from")
-    p = np.clip(pmf.probs_float, 0.0, None)
-    cum = np.cumsum(p)
-    total = cum[-1]
-    if size is None:
-        return int(np.searchsorted(cum, rng.random() * total, side="right"))
-    return np.searchsorted(cum, rng.random(size) * total, side="right").astype(np.int64)
+    support: one row of random_measures._draw_atoms, which rejects a pmf
+    whose unassigned tail mass exceeds 1% when it draws."""
+    law = random_measures._finite_law(np.clip(pmf.probs_float, 0.0, None), residual=pmf.residual)
+    counts, _ = random_measures._draw_atoms(law, np.array([1 if size is None else size]), rng)
+    return int(counts[0]) if size is None else counts
 
 
 @dataclass(frozen=True)

@@ -246,8 +246,7 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
     theta = Fraction(theta)
-    if not theta + n > 0:
-        raise ValueError("theta + n must be > 0")
+    UrnParams(theta, n)  # rejects theta < 0 and theta + n = 0
     if bruteforce_path_count(m, n) > BRUTEFORCE_PATH_BUDGET:
         raise ValueError(
             f"enumeration budget exceeded: {bruteforce_path_count(m, n)} paths "
@@ -288,8 +287,7 @@ def overlap_pmf_montecarlo(m: int, n: int, theta, reps: int,
     if reps < 1:
         raise ValueError("reps must be >= 1")
     theta_f = float(theta)
-    if not theta_f + n > 0:
-        raise ValueError("theta + n must be > 0")
+    UrnParams(theta_f, n)  # rejects theta < 0, n < 0 and theta + n = 0
     kmax = min(m, n)
     counts = np.zeros(kmax + 1, dtype=np.int64)
     chunk = max(1, 4_000_000 // max(m, 1))

@@ -114,33 +114,18 @@ class DiscreteBase:
         return len(self.weights)
 
     @cached_property
-    def _cum(self) -> np.ndarray:
-        cum = np.cumsum(np.asarray(self.weights, dtype=float))
-        cum.setflags(write=False)
-        return cum
+    def law(self) -> "MeasureRows":
+        """The base as one read-only row: atom i at id i (and points[i])."""
+        return _finite_law(np.array(self.weights, dtype=float),
+                           None if self.points is None else np.array(self.points, dtype=float))
 
     def sample_batch(self, rng: np.random.Generator, k: int, first_id: int):
         """k support indices and their points; first_id is unused, since
         a discrete atom's id is its index."""
-        cum = self._cum
-        ids = np.searchsorted(cum, rng.random(k) * cum[-1], side="right").astype(np.int64)
-        xs = None if self.points is None else np.asarray(self.points, dtype=float)[ids]
-        return ids, xs
+        return _draw_atoms(self.law, np.array([k]), rng)
 
     def measure(self, A: TestSet) -> float:
-        if isinstance(A, WholeSpace):
-            return 1.0
-        if isinstance(A, EmptySet):
-            return 0.0
-        if isinstance(A, AtomSet):
-            return float(sum(self.weights[i] for i in A.indices if 0 <= i < self.size))
-        if isinstance(A, Interval):
-            if self.points is None:
-                raise TypeError("interval observables need a base with points")
-            pts = np.asarray(self.points, dtype=float)
-            w = np.asarray(self.weights, dtype=float)
-            return float(w[(pts >= A.lo) & (pts < A.hi)].sum())
-        raise TypeError(f"unsupported test set {A!r}")
+        return float(self.law.mass(A)[0])
 
 
 BaseMeasure = Union[UniformBase, DiscreteBase]
@@ -195,7 +180,6 @@ class StickTruncation:
 
     k: Optional[int] = None
     eps: Optional[float] = None
-    max_sticks: int = 10**6
 
     def __post_init__(self):
         if (self.k is None) == (self.eps is None):
@@ -210,11 +194,13 @@ class StickTruncation:
         return StickTruncation(k=k)
 
     @staticmethod
-    def residual(eps: float, max_sticks: int = 10**6) -> "StickTruncation":
-        return StickTruncation(eps=eps, max_sticks=max_sticks)
+    def residual(eps: float) -> "StickTruncation":
+        return StickTruncation(eps=eps)
 
 
 DEFAULT_TRUNCATION = StickTruncation.residual(1e-8)
+
+MAX_STICKS = 10**6  # a residual-target draw stops with StickBudgetError past this
 
 _STICK_BLOCK = 64
 
@@ -224,7 +210,7 @@ def _stick_weights(params: StickBreakingParams, trunc: StickTruncation,
     """Stick masses rho_j and the leftover residual: one block of k sticks,
     or blocks of _STICK_BLOCK until the residual is below eps."""
     block, cap = ((trunc.k, trunc.k) if trunc.k is not None
-                  else (_STICK_BLOCK, trunc.max_sticks))
+                  else (_STICK_BLOCK, MAX_STICKS))
     blocks = []
     left = 1.0
     k = 0
@@ -262,13 +248,13 @@ def _dp_sticks(total: np.ndarray, trunc: StickTruncation, rng: np.random.Generat
         arrival = np.cumsum(rng.standard_exponential((rows, trunc.k)), axis=1).ravel()
     else:
         reach = total * -math.log(trunc.eps)
-        cap = trunc.max_sticks
-        if 1 + reach.max(initial=0.0) > cap:  # the mean count, before any draw
+        if 1 + reach.max(initial=0.0) > MAX_STICKS:  # the mean count, before any draw
             raise StickBudgetError(f"a residual below {trunc.eps:g} needs {1 + reach.max():.0f} "
-                                   f"sticks on average, over the cap of {cap}")
+                                   f"sticks on average, over the cap of {MAX_STICKS}")
         counts = 1 + rng.poisson(reach)
-        if counts.max(initial=0) > cap:  # a row's count, before any stick
-            raise StickBudgetError(f"a row drew {counts.max()} sticks, over the cap of {cap}")
+        if counts.max(initial=0) > MAX_STICKS:  # a row's count, before any stick
+            raise StickBudgetError(f"a row drew {counts.max()} sticks, "
+                                   f"over the cap of {MAX_STICKS}")
         row = np.repeat(np.arange(rows), counts - 1)
         below = rng.random(row.size)
         below += row
@@ -387,6 +373,17 @@ class MeasureRows:
         return np.where(self.offsets[1:] > self.offsets[:-1], sums, 0.0)
 
 
+def _finite_law(weights: np.ndarray, xs: Optional[np.ndarray] = None,
+                residual: float = 0.0) -> MeasureRows:
+    """The finite discrete law with weights[i] on id i (at xs[i]) and the
+    given unassigned residual, as one read-only discrete row."""
+    law = MeasureRows("discrete", np.arange(weights.size, dtype=np.int64), xs, weights,
+                      np.array([0, weights.size]), np.array([residual]))
+    for arr in (law.ids, law.weights, law.offsets, law.residual) + (() if xs is None else (xs,)):
+        arr.setflags(write=False)
+    return law
+
+
 def _merge_atoms(base_kind: str, ids: np.ndarray, xs, weights: np.ndarray,
                  residual: float) -> DiscreteMeasure:
     # merge weight on exact atom identity; canonical order is ascending id
@@ -485,9 +482,9 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
                     atom_xs: Optional[np.ndarray], trunc: StickTruncation,
                     rng: np.random.Generator, first_id: int) -> MeasureRows:
     """One posterior draw per row: row i conditions on its n[i] atoms, the
-    next n[i] entries of the flat atom_ids (and atom_xs, for a continuous
-    base) in row order, with Dirichlet-process sticks at total mass
-    theta + n[i] until the row's residual meets the truncation.  A stick
+    next n[i] entries of the flat atom_ids (and atom_xs, when the base
+    draws positions) in row order, with Dirichlet-process sticks at total
+    mass theta + n[i] until the row's residual meets the truncation.  A stick
     lands on a fresh base draw w.p. theta/(theta+n[i]) or on each
     conditioning atom w.p. 1/(theta+n[i]); one base.sample_batch call draws
     the fresh sticks in order, with ids from first_id on."""
@@ -519,10 +516,7 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
 
     ids = place(f_ids, atom_ids, np.int64)
     del f_ids
-    if base.kind == "continuous":
-        xs = place(f_xs, atom_xs, float)
-    else:
-        xs = None if base.points is None else np.asarray(base.points, dtype=float)[ids]
+    xs = None if f_xs is None else place(f_xs, atom_xs, float)
     return MeasureRows(base.kind, ids, xs, rho, offsets, residual)
 
 
@@ -537,7 +531,8 @@ def sample_posterior(post: DirichletPosterior,
         ids = np.array([p.uid for p in post.atoms], dtype=np.int64)
         xs = np.array([p.x for p in post.atoms], dtype=float)
     else:
-        ids, xs = np.array(post.atoms, dtype=np.int64), None
+        ids = np.array(post.atoms, dtype=np.int64)
+        xs = None if post.base.points is None else post.base.law.xs[ids]
     n = np.array([len(post.atoms)])
     first_id = int(ids.max(initial=0)) + 1
     return _posterior_rows(post.theta, post.base, n, ids, xs, trunc, rng, first_id).measure()
@@ -546,7 +541,7 @@ def sample_posterior(post: DirichletPosterior,
 def _draw_atoms(rows: MeasureRows, n: np.ndarray, rng: np.random.Generator):
     """n[i] independent atom draws from row i, proportional to weight and
     renormalized over the row's truncated support, as flat (ids, xs) arrays
-    in row order (xs for a continuous base only).  One inverse-CDF search
+    in row order (xs when the rows carry positions).  One inverse-CDF search
     covers all rows: the cumulative sum of the flat weights runs through
     row i between the sums before and after it, so its targets fall inside
     its own row (every row before it, near 1 each, costs the sums about
@@ -562,7 +557,7 @@ def _draw_atoms(rows: MeasureRows, n: np.ndarray, rng: np.random.Generator):
         lo, hi = end[:-1][row], end[1:][row]
         target = lo + rng.random(row.size) * (hi - lo)
         idx = np.minimum(np.searchsorted(cum, target, side="right"), rows.offsets[1:][row] - 1)
-    return (rows.ids[idx], rows.xs[idx] if rows.base_kind == "continuous" else None)
+    return rows.ids[idx], None if rows.xs is None else rows.xs[idx]
 
 
 def sample_from_measure(mu: DiscreteMeasure, k: int, rng: np.random.Generator):

@@ -89,6 +89,27 @@ class TestPmfCommands:
         r = run_cli("verify", "bogus")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ("simulate", "fv", "--theta", "1", "--t", "1e400"),
+        ("pmf", "death", "--theta", "1", "--t", "1e400"),
+        ("verify", "death", "--s", "1e400"),
+        ("simulate", "dar1", "--theta", "1e400"),
+        ("simulate", "measure-chain", "--theta", "1e400", "--n", "2"),
+        ("simulate", "fv", "--theta", "1e400", "--t", "1")],
+        ids=["fv-t", "death-t", "verify-s", "dar1-theta", "chain-theta", "fv-theta"])
+    def test_overflowing_value_exit_code(self, args):
+        # a value past the float range is a bad argument, not a traceback
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert r.stderr.startswith("invalid arguments: ") and r.stderr.count("\n") == 1
+        assert r.stdout == ""
+
+    def test_overlap_takes_theta_past_float_range(self):
+        # the exact table needs no float of theta
+        r = run_cli("pmf", "overlap", "--theta", "1e400", "--m", "2", "--n", "2")
+        assert r.returncode == 0
+        assert r.stdout.rstrip().endswith("# sum: 1.0")
+
 
 class TestSimulateCommands:
     def test_byte_identical_reruns(self, tmp_path):

@@ -160,6 +160,17 @@ class TestSampleDeathCount:
         b = sample_death_count(pmf, np.random.default_rng(5), size=100)
         assert np.array_equal(a, b)
 
+    def test_stream_pinned(self):
+        # one uniform per count, searched in the cumulative pmf: any change
+        # to the consumed stream or the search moves the digest
+        pmf = death_pmf(1.0, DeathParams(1.0))
+        rng = np.random.default_rng(13)
+        scalar = [sample_death_count(pmf, rng) for _ in range(20)]
+        assert all(type(n) is int for n in scalar)
+        batch = sample_death_count(pmf, rng, size=1000)
+        assert batch.dtype == np.int64
+        assert digest(np.array(scalar, dtype=np.int64), batch) == "841bc829aadaade7"
+
 
 class TestTransition:
     def test_stay_put_entry(self):

@@ -182,6 +182,11 @@ class TestBruteforce:
         with pytest.raises(ValueError):
             overlap_pmf_bruteforce(8, 8, 1)
 
+    def test_negative_theta_rejected(self):
+        # theta + n > 0 alone let theta = -1/2 through, with probabilities -1/3 and 4/3
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            overlap_pmf_bruteforce(2, 1, Fraction(-1, 2))
+
     @given(st.integers(0, 4), st.integers(0, 4), small_theta)
     @settings(max_examples=25)
     def test_matches_exact_random(self, m, n, theta):
@@ -215,6 +220,15 @@ class TestMonteCarlo:
         for r in range(4):
             se = np.sqrt(exact[r] * (1 - exact[r]) / reps)
             assert_within_se(counts[r] / reps, exact[r], se, label=f"scalar r={r}")
+
+    def test_negative_theta_rejected(self, rng):
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            overlap_pmf_montecarlo(2, 1, Fraction(-1, 2), 1000, rng)
+
+    def test_theta0_allowed(self, rng):
+        # no fresh draws: every draw roots at one of the n atoms
+        mc = overlap_pmf_montecarlo(2, 1, 0, 1000, rng)
+        assert mc.probs.tolist() == [0.0, 1.0]
 
     def test_deterministic(self):
         a = overlap_pmf_montecarlo(6, 4, 2.0, 50_000, np.random.default_rng(9))

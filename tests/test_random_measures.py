@@ -70,10 +70,11 @@ class TestStickBreak:
         assert abs(mu.weights.sum() + mu.residual - 1) < 1e-12
         assert mu.residual > 0
 
-    def test_stick_cap_signals_nonsummable(self, rng):
+    def test_stick_cap_signals_nonsummable(self, rng, monkeypatch):
+        monkeypatch.setattr(rm, "MAX_STICKS", 512)
         slow = StickBreakingParams(lambda j: 1.0, lambda j: 2.0 ** np.minimum(j, 50))
         with pytest.raises(StickBudgetError):
-            stick_break(slow, UniformBase(), StickTruncation.residual(1e-10, max_sticks=512), rng)
+            stick_break(slow, UniformBase(), StickTruncation.residual(1e-10), rng)
 
     def test_continuous_atoms_distinct(self, rng):
         mu = stick_break(StickBreakingParams.dp(1.0), UniformBase(),
@@ -142,12 +143,12 @@ class TestDpSticks:
         assert np.abs(gap).max() < 1e-12
         assert residual[2] > residual[0]  # a larger total mass keeps more back
 
-    def test_budget_checked_before_any_draw(self):
+    def test_budget_checked_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(rm, "MAX_STICKS", 1000)
         rng = np.random.default_rng(45)
         state = rng.bit_generator.state
         with pytest.raises(StickBudgetError, match="over the cap of 1000"):
-            rm._dp_sticks(np.array([1.0, 1e3]), StickTruncation.residual(1e-8, max_sticks=1000),
-                          rng)
+            rm._dp_sticks(np.array([1.0, 1e3]), StickTruncation.residual(1e-8), rng)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("theta", [0.5, 4.0])
@@ -361,9 +362,27 @@ class TestDiscreteBaseSampling:
             assert ids.tolist() == self.IDS
             assert xs.tolist() == [self.BASE.points[i] for i in self.IDS]
 
+    @pytest.mark.parametrize("A", [AtomSet({0, 2}), AtomSet({-1, 1, 3, 4, 9}), AtomSet(()),
+                                   Interval(0.25, 0.75), Interval(0.0, 1.0), Interval(2.0, 3.0),
+                                   WholeSpace(), EmptySet()],
+                             ids=["atoms", "atoms-out-of-range", "no-atoms", "interval",
+                                  "interval-all", "interval-none", "whole", "empty"])
+    def test_measure_is_the_row_mass(self, A):
+        # the base as one row of its own atoms, ids 0..k-1 and no residual
+        k = self.BASE.size
+        row = rm.MeasureRows("discrete", np.arange(k), np.array(self.BASE.points),
+                             np.array(self.BASE.weights), np.array([0, k]), np.zeros(1))
+        assert self.BASE.measure(A) == row.mass(A)[0]
+
+    def test_interval_needs_points(self):
+        with pytest.raises(TypeError):
+            DiscreteBase(weights=self.BASE.weights).measure(Interval(0.0, 0.5))
+
     def test_cumulative_weights_read_only(self):
-        with pytest.raises(ValueError):
-            self.BASE._cum[0] = 0.0
+        law = self.BASE.law
+        for arr in (law.ids, law.xs, law.weights, law.offsets, law.residual):
+            with pytest.raises(ValueError):
+                arr[0] = 0
         assert self.BASE == DiscreteBase(weights=self.BASE.weights, points=self.BASE.points)
 
 
