@@ -14,19 +14,18 @@ Rational = Union[int, Fraction]
 
 
 def rising_product(p: int, q: int, m: int) -> int:
-    """p(p+q)(p+2q)...(p+(m-1)q): the integer numerator of (p/q)_(m) over
-    the denominator q**m.  A negative step q gives the falling product."""
-    out = 1
-    for i in range(m):
-        out *= p + i * q
-    return out
+    """p(p+q)(p+2q)...(p+(m-1)q) for integers p and q != 0: the integer
+    numerator of (p/q)_(m) over the denominator q**m, and 1 for m <= 0.  A
+    negative step q gives the falling product."""
+    return math.prod(range(p, p + m * q, q)) if m > 0 else 1
 
 
 def rising_factorial(a: Rational, m: int) -> Rational:
     """a(a+1)...(a+m-1), with the empty product equal to 1.
 
     A Fraction p/q is multiplied out as the integer product over q**m and
-    normalised once, so the result is the same exact Fraction.
+    normalised once, so the result is the same exact Fraction.  A float a
+    raises TypeError unless m = 0.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -40,7 +39,8 @@ def falling_factorial(a: Rational, m: int) -> Rational:
     """a(a-1)...(a-m+1), with the empty product equal to 1.
 
     For integer a with 0 <= a < m one of the factors is zero, so the
-    product is zero; this is the convention the overlap pmf relies on.
+    product is zero; this is the convention the overlap pmf relies on.  A
+    float a raises TypeError unless m = 0.
     """
     if m < 0:
         raise ValueError("m must be >= 0")

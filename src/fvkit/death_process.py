@@ -1,16 +1,23 @@
 """The pure death process with rate 0.5*n*(n-1+theta), started at infinity.
 
 The marginal pmf d_n(t) is an alternating series with severe cancellation
-for small t, so series evaluation runs in mpmath wide floats with the
-rational coefficients carried exactly until the exponential factor is
-applied.  Truncation is certified: we stop only once a computable bound
+for small t, so series evaluation runs in wide decimal floats (the standard
+library's ``decimal``, whose arithmetic is compiled C) at the working
+precision plus ``GUARD_DIGITS``.  Each series coefficient starts from its
+exact rational value and is carried forward by one multiply and one divide
+per term.  Truncation is certified: we stop only once a computable bound
 shows every remaining term is strictly smaller than its predecessor, at
 which point the alternating-series bound applies.
+
+The partial-fraction oracle ``transition_closed_form`` computes in mpmath,
+so the series and the oracle it is checked against share no arithmetic.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional, Union
@@ -74,7 +81,8 @@ class PrecisionConfig:
 class DeathPmf:
     """Truncated pmf of the death count at time t.
 
-    ``probs[n]`` is d_n(t) as an mpmath float; ``term_bounds[n]`` bounds the
+    ``probs[n]`` is d_n(t) as a ``decimal.Decimal`` of working_digits +
+    ``GUARD_DIGITS`` significant digits; ``term_bounds[n]`` bounds the
     absolute series-truncation error of that entry.  ``residual`` is the
     mass attributed to n > n_max.  ``clamped`` lists indices whose tiny
     negative computed values were clamped to zero.
@@ -115,26 +123,49 @@ def _death_rate_fraction(n: int, theta: Fraction) -> Fraction:
     return Fraction(n, 2) * (n - 1 + theta)
 
 
-def _mpf_frac(x) -> mpmath.mpf:
-    # exact rational -> mpf at the current working precision
+# Digits the series paths carry beyond working_digits.  They keep the
+# rounding of the coefficient recurrence inside the truncation budget: see
+# _alternating_series.
+GUARD_DIGITS = 4
+
+
+def _series_context(working_digits: int):
+    """The decimal context every series path computes under: working_digits
+    + GUARD_DIGITS significant digits, the widest exponent range (so no
+    exp(-lambda t) underflows) and the default half-even rounding."""
+    return decimal.localcontext(decimal.Context(
+        prec=working_digits + GUARD_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN))
+
+
+def _dec(x) -> Decimal:
+    # exact rational -> Decimal, rounded once in the current context
     fr = Fraction(x)
-    return mpmath.mpf(fr.numerator) / fr.denominator
+    return Decimal(fr.numerator) / fr.denominator
 
 
-def _gamma_factor(m: int, theta: Fraction, t: Fraction):
-    # (2m - 1 + theta) * exp(-lambda_m * t), under the caller's mp context
+def _gamma_factor(m: int, theta: Fraction, t: Fraction) -> Decimal:
+    # (2m - 1 + theta) * exp(-lambda_m * t), under the caller's decimal context
     lam_t = _death_rate_fraction(m, theta) * t
-    return (2 * m - 1 + _mpf_frac(theta)) * mpmath.exp(-_mpf_frac(lam_t))
+    return (2 * m - 1 + _dec(theta)) * _dec(-lam_t).exp()
 
 
 def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
                         prec: PrecisionConfig):
     """Sum the alternating series for d_n(t) (n >= 1) or for the n = 0
-    complement sum, returning (value, error_bound) as (mpf, float).
-    ``gamma`` memoizes the factors gamma_m of this (theta, t) by m.
+    complement sum, returning (value, error_bound) as (Decimal, float),
+    under the caller's ``_series_context``.  ``gamma`` memoizes the factors
+    gamma_m of this (theta, t) by m.
 
-    The rational coefficient is carried as an integer pair (num, den),
-    updated by integer products each term and never normalised.
+    The coefficient is its exact integer ratio converted once, then
+    carried in Decimal: times -(p+(n+m-1)q) / (q(m+1-n)) per term, so it
+    also carries the alternating sign.  With
+    u = 10**(1-P)/2 the unit roundoff at P = working_digits + GUARD_DIGITS
+    digits, the k-th coefficient is off by at most (2k+1)u relative, the
+    k-th term by (2k+6)u, and each of the nterms additions by u times a
+    partial sum of at most 2*peak (the terms are unimodal), so the sum is
+    off by at most (nterms**2 + 8*nterms) * u * peak.  That lies inside
+    the round_slack budget nterms * 10**(2-working_digits) * peak while
+    nterms + 8 <= 2e5, far above any max_terms a pmf can finish.
 
     The stop rule: at candidate index m, a closed-form bound on the term
     ratio certifies that every term from m on is strictly decreasing; if
@@ -148,20 +179,19 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
     # n = 0 this starts the complement series
     # sum_{m>=1} (-1)^(m-1) theta_(m-1)/m! gamma_m
     m = max(n, 1)
-    num = rising_product(p + n * q, q, m - 1)
-    den = q ** (m - 1) * math.factorial(n) * math.factorial(m - n)
+    coef = Decimal(rising_product(p + n * q, q, m - 1)) / (
+        q ** (m - 1) * math.factorial(n) * math.factorial(m - n))
 
-    total = mpmath.mpf(0)
+    total = Decimal(0)
     peak = 0.0
     nterms = 0
     best_cert = math.inf
-    sign = 1
     while nterms < prec.max_terms:
         g = gamma.get(m)
         if g is None:
             g = gamma[m] = _gamma_factor(m, theta, t)
-        a_mpf = mpmath.mpf(num) / den * g
-        a = abs(float(a_mpf))
+        term = coef * g
+        a = abs(float(term))
         # sup over m' >= m of the rational part of the term ratio
         f = max(1.0, (th + n + m - 1) / (m + 1 - n))
         ratio_bound = f * (2 * m + 1 + th) / (2 * m - 1 + th) * math.exp(-(m + th / 2) * tf)
@@ -175,12 +205,10 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
                     )
                 return total, a + round_slack
             best_cert = min(best_cert, a)
-        total += sign * a_mpf
+        total += term
         peak = max(peak, a)
-        sign = -sign
-        # times (theta+n+m-1)/(m+1-n)
-        num *= p + (n + m - 1) * q
-        den *= q * (m + 1 - n)
+        # times -(theta+n+m-1)/(m+1-n): the coefficient carries the sign
+        coef = coef * -(p + (n + m - 1) * q) / (q * (m + 1 - n))
         m += 1
         nterms += 1
     raise PrecisionExhaustedError(
@@ -213,22 +241,22 @@ def _death_pmf_cached(t, params: DeathParams, prec: PrecisionConfig) -> DeathPmf
     probs = []
     bounds = []
     clamped = []
-    with mpmath.workdps(prec.working_digits):
+    with _series_context(prec.working_digits):
         gamma = {}
-        mass = mpmath.mpf(0)
+        mass = Decimal(0)
         total_bound = 0.0
         for n in range(prec.max_terms):
             if n:
                 p, b = _alternating_series(n, theta, tf, gamma, prec)
             elif params.is_coalescent:
-                p, b = mpmath.mpf(0), 0.0
+                p, b = Decimal(0), 0.0
             else:  # d_0 is 1 minus the complement series
                 alive, b = _alternating_series(0, theta, tf, gamma, prec)
                 p = 1 - alive
             if p < 0:
                 if float(-p) <= max(b, prec.tail_tol):
                     clamped.append(n)
-                    p = mpmath.mpf(0)
+                    p = Decimal(0)
                 else:
                     raise PrecisionExhaustedError(
                         f"d_{n}({float(t)}) computed as {float(p):g} < 0, beyond its error bound {b:g}",
@@ -276,18 +304,18 @@ def _inner_prec(prec: PrecisionConfig, shrink: float) -> PrecisionConfig:
     )
 
 
-def _transition_entry(pmf: DeathPmf, n: int, r: int) -> mpmath.mpf:
+def _transition_entry(pmf: DeathPmf, n: int, r: int) -> Decimal:
     """P(count = r after s | count = n) = sum_{m>=r} P(r | n draws, m atoms) d_m(s)
-    from the pmf {d_m(s)}, under the caller's mp context: the m lineages alive
+    from the pmf {d_m(s)}, under the caller's decimal context: the m lineages alive
     at s are the atoms of an urn, and n draws from it hit exactly r of them
     with the overlap probability ``polya_urn.overlap_entry(r, n, m, theta)``.
 
     Every weight is a probability, so the sum is as accurate as the pmf."""
     theta = pmf.params.theta_fraction
-    acc = mpmath.mpf(0)
+    acc = Decimal(0)
     for m in range(r, pmf.n_max + 1):
         num, den = polya_urn.overlap_entry(r, n, m, theta)
-        acc += mpmath.mpf(num) / den * pmf.probs[m]
+        acc += Decimal(num) / den * pmf.probs[m]
     return acc
 
 
@@ -307,7 +335,7 @@ def transition_given_n(n: int, s, params: DeathParams, prec: PrecisionConfig = P
     recovered from the pmf series by the urn-weighted sum of
     ``_transition_entry``.  Requires theta > 0."""
     pmf = _inner_pmf(s, params, prec, n)
-    with mpmath.workdps(prec.working_digits):
+    with _series_context(prec.working_digits):
         return [float(_transition_entry(pmf, n, r)) for r in range(n + 1)]
 
 
@@ -347,8 +375,8 @@ def _closed_form_residual(n: int, r: int, s, params: DeathParams, prec: Precisio
     # |series - closed form| of P(count = r after s | count = n), both over scale
     pmf = _inner_pmf(s, params, prec, n)
     closed = transition_closed_form(n, r, s, params, prec) / scale
-    with mpmath.workdps(prec.working_digits):
-        return abs(float(_transition_entry(pmf, n, r) / _mpf_frac(scale)) - closed)
+    with _series_context(prec.working_digits):
+        return abs(float(_transition_entry(pmf, n, r) / _dec(scale)) - closed)
 
 
 def check_survival_identity(n: int, s, params: DeathParams,
@@ -391,10 +419,10 @@ def check_chapman_kolmogorov(r: int, t, s, params: DeathParams,
         raise ValueError("r must be >= 0")
     pmf_t, pmf_s, pmf_ts = (_inner_pmf(u, params, prec)
                             for u in (t, s, Fraction(t) + Fraction(s)))
-    with mpmath.workdps(prec.working_digits):
+    with _series_context(prec.working_digits):
         lhs = pmf_ts.probs[r] if r <= pmf_ts.n_max else 0
-        rhs = mpmath.fsum(pmf_t.probs[n] * _transition_entry(pmf_s, n, r)
-                          for n in range(r, pmf_t.n_max + 1))
+        rhs = sum((pmf_t.probs[n] * _transition_entry(pmf_s, n, r)
+                   for n in range(r, pmf_t.n_max + 1)), Decimal(0))
         return abs(float(lhs - rhs))
 
 
@@ -417,15 +445,15 @@ def check_nonabsorption_bounds(t, params: DeathParams,
     tf = Fraction(t)
     inner = _inner_prec(prec, 1e-12)
     floor = 10.0 ** (-(inner.working_digits - 10))
-    with mpmath.workdps(inner.working_digits):
-        lo = mpmath.exp(-_mpf_frac(_death_rate_fraction(1, theta) * tf))
-        hi = (1 + _mpf_frac(theta)) * lo
+    with _series_context(inner.working_digits):
+        lo = _dec(-_death_rate_fraction(1, theta) * tf).exp()
+        hi = (1 + _dec(theta)) * lo
         gamma = {}
         tol = inner.tail_tol
         while True:
             alive, bound = _alternating_series(0, theta, tf, gamma,
                                                replace(inner, tail_tol=tol))
-            margin = 10 * max(bound, 5e-324)
+            margin = Decimal(10 * max(bound, 5e-324))
             if lo + margin < alive < hi - margin:
                 return True
             if alive < lo - margin or alive > hi + margin:

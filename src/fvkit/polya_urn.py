@@ -193,9 +193,10 @@ def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:
     p, q = theta.numerator, theta.denominator
     # each theta_(k) is its integer numerator over q**k, leaving q**r on top
     rise = partial(rising_product, p, q)
+    top, bottom = rise(n) * rise(m), rise(n + m)
     probs = tuple(
-        Fraction(math.factorial(r) * binomial(n, r) * binomial(m, r)
-                 * rise(n) * rise(m) * q**r, rise(n + m) * rise(r))
+        Fraction(math.factorial(r) * binomial(n, r) * binomial(m, r) * top * q**r,
+                 bottom * rise(r))
         for r in range(min(m, n) + 1)
     )
     return OverlapPmf(m=m, n=n, theta=theta, probs=probs)
@@ -254,25 +255,31 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
         )
     p, q = theta.numerator, theta.denominator
     acc = [0] * (min(m, n) + 1)
-    roots = [0] * m  # atom index (1-based) or 0 for fresh, per draw
+    atoms = [1 << i for i in range(n)]  # the hitmask bit of each atom
+    roots = [0] * m  # per draw, the bit of the atom it roots at; 0 for fresh
 
     def rec(j: int, weight: int, hitmask: int):
-        if j > m:
-            acc[hitmask.bit_count()] += weight
-            return
+        # draw j hits one of the atoms or repeats one of the j-1 earlier draws
+        # with weight q each, or is fresh with weight p
         unit = weight * q
-        for i in range(1, n + 1):
-            roots[j - 1] = i
-            rec(j + 1, unit, hitmask | (1 << (i - 1)))
-        for l in range(1, j):
-            r = roots[l - 1]
-            roots[j - 1] = r
-            rec(j + 1, unit, hitmask | ((1 << (r - 1)) if r else 0))
+        hits = atoms + roots[:j - 1]
+        if j == m:  # the last draw completes each path: add its weight here
+            for bit in hits:
+                acc[(hitmask | bit).bit_count()] += unit
+            if p:
+                acc[hitmask.bit_count()] += weight * p
+            return
+        for bit in hits:
+            roots[j - 1] = bit
+            rec(j + 1, unit, hitmask | bit)
         if p:
             roots[j - 1] = 0
             rec(j + 1, weight * p, hitmask)
 
-    rec(1, 1, 0)
+    if m:
+        rec(1, 1, 0)
+    else:
+        acc[0] = 1  # the one empty path
     den = rising_product(p + n * q, q, m)
     if sum(acc) != den:
         raise RuntimeError(f"enumeration probabilities do not sum to 1 for m={m}, n={n}")
@@ -284,10 +291,12 @@ def overlap_pmf_montecarlo(m: int, n: int, theta, reps: int,
     """Monte Carlo overlap frequencies with binomial standard errors, for
     instances beyond the enumeration budget.  Vectorized over replicates;
     distributionally identical to repeated sample_urn + overlap_count."""
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be >= 0")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     theta_f = float(theta)
-    UrnParams(theta_f, n)  # rejects theta < 0, n < 0 and theta + n = 0
+    UrnParams(theta_f, n)  # rejects theta < 0 and theta + n = 0
     kmax = min(m, n)
     counts = np.zeros(kmax + 1, dtype=np.int64)
     chunk = max(1, 4_000_000 // max(m, 1))

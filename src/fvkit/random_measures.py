@@ -11,6 +11,7 @@ redistributed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -472,6 +473,12 @@ class DirichletPosterior:
     def __post_init__(self):
         if not self.theta > 0:
             raise ValueError("theta must be > 0")
+        if self.base.kind == "discrete":
+            # a discrete atom's id is its index into the base
+            for a in self.atoms:
+                if not (isinstance(a, numbers.Integral) and 0 <= a < self.base.size):
+                    raise ValueError(f"conditioning atom {a!r} is not an integer "
+                                     f"in 0..{self.base.size - 1}")
 
 
 def posterior(theta, base: BaseMeasure, atoms) -> DirichletPosterior:

@@ -97,6 +97,25 @@ class TestDeathPmf:
         rows = pmf.rows()
         assert rows[0][0] == 0 and len(rows) == pmf.n_max + 1
 
+    def test_rows_pinned(self):
+        # the (n, d_n, term_bound) rows as floats, bit for bit, across the
+        # small-t regime where the series cancels hardest and the coalescent
+        grid = [np.array(death_pmf(t, DeathParams(theta), PREC).rows())
+                for t in (0.05, 0.1, 0.2, 1, 5)
+                for theta in (0, 0.5, 1, Fraction(7, 2), 4)]
+        assert digest(*grid) == "26bde17070bbef9c"
+
+    @pytest.mark.parametrize("t", [0.02, 0.05])
+    @pytest.mark.parametrize("theta", [0.5, 4])
+    def test_small_t_within_term_bounds(self, t, theta):
+        # every entry agrees with a 120-digit evaluation to within its own
+        # certified truncation bound, plus two float conversions
+        pmf = death_pmf(t, DeathParams(theta), PREC)
+        wide = death_pmf(t, DeathParams(theta), PrecisionConfig(working_digits=120))
+        assert pmf.n_max == wide.n_max
+        for n, (p, w, b) in enumerate(zip(pmf.probs, wide.probs, pmf.term_bounds)):
+            assert abs(float(p) - float(w)) <= b + 4e-16, n
+
 
 class TestMcSensitivity:
     # digests of the int64 oracle counts from n0 and 2*n0 at seed 20240817,

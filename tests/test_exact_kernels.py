@@ -87,6 +87,16 @@ class TestIntegerKernels:
         with pytest.raises(ValueError):
             falling_factorial(2, -1)
 
+    def test_rejects_float_factors(self):
+        # the kernels multiply integers only, so a nonempty product refuses
+        # a float a; the empty product is 1 for any a
+        for kernel in (rising_factorial, falling_factorial):
+            with pytest.raises(TypeError):
+                kernel(2.5, 3)
+            with pytest.raises(TypeError):
+                kernel(2.0, 1)
+            assert kernel(2.5, 0) == 1
+
 
 class TestUrnOracle:
     @pytest.mark.parametrize("theta", [Fraction(7, 3), Fraction(1, 3)])

@@ -3,9 +3,9 @@ verification rows meant to catch it go red, on grids small enough to run
 in seconds.  Each suite first runs unpatched on the same grid as a control."""
 import math
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -112,7 +112,7 @@ def test_series_hold_rate_off_by_one(monkeypatch):
 
     def shifted(m, theta, t):
         lam_t = Fraction(m, 2) * (m + theta) * t
-        return (2 * m - 1 + dp._mpf_frac(theta)) * mpmath.exp(-dp._mpf_frac(lam_t))
+        return (2 * m - 1 + dp._dec(theta)) * dp._dec(-lam_t).exp()
 
     monkeypatch.setattr(dp, "_gamma_factor", shifted)
     dp._death_pmf_cached.cache_clear()
@@ -178,7 +178,7 @@ def test_d1_inflated(monkeypatch):
     # 1 and stops early.  The normalization row sees the excess; every row
     # that weighs d_1 against a closed form sees it too
     assert _small_death().ok
-    _scale_d1(monkeypatch, 1 + mpmath.mpf(10) ** -6)
+    _scale_d1(monkeypatch, 1 + Decimal(10) ** -6)
     dp._death_pmf_cached.cache_clear()
     try:
         report = _small_death()
@@ -197,7 +197,7 @@ def test_d1_deflated_pmf_stops(monkeypatch):
     params = dp.DeathParams(1.0)
     dp._death_pmf_cached.cache_clear()
     assert dp.death_pmf(1.0, params).residual < 1e-12
-    _scale_d1(monkeypatch, 1 - mpmath.mpf(10) ** -6)
+    _scale_d1(monkeypatch, 1 - Decimal(10) ** -6)
     dp._death_pmf_cached.cache_clear()
     try:
         with pytest.raises(dp.PrecisionExhaustedError, match="short of mass 1") as exc:
@@ -240,7 +240,7 @@ def test_d1_zero_in_monte_carlo_comparison(monkeypatch):
         if t != 1.0 or params.theta != 1.0:
             return pmf
         probs = list(pmf.probs)
-        probs[1] = mpmath.mpf(0)
+        probs[1] = Decimal(0)
         return replace(pmf, probs=tuple(probs))
 
     monkeypatch.setattr(dp, "death_pmf", zeroed)

@@ -225,6 +225,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="theta must be >= 0"):
             overlap_pmf_montecarlo(2, 1, Fraction(-1, 2), 1000, rng)
 
+    @pytest.mark.parametrize("m, n", [(-1, 2), (2, -1)])
+    def test_negative_sizes_rejected(self, rng, m, n):
+        # as the exact and brute-force forms do, rather than an empty pmf
+        with pytest.raises(ValueError, match="m and n must be >= 0"):
+            overlap_pmf_montecarlo(m, n, 1.0, 10, rng)
+
     def test_theta0_allowed(self, rng):
         # no fresh draws: every draw roots at one of the n atoms
         mc = overlap_pmf_montecarlo(2, 1, 0, 1000, rng)

@@ -167,14 +167,15 @@ print(",".join(m for m in ("mpmath", "numpy", "scipy") if m in sys.modules))
 
 def test_runtime_does_not_import_scipy():
     """scipy is never imported; numpy and mpmath only by the commands that
-    compute with them: the exact-rational commands load neither, the death
-    pmf series needs mpmath alone and the Fleming-Viot chain needs both."""
+    compute with them: the exact-rational commands and the death pmf series
+    (stdlib decimal) load neither, and the Fleming-Viot chain needs numpy
+    alone."""
     cases = [
         ([], ""),
         (["verify", "urn", "--m-max", "3"], ""),
         (["pmf", "overlap", "--theta", "7/2", "--m", "4", "--n", "3", "--bruteforce"], ""),
-        (["pmf", "death", "--theta", "1", "--t", "1"], "mpmath"),
-        (["simulate", "fv", "--theta", "1", "--t", "0.5", "--steps", "3"], "mpmath,numpy"),
+        (["pmf", "death", "--theta", "1", "--t", "1"], ""),
+        (["simulate", "fv", "--theta", "1", "--t", "0.5", "--steps", "3"], "numpy"),
     ]
     for args, loaded in cases:
         out = subprocess.run([sys.executable, "-c", FOOTPRINT_CODE, *args],

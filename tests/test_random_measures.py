@@ -279,6 +279,19 @@ class TestPosterior:
         assert inside > 0
         assert inside == mu.mass(AtomSet({1, 2}))
 
+    @pytest.mark.parametrize("atoms", [[5], [-1], [0, 2], [0.0], ["1"]])
+    @pytest.mark.parametrize("points", [None, (0.25, 0.75)])
+    def test_discrete_atoms_outside_base_rejected(self, atoms, points):
+        # a discrete atom is an index into the base: anything else would be
+        # drawn as an id the base does not have, or fail at the point lookup
+        base = DiscreteBase(weights=(0.3, 0.7), points=points)
+        with pytest.raises(ValueError, match=r"not an integer in 0\.\.1"):
+            posterior(1.0, base, atoms)
+
+    def test_discrete_numpy_integer_atoms_accepted(self):
+        post = posterior(1.0, DiscreteBase(weights=(0.3, 0.7)), np.array([1, 0]))
+        assert post.atoms == (1, 0)
+
     def test_seeded_content_identical(self):
         base = UniformBase()
         post = posterior(1.0, base, [])
