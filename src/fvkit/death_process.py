@@ -112,14 +112,8 @@ class DeathPmf:
         return [(n, float(p), b) for n, (p, b) in enumerate(zip(self.probs, self.term_bounds))]
 
 
-def death_rate(n: int, params: DeathParams) -> float:
-    """Rate 0.5*n*(n-1+theta) of the jump n -> n-1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return 0.5 * n * (n - 1 + float(params.theta))
-
-
 def _death_rate_fraction(n: int, theta: Fraction) -> Fraction:
+    """Rate n(n-1+theta)/2 of the jump n -> n-1, exactly."""
     return Fraction(n, 2) * (n - 1 + theta)
 
 

@@ -1,10 +1,12 @@
-"""The general Polya-urn predictive scheme over n conditioning atoms, and
-the distribution of the overlap count: how many distinct conditioning atoms
-an m-draw sample hits.
+"""The overlap law of the Polya-urn predictive scheme over n conditioning
+atoms: the distribution of how many distinct conditioning atoms an m-draw
+sample hits, as closed forms, an exact enumeration of every draw path and a
+vectorized Monte Carlo sampler.
 
-The base measure is nonatomic, so the urn is modeled purely by labels:
-a draw either hits a conditioning atom, repeats an earlier draw, or is a
-fresh value.  No real-number equality testing is ever involved.
+The base measure is nonatomic, so a draw either hits a conditioning atom,
+repeats an earlier draw, or is a fresh value.  The enumeration and the
+sampler follow each draw to the atom it roots at, with no real-number
+equality testing.
 """
 from __future__ import annotations
 
@@ -21,55 +23,6 @@ from .combinatorics import (binomial, falling_factorial, rising_expansion,  # no
                             rising_factorial, rising_product)
 
 BRUTEFORCE_PATH_BUDGET = 10**7
-
-
-@dataclass(frozen=True)
-class UrnParams:
-    """theta >= 0 plus the number n of distinct conditioning atoms."""
-
-    theta: Union[float, Fraction]
-    n: int
-
-    def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if not self.theta + self.n > 0:
-            raise ValueError("theta + n must be > 0 for the first draw to be defined")
-
-
-@dataclass(frozen=True)
-class HitX:
-    """Draw equal to conditioning atom X_i (1-based)."""
-    i: int
-
-
-@dataclass(frozen=True)
-class RepeatY:
-    """Draw repeating the earlier draw Y_j (1-based, j < current index)."""
-    j: int
-
-
-@dataclass(frozen=True)
-class Fresh:
-    """Fresh draw from the nonatomic base: a.s. a new value."""
-
-
-DrawLabel = Union[HitX, RepeatY, Fresh]
-
-
-@dataclass(frozen=True)
-class UrnTrace:
-    params: UrnParams
-    labels: tuple
-
-    def __post_init__(self):
-        for pos, lab in enumerate(self.labels, start=1):
-            if isinstance(lab, HitX) and not 1 <= lab.i <= self.params.n:
-                raise ValueError(f"HitX index {lab.i} outside 1..{self.params.n}")
-            if isinstance(lab, RepeatY) and not 1 <= lab.j < pos:
-                raise ValueError(f"RepeatY at position {pos} must reference an earlier draw")
 
 
 @dataclass(frozen=True)
@@ -100,52 +53,15 @@ class EmpiricalOverlapPmf:
     stderr: np.ndarray
 
 
-def sample_urn(params: UrnParams, m: int, rng: np.random.Generator) -> UrnTrace:
-    """Sequential sample of m urn draws.  Draw j hits each conditioning atom
-    with probability 1/(theta+n+j-1), repeats each earlier draw with the
-    same probability, and is fresh with probability theta/(theta+n+j-1)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    theta = float(params.theta)
-    n = params.n
-    labels = []
-    for j in range(1, m + 1):
-        u = rng.random() * (theta + n + j - 1)
-        if u < n:
-            labels.append(HitX(int(u) + 1))
-        elif u < n + j - 1:
-            labels.append(RepeatY(int(u - n) + 1))
-        else:
-            labels.append(Fresh())
-    return UrnTrace(params=params, labels=tuple(labels))
-
-
-def overlap_count(trace: UrnTrace) -> int:
-    """Number of distinct conditioning atoms hit, resolving repeat chains
-    to their root draw first."""
-    roots: list[int] = []  # conditioning-atom index per draw, 0 for fresh-rooted
-    hit = set()
-    for lab in trace.labels:
-        if isinstance(lab, HitX):
-            roots.append(lab.i)
-            hit.add(lab.i)
-        elif isinstance(lab, RepeatY):
-            r = roots[lab.j - 1]
-            roots.append(r)
-            if r:
-                hit.add(r)
-        else:
-            roots.append(0)
-    return len(hit)
-
-
-def _check_exact_args(m: int, n: int, theta) -> Fraction:
+def _check_urn_args(m: int, n: int, theta) -> None:
+    """Reject m or n < 0, theta < 0, and theta + n = 0, where the first draw
+    is undefined.  theta is compared as given, with no conversion."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    theta = Fraction(theta)
-    if not theta > 0:
-        raise ValueError("theta must be > 0 (use overlap_pmf_theta0 for theta = 0)")
-    return theta
+    if theta < 0:
+        raise ValueError("theta must be >= 0")
+    if not theta + n > 0:
+        raise ValueError("theta + n must be > 0 for the first draw to be defined")
 
 
 def overlap_entry(r: int, m: int, n: int, theta: Fraction,
@@ -181,7 +97,11 @@ def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> Ove
     r, exact rational output, checked to sum to exactly 1.
     ``overlap_pmf_extended`` computes the other published form for
     cross-checking."""
-    return _entry_pmf(m, n, _check_exact_args(m, n, theta), via_expansion)
+    theta = Fraction(theta)
+    if not theta > 0:
+        raise ValueError("theta must be > 0 (use overlap_pmf_theta0 for theta = 0)")
+    _check_urn_args(m, n, theta)
+    return _entry_pmf(m, n, theta, via_expansion)
 
 
 def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:
@@ -189,7 +109,10 @@ def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:
     r! C(n,r) C(m,r) theta_(n) theta_(m) / (theta_(n+m) theta_(r)), entry by
     entry and unchecked: the independent counterpart of
     ``overlap_pmf_exact``."""
-    theta = _check_exact_args(m, n, theta)
+    theta = Fraction(theta)
+    if not theta > 0:
+        raise ValueError("theta must be > 0 (use overlap_pmf_theta0 for theta = 0)")
+    _check_urn_args(m, n, theta)
     p, q = theta.numerator, theta.denominator
     # each theta_(k) is its integer numerator over q**k, leaving q**r on top
     rise = partial(rising_product, p, q)
@@ -234,7 +157,7 @@ def bruteforce_path_count(m: int, n: int) -> int:
 
 
 def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
-    """Exhaustive enumeration over every label sequence of length m,
+    """Exhaustive enumeration over every draw path of length m,
     accumulating exact path probabilities grouped by overlap count.
 
     This mirrors the sequential predictive rule directly and is the
@@ -244,10 +167,8 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
     shared denominator prod_j (p+(n+j-1)q).  Instances beyond the path
     budget are rejected.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
     theta = Fraction(theta)
-    UrnParams(theta, n)  # rejects theta < 0 and theta + n = 0
+    _check_urn_args(m, n, theta)
     if bruteforce_path_count(m, n) > BRUTEFORCE_PATH_BUDGET:
         raise ValueError(
             f"enumeration budget exceeded: {bruteforce_path_count(m, n)} paths "
@@ -289,14 +210,13 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
 def overlap_pmf_montecarlo(m: int, n: int, theta, reps: int,
                            rng: np.random.Generator) -> EmpiricalOverlapPmf:
     """Monte Carlo overlap frequencies with binomial standard errors, for
-    instances beyond the enumeration budget.  Vectorized over replicates;
-    distributionally identical to repeated sample_urn + overlap_count."""
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
+    instances beyond the enumeration budget.  Vectorized over replicates:
+    each replicate runs the sequential predictive rule, tracking every draw
+    by the conditioning atom it roots at."""
+    theta_f = float(theta)
+    _check_urn_args(m, n, theta_f)
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    theta_f = float(theta)
-    UrnParams(theta_f, n)  # rejects theta < 0 and theta + n = 0
     kmax = min(m, n)
     counts = np.zeros(kmax + 1, dtype=np.int64)
     chunk = max(1, 4_000_000 // max(m, 1))

@@ -297,21 +297,12 @@ class DiscreteMeasure:
     def __post_init__(self):
         for arr in (self.ids, self.weights) + (() if self.xs is None else (self.xs,)):
             arr.setflags(write=False)
-        if (self.weights < 0).any():
+        if not (self.weights >= 0).all():
             raise ValueError("weights must be >= 0")
+        if not 0 <= self.residual <= 1:
+            raise ValueError("residual must be in [0, 1]")
         if abs(self.weights.sum() + self.residual - 1.0) > 1e-12:
             raise ValueError("weights + residual must total 1")
-
-    @property
-    def atoms(self):
-        """(location, weight) pairs; locations are Points for continuous
-        bases and support indices for discrete bases."""
-        return list(zip(self.locations(), map(float, self.weights)))
-
-    def locations(self):
-        if self.base_kind == "continuous":
-            return [Point(int(i), float(x)) for i, x in zip(self.ids, self.xs)]
-        return [int(i) for i in self.ids]
 
     def mass(self, A: TestSet) -> float:
         if isinstance(A, WholeSpace):
@@ -715,27 +706,3 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
         "weights": [float(w) for w in mu.weights],
         "residual": mu.residual,
     }
-
-
-def measure_from_json(d: dict) -> DiscreteMeasure:
-    """Rebuild a measure_to_json document; ValueError on one that does not
-    describe a measure."""
-    if d["base_kind"] not in ("continuous", "discrete"):
-        raise ValueError(f"unknown base_kind {d['base_kind']!r}")
-    ids = np.asarray(d["ids"])
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValueError("ids must be integers")
-    ids = ids.astype(np.int64)
-    xs = None if d.get("xs") is None else np.asarray(d["xs"], dtype=float)
-    if d["base_kind"] == "continuous" and xs is None:
-        raise ValueError("a continuous measure needs xs")
-    weights = np.asarray(d["weights"], dtype=float)
-    if any(a.ndim != 1 or a.size != ids.size for a in (ids, weights, xs) if a is not None):
-        raise ValueError("ids, weights and xs must be flat lists of one length")
-    if np.unique(ids).size != ids.size:
-        raise ValueError("duplicate atom ids")
-    residual = float(d["residual"])
-    if not (np.isfinite(weights).all() and 0 <= residual <= 1):
-        raise ValueError("weights must be finite and the residual in [0, 1]")
-    return DiscreteMeasure(base_kind=d["base_kind"], ids=ids, xs=xs, weights=weights,
-                           residual=residual)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -138,7 +139,6 @@ class TestSimulateCommands:
         assert r1.stdout == r2.stdout
 
     def test_dump_final_round_trips(self, tmp_path):
-        from fvkit.random_measures import measure_from_json
         path = tmp_path / "final.json"
         r = run_cli("simulate", "fv", "--theta", "1", "--t", "1", "--steps", "3",
                     "--seed", "4", "--dump-final", str(path))
@@ -146,8 +146,15 @@ class TestSimulateCommands:
         doc = json.loads(path.read_text())
         assert doc["seed"] == 4
         assert "config" in doc
-        mu = measure_from_json(doc["measure"])
-        assert abs(mu.weights.sum() + mu.residual - 1) < 1e-12
+        mu = doc["measure"]
+        ids, xs, weights = mu["ids"], mu["xs"], mu["weights"]
+        assert all(type(i) is int for i in ids) and len(set(ids)) == len(ids)
+        assert len(ids) == len(xs) == len(weights)
+        assert abs(math.fsum(weights) + mu["residual"] - 1) < 1e-12
+        # the dumped measure is the one the last row observed on A = [0, 0.5)
+        _, rows = parse_csv(r.stdout)
+        in_a = math.fsum(w for x, w in zip(xs, weights) if 0 <= x < 0.5)
+        assert abs(in_a - float(rows[-1][1])) < 1e-12
 
     def test_dump_final_rejected_for_dar1(self, tmp_path):
         path = tmp_path / "final.json"

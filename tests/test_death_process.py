@@ -17,7 +17,6 @@ from fvkit.death_process import (
     check_single_death_identity,
     check_survival_identity,
     death_pmf,
-    death_rate,
     mc_death_pmf,
     mc_death_pmf_sensitivity,
     mean_entry_time,
@@ -31,16 +30,9 @@ TOL10 = 10 * PREC.tail_tol
 P1 = DeathParams(1.0)
 
 
-class TestDeathRate:
-    def test_values(self):
-        assert death_rate(2, P1) == 2.0
-        assert death_rate(0, DeathParams(3.7)) == 0.0
-        assert death_rate(1, DeathParams(0)) == 0.0  # absorbing coalescent state
-
-    def test_strictly_increasing(self):
-        for theta in (0.0, 0.5, 4.0):
-            rates = [death_rate(n, DeathParams(theta)) for n in range(1, 30)]
-            assert all(b > a for a, b in zip(rates, rates[1:]))
+def rate(n, theta=1.0):
+    """Rate of the jump n -> n-1."""
+    return 0.5 * n * (n - 1 + theta)
 
 
 class TestDeathPmf:
@@ -195,12 +187,12 @@ class TestTransition:
     def test_stay_put_entry(self):
         for n in (1, 3, 6):
             vec = transition_given_n(n, 0.8, P1, PREC)
-            assert abs(vec[n] - math.exp(-death_rate(n, P1) * 0.8)) < TOL10
+            assert abs(vec[n] - math.exp(-rate(n) * 0.8)) < TOL10
 
     def test_single_death_entry(self):
         n, s, theta = 4, 0.6, 1.0
         vec = transition_given_n(n, s, P1, PREC)
-        lam_n, lam_m = death_rate(n, P1), death_rate(n - 1, P1)
+        lam_n, lam_m = rate(n), rate(n - 1)
         h = 0.5 * (math.exp(-lam_m * s) - math.exp(-lam_n * s)) / (lam_n - lam_m)
         assert abs(vec[n - 1] - n * (n - 1 + theta) * h) < TOL10
 
@@ -217,7 +209,7 @@ class TestTransition:
                     assert abs(vec[r] - transition_closed_form(n, r, s, P1)) < TOL10
 
     def test_closed_form_simple_cases(self):
-        assert abs(transition_closed_form(3, 3, 0.5, P1) - math.exp(-death_rate(3, P1) * 0.5)) < 1e-15
+        assert abs(transition_closed_form(3, 3, 0.5, P1) - math.exp(-rate(3) * 0.5)) < 1e-15
         for s in (0.3, 2.0):
             assert abs(transition_closed_form(1, 0, s, P1) - (1 - math.exp(-s / 2))) < 1e-15
 
@@ -312,7 +304,7 @@ class TestSurvivalIdentity:
         params = DeathParams(1.0)
         res = check_survival_identity(2, 50.0, params, PREC)
         assert res < TOL10
-        assert math.exp(-death_rate(2, params) * 50.0) < 1e-10
+        assert math.exp(-rate(2) * 50.0) < 1e-10
 
 
 class TestSingleDeathIdentity:
@@ -324,7 +316,7 @@ class TestSingleDeathIdentity:
     def test_n1_ties_to_closed_form_transition(self):
         # P(1 -> 0 in s) = theta * H(s) for n = 1
         s, theta = 0.9, 1.0
-        h = 0.5 * (1 - math.exp(-death_rate(1, P1) * s)) / death_rate(1, P1)
+        h = 0.5 * (1 - math.exp(-rate(1) * s)) / rate(1)
         assert abs(theta * h - transition_closed_form(1, 0, s, P1)) < 1e-15
 
     def test_small_s_residual_vanishes(self):
@@ -397,7 +389,7 @@ class TestNonabsorptionBounds:
     def test_large_t_ordering_preserved(self):
         params = DeathParams(4.0)
         assert check_nonabsorption_bounds(10.0, params, PREC)
-        lam1 = death_rate(1, params)
+        lam1 = rate(1, 4.0)
         assert (1 + 4.0) * math.exp(-lam1 * 10.0) < 1e-7  # all three quantities tiny
 
     def test_rejects_theta0(self):

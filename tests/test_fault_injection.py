@@ -80,6 +80,50 @@ def test_expansion_coefficient_shifted(monkeypatch):
     assert {row.check for row in report.rows if not row.passed} == {"expansion-route-identical"}
 
 
+def test_stirling_row_entry_bumped(monkeypatch):
+    # |s(6, 3)| is one too large.  The rows past 6 are built from row 6, so
+    # they inherit the slip; only the convolution rows read Stirling numbers.
+    # At a = b both sides carry the same wrong |s(c, b)|, and those rows stay
+    # green
+    assert V.verify_combinatorics().ok
+    stirling_row = comb._stirling_row
+
+    def bumped(n):
+        r = stirling_row(n)
+        return r[:3] + (r[3] + 1,) + r[4:] if n == 6 else r
+
+    monkeypatch.setattr(comb, "_stirling_row", bumped)
+    stirling_row.cache_clear()
+    try:
+        report = V.verify_combinatorics()
+    finally:
+        stirling_row.cache_clear()
+    assert {row.check for row in report.rows if not row.passed} == {"stirling-convolution"}
+    assert _failing(report, "stirling-convolution") == [
+        f"a={a},b={b},c={c}" for c in range(6, 13) for b in range(3, c - 2) for a in range(1, b)]
+
+
+def test_theta0_entry_leaks_to_r0(monkeypatch):
+    # at theta = 0, 1/1000 of the shared denominator moves from r = 1 to
+    # r = 0: the pmf still sums to 1, but puts mass where no draw is fresh
+    assert _small_urn().ok
+    exact = urn.overlap_entry
+
+    def leaky(r, m, n, theta, via_expansion=False):
+        num, den = exact(r, m, n, theta, via_expansion)
+        if theta != 0:
+            return num, den
+        return 1000 * num + {0: den, 1: -den}.get(r, 0), 1000 * den
+
+    monkeypatch.setattr(urn, "overlap_entry", leaky)
+    report = V.verify_urn(form_max=3, bruteforce_max=2, theta0_max=3)
+    grid = [f"m={m},n={n}" for m in range(1, 4) for n in range(1, 4)]
+    assert _failing(report, "theta0-forms-agree") == grid
+    assert _failing(report, "theta0-no-overlap-mass") == grid
+    assert {row.check for row in report.rows if not row.passed} == {
+        "theta0-forms-agree", "theta0-no-overlap-mass"}
+
+
 def _death_with_oracle():
     return V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=3, r_max=1,
                           ck_pairs=((0.5, 0.5),), ineq_ts=(0.5,), mc_reps=20_000, mc_n0=100)
@@ -434,3 +478,16 @@ def test_entry_compensation_dropped(monkeypatch):
     report = oracle()
     assert [row.check for row in report.rows if not row.passed] == [
         "pmf-vs-monte-carlo", "mc-start-sensitivity"]
+
+
+def test_dar1_redraws_too_rarely(monkeypatch):
+    # the chain redraws w.p. theta/(2 + theta) instead of theta/(1 + theta),
+    # the rate of a chain at theta/2.  That chain is still reversible with
+    # the base as its marginal, so only the retention row sees the slip
+    assert _dar1_processes().ok
+    path = mk._dar1_path
+    monkeypatch.setattr(mk, "_dar1_path",
+                        lambda cfg, steps, rng: path(replace(cfg, theta=cfg.theta / 2), steps, rng))
+    report = _dar1_processes()
+    assert [(row.check, row.instance) for row in report.rows if not row.passed] == [
+        ("dar1-retention", "theta=1,steps=10000")]

@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,80 +7,16 @@ from hypothesis import strategies as st
 
 from conftest import assert_within_se
 from fvkit.polya_urn import (
-    Fresh,
-    HitX,
-    RepeatY,
-    UrnParams,
-    UrnTrace,
     bruteforce_path_count,
-    overlap_count,
     overlap_pmf_bruteforce,
     overlap_pmf_exact,
     overlap_pmf_extended,
     overlap_pmf_montecarlo,
     overlap_pmf_theta0,
     overlap_pmf_theta0_factorial,
-    sample_urn,
 )
 
 small_theta = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 2)])
-
-
-class TestTrace:
-    def test_worked_example(self):
-        # draws collecting up X_2, X_4, X_2, X_1, X_6, X_4 -> four distinct atoms
-        p = UrnParams(theta=1.0, n=6)
-        tr = UrnTrace(p, (HitX(2), HitX(4), RepeatY(1), HitX(1), HitX(6), RepeatY(2)))
-        assert overlap_count(tr) == 4
-
-    def test_all_fresh(self):
-        p = UrnParams(theta=2.0, n=3)
-        assert overlap_count(UrnTrace(p, (Fresh(), Fresh(), Fresh()))) == 0
-
-    def test_repeat_resolves_to_root(self):
-        p = UrnParams(theta=1.0, n=5)
-        assert overlap_count(UrnTrace(p, (HitX(3), RepeatY(1)))) == 1
-        # chains of repeats still resolve to the root
-        tr = UrnTrace(p, (Fresh(), RepeatY(1), RepeatY(2)))
-        assert overlap_count(tr) == 0
-
-    def test_invalid_traces_rejected(self):
-        p = UrnParams(theta=1.0, n=2)
-        with pytest.raises(ValueError):
-            UrnTrace(p, (HitX(3),))
-        with pytest.raises(ValueError):
-            UrnTrace(p, (RepeatY(1),))  # no earlier draw to repeat
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            UrnParams(theta=0, n=0)
-        with pytest.raises(ValueError):
-            UrnParams(theta=-1, n=5)
-
-
-class TestSampleUrn:
-    def test_empty(self, rng):
-        assert sample_urn(UrnParams(1.0, 3), 0, rng).labels == ()
-
-    def test_n0_first_draw_fresh(self, rng):
-        for _ in range(200):
-            tr = sample_urn(UrnParams(2.0, 0), 1, rng)
-            assert tr.labels[0] == Fresh()
-
-    def test_first_draw_frequencies(self, rng):
-        theta, n, reps = 2.0, 3, 250_000
-        cnt = Counter(sample_urn(UrnParams(theta, n), 1, rng).labels[0] for _ in range(reps))
-        tot = theta + n
-        for i in range(1, n + 1):
-            p = 1 / tot
-            assert_within_se(cnt[HitX(i)] / reps, p, np.sqrt(p * (1 - p) / reps), label=f"X_{i}")
-        p = theta / tot
-        assert_within_se(cnt[Fresh()] / reps, p, np.sqrt(p * (1 - p) / reps), label="fresh")
-
-    def test_seeded_reproducibility(self):
-        a = sample_urn(UrnParams(1.0, 4), 6, np.random.default_rng(3))
-        b = sample_urn(UrnParams(1.0, 4), 6, np.random.default_rng(3))
-        assert a == b
 
 
 class TestExactPmf:
@@ -187,6 +122,12 @@ class TestBruteforce:
         with pytest.raises(ValueError, match="theta must be >= 0"):
             overlap_pmf_bruteforce(2, 1, Fraction(-1, 2))
 
+    def test_params_validation(self):
+        with pytest.raises(ValueError, match="theta \\+ n must be > 0"):
+            overlap_pmf_bruteforce(2, 0, 0)
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            overlap_pmf_bruteforce(2, 5, -1)
+
     @given(st.integers(0, 4), st.integers(0, 4), small_theta)
     @settings(max_examples=25)
     def test_matches_exact_random(self, m, n, theta):
@@ -208,22 +149,15 @@ class TestMonteCarlo:
         p = 1 / (theta + 1)
         assert_within_se(mc.probs[1], p, np.sqrt(p * (1 - p) / mc.reps), label="hit")
 
-    def test_matches_scalar_sampler(self, rng):
-        # the vectorized estimator and the reference scalar sampler target
-        # the same law
-        params = UrnParams(1.5, 3)
-        reps = 30_000
-        counts = Counter(
-            overlap_count(sample_urn(params, 4, rng)) for _ in range(reps)
-        )
-        exact = overlap_pmf_exact(4, 3, Fraction(3, 2)).probs_float
-        for r in range(4):
-            se = np.sqrt(exact[r] * (1 - exact[r]) / reps)
-            assert_within_se(counts[r] / reps, exact[r], se, label=f"scalar r={r}")
-
     def test_negative_theta_rejected(self, rng):
         with pytest.raises(ValueError, match="theta must be >= 0"):
             overlap_pmf_montecarlo(2, 1, Fraction(-1, 2), 1000, rng)
+
+    def test_params_validation(self, rng):
+        with pytest.raises(ValueError, match="theta \\+ n must be > 0"):
+            overlap_pmf_montecarlo(2, 0, 0, 10, rng)
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            overlap_pmf_montecarlo(2, 5, -1, 10, rng)
 
     @pytest.mark.parametrize("m, n", [(-1, 2), (2, -1)])
     def test_negative_sizes_rejected(self, rng, m, n):
