@@ -14,8 +14,11 @@ so the series and the oracle it is checked against share no arithmetic.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import decimal
 import math
+import operator
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import cached_property, lru_cache
@@ -137,10 +140,49 @@ def _dec(x) -> Decimal:
     return Decimal(fr.numerator) / fr.denominator
 
 
-def _gamma_factor(m: int, theta: Fraction, t: Fraction) -> Decimal:
-    # (2m - 1 + theta) * exp(-lambda_m * t), under the caller's decimal context
-    lam_t = _death_rate_fraction(m, theta) * t
-    return (2 * m - 1 + _dec(theta)) * _dec(-lam_t).exp()
+# Digits the decays exp(-lambda_m t) of the gamma recurrence carry beyond
+# the series context: see _gamma_factor.
+DECAY_EXTRA_DIGITS = 10
+
+
+def _gamma_factor(m: int, theta: Fraction, t: Fraction, gamma: dict) -> Decimal:
+    """gamma_m = (2m - 1 + theta) exp(-lambda_m t) for m >= 1, rounded once
+    into the caller's decimal context.  ``gamma`` memoizes the factors of
+    one (theta, t) and context by m, filled upward from m = 1, and holds at
+    key 0 the recurrence state at the highest m filled: (exp(-lambda_m t),
+    exp(-(lambda_{m+1} - lambda_m) t), exp(-c t)), carried
+    DECAY_EXTRA_DIGITS past the context.
+
+    The rate is quadratic in m, so its increments have the constant
+    difference c = lambda_2 - 2 lambda_1 + lambda_0 (1 for the death rate),
+    and each decay exp(-lambda_m t) takes two multiplies from the one
+    before, starting from exp(-lambda_0 t) = 1.  The two seeds are
+    Decimal.exp of values read off ``_death_rate_fraction``.  With u' the
+    unit roundoff of the carried digits, a seed of argument x is off by at
+    most (1 + |x|)u' relative, so the m-th decay is off by at most
+    (3 + lambda_1 t + ct) m**2 u' to first order.  While that is below
+    10**9 u' = u/10, u the context's unit roundoff, gamma_m is within 1.2u;
+    at m <= 400 (the default max_terms) with lambda_1 t and t at most 100
+    it is below 10**8 u'."""
+    if m not in gamma:
+        p, q = theta.numerator, theta.denominator
+        ctx = decimal.getcontext()
+        with decimal.localcontext(ctx) as wide:
+            wide.prec += DECAY_EXTRA_DIGITS
+            if gamma:
+                k = len(gamma) - 1
+                decay, step, ratio = gamma[0]
+            else:
+                k, decay = 0, Decimal(1)
+                lam0, lam1, lam2 = (_death_rate_fraction(j, theta) for j in (0, 1, 2))
+                step, ratio = (_dec(-x * t).exp() for x in (lam1 - lam0, lam2 - 2 * lam1 + lam0))
+            while k < m:
+                k += 1
+                decay *= step
+                step *= ratio
+                gamma[k] = ctx.divide(decay * ((2 * k - 1) * q + p), q)
+            gamma[0] = (decay, step, ratio)
+    return gamma[m]
 
 
 def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
@@ -148,14 +190,15 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
     """Sum the alternating series for d_n(t) (n >= 1) or for the n = 0
     complement sum, returning (value, error_bound) as (Decimal, float),
     under the caller's ``_series_context``.  ``gamma`` memoizes the factors
-    gamma_m of this (theta, t) by m.
+    gamma_m of this (theta, t) by m, for ``_gamma_factor``.
 
     The coefficient is its exact integer ratio converted once, then
     carried in Decimal: times -(p+(n+m-1)q) / (q(m+1-n)) per term, so it
     also carries the alternating sign.  With
     u = 10**(1-P)/2 the unit roundoff at P = working_digits + GUARD_DIGITS
-    digits, the k-th coefficient is off by at most (2k+1)u relative, the
-    k-th term by (2k+6)u, and each of the nterms additions by u times a
+    digits, the k-th coefficient is off by at most (2k+1)u relative, its
+    gamma factor by 1.2u (see ``_gamma_factor``), so the k-th term by
+    (2k+6)u with room to spare, and each of the nterms additions by u times a
     partial sum of at most 2*peak (the terms are unimodal), so the sum is
     off by at most (nterms**2 + 8*nterms) * u * peak.  That lies inside
     the round_slack budget nterms * 10**(2-working_digits) * peak while
@@ -181,10 +224,7 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
     nterms = 0
     best_cert = math.inf
     while nterms < prec.max_terms:
-        g = gamma.get(m)
-        if g is None:
-            g = gamma[m] = _gamma_factor(m, theta, t)
-        term = coef * g
+        term = coef * _gamma_factor(m, theta, t, gamma)
         a = abs(float(term))
         # sup over m' >= m of the rational part of the term ratio
         f = max(1.0, (th + n + m - 1) / (m + 1 - n))
@@ -298,6 +338,25 @@ def _inner_prec(prec: PrecisionConfig, shrink: float) -> PrecisionConfig:
     )
 
 
+# Urn weights of the transition sums, by (n, r, theta, decimal precision):
+# the Decimal weights for m = r, r+1, ....  Set only inside
+# ``_shared_urn_weights``, which drops the table on exit.
+_URN_WEIGHTS: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
+    "fvkit_urn_weights", default=None)
+
+
+@contextlib.contextmanager
+def _shared_urn_weights():
+    """Within the block, ``_transition_entry`` converts each urn weight
+    ``polya_urn.overlap_entry(r, n, m, theta)`` to a Decimal once, however
+    many transition sums read it; the weights do not depend on the time."""
+    token = _URN_WEIGHTS.set({})
+    try:
+        yield
+    finally:
+        _URN_WEIGHTS.reset(token)
+
+
 def _transition_entry(pmf: DeathPmf, n: int, r: int) -> Decimal:
     """P(count = r after s | count = n) = sum_{m>=r} P(r | n draws, m atoms) d_m(s)
     from the pmf {d_m(s)}, under the caller's decimal context: the m lineages alive
@@ -306,11 +365,13 @@ def _transition_entry(pmf: DeathPmf, n: int, r: int) -> Decimal:
 
     Every weight is a probability, so the sum is as accurate as the pmf."""
     theta = pmf.params.theta_fraction
-    acc = Decimal(0)
-    for m in range(r, pmf.n_max + 1):
+    table = _URN_WEIGHTS.get()
+    key = (n, r, theta, decimal.getcontext().prec)
+    weights = [] if table is None else table.setdefault(key, [])
+    for m in range(r + len(weights), pmf.n_max + 1):
         num, den = polya_urn.overlap_entry(r, n, m, theta)
-        acc += Decimal(num) / den * pmf.probs[m]
-    return acc
+        weights.append(Decimal(num) / den)
+    return sum(map(operator.mul, weights, pmf.probs[r:]), Decimal(0))
 
 
 def _inner_pmf(s, params: DeathParams, prec: PrecisionConfig, n: int = 1) -> DeathPmf:
@@ -338,30 +399,50 @@ def transition_closed_form(n: int, r: int, s, params: DeathParams,
     """P(count = r after s | count = n) for the finite pure death chain with
     pairwise distinct rates, via the standard partial-fraction formula
     prod_{k>r} lambda_k sum_i exp(-lambda_i s) / prod_{j!=i} (lambda_j - lambda_i).
-    This is the independent oracle for ``transition_given_n``.
-
-    With theta = p/q each 2q lambda_k = k((k-1)q + p) is an integer, so the
-    (2q)**(n-r) factors cancel and each weight is one integer over another;
-    only exp(-lambda_i s) is evaluated in working precision.  The rates are
-    coded here, apart from the series' ``_death_rate_fraction``."""
+    This is the independent oracle for ``transition_given_n``.  It reads
+    entry r of ``_closed_form_row``; the rates are coded there, apart from
+    the series' ``_death_rate_fraction``."""
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
     if not s > 0:
         raise ValueError("s must be > 0")
-    theta = params.theta_fraction
-    p, q = theta.numerator, theta.denominator
-    rates = {k: k * ((k - 1) * q + p) for k in range(r, n + 1)}  # 2q lambda_k
-    if len(set(rates.values())) != len(rates):
+    entry = _closed_form_row(n, Fraction(s), params.theta_fraction, prec.working_digits)[r]
+    if entry is None:
         raise ValueError("coincident rates: closed form needs pairwise distinct rates")
-    top = math.prod(rates[k] for k in range(r + 1, n + 1))
-    sf = Fraction(s)
-    with mpmath.workdps(prec.working_digits):
-        total = mpmath.mpf(0)
-        for i, rate in rates.items():
-            den = math.prod(rates[j] - rate for j in rates if j != i)
-            lam_s = mpmath.mpf(rate * sf.numerator) / (2 * q * sf.denominator)
-            total += mpmath.mpf(top) / den * mpmath.exp(-lam_s)
-        return float(total)
+    return entry
+
+
+CLOSED_FORM_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
+def _closed_form_row(n: int, s: Fraction, theta: Fraction, digits: int) -> tuple:
+    """``transition_closed_form`` for r = 0..n at ``digits`` working
+    digits, None where the rates lambda_r..lambda_n are not pairwise
+    distinct (r = 0 at theta = 0).  Memoized in a bounded LRU cache.
+
+    With theta = p/q each 2q lambda_k = k((k-1)q + p) is an integer, so the
+    (2q)**(n-r) factors cancel and each weight is one integer over another;
+    over their least common denominator the weights are integers, so entry
+    r is one exact dot product with the decays, rounded once.  Only
+    exp(-lambda_k s) is evaluated in working precision, once per k for the
+    whole row."""
+    p, q = theta.numerator, theta.denominator
+    rates = [k * ((k - 1) * q + p) for k in range(n + 1)]  # 2q lambda_k
+    row = []
+    with mpmath.workdps(digits):
+        decay = [mpmath.exp(-(mpmath.mpf(rate * s.numerator) / (2 * q * s.denominator)))
+                 for rate in rates]
+        for r in range(n + 1):
+            nodes = rates[r:]
+            if len(set(nodes)) != len(nodes):
+                row.append(None)
+                continue
+            dens = [math.prod(b - a for b in nodes if b != a) for a in nodes]
+            lcd = math.lcm(*dens)
+            total = mpmath.fdot([lcd // d for d in dens], decay[r:])
+            row.append(float(total * math.prod(nodes[1:]) / lcd))
+    return tuple(row)
 
 
 def _closed_form_residual(n: int, r: int, s, params: DeathParams, prec: PrecisionConfig,

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Union
 
 from ._lazy import np
-# rising_factorial is unused here but stays importable: bench/tracing.py
-# rebinds this module's combinatorics names
+# falling_factorial and rising_factorial are unused here but stay importable:
+# bench/tracing.py rebinds this module's combinatorics names
 from .combinatorics import (binomial, falling_factorial, rising_expansion,  # noqa: F401
                             rising_factorial, rising_product)
 
@@ -68,7 +68,7 @@ def overlap_entry(r: int, m: int, n: int, theta: Fraction,
                   via_expansion: bool = False) -> tuple[int, int]:
     """P(r | m, n) for theta >= 0 through the direct form
     n_[r] C(m,r) (theta+r)_(m-r) / (theta+n)_(m), as an unnormalised
-    integer pair (num, den).
+    integer pair (num, den); n_[r] = n!/(n-r)! is ``math.perm``.
 
     With theta = p/q both rising factorials are integer products over
     q**m, so ``den`` = q**m (theta+n)_(m) is the same for every r.
@@ -79,17 +79,37 @@ def overlap_entry(r: int, m: int, n: int, theta: Fraction,
     # q**(m-r) (theta+r)_(m-r); the expansion holds for r >= 1 only
     shifted = (rising_expansion(p, q, r, m) if via_expansion and r
                else rising_product(p + r * q, q, m - r))
-    num = falling_factorial(n, r) * binomial(m, r) * q**r * shifted
+    num = math.perm(n, r) * math.comb(m, r) * q**r * shifted
     return num, rising_product(p + n * q, q, m)
 
 
-def _entry_pmf(m: int, n: int, theta: Fraction, via_expansion: bool = False) -> OverlapPmf:
-    # ``overlap_entry`` for every r, checked to sum to exactly 1
+def _entry_row(m: int, n: int, theta: Fraction, via_expansion: bool = False) -> tuple:
+    """``overlap_entry`` for every r, as (numerators, den) over the shared
+    denominator q**m (theta+n)_(m), checked to sum to exactly den.
+    Arguments are the caller's to validate."""
     nums, dens = zip(*(overlap_entry(r, m, n, theta, via_expansion)
                        for r in range(min(m, n) + 1)))
     if len(set(dens)) != 1 or sum(nums) != dens[0]:
         raise RuntimeError(f"overlap pmf does not sum to 1 for m={m}, n={n}, theta={theta}")
-    return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, dens[0]) for a in nums))
+    return nums, dens[0]
+
+
+def _as_pmf(m: int, n: int, theta: Fraction, row: tuple) -> OverlapPmf:
+    nums, den = row
+    return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, den) for a in nums))
+
+
+def _positive_theta(m: int, n: int, theta) -> Fraction:
+    theta = Fraction(theta)
+    if not theta > 0:
+        raise ValueError("theta must be > 0 (use overlap_pmf_theta0 for theta = 0)")
+    _check_urn_args(m, n, theta)
+    return theta
+
+
+def _check_theta0_args(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError("theta = 0 pmf needs m >= 1 and n >= 1")
 
 
 def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
@@ -97,32 +117,32 @@ def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> Ove
     r, exact rational output, checked to sum to exactly 1.
     ``overlap_pmf_extended`` computes the other published form for
     cross-checking."""
-    theta = Fraction(theta)
-    if not theta > 0:
-        raise ValueError("theta must be > 0 (use overlap_pmf_theta0 for theta = 0)")
-    _check_urn_args(m, n, theta)
-    return _entry_pmf(m, n, theta, via_expansion)
+    theta = _positive_theta(m, n, theta)
+    return _as_pmf(m, n, theta, _entry_row(m, n, theta, via_expansion))
+
+
+def _extended_row(m: int, n: int, theta: Fraction) -> tuple:
+    """The extended closed form r! C(n,r) C(m,r) theta_(n) theta_(m) /
+    (theta_(n+m) theta_(r)) for every r, unchecked, as (numerators, den):
+    den is the product of the integer numerators of theta_(n+m) and
+    theta_(K), K = min(m, n).  Requires theta > 0."""
+    p, q = theta.numerator, theta.denominator
+    # each theta_(k) is its integer numerator over q**k, leaving q**r on
+    # top; theta_(K)/theta_(r) is the integer (theta+r)_(K-r) over q**(K-r)
+    rise = partial(rising_product, p, q)
+    k = min(m, n)
+    top = rise(n) * rise(m)
+    nums = tuple(math.factorial(r) * binomial(n, r) * binomial(m, r) * top * q**r
+                 * rising_product(p + r * q, q, k - r) for r in range(k + 1))
+    return nums, rise(n + m) * rise(k)
 
 
 def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:
-    """The overlap pmf for theta > 0 through the extended closed form
-    r! C(n,r) C(m,r) theta_(n) theta_(m) / (theta_(n+m) theta_(r)), entry by
-    entry and unchecked: the independent counterpart of
+    """The overlap pmf for theta > 0 through the extended closed form,
+    entry by entry and unchecked: the independent counterpart of
     ``overlap_pmf_exact``."""
-    theta = Fraction(theta)
-    if not theta > 0:
-        raise ValueError("theta must be > 0 (use overlap_pmf_theta0 for theta = 0)")
-    _check_urn_args(m, n, theta)
-    p, q = theta.numerator, theta.denominator
-    # each theta_(k) is its integer numerator over q**k, leaving q**r on top
-    rise = partial(rising_product, p, q)
-    top, bottom = rise(n) * rise(m), rise(n + m)
-    probs = tuple(
-        Fraction(math.factorial(r) * binomial(n, r) * binomial(m, r) * top * q**r,
-                 bottom * rise(r))
-        for r in range(min(m, n) + 1)
-    )
-    return OverlapPmf(m=m, n=n, theta=theta, probs=probs)
+    theta = _positive_theta(m, n, theta)
+    return _as_pmf(m, n, theta, _extended_row(m, n, theta))
 
 
 def overlap_pmf_theta0(m: int, n: int) -> OverlapPmf:
@@ -131,24 +151,27 @@ def overlap_pmf_theta0(m: int, n: int) -> OverlapPmf:
     is n_[r] (r)_(m-r) C(m,r) / (n)_(m), every entry an integer numerator
     over one shared denominator; ``overlap_pmf_theta0_factorial`` computes
     the other printed form for cross-checking."""
-    if m < 1 or n < 1:
-        raise ValueError("theta = 0 pmf needs m >= 1 and n >= 1")
-    pmf = _entry_pmf(m, n, Fraction(0))
-    if pmf.probs[0] != 0:
+    _check_theta0_args(m, n)
+    row = _entry_row(m, n, Fraction(0))
+    if row[0][0]:
         raise RuntimeError(f"theta=0 overlap pmf invalid for m={m}, n={n}")
-    return pmf
+    return _as_pmf(m, n, Fraction(0), row)
+
+
+def _factorial_row(m: int, n: int) -> tuple:
+    """The theta = 0 factorial form r C(m,r) C(n,r) (n-1)! (m-1)! / (n+m-1)!
+    for every r, as (numerators, den) over den = (n+m-1)!.  Requires
+    m, n >= 1."""
+    c = math.factorial(n - 1) * math.factorial(m - 1)
+    nums = tuple(r * binomial(m, r) * binomial(n, r) * c for r in range(min(m, n) + 1))
+    return nums, math.factorial(n + m - 1)
 
 
 def overlap_pmf_theta0_factorial(m: int, n: int) -> OverlapPmf:
     """The theta = 0 overlap pmf through the factorial form
     r C(m,r) C(n,r) (n-1)! (m-1)! / (n+m-1)!, entry by entry."""
-    if m < 1 or n < 1:
-        raise ValueError("theta = 0 pmf needs m >= 1 and n >= 1")
-    c = math.factorial(n - 1) * math.factorial(m - 1)
-    den = math.factorial(n + m - 1)
-    probs = tuple(Fraction(r * binomial(m, r) * binomial(n, r) * c, den)
-                  for r in range(min(m, n) + 1))
-    return OverlapPmf(m=m, n=n, theta=Fraction(0), probs=probs)
+    _check_theta0_args(m, n)
+    return _as_pmf(m, n, Fraction(0), _factorial_row(m, n))
 
 
 def bruteforce_path_count(m: int, n: int) -> int:
@@ -161,10 +184,7 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
     accumulating exact path probabilities grouped by overlap count.
 
     This mirrors the sequential predictive rule directly and is the
-    independent oracle for the closed forms.  With theta = p/q, draw j has
-    probability q/(p+(n+j-1)q) for each hit or repeat and p/(p+(n+j-1)q)
-    for a fresh value, so every path carries an integer weight over the
-    shared denominator prod_j (p+(n+j-1)q).  Instances beyond the path
+    independent oracle for the closed forms.  Instances beyond the path
     budget are rejected.
     """
     theta = Fraction(theta)
@@ -174,6 +194,16 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
             f"enumeration budget exceeded: {bruteforce_path_count(m, n)} paths "
             f"> {BRUTEFORCE_PATH_BUDGET}"
         )
+    return _as_pmf(m, n, theta, _bruteforce_row(m, n, theta))
+
+
+def _bruteforce_row(m: int, n: int, theta: Fraction) -> tuple:
+    """The enumeration as (numerators, den).  With theta = p/q, draw j has
+    probability q/(p+(n+j-1)q) for each hit or repeat and p/(p+(n+j-1)q)
+    for a fresh value, so every path carries an integer weight over the
+    shared denominator den = prod_j (p+(n+j-1)q), the denominator of
+    ``_entry_row``; the weights are checked to sum to exactly den.
+    Arguments are the caller's to validate."""
     p, q = theta.numerator, theta.denominator
     acc = [0] * (min(m, n) + 1)
     atoms = [1 << i for i in range(n)]  # the hitmask bit of each atom
@@ -204,7 +234,7 @@ def overlap_pmf_bruteforce(m: int, n: int, theta) -> OverlapPmf:
     den = rising_product(p + n * q, q, m)
     if sum(acc) != den:
         raise RuntimeError(f"enumeration probabilities do not sum to 1 for m={m}, n={n}")
-    return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, den) for a in acc))
+    return tuple(acc), den
 
 
 def overlap_pmf_montecarlo(m: int, n: int, theta, reps: int,

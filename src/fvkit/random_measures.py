@@ -295,7 +295,15 @@ class DiscreteMeasure:
     residual: float
 
     def __post_init__(self):
-        for arr in (self.ids, self.weights) + (() if self.xs is None else (self.xs,)):
+        if self.xs is None and self.base_kind == "continuous":
+            raise ValueError("a continuous measure needs atom positions xs")
+        arrays = (self.ids, self.weights) + (() if self.xs is None else (self.xs,))
+        if len({arr.shape for arr in arrays}) != 1:
+            raise ValueError("ids, xs and weights must hold one entry per atom")
+        ordered = np.sort(self.ids)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("atom ids must not repeat")
+        for arr in arrays:
             arr.setflags(write=False)
         if not (self.weights >= 0).all():
             raise ValueError("weights must be >= 0")

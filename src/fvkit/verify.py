@@ -87,58 +87,62 @@ def verify_combinatorics(m_max: int = 15, k_max: int = 12, conv_max: int = 12) -
     return VerifyReport("combinatorics", tuple(rows))
 
 
-def _agree(form_a, form_b, *args) -> bool:
-    # a closed form that fails its own sum-to-1 check disagrees
+def _row(form, *args, **kwargs):
+    # a form that fails its own sum-to-1 check gives no row
     try:
-        return form_a(*args).probs == form_b(*args).probs
+        return form(*args, **kwargs)
     except RuntimeError:
+        return None
+
+
+def _same(row_a, row_b) -> bool:
+    """Whether two (numerators, den) rows hold the same rationals:
+    a/d == b/e exactly when a*e == b*d.  A missing row agrees with none."""
+    if row_a is None or row_b is None:
         return False
+    (a, d), (b, e) = row_a, row_b
+    if d == e:
+        return a == b
+    return len(a) == len(b) and all(x * e == y * d for x, y in zip(a, b))
 
 
 def verify_urn(form_max: int = 20, bruteforce_max: int = 5, theta0_max: int = 15) -> VerifyReport:
     rows = []
+    exact = functools.partial(_row, urn._entry_row)
     for theta in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):
         for m in range(form_max + 1):
             for n in range(form_max + 1):
-                ok = _agree(urn.overlap_pmf_exact, urn.overlap_pmf_extended, m, n, theta)
+                ok = _same(exact(m, n, theta), urn._extended_row(m, n, theta))
                 rows.append(_exact_row("overlap-forms-agree", f"m={m},n={n},theta={theta}", ok))
     for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 2)):
         for m in range(bruteforce_max + 1):
             for n in range(bruteforce_max + 1):
-                ok = _agree(urn.overlap_pmf_exact, urn.overlap_pmf_bruteforce, m, n, theta)
+                ok = _same(exact(m, n, theta), _row(urn._bruteforce_row, m, n, theta))
                 rows.append(_exact_row("exact-vs-bruteforce", f"m={m},n={n},theta={theta}", ok))
     for m in range(1, theta0_max + 1):
         for n in range(1, theta0_max + 1):
-            try:
-                pmf = urn.overlap_pmf_theta0(m, n)
-                ok = pmf.probs == urn.overlap_pmf_theta0_factorial(m, n).probs
-                zero_ok = pmf.probs[0] == 0
-            except RuntimeError:  # no mass at r = 0 or not summing to 1
-                ok = zero_ok = False
+            row = exact(m, n, Fraction(0))
+            ok = _same(row, urn._factorial_row(m, n))
+            zero_ok = row is not None and row[0][0] == 0
             rows.append(_exact_row("theta0-forms-agree", f"m={m},n={n}", ok))
             rows.append(_exact_row("theta0-no-overlap-mass", f"m={m},n={n}", zero_ok))
-    expansion = functools.partial(urn.overlap_pmf_exact, via_expansion=True)
     for theta in (Fraction(1), Fraction(7, 2)):
         for m in range(6):
             for n in range(6):
-                ok = _agree(expansion, urn.overlap_pmf_exact, m, n, theta)
+                ok = _same(exact(m, n, theta, via_expansion=True), exact(m, n, theta))
                 rows.append(_exact_row("expansion-route-identical",
                                        f"m={m},n={n},theta={theta}", ok))
     return VerifyReport("urn", tuple(rows))
 
 
-def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
-                 r_max: int = 3, ck_pairs=((0.5, 0.5), (1.0, 2.0), (2.0, 1.0)),
-                 ineq_ts=(0.1, 0.5, 1.0, 3.0, 10.0),
-                 prec: dp.PrecisionConfig = dp.PrecisionConfig(),
-                 mc_reps: int = 0, mc_n0: int = 500, mc_seed: int = 20240817) -> VerifyReport:
-    if mc_reps != 0:  # 0 skips the Monte Carlo oracle
-        rm._check_reps(mc_reps)
+def _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec) -> list:
+    params = dp.DeathParams(theta)
     rows = []
     tol10 = 10 * prec.tail_tol
     tol100 = 100 * prec.tail_tol
-    for theta in thetas:
-        params = dp.DeathParams(theta)
+    # the urn weights of the transition sums depend on theta but not on the
+    # time: each is converted once for all of this theta's rows
+    with dp._shared_urn_weights():
         for s in svals:
             pmf = dp.death_pmf(s, params, prec)
             gap = abs(sum(float(p) for p in pmf.probs) + pmf.residual - 1.0)
@@ -159,10 +163,22 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
                 res = dp.check_chapman_kolmogorov(r, t, s, params, prec)
                 rows.append(_residual_row("chapman-kolmogorov",
                                           f"r={r},t={t},s={s},theta={theta}", res, tol100))
-        for t in ineq_ts:
-            ok = dp.check_nonabsorption_bounds(t, params, prec)
-            rows.append(VerifyRow("nonabsorption-bounds", f"theta={theta},t={t}",
-                                  "inside" if ok else "OUTSIDE", "strict", ok))
+    for t in ineq_ts:
+        ok = dp.check_nonabsorption_bounds(t, params, prec)
+        rows.append(VerifyRow("nonabsorption-bounds", f"theta={theta},t={t}",
+                              "inside" if ok else "OUTSIDE", "strict", ok))
+    return rows
+
+
+def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
+                 r_max: int = 3, ck_pairs=((0.5, 0.5), (1.0, 2.0), (2.0, 1.0)),
+                 ineq_ts=(0.1, 0.5, 1.0, 3.0, 10.0),
+                 prec: dp.PrecisionConfig = dp.PrecisionConfig(),
+                 mc_reps: int = 0, mc_n0: int = 500, mc_seed: int = 20240817) -> VerifyReport:
+    if mc_reps != 0:  # 0 skips the Monte Carlo oracle
+        rm._check_reps(mc_reps)
+    rows = [row for theta in thetas
+            for row in _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec)]
     if mc_reps:
         params = dp.DeathParams(1.0)
         rng = np.random.default_rng(mc_seed)

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_within_se, digest
+from fvkit import death_process as dp
 from fvkit.death_process import (
     DeathParams,
     DeathPmf,
@@ -33,6 +36,27 @@ P1 = DeathParams(1.0)
 def rate(n, theta=1.0):
     """Rate of the jump n -> n-1."""
     return 0.5 * n * (n - 1 + theta)
+
+
+class TestGammaRecurrence:
+    @pytest.mark.parametrize("theta", [0, Fraction(1, 10), 1, Fraction(7, 2), 100], ids=str)
+    @pytest.mark.parametrize("t", [Fraction(1, 100), Fraction(1, 5), 1, 50], ids=str)
+    def test_factors_within_their_bound(self, theta, t):
+        # each gamma_m of the recurrence against a 200-digit evaluation of
+        # (2m - 1 + theta) exp(-lambda_m t): within 1.2 units of the series
+        # precision's last digit, up to the default max_terms
+        theta, t = Fraction(theta), Fraction(t)
+        gamma = {}
+        with dp._series_context(PREC.working_digits):
+            unit = Decimal(10) ** (1 - decimal.getcontext().prec) / 2
+            dp._gamma_factor(400, theta, t, gamma)
+        with decimal.localcontext(decimal.Context(prec=200, Emin=decimal.MIN_EMIN)):
+            for m in range(1, 401):
+                lam_t = dp._death_rate_fraction(m, theta) * t
+                exact = (Decimal((2 * m - 1) * theta.denominator + theta.numerator)
+                         / theta.denominator
+                         * (Decimal(-lam_t.numerator) / lam_t.denominator).exp())
+                assert abs(gamma[m] - exact) <= Decimal("1.2") * unit * exact, m
 
 
 class TestDeathPmf:
@@ -281,6 +305,14 @@ class TestClosedFormKernel:
                         assert got == expected, (n, r, s, theta)
                         compared += 1
         assert compared == 1500
+
+    def test_grid_pinned(self):
+        # every entry of n <= 8 at four thetas and four times, bit for bit
+        vals = [transition_closed_form(n, r, s, DeathParams(theta))
+                for theta in (0.5, 1, Fraction(7, 2), 4)
+                for s in (Fraction(1, 1000), 0.2, 1, 5)
+                for n in range(9) for r in range(n + 1)]
+        assert digest(np.array(vals)) == "8238d34b5ac7c4c6"
 
     def test_theta0_to_zero_still_raises(self):
         for n in (1, 4, 8):

@@ -1,6 +1,7 @@
 """The integer kernels of the exact layers against plain Fraction
-arithmetic, the exhaustive urn oracle against the closed forms, and the
-death-pmf memo."""
+arithmetic, the exhaustive urn oracle against the closed forms, the
+death-pmf memo, and the pinned default tables of the exact suites."""
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fvkit.combinatorics import binomial, falling_factorial, rising_factorial
+from fvkit import death_process as dp
+from fvkit import polya_urn as urn
 from fvkit.death_process import (
+    CLOSED_FORM_CACHE_SIZE,
     PMF_CACHE_SIZE,
     DeathParams,
     PrecisionConfig,
@@ -23,6 +27,7 @@ from fvkit.polya_urn import (
     overlap_pmf_extended,
     overlap_pmf_theta0,
 )
+from fvkit.verify import verify_death, verify_urn
 
 
 def naive_rising(a, m):
@@ -171,3 +176,45 @@ class TestDeathPmfMemo:
         assert arr is pmf.probs_float
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+class TestSharedExactQuantities:
+    GRID = dict(thetas=(Fraction(5, 4),), svals=(0.5, 1.0), n_max=3, r_max=1,
+                ck_pairs=((0.5, 0.5),), ineq_ts=())
+
+    def test_urn_weights_computed_once_per_call(self, monkeypatch):
+        # the weights depend on theta but not on the time, so the second
+        # time point and the identity rows read the first one's weights;
+        # the table does not outlive the call
+        calls = []
+        entry = urn.overlap_entry
+
+        def counted(*args):
+            calls.append(args)
+            return entry(*args)
+
+        monkeypatch.setattr(urn, "overlap_entry", counted)
+        assert verify_death(**self.GRID).ok
+        assert calls and len(calls) == len(set(calls))
+        assert dp._URN_WEIGHTS.get() is None
+
+    def test_closed_form_one_row_per_time(self):
+        dp._closed_form_row.cache_clear()
+        assert verify_death(**self.GRID).ok
+        # (n, s) for n = 1..3 at both times, and H(1e-3) once per n
+        assert dp._closed_form_row.cache_info().currsize == 3 * 2 + 3
+        assert dp._closed_form_row.cache_info().maxsize == CLOSED_FORM_CACHE_SIZE
+
+
+class TestPinnedTables:
+    # sha256 of the default urn and death tables, every row's text as
+    # rendered; the death rows carry repr(float) residuals, so this pins
+    # the series, the urn weights and the closed form bit for bit
+    @pytest.mark.parametrize("suite, expected", [
+        (verify_urn, "fa58c56d28317e1538d4c05ba7df45be3ef02608290834956d4fcad8a572888e"),
+        (lambda: verify_death(mc_reps=0),
+         "f8864b6bff7a3104eb6877141453aadf6db50735f624c6e9254644fd1e800d78"),
+    ], ids=["urn", "death"])
+    def test_table_rows_pinned(self, suite, expected):
+        rows = suite().table_rows()
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected

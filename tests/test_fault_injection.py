@@ -103,6 +103,29 @@ def test_stirling_row_entry_bumped(monkeypatch):
         f"a={a},b={b},c={c}" for c in range(6, 13) for b in range(3, c - 2) for a in range(1, b)]
 
 
+def test_alternating_sum_degree_slip(monkeypatch):
+    # at r = 1 the summand is (phi+l)_(k) instead of (phi+l)_(k-1): degree
+    # k, which the k-th alternating difference maps to k! instead of 0, so
+    # every r = 1 row goes red and no other.  No other check or kernel
+    # calls the alternating sum (the urn and the series take
+    # rising_product directly), so only its own family sees the slip
+    assert V.verify_combinatorics().ok
+
+    def slipped(k, r, phi):
+        phi = Fraction(phi)
+        p, q = phi.numerator, phi.denominator
+        degree = k - r + (r == 1)
+        return sum((-1) ** (k - l) * math.comb(k, l) * comb.rising_product(p + l * q, q, degree)
+                   for l in range(k + 1)) == 0
+
+    monkeypatch.setattr(comb, "check_vanishing_alternating_sum", slipped)
+    report = V.verify_combinatorics()
+    assert _failing(report, "vanishing-alternating-sum") == [
+        f"k={k},r=1,phi={phi}" for k in range(1, 13)
+        for phi in (Fraction(1, 3), 1, Fraction(5, 2), 10)]
+    assert {row.check for row in report.rows if not row.passed} == {"vanishing-alternating-sum"}
+
+
 def test_theta0_entry_leaks_to_r0(monkeypatch):
     # at theta = 0, 1/1000 of the shared denominator moves from r = 1 to
     # r = 0: the pmf still sums to 1, but puts mass where no draw is fresh
@@ -136,8 +159,8 @@ def test_series_sign_flipped(monkeypatch):
     # here, and the pmf's stop test then never holds
     assert _death_with_oracle().ok
     gamma = dp._gamma_factor
-    monkeypatch.setattr(dp, "_gamma_factor",
-                        lambda m, theta, t: -gamma(m, theta, t) if m == 3 else gamma(m, theta, t))
+    monkeypatch.setattr(dp, "_gamma_factor", lambda m, theta, t, factors: (
+        -1 if m == 3 else 1) * gamma(m, theta, t, factors))
     dp._death_pmf_cached.cache_clear()
     try:
         with pytest.raises(dp.PrecisionExhaustedError, match="d_1"):
@@ -154,7 +177,7 @@ def test_series_hold_rate_off_by_one(monkeypatch):
     # compares two oracle runs that never read the series
     assert _death_with_oracle().ok
 
-    def shifted(m, theta, t):
+    def shifted(m, theta, t, factors):
         lam_t = Fraction(m, 2) * (m + theta) * t
         return (2 * m - 1 + dp._dec(theta)) * dp._dec(-lam_t).exp()
 
@@ -198,8 +221,8 @@ def test_complement_series_sign_flipped(monkeypatch):
 
     assert bounds().ok
     gamma = dp._gamma_factor
-    monkeypatch.setattr(dp, "_gamma_factor",
-                        lambda m, theta, t: -gamma(m, theta, t) if m == 2 else gamma(m, theta, t))
+    monkeypatch.setattr(dp, "_gamma_factor", lambda m, theta, t, factors: (
+        -1 if m == 2 else 1) * gamma(m, theta, t, factors))
     report = bounds()
     assert _failing(report, "nonabsorption-bounds") == [
         f"theta={theta},t={t}" for theta in (0.5, 1.0, 4.0) for t in (0.1, 0.5, 1.0, 3.0, 10.0)]

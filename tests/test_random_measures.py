@@ -507,6 +507,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             self.measure(**{**self.VALID, **change})
 
+    @pytest.mark.parametrize("change, match", [
+        ({"ids": [3, 7, 9]}, "one entry per atom"),
+        ({"xs": [0.2, 0.6, 0.9]}, "one entry per atom"),
+        ({"weights": [0.25, 0.25, 0.5]}, "one entry per atom"),
+        ({"ids": [7, 7]}, "repeat"),
+    ], ids=["extra-id", "extra-x", "extra-weight", "repeated-id"])
+    def test_rejects_misaligned_atoms(self, change, match):
+        # an extra id once built, and its mass(Interval(0, 0.5)) read 0.25,
+        # ignoring the id without a position
+        with pytest.raises(ValueError, match=match):
+            self.measure(**{**self.VALID, **change})
+
+    def test_continuous_measure_needs_positions(self):
+        with pytest.raises(ValueError, match="positions"):
+            DiscreteMeasure("continuous", np.array([3, 7], dtype=np.int64), None,
+                            np.array([0.25, 0.75]), 0.0)
+
     def test_loaded_ids_do_not_collide_with_fresh_draws(self, rng):
         from fvkit.markov_processes import MeasureChainConfig, measure_chain_step
         mu = self.measure(**{**self.VALID, "ids": [3, 10**9]})
