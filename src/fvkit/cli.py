@@ -18,8 +18,8 @@ from ._lazy import np
 from .death_process import DeathParams, PrecisionConfig, PrecisionExhaustedError, death_pmf
 from .markov_processes import Dar1Config, FvConfig, MeasureChainConfig, run_chain
 from .polya_urn import overlap_pmf_bruteforce, overlap_pmf_exact, overlap_pmf_montecarlo, overlap_pmf_theta0
-from .random_measures import (DEFAULT_TRUNCATION, AtomSet, DiscreteBase, Interval, StickTruncation,
-                              UniformBase, measure_to_json)
+from .random_measures import (DEFAULT_TRUNCATION, AtomSet, DiscreteBase, Interval, StickBudgetError,
+                              StickTruncation, UniformBase, measure_to_json)
 from .reporting import emit, render_table
 
 EXIT_VERIFY_FAILED = 1
@@ -84,9 +84,10 @@ seed_option = click.option("--seed", type=int, default=0, show_default=True,
 
 
 def _exit_codes(command):
-    """Report PrecisionExhaustedError as exit 3 and a ValueError, TypeError
-    or OverflowError (a bad argument value) as exit 2, each with one stderr
-    line."""
+    """Report PrecisionExhaustedError as exit 3 and a ValueError, TypeError,
+    OverflowError or StickBudgetError (a bad argument value; the last a
+    theta whose stick rows would exceed the stick cap) as exit 2, each with
+    one stderr line."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
@@ -94,7 +95,7 @@ def _exit_codes(command):
         except PrecisionExhaustedError as e:
             click.echo(f"precision exhausted: {e}", err=True)
             sys.exit(EXIT_PRECISION)
-        except (ValueError, TypeError, OverflowError) as e:
+        except (ValueError, TypeError, OverflowError, StickBudgetError) as e:
             click.echo(f"invalid arguments: {e}", err=True)
             sys.exit(EXIT_BAD_ARGS)
     return run

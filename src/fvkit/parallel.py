@@ -1,8 +1,8 @@
 """Independent jobs on the cores this process may run on.
 
-The Monte Carlo death oracle splits its work into chunks that each own a
-random stream, so a chunk's result does not depend on which thread runs it
-or when.
+The Monte Carlo death oracle splits its work into chunks, and the moment
+checks of random_measures their rows into blocks, each owning a random
+stream, so a job's result does not depend on which thread runs it or when.
 numpy releases the GIL in its random fills and array loops, so plain threads
 spread such jobs over the cores.
 """

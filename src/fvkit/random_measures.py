@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
+from . import parallel
 from ._lazy import np
 
 
@@ -601,11 +602,33 @@ def _check_reps(reps: int) -> None:
         raise ValueError(f"reps must be >= 2 for a Monte Carlo standard error, got {reps}")
 
 
+_MASS_BLOCK_CELLS = 2**16  # expected cells per block of a moment check, one substream each
+
+
 def _check_masses(theta, base: BaseMeasure, A: TestSet, reps: int, trunc: StickTruncation,
                   rng: np.random.Generator, n_cond: int = 0) -> np.ndarray:
-    """mu(A) per row of _dirichlet_rows, for a check that needs reps >= 2."""
+    """mu(A) per row of reps _dirichlet_rows draws, for a check that needs
+    reps >= 2.
+
+    The rows are drawn in blocks of about _MASS_BLOCK_CELLS expected cells
+    (a row expects 1 + (theta + n_cond) ln(1/eps) sticks under a residual
+    truncation, k under a fixed one).  Block i draws from the i-th substream
+    spawned from rng and keeps only its masses, so memory does not grow
+    with reps; the blocks run as parallel jobs and join in block order, so
+    the masses do not depend on the core count."""
     _check_reps(reps)
-    return _dirichlet_rows(float(theta), base, reps, trunc, rng, n_cond).mass(A)
+    theta = float(theta)
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError("theta must be > 0")
+    per_row = trunc.k if trunc.k is not None else 1 + (theta + n_cond) * -math.log(trunc.eps)
+    block = max(1, int(_MASS_BLOCK_CELLS // per_row))
+    sizes = [min(block, reps - start) for start in range(0, reps, block)]
+
+    def masses(job):
+        rows, stream = job
+        return _dirichlet_rows(theta, base, rows, trunc, stream, n_cond).mass(A)
+
+    return np.concatenate(parallel.map_jobs(masses, zip(sizes, rng.spawn(len(sizes)))))
 
 
 def _z(diff, se):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -42,3 +43,16 @@ def portable_digest(*arrays):
     return digest(*(np.asarray(a, dtype=np.float32)
                     if a is not None and np.asarray(a).dtype.kind == "f" else a
                     for a in arrays))
+
+
+def blockwise_masses(theta, base, A, reps, trunc, rng, n_cond=0):
+    """mu(A) per row as the moment checks draw it, spelled out: rows in
+    blocks of max(1, _MASS_BLOCK_CELLS // expected cells per row), block i
+    a _dirichlet_rows batch on the i-th child spawned from rng, in order."""
+    from fvkit import random_measures as rm
+    per_row = trunc.k if trunc.k is not None else 1 + (theta + n_cond) * -math.log(trunc.eps)
+    block = max(1, int(rm._MASS_BLOCK_CELLS // per_row))
+    children = rng.spawn(-(-reps // block))
+    return np.concatenate([
+        rm._dirichlet_rows(theta, base, min(block, reps - i * block), trunc, child, n_cond).mass(A)
+        for i, child in enumerate(children)])

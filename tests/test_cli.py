@@ -263,6 +263,27 @@ class TestVerifyCommand:
         assert r.stderr == ("invalid arguments: reps must be >= 2 for a Monte Carlo "
                             f"standard error, got {reps}\n")
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "measures", "--reps", "50"],
+        ["verify", "processes", "--reps", "50"],
+        ["simulate", "measure-chain", "--n", "2", "--steps", "2"],
+    ], ids=["verify-measures", "verify-processes", "simulate-measure-chain"])
+    def test_theta_zero_exit_code(self, args):
+        r = run_cli(*args, "--theta", "0")
+        assert r.returncode == 2
+        assert r.stderr == "invalid arguments: theta must be > 0\n"
+
+    # a row at theta = 1e6 expects 1 + 1e6 ln(1e8) sticks, over the cap
+    @pytest.mark.parametrize("args", [
+        ["simulate", "fv", "--t", "0.1", "--steps", "2"],
+        ["verify", "measures", "--reps", "50"],
+    ], ids=["simulate-fv", "verify-measures"])
+    def test_stick_budget_exit_code(self, args):
+        r = run_cli(*args, "--theta", "1e6")
+        assert r.returncode == 2
+        assert r.stderr == ("invalid arguments: a residual below 1e-08 needs 18420682 sticks "
+                            "on average, over the cap of 1000000\n")
+
     @pytest.mark.parametrize("args, expected", [
         ([], {"combinatorics": {}, "death": {}, "urn": {}, "measures": {}, "processes": {}}),
         (["--m-max", "7", "--n-max", "2", "--theta", "1/2", "--theta", "2", "--s", "1",

@@ -1,12 +1,14 @@
 """Jobs on several threads give what one thread gives: the oracle's chunks
-each draw from their own stream."""
+and the moment checks' blocks each draw from their own stream."""
 import threading
 
 import numpy as np
 import pytest
 
+from conftest import blockwise_masses
 from fvkit import death_process as dp
 from fvkit import parallel
+from fvkit import random_measures as rm
 
 
 def _serial_map(fn, jobs):
@@ -136,3 +138,60 @@ def test_oracle_counts_at_exact_ties(monkeypatch, tie):
         exact, near = exact + reach_hi[-1], near + hold_hi.sum()
     t = exact[np.flatnonzero(near > exact)[-1]] if tie != "doubled-high" else reach_hi[n0 // 2]
     _assert_matches_serial_and_whole_chunks(monkeypatch, (float(t), theta, n0, reps))
+
+
+_A = rm.Interval(0.0, 0.5)
+
+
+def _masses(theta, reps, trunc=rm.DEFAULT_TRUNCATION, n_cond=0, seed=5):
+    return rm._check_masses(theta, rm.UniformBase(), _A, reps, trunc,
+                            np.random.default_rng(seed), n_cond)
+
+
+@pytest.mark.parametrize("theta, reps, n_cond", [(4.0, 2000, 1), (0.5, 15_000, 0)])
+def test_check_masses_match_serial_and_blockwise(monkeypatch, theta, reps, n_cond):
+    # three blocks of the one-atom mixture at theta = 4, three of the prior
+    # at theta = 0.5
+    threaded, serial = _threaded_and_serial(monkeypatch, lambda: _masses(theta, reps, n_cond=n_cond))
+    reference = blockwise_masses(theta, rm.UniformBase(), _A, reps, rm.DEFAULT_TRUNCATION,
+                                 np.random.default_rng(5), n_cond)
+    assert np.array_equal(threaded, serial) and np.array_equal(threaded, reference)
+
+
+# rows per block: 2**16 // (1 + 5 ln 1e8) = 703 at theta = 4 with one
+# conditioning atom; 2**16 // 50 = 1310 under a fixed 50-stick truncation
+@pytest.mark.parametrize("trunc, block, reps", [
+    (rm.DEFAULT_TRUNCATION, 703, 703),
+    (rm.DEFAULT_TRUNCATION, 703, 704),
+    (rm.StickTruncation.fixed(50), 1310, 3000),
+])
+def test_check_masses_block_edges(trunc, block, reps):
+    per_row = trunc.k or 1 + 5 * -np.log(trunc.eps)
+    assert rm._MASS_BLOCK_CELLS // per_row == block
+    got = _masses(4.0, reps, trunc, n_cond=1)
+    assert got.shape == (reps,)
+    children = np.random.default_rng(5).spawn(-(-reps // block))
+    for i, child in enumerate(children):
+        rows = rm._dirichlet_rows(4.0, rm.UniformBase(), min(block, reps - i * block), trunc,
+                                  child, 1)
+        assert np.array_equal(got[i * block:(i + 1) * block], rows.mass(_A))
+
+
+def test_stick_budget_raised_in_a_worker_before_any_draw(monkeypatch):
+    # at theta = 1e6 a row expects 1.8e7 sticks, so every block is one row
+    # and every job stops in the stick kernel's up-front budget check
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+    sticks = rm._dp_sticks
+    seen = []
+
+    def watched(total, trunc, rng):
+        state = rng.bit_generator.state
+        try:
+            return sticks(total, trunc, rng)
+        finally:
+            seen.append((threading.get_ident(), rng.bit_generator.state == state))
+
+    monkeypatch.setattr(rm, "_dp_sticks", watched)
+    with pytest.raises(rm.StickBudgetError, match="over the cap"):
+        _masses(1e6, 50)
+    assert seen and all(ident != threading.get_ident() and untouched for ident, untouched in seen)

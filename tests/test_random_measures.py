@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_within_se, digest as _digest, portable_digest
+from conftest import assert_within_se, blockwise_masses, digest as _digest, portable_digest
 from fvkit.random_measures import (
     DEFAULT_TRUNCATION,
     AtomSet,
@@ -429,6 +430,45 @@ class TestMeanIdentity:
             check(1.0, UniformBase(), Interval(0.0, 0.5), batch, DEFAULT_TRUNCATION,
                   np.random.default_rng(7))
 
+    # at theta = 0 the prior's total mass is 0, which the sticks divide by
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("check, batch", [(check_mean_identity, 50),
+                                              (check_mixture_identity, np.full(50, 0.5))],
+                             ids=["check_mean_identity", "check_mixture_identity"])
+    def test_theta_must_be_positive(self, check, batch, theta):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta must be > 0"):
+                check(theta, UniformBase(), Interval(0.0, 0.5), batch, DEFAULT_TRUNCATION, rng)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    def test_verify_measures_rejects_theta_zero(self):
+        from fvkit import verify
+        with pytest.raises(ValueError, match="theta must be > 0"):
+            verify.verify_measures(reps=50, thetas=(0.0,))
+
+    def test_memory_does_not_grow_with_reps(self, monkeypatch):
+        # the one-atom mixture arm at theta = 4, the largest rows the measures
+        # suite draws.  Each block in flight holds its cells, so the core
+        # count is pinned at two
+        import tracemalloc
+        from fvkit import parallel
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+        peaks = {}
+        for reps in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                rm._check_masses(4.0, UniformBase(), Interval(0.0, 0.5), reps,
+                                 DEFAULT_TRUNCATION, np.random.default_rng(7), n_cond=1)
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100_000] <= 1.5 * peaks[10_000], peaks
+        assert max(peaks.values()) < 12 * 2**20, peaks
+
 
 def _mixture(A, reps, seed):
     """The mixture check with its direct arm drawn first from the same stream,
@@ -462,9 +502,8 @@ class TestPriorVariance:
     def test_variance_identity(self):
         reps = 100_000
         for theta in (0.5, 1.0, 4.0):
-            rows = _dirichlet_rows(theta, UniformBase(), reps, DEFAULT_TRUNCATION,
-                                   np.random.default_rng(11))
-            vals = rows.mass(Interval(0.0, 0.5))
+            vals = blockwise_masses(theta, UniformBase(), Interval(0.0, 0.5), reps,
+                                    DEFAULT_TRUNCATION, np.random.default_rng(11))
             p = 0.5
             target = p * (1 - p) / (1 + theta)
             var = vals.var(ddof=1)
