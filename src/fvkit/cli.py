@@ -68,7 +68,7 @@ precision_options = [
     click.option("--digits", type=int, default=PrecisionConfig.working_digits, show_default=True,
                  help="working decimal digits for series evaluation"),
     click.option("--tail-tol", type=float, default=PrecisionConfig.tail_tol, show_default=True,
-                 help="absolute series truncation target"),
+                 help="absolute series truncation target, > 0 and < 1"),
     click.option("--max-terms", type=int, default=PrecisionConfig.max_terms, show_default=True,
                  help="series term and pmf entry budget before failing"),
 ]

@@ -74,8 +74,10 @@ class PrecisionConfig:
     def __post_init__(self):
         if self.working_digits < 16:
             raise ValueError("working_digits must be >= 16")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be > 0")
+        # at 1 or more every series stops at once, and an infinite target
+        # never tightens in the non-absorption check's loop
+        if not 0 < self.tail_tol < 1:
+            raise ValueError("tail_tol must be > 0 and < 1")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
 

@@ -1,9 +1,11 @@
 """Verification suites: every identity and statistical check the package
 makes, run over default or user-supplied grids, reported row by row.
 
-Exact checks carry tolerance 0; numerical residual checks carry their
+Exact checks hold at zero tolerance; numerical residual checks carry their
 absolute tolerance; statistical checks are reported as z-scores against a
 4-standard-error budget or as p-values against a pre-registered level.
+A row stores only its kind, value and limit; its verdict, text columns and
+headroom come from the kind's one rule in ``_KINDS``.
 """
 from __future__ import annotations
 
@@ -24,12 +26,52 @@ SE_BUDGET = 4.0
 
 
 @dataclass(frozen=True)
+class _Kind:
+    passes: object     # (value, limit) -> verdict
+    observed: object   # value -> text
+    tolerance: object  # limit -> text
+    headroom: object   # (value, limit) -> 1 or more fails; None: the kind has no margin
+
+
+_KINDS = {
+    "exact": _Kind(lambda v, lim: v, lambda v: "equal" if v else "UNEQUAL", lambda lim: "exact", None),
+    "bounds": _Kind(lambda v, lim: v, lambda v: "inside" if v else "OUTSIDE", lambda lim: "strict", None),
+    "verdict": _Kind(lambda v, lim: v == lim, str, str, None),
+    "residual": _Kind(lambda v, lim: v < lim, repr, repr, lambda v, lim: v / lim),
+    "z": _Kind(lambda v, lim: v < lim, "z={:.3f}".format, "{:g} SE".format, lambda v, lim: v / lim),
+    # a p-value passes above its level, and p = 0 has infinite headroom
+    "p": _Kind(lambda v, lim: v > lim, "p={:.5f}".format, "level {:g}".format,
+               lambda v, lim: lim / v if v else math.inf),
+}
+
+
+@dataclass(frozen=True)
 class VerifyRow:
+    """One check on one instance: a value of some kind against its limit.
+    The kind's rule in ``_KINDS`` derives the verdict, both text columns and
+    the headroom, so the row stores none of them."""
     check: str
     instance: str
-    observed: str
-    tolerance: str
-    passed: bool
+    kind: str
+    value: object
+    limit: object
+
+    @property
+    def passed(self):
+        return _KINDS[self.kind].passes(self.value, self.limit)
+
+    @property
+    def observed(self) -> str:
+        return _KINDS[self.kind].observed(self.value)
+
+    @property
+    def tolerance(self) -> str:
+        return _KINDS[self.kind].tolerance(self.limit)
+
+    @property
+    def headroom(self):
+        rule = _KINDS[self.kind].headroom
+        return None if rule is None else rule(self.value, self.limit)
 
 
 @dataclass(frozen=True)
@@ -49,22 +91,6 @@ class VerifyReport:
         return [(r.check, r.instance, r.observed, r.tolerance, r.passed) for r in self.rows]
 
 
-def _exact_row(check: str, instance: str, equal: bool) -> VerifyRow:
-    return VerifyRow(check, instance, "equal" if equal else "UNEQUAL", "exact", equal)
-
-
-def _residual_row(check: str, instance: str, residual: float, tol: float) -> VerifyRow:
-    return VerifyRow(check, instance, repr(residual), repr(tol), residual < tol)
-
-
-def _z_row(check: str, instance: str, z: float, budget: float = SE_BUDGET) -> VerifyRow:
-    return VerifyRow(check, instance, f"z={z:.3f}", f"{budget:g} SE", z < budget)
-
-
-def _pvalue_row(check: str, instance: str, p: float, level: float = KS_LEVEL) -> VerifyRow:
-    return VerifyRow(check, instance, f"p={p:.5f}", f"level {level:g}", p > level)
-
-
 # ---------------------------------------------------------------------------
 
 def verify_combinatorics(m_max: int = 15, k_max: int = 12, conv_max: int = 12) -> VerifyReport:
@@ -74,16 +100,18 @@ def verify_combinatorics(m_max: int = 15, k_max: int = 12, conv_max: int = 12) -
         for r in range(1, k + 1):
             for phi in phis:
                 ok = comb.check_vanishing_alternating_sum(k, r, phi)
-                rows.append(_exact_row("vanishing-alternating-sum", f"k={k},r={r},phi={phi}", ok))
+                rows.append(VerifyRow("vanishing-alternating-sum", f"k={k},r={r},phi={phi}",
+                                      "exact", ok, None))
     for m in range(1, m_max + 1):
         for r in range(1, m + 1):
             ok = comb.check_shifted_rising_factorial_expansion(m, r)
-            rows.append(_exact_row("shifted-rising-expansion", f"m={m},r={r}", ok))
+            rows.append(VerifyRow("shifted-rising-expansion", f"m={m},r={r}", "exact", ok, None))
     for c in range(1, conv_max + 1):
         for b in range(1, c + 1):
             for a in range(1, b + 1):
                 ok = comb.check_stirling_convolution(a, b, c)
-                rows.append(_exact_row("stirling-convolution", f"a={a},b={b},c={c}", ok))
+                rows.append(VerifyRow("stirling-convolution", f"a={a},b={b},c={c}",
+                                      "exact", ok, None))
     return VerifyReport("combinatorics", tuple(rows))
 
 
@@ -113,25 +141,27 @@ def verify_urn(form_max: int = 20, bruteforce_max: int = 5, theta0_max: int = 15
         for m in range(form_max + 1):
             for n in range(form_max + 1):
                 ok = _same(exact(m, n, theta), urn._extended_row(m, n, theta))
-                rows.append(_exact_row("overlap-forms-agree", f"m={m},n={n},theta={theta}", ok))
+                rows.append(VerifyRow("overlap-forms-agree", f"m={m},n={n},theta={theta}",
+                                      "exact", ok, None))
     for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 2)):
         for m in range(bruteforce_max + 1):
             for n in range(bruteforce_max + 1):
                 ok = _same(exact(m, n, theta), _row(urn._bruteforce_row, m, n, theta))
-                rows.append(_exact_row("exact-vs-bruteforce", f"m={m},n={n},theta={theta}", ok))
+                rows.append(VerifyRow("exact-vs-bruteforce", f"m={m},n={n},theta={theta}",
+                                      "exact", ok, None))
     for m in range(1, theta0_max + 1):
         for n in range(1, theta0_max + 1):
             row = exact(m, n, Fraction(0))
             ok = _same(row, urn._factorial_row(m, n))
             zero_ok = row is not None and row[0][0] == 0
-            rows.append(_exact_row("theta0-forms-agree", f"m={m},n={n}", ok))
-            rows.append(_exact_row("theta0-no-overlap-mass", f"m={m},n={n}", zero_ok))
+            rows.append(VerifyRow("theta0-forms-agree", f"m={m},n={n}", "exact", ok, None))
+            rows.append(VerifyRow("theta0-no-overlap-mass", f"m={m},n={n}", "exact", zero_ok, None))
     for theta in (Fraction(1), Fraction(7, 2)):
         for m in range(6):
             for n in range(6):
                 ok = _same(exact(m, n, theta, via_expansion=True), exact(m, n, theta))
-                rows.append(_exact_row("expansion-route-identical",
-                                       f"m={m},n={n},theta={theta}", ok))
+                rows.append(VerifyRow("expansion-route-identical",
+                                      f"m={m},n={n},theta={theta}", "exact", ok, None))
     return VerifyReport("urn", tuple(rows))
 
 
@@ -146,27 +176,28 @@ def _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec) -> li
         for s in svals:
             pmf = dp.death_pmf(s, params, prec)
             gap = abs(sum(float(p) for p in pmf.probs) + pmf.residual - 1.0)
-            rows.append(_residual_row("pmf-normalization", f"theta={theta},t={s}", gap, tol10))
+            rows.append(VerifyRow("pmf-normalization", f"theta={theta},t={s}",
+                                  "residual", gap, tol10))
             for n in range(1, n_max + 1):
+                at = f"n={n},theta={theta},s={s}"
                 ra = dp.check_survival_identity(n, s, params, prec)
-                rows.append(_residual_row("survival-identity", f"n={n},theta={theta},s={s}", ra, tol10))
+                rows.append(VerifyRow("survival-identity", at, "residual", ra, tol10))
                 rb = dp.check_single_death_identity(n, s, params, prec)
-                rows.append(_residual_row("single-death-identity", f"n={n},theta={theta},s={s}", rb, tol10))
+                rows.append(VerifyRow("single-death-identity", at, "residual", rb, tol10))
             for n in range(1, n_max + 1):
                 series = dp.transition_given_n(n, s, params, prec)
                 closed = [dp.transition_closed_form(n, r, s, params, prec) for r in range(n + 1)]
                 worst = max(abs(a - b) for a, b in zip(series, closed))
-                rows.append(_residual_row("transition-vs-closed-form",
-                                          f"n={n},theta={theta},s={s}", worst, tol10))
+                rows.append(VerifyRow("transition-vs-closed-form", f"n={n},theta={theta},s={s}",
+                                      "residual", worst, tol10))
         for (t, s) in ck_pairs:
             for r in range(r_max + 1):
                 res = dp.check_chapman_kolmogorov(r, t, s, params, prec)
-                rows.append(_residual_row("chapman-kolmogorov",
-                                          f"r={r},t={t},s={s},theta={theta}", res, tol100))
+                rows.append(VerifyRow("chapman-kolmogorov", f"r={r},t={t},s={s},theta={theta}",
+                                      "residual", res, tol100))
     for t in ineq_ts:
         ok = dp.check_nonabsorption_bounds(t, params, prec)
-        rows.append(VerifyRow("nonabsorption-bounds", f"theta={theta},t={t}",
-                              "inside" if ok else "OUTSIDE", "strict", ok))
+        rows.append(VerifyRow("nonabsorption-bounds", f"theta={theta},t={t}", "bounds", ok, None))
     return rows
 
 
@@ -188,9 +219,10 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
         k = min(d.size, rep.base.probs.size)
         se = np.sqrt(d[:k] * (1 - d[:k]) / mc_reps)
         zmax = float(np.max(rm._z(rep.base.probs[:k] - d[:k], se)))
-        rows.append(_z_row("pmf-vs-monte-carlo", f"theta=1,t=1,n0={mc_n0},reps={mc_reps}", zmax))
-        rows.append(_z_row("mc-start-sensitivity", f"n0={mc_n0}->{2*mc_n0}",
-                           rep.max_shift_in_se, budget=3.0))
+        rows.append(VerifyRow("pmf-vs-monte-carlo", f"theta=1,t=1,n0={mc_n0},reps={mc_reps}",
+                              "z", zmax, SE_BUDGET))
+        rows.append(VerifyRow("mc-start-sensitivity", f"n0={mc_n0}->{2*mc_n0}",
+                              "z", rep.max_shift_in_se, 3.0))
     return VerifyReport("death", tuple(rows))
 
 
@@ -207,20 +239,21 @@ def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
         direct = rm._check_masses(theta, base, A, reps, rm.DEFAULT_TRUNCATION, rng)
         prior = rm._moment_check(direct, 0, base.measure(A), theta)
         mx = rm.check_mixture_identity(theta, base, A, direct, rm.DEFAULT_TRUNCATION, rng)
-        rows += [_z_row("prior-mean-identity", f"theta={theta},A=[0,0.5)", prior.mean.z),
-                 _z_row("mixture-first-moment", f"theta={theta}", mx.first.z),
-                 _z_row("mixture-second-moment", f"theta={theta}", mx.second.z),
-                 _z_row("prior-variance", f"theta={theta}", prior.var.z)]
+        rows += [VerifyRow(check, instance, "z", est.z, SE_BUDGET) for check, instance, est in (
+            ("prior-mean-identity", f"theta={theta},A=[0,0.5)", prior.mean),
+            ("mixture-first-moment", f"theta={theta}", mx.first),
+            ("mixture-second-moment", f"theta={theta}", mx.second),
+            ("prior-variance", f"theta={theta}", prior.var))]
     pd_params = rm.StickBreakingParams.poisson_dirichlet(sigma, 0.0 if sigma else 1.0)
     for check, instance, params in (
             ("summability-dp", "theta=1,J=1e4", rm.StickBreakingParams.dp(1.0)),
             ("summability-pd", f"sigma={sigma},J=1e4", pd_params)):
         verdict = rm.check_summability(params, 10**4).verdict
-        rows.append(VerifyRow(check, instance, str(verdict), "divergent", verdict == "divergent"))
+        rows.append(VerifyRow(check, instance, "verdict", verdict, "divergent"))
     mu = rm.stick_break(pd_params, base, rm.StickTruncation.fixed(2000),
                         np.random.default_rng(seed + 2))
     gap = abs(float(mu.weights.sum()) + mu.residual - 1.0)
-    rows.append(_residual_row("pd-stick-telescoping", f"sigma={sigma},K=2000", gap, 1e-12))
+    rows.append(VerifyRow("pd-stick-telescoping", f"sigma={sigma},K=2000", "residual", gap, 1e-12))
     return VerifyReport("measures", tuple(rows))
 
 
@@ -236,36 +269,38 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
     rng = np.random.default_rng(seed + 6)
     for theta in thetas:
         pv = mk.dar1_detailed_balance(mk.Dar1Config(theta, dbase), n_steps, rng)
-        rows.append(_pvalue_row("dar1-detailed-balance", f"theta={theta},steps={n_steps}", pv))
+        rows.append(VerifyRow("dar1-detailed-balance", f"theta={theta},steps={n_steps}",
+                              "p", pv, KS_LEVEL))
     f = mk.dar1_retention_frequency(mk.Dar1Config(1.0, base), n_steps,
                                     np.random.default_rng(seed))
     z = rm.Estimate(f, math.sqrt(0.25 / n_steps), 0.5).z
-    rows.append(_z_row("dar1-retention", f"theta=1,steps={n_steps}", z))
+    rows.append(VerifyRow("dar1-retention", f"theta=1,steps={n_steps}", "z", z, SE_BUDGET))
     pv = mk.dar1_marginal_chisquare(mk.Dar1Config(1.0, dbase), max(reps, 1000),
                                     np.random.default_rng(seed + 1))
-    rows.append(_pvalue_row("dar1-marginal-chisquare", f"theta=1,samples={max(reps,1000)}", pv))
+    rows.append(VerifyRow("dar1-marginal-chisquare", f"theta=1,samples={max(reps,1000)}",
+                          "p", pv, KS_LEVEL))
     # (row prefix, instance, config, seed offset)
     chains = ([("measure-chain", f"theta={theta},n={n}", mk.MeasureChainConfig(theta, base, n), 2)
                for theta in thetas for n in chain_ns]
               + [("fv", f"theta={theta},t={t}", mk.FvConfig(theta, base, t), 3)
                  for theta in thetas for t in fv_ts])
-    for kind, instance, cfg, offset in chains:
+    for prefix, instance, cfg, offset in chains:
         checks = mk.stationarity_checks(cfg, A, reps, checkpoints,
                                         np.random.default_rng(seed + offset))
         for c in checks:
             at = f"{instance},steps={c.after_steps}"
-            rows += [_z_row(f"{kind}-mean", at, c.mean.z),
-                     _z_row(f"{kind}-variance", at, c.var.z),
-                     _z_row(f"{kind}-lag-slope", at, c.slope.z),
-                     _z_row(f"{kind}-eigen2-slope", at, c.eigen2_slope.z)]
+            rows += [VerifyRow(f"{prefix}-{name}", at, "z", est.z, SE_BUDGET)
+                     for name, est in (("mean", c.mean), ("variance", c.var),
+                                       ("lag-slope", c.slope), ("eigen2-slope", c.eigen2_slope))]
     rep = mk.fv_chapman_kolmogorov_process_test(mk.FvConfig(1.0, base, 1.0), 0.5, 0.5, A,
                                                 reps, np.random.default_rng(seed + 4))
-    rows.append(_pvalue_row("fv-composition-ks", f"theta=1,t=s=0.5,reps={reps}", rep.ks_pvalue))
+    rows.append(VerifyRow("fv-composition-ks", f"theta=1,t=s=0.5,reps={reps}",
+                          "p", rep.ks_pvalue, KS_LEVEL))
     rev = mk.measure_chain_reversibility_test(mk.MeasureChainConfig(1.0, base, 1), A,
                                               reps, np.random.default_rng(seed + 5))
-    rows.append(_pvalue_row("reversibility-marginal-ks", f"theta=1,reps={reps}",
-                            rev.marginal_ks_pvalue))
-    rows.append(_z_row("reversibility-cross-moment", f"theta=1,reps={reps}",
-                       rev.cross_moment.z))
+    rows.append(VerifyRow("reversibility-marginal-ks", f"theta=1,reps={reps}",
+                          "p", rev.marginal_ks_pvalue, KS_LEVEL))
+    rows.append(VerifyRow("reversibility-cross-moment", f"theta=1,reps={reps}",
+                          "z", rev.cross_moment.z, SE_BUDGET))
     return VerifyReport("processes", tuple(rows))
 

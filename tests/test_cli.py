@@ -240,7 +240,7 @@ class TestVerifyCommand:
         from fvkit.verify import VerifyReport, VerifyRow
 
         def broken(**kw):
-            return VerifyReport("urn", (VerifyRow("x", "y", "UNEQUAL", "exact", False),))
+            return VerifyReport("urn", (VerifyRow("x", "y", "exact", False, None),))
 
         monkeypatch.setattr(verify_mod, "verify_urn", broken)
         out = tmp_path / "r.csv"
@@ -252,6 +252,19 @@ class TestVerifyCommand:
         r = run_cli("verify", "urn", "--m-max", "1", "--digits", "10")
         assert r.returncode == 2
         assert r.stderr == "invalid arguments: working_digits must be >= 16\n"
+
+    # at 1 or more every series stops at once; at inf the non-absorption
+    # check never returned
+    @pytest.mark.parametrize("args", [
+        ["verify", "death"],
+        ["pmf", "death", "--theta", "1", "--t", "1"],
+        ["simulate", "fv", "--theta", "1", "--t", "0.5", "--steps", "2"],
+    ], ids=["verify-death", "pmf-death", "simulate-fv"])
+    @pytest.mark.parametrize("tol", ["inf", "1"])
+    def test_tail_tol_out_of_range_exit_code(self, args, tol):
+        r = run_cli(*args, "--tail-tol", tol, timeout=60)
+        assert r.returncode == 2
+        assert r.stderr == "invalid arguments: tail_tol must be > 0 and < 1\n"
 
     @pytest.mark.parametrize("reps, suite", [("0", "measures"), ("0", "processes"),
                                              ("1", "measures"), ("1", "processes"),

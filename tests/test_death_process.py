@@ -450,3 +450,13 @@ class TestParamsValidation:
             PrecisionConfig(working_digits=8)
         with pytest.raises(ValueError):
             PrecisionConfig(tail_tol=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, 1.0, 2.0, math.inf, math.nan])
+    def test_tail_tol_outside_unit_interval_rejected(self, tol):
+        # at 1 or more every series stops after its first term, so d_0(1)
+        # read 1.0 and d_1(1) 0.0; at inf the non-absorption check looped
+        with pytest.raises(ValueError, match="tail_tol must be > 0 and < 1"):
+            PrecisionConfig(tail_tol=tol)
+
+    def test_tail_tol_just_inside_unit_interval_accepted(self):
+        assert PrecisionConfig(tail_tol=0.5).tail_tol == 0.5

@@ -27,7 +27,7 @@ from fvkit.polya_urn import (
     overlap_pmf_extended,
     overlap_pmf_theta0,
 )
-from fvkit.verify import verify_death, verify_urn
+from fvkit.verify import verify_combinatorics, verify_death, verify_urn
 
 
 def naive_rising(a, m):
@@ -207,14 +207,16 @@ class TestSharedExactQuantities:
 
 
 class TestPinnedTables:
-    # sha256 of the default urn and death tables, every row's text as
-    # rendered; the death rows carry repr(float) residuals, so this pins
-    # the series, the urn weights and the closed form bit for bit
+    # sha256 of the default combinatorics, urn and death tables, every
+    # row's text as rendered; the death rows carry repr(float) residuals, so
+    # this pins the series, the urn weights and the closed form bit for bit
     @pytest.mark.parametrize("suite, expected", [
+        (verify_combinatorics,
+         "3d3e1d8785d4c55a1ffe6c12f1870dc1fbf6fd9dea4d5454cdbcff135f34aa8d"),
         (verify_urn, "fa58c56d28317e1538d4c05ba7df45be3ef02608290834956d4fcad8a572888e"),
         (lambda: verify_death(mc_reps=0),
          "f8864b6bff7a3104eb6877141453aadf6db50735f624c6e9254644fd1e800d78"),
-    ], ids=["urn", "death"])
+    ], ids=["combinatorics", "urn", "death"])
     def test_table_rows_pinned(self, suite, expected):
         rows = suite().table_rows()
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected

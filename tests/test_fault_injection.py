@@ -226,7 +226,7 @@ def test_complement_series_sign_flipped(monkeypatch):
     report = bounds()
     assert _failing(report, "nonabsorption-bounds") == [
         f"theta={theta},t={t}" for theta in (0.5, 1.0, 4.0) for t in (0.1, 0.5, 1.0, 3.0, 10.0)]
-    assert {row.observed for row in report.rows} == {"OUTSIDE"}
+    assert {(row.kind, row.value) for row in report.rows} == {("bounds", False)}
 
 
 def _scale_d1(monkeypatch, factor):
@@ -313,8 +313,7 @@ def test_d1_zero_in_monte_carlo_comparison(monkeypatch):
     monkeypatch.setattr(dp, "death_pmf", zeroed)
     report = oracle()
     assert _failing(report, "pmf-vs-monte-carlo") == ["theta=1,t=1,n0=500,reps=20000"]
-    assert [row.observed for row in report.rows if row.check == "pmf-vs-monte-carlo"] == [
-        "z=inf"]
+    assert [row.value for row in report.rows if row.check == "pmf-vs-monte-carlo"] == [math.inf]
 
 
 def _fv_processes():
@@ -405,10 +404,9 @@ def _dar1_processes():
     return V.verify_processes(reps=100, seed=11, chain_ns=(1,), fv_ts=(0.2,), checkpoints=(1,))
 
 
-def test_dar1_redraw_rotates(monkeypatch):
+def _rotate_redraws(monkeypatch):
     # a redraw on a discrete base moves x to x + 1 mod k w.p. 0.2 instead of
     # drawing from the base: a net flow around the cycle 0 -> 1 -> ... -> 0
-    assert _dar1_processes().ok
     path = mk._dar1_path
 
     def rotating(cfg, steps, rng):
@@ -425,6 +423,11 @@ def test_dar1_redraw_rotates(monkeypatch):
         return ids, None
 
     monkeypatch.setattr(mk, "_dar1_path", rotating)
+
+
+def test_dar1_redraw_rotates(monkeypatch):
+    assert _dar1_processes().ok
+    _rotate_redraws(monkeypatch)
     report = _dar1_processes()
     assert _failing(report, "dar1-detailed-balance") == [
         f"theta={theta},steps=10000" for theta in (0.5, 1.0, 4.0)]
@@ -432,6 +435,11 @@ def test_dar1_redraw_rotates(monkeypatch):
                   "fv-mean", "fv-variance", "fv-lag-slope", "fv-composition-ks",
                   "reversibility-marginal-ks", "reversibility-cross-moment"):
         assert not _failing(report, check), check
+
+
+def _squeeze_uniform_positions(monkeypatch):
+    monkeypatch.setattr(rm.UniformBase, "sample_batch", lambda self, rng, k, first_id: (
+        first_id + np.arange(k, dtype=np.int64), 0.5 * rng.random(k)))
 
 
 def test_uniform_positions_squeezed(monkeypatch):
@@ -442,8 +450,7 @@ def test_uniform_positions_squeezed(monkeypatch):
     # prior's (total mass theta) and the one-atom posterior's (theta + 1)
     # truncation residuals, which shows at theta = 4
     assert V.verify_measures(reps=2000, seed=7).ok
-    monkeypatch.setattr(rm.UniformBase, "sample_batch", lambda self, rng, k, first_id: (
-        first_id + np.arange(k, dtype=np.int64), 0.5 * rng.random(k)))
+    _squeeze_uniform_positions(monkeypatch)
     report = V.verify_measures(reps=2000, seed=7)
     for check in ("prior-mean-identity", "prior-variance"):
         assert _failing(report, check) == [
@@ -514,3 +521,27 @@ def test_dar1_redraws_too_rarely(monkeypatch):
     report = _dar1_processes()
     assert [(row.check, row.instance) for row in report.rows if not row.passed] == [
         ("dar1-retention", "theta=1,steps=10000")]
+
+
+def test_headroom_below_one_exactly_when_passed():
+    # every numeric row of the small grids, clean and under one fault each
+    # that turns residual, z and p rows red
+    def numeric_rows(*reports):
+        return [row for rep in reports for row in rep.rows if row.kind in ("residual", "z", "p")]
+
+    rows = numeric_rows(_small_death(ineq_ts=(0.5,)), _death_with_oracle(), _dar1_processes(),
+                        V.verify_measures(reps=2000, seed=7))
+    assert rows and all(row.passed for row in rows)
+    for fault, grid in ((lambda mp: _scale_d1(mp, 1 + Decimal(10) ** -6), _small_death),
+                        (_rotate_redraws, _dar1_processes),
+                        (_squeeze_uniform_positions, lambda: V.verify_measures(reps=2000, seed=7))):
+        with pytest.MonkeyPatch.context() as mp:
+            fault(mp)
+            dp._death_pmf_cached.cache_clear()
+            try:
+                rows += numeric_rows(grid())
+            finally:
+                dp._death_pmf_cached.cache_clear()
+    assert {row.kind for row in rows if not row.passed} == {"residual", "z", "p"}
+    for row in rows:
+        assert row.passed == (row.headroom < 1), (row.check, row.instance, row.value)
