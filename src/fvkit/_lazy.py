@@ -1,13 +1,13 @@
-"""numpy and mpmath, imported on first attribute read.
+"""numpy, imported on first attribute read.
 
-fvkit modules take ``np`` and ``mpmath`` from here.  Reading ``np.<name>``
-the first time imports numpy, copies its namespace into the proxy and turns
-the proxy into a plain module, so every later read costs what a read on
-numpy itself does, and a command that never reaches numpy never imports it.
-Names the real module binds after that first read come through its own
-module ``__getattr__``, if it has one.  No fvkit code may read these names
-at import time: not in a default argument, decorator argument, class body
-or module constant.
+fvkit modules take ``np`` from here.  Reading ``np.<name>`` the first time
+imports numpy, copies its namespace into the proxy and turns the proxy
+into a plain module, so every later read costs what a read on numpy itself
+does, and a command that never reaches numpy never imports it.  Names the
+real module binds after that first read come through its own module
+``__getattr__``, if it has one.  No fvkit code may read ``np`` at import
+time: not in a default argument, decorator argument, class body or module
+constant.
 """
 from __future__ import annotations
 
@@ -34,5 +34,4 @@ def lazy_import(name: str) -> types.ModuleType:
     return _LazyModule(name)
 
 
-mpmath = lazy_import("mpmath")
 np = lazy_import("numpy")

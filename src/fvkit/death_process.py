@@ -9,8 +9,9 @@ per term.  Truncation is certified: we stop only once a computable bound
 shows every remaining term is strictly smaller than its predecessor, at
 which point the alternating-series bound applies.
 
-The partial-fraction oracle ``transition_closed_form`` computes in mpmath,
-so the series and the oracle it is checked against share no arithmetic.
+The partial-fraction oracle ``transition_closed_form`` computes in binary
+fixed point on Python integers, so the series and the oracle it is checked
+against share no arithmetic.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import parallel, polya_urn, random_measures
-from ._lazy import mpmath, np
+from ._lazy import np
 # binomial, falling_factorial and rising_factorial are unused here but stay
 # importable: bench/tracing.py rebinds this module's combinatorics names
 from .combinatorics import binomial, falling_factorial, rising_factorial, rising_product  # noqa: F401
@@ -402,48 +403,94 @@ def transition_closed_form(n: int, r: int, s, params: DeathParams,
     pairwise distinct rates, via the standard partial-fraction formula
     prod_{k>r} lambda_k sum_i exp(-lambda_i s) / prod_{j!=i} (lambda_j - lambda_i).
     This is the independent oracle for ``transition_given_n``.  It reads
-    entry r of ``_closed_form_row``; the rates are coded there, apart from
-    the series' ``_death_rate_fraction``."""
+    entry r of ``_closed_form_row``, which is correctly rounded and so does
+    not depend on ``prec``; the rates are coded there, apart from the
+    series' ``_death_rate_fraction``."""
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
     if not s > 0:
         raise ValueError("s must be > 0")
-    entry = _closed_form_row(n, Fraction(s), params.theta_fraction, prec.working_digits)[r]
+    entry = _closed_form_row(n, Fraction(s), params.theta_fraction)[r]
     if entry is None:
         raise ValueError("coincident rates: closed form needs pairwise distinct rates")
     return entry
 
 
 CLOSED_FORM_CACHE_SIZE = 256
+# Fixed-point bits a closed-form entry starts from; they double until the
+# entry's error interval rounds to one float.
+CLOSED_FORM_START_BITS = 128
+
+
+@lru_cache(maxsize=16 * CLOSED_FORM_CACHE_SIZE)
+def _exp_fixed(a: int, b: int, bits: int) -> int:
+    """exp(-a/b) * 2**bits, for integers a >= 0 and b > 0, within 1.
+
+    The argument is reduced to y = a/(b 2**k) < 2**-red, exp(-y) summed
+    by its Taylor series and squared k times, all in fixed point at
+    w = bits + g bits.  There, y is off by less than 1 unit and each
+    truncated Taylor term by less than 2; the series stops at its first
+    zero term, before the (w/red + 1)-th, so exp(-y) is off by less than
+    2N + 2 units over its N terms.  Computed and exact values stay in
+    [0, 2**w], so a squaring maps an error d to at most 2d + 1, and after
+    k of them the error is below 2**k (2N + 3), which the guard g makes at
+    most 2**(g-1); the final rounding to ``bits`` adds 1/2.  Memoized: a
+    row's decays are shared by every row with the same time, theta and
+    precision."""
+    red = max(4, math.isqrt(bits))
+    k = (a // b).bit_length() + red
+    guard = k + 1 + (bits + k + 64).bit_length()
+    w = bits + guard
+    y = (a << w) // (b << k)
+    total = term = 1 << w
+    j = 0
+    while term:
+        j += 1
+        term = term * y // (j << w)
+        total += -term if j % 2 else term
+    for _ in range(k):
+        total = total * total >> w
+    return (total + (1 << (guard - 1))) >> guard
 
 
 @lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
-def _closed_form_row(n: int, s: Fraction, theta: Fraction, digits: int) -> tuple:
-    """``transition_closed_form`` for r = 0..n at ``digits`` working
-    digits, None where the rates lambda_r..lambda_n are not pairwise
+def _closed_form_row(n: int, s: Fraction, theta: Fraction) -> tuple:
+    """``transition_closed_form`` for r = 0..n, each entry correctly
+    rounded, None where the rates lambda_r..lambda_n are not pairwise
     distinct (r = 0 at theta = 0).  Memoized in a bounded LRU cache.
 
     With theta = p/q each 2q lambda_k = k((k-1)q + p) is an integer, so the
     (2q)**(n-r) factors cancel and each weight is one integer over another;
-    over their least common denominator the weights are integers, so entry
-    r is one exact dot product with the decays, rounded once.  Only
-    exp(-lambda_k s) is evaluated in working precision, once per k for the
-    whole row."""
+    over their least common denominator lcd the weights w_i are integers.
+    With E_i the decays exp(-lambda_i s) in B-bit fixed point, each within
+    1 unit (``_exp_fixed``), T = sum_i w_i E_i is within W = sum_i |w_i|
+    units of 2**B times the exact sum, so entry r lies in
+    [(T - W), (T + W)] * prod(nodes[1:]) / (lcd 2**B).  Integer division
+    rounds each end correctly, subnormals included; once both ends round
+    to the same float, so does the entry.  Otherwise B doubles."""
     p, q = theta.numerator, theta.denominator
     rates = [k * ((k - 1) * q + p) for k in range(n + 1)]  # 2q lambda_k
+    den = 2 * q * s.denominator
     row = []
-    with mpmath.workdps(digits):
-        decay = [mpmath.exp(-(mpmath.mpf(rate * s.numerator) / (2 * q * s.denominator)))
-                 for rate in rates]
-        for r in range(n + 1):
-            nodes = rates[r:]
-            if len(set(nodes)) != len(nodes):
-                row.append(None)
-                continue
-            dens = [math.prod(b - a for b in nodes if b != a) for a in nodes]
-            lcd = math.lcm(*dens)
-            total = mpmath.fdot([lcd // d for d in dens], decay[r:])
-            row.append(float(total * math.prod(nodes[1:]) / lcd))
+    for r in range(n + 1):
+        nodes = rates[r:]
+        if len(set(nodes)) != len(nodes):
+            row.append(None)
+            continue
+        dens = [math.prod(b - a for b in nodes if b != a) for a in nodes]
+        lcd = math.lcm(*dens)
+        weights = [lcd // d for d in dens]
+        spread = sum(map(abs, weights))
+        scale = math.prod(nodes[1:])
+        bits = CLOSED_FORM_START_BITS
+        while True:
+            total = sum(w * _exp_fixed(rate * s.numerator, den, bits)
+                        for w, rate in zip(weights, nodes))
+            lo, hi = ((total + d * spread) * scale / (lcd << bits) for d in (-1, 1))
+            if lo == hi:
+                row.append(hi)
+                break
+            bits *= 2
     return tuple(row)
 
 
@@ -571,22 +618,41 @@ _MC_CHUNK_TARGET = 5_000_000  # floats per simulation chunk, one substream each
 _MC_BLOCK_ROWS = 256  # rows drawn at once inside a chunk, about L2-sized
 
 
+# B_2, B_4, ..., B_12: the Bernoulli numbers of the entry time's tail
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+              Fraction(5, 66), Fraction(-691, 2730))
+
+
 def mean_entry_time(n0: int, theta: float) -> float:
     """Mean time the infinite-start chain spends above n0:
-    sum_{k>n0} 1/lambda_k = sum_{k>n0} 2/(k(k-1+theta)), about 2/n0.
+    sum_{k>n0} 1/lambda_k = sum_{k>n0} f(k), f(x) = 2/(x(x+a)), a = theta - 1,
+    about 2/n0.  Requires n0 >= 1.
 
-    By partial fractions the sum is 2(psi(n0+theta) - psi(n0+1))/(theta-1),
-    and 2 psi'(n0+1) at theta = 1; it is evaluated in that exact form with
-    digits to spare for the cancellation near theta = 1.
+    It is computed in exact rationals and rounded once.  The terms
+    k = n0+1 .. N-1 are summed exactly, N = max(n0+1, 40, ceil(8|a|)).  The
+    tail from N is its Euler-Maclaurin expansion with six Bernoulli terms:
+    the integral (2/a) log(1 + a/N) as 24 terms of its series in a/N
+    (|a/N| <= 1/8, so the rest is below 8**-24 of it), f(N)/2, and
+    -B_2j/(2j)! f^(2j-1)(N) for j = 1..6, exactly: f^(m)(x) is
+    2 (-1)**m m! sum_{i=0..m} x**-(i+1) (x+a)**-(m+1-i), so the j-th term
+    is B_2j/j times that sum at m = 2j - 1.
+    Each f^(m) keeps one sign on [N, inf), so the remainder is at most
+    2 zeta(12)/(2 pi)**12 |f^(11)(N)| <= 6e-10 * 2 * 12!/(7N/8)**13, below
+    2e-19 of the result at N >= 40.
 
     A finite-start simulation must discount its clock by this amount or it
     lags the infinite-start law by O(1/n0), which is several standard
     errors at a million replicates."""
-    with mpmath.workdps(40):
-        if theta == 1:
-            return float(2 * mpmath.psi(1, n0 + 1))
-        th = mpmath.mpf(theta)
-        return float(2 * (mpmath.digamma(n0 + th) - mpmath.digamma(n0 + 1)) / (th - 1))
+    a = Fraction(theta) - 1
+    N = max(n0 + 1, 40, math.ceil(8 * abs(a)))
+    total = sum((Fraction(2, k) / (k + a) for k in range(n0 + 1, N)), Fraction(0))
+    ratio = -a / N
+    total += sum(ratio ** i / (i + 1) for i in range(24)) * 2 / N
+    total += 1 / (N * (N + a))
+    for j, b in enumerate(_BERNOULLI, start=1):
+        total += b / j * sum(Fraction(1, N ** (i + 1)) / (N + a) ** (2 * j - i)
+                             for i in range(2 * j))
+    return float(total)
 
 
 def _hold_rates(theta: float, hi: int, lo: int) -> tuple[np.ndarray, np.ndarray]:

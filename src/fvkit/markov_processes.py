@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ._lazy import mpmath, np
+from ._lazy import np
 from .death_process import DeathParams, DeathPmf, PrecisionConfig, death_pmf, sample_death_count
 from .random_measures import (
     DEFAULT_TRUNCATION,
@@ -271,9 +271,25 @@ def _chisquare_pvalue(counts, expected) -> float:
 
 
 def _chi2_sf(stat: float, df: int) -> float:
-    """Upper tail of the chi-square law with df degrees of freedom: the
-    regularized upper incomplete gamma Q(df/2, stat/2)."""
-    return float(mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True))
+    """Upper tail of the chi-square law with df >= 1 degrees of freedom: the
+    regularized upper incomplete gamma Q(df/2, x), x = stat/2, as a finite
+    sum since df is an integer.  With j running over 0, 1, .., df/2 - 1
+    (even df) or 1/2, 3/2, .., df/2 - 1 (odd df),
+    Q = [erfc(sqrt(x)) for odd df] + sum_j e**-x x**j / Gamma(j + 1).
+    The terms are at most 1 and carried by the ratio x/(j + 1); past
+    x = 700, where e**-x nears the subnormal range, each is taken from its
+    logarithm instead."""
+    x = stat / 2
+    if x == math.inf:  # a cell expected never but seen
+        return 0.0
+    j = df % 2 / 2
+    total = math.erfc(math.sqrt(x)) if j else 0.0
+    term = math.exp(-x) * x ** j / math.gamma(j + 1)
+    while j < df / 2:
+        total += term if x <= 700 else math.exp(j * math.log(x) - x - math.lgamma(j + 1))
+        j += 1
+        term *= x / j
+    return min(total, 1.0)
 
 
 @dataclass(frozen=True)

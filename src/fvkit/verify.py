@@ -23,6 +23,9 @@ from ._lazy import np
 
 KS_LEVEL = 1e-3
 SE_BUDGET = 4.0
+# The death rows' residual limits are 10 and 100 times tail_tol, so a looser
+# tail_tol would let them pass a d_1 that is 10 % off
+DEATH_TAIL_TOL_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,9 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
                  ineq_ts=(0.1, 0.5, 1.0, 3.0, 10.0),
                  prec: dp.PrecisionConfig = dp.PrecisionConfig(),
                  mc_reps: int = 0, mc_n0: int = 500, mc_seed: int = 20240817) -> VerifyReport:
+    if prec.tail_tol > DEATH_TAIL_TOL_MAX:
+        raise ValueError(f"verify death needs tail_tol <= {DEATH_TAIL_TOL_MAX:g}: "
+                         "its residual limits scale with it")
     if mc_reps != 0:  # 0 skips the Monte Carlo oracle
         rm._check_reps(mc_reps)
     rows = [row for theta in thetas

@@ -266,6 +266,16 @@ class TestVerifyCommand:
         assert r.returncode == 2
         assert r.stderr == "invalid arguments: tail_tol must be > 0 and < 1\n"
 
+    def test_loose_tail_tol_refused_by_verify_death_only(self):
+        # the death rows' limits scale with tail_tol, so verify death takes
+        # none above 1e-6; the pmf itself still accepts anything in (0, 1)
+        r = run_cli("verify", "death", "--tail-tol", "0.9", timeout=60)
+        assert r.returncode == 2
+        assert r.stderr == ("invalid arguments: verify death needs tail_tol <= 1e-06: "
+                            "its residual limits scale with it\n")
+        r = run_cli("pmf", "death", "--theta", "1", "--t", "1", "--tail-tol", "0.9")
+        assert r.returncode == 0
+
     @pytest.mark.parametrize("reps, suite", [("0", "measures"), ("0", "processes"),
                                              ("1", "measures"), ("1", "processes"),
                                              ("1", "death")])  # death's 0 skips the oracle

@@ -314,6 +314,39 @@ class TestClosedFormKernel:
                 for n in range(9) for r in range(n + 1)]
         assert digest(np.array(vals)) == "8238d34b5ac7c4c6"
 
+    @staticmethod
+    def exact_float(x):
+        # an mpf converted exactly, then rounded once: float() on an mpf
+        # rounds twice in the subnormal range
+        man, exp = x.man_exp
+        return float(Fraction(man) * Fraction(2) ** exp)
+
+    def test_correctly_rounded_on_wide_grid(self):
+        # every entry against a 400-digit evaluation, rounded once.  At a
+        # fixed 60 digits, 17 of these 125 rows were off, some by sign
+        # (n=30, r=0, s=1e-3, theta=0.1 read -3.3e-62 for 1.05e-69), and
+        # subnormals were rounded twice (n=30, r=17, s=5, theta=1 is
+        # 1.70073512539317e-309)
+        compared = 0
+        for theta in (0, Fraction(1, 10), Fraction(1, 2), 1, 4):
+            p, q = Fraction(theta).numerator, Fraction(theta).denominator
+            for s in (Fraction(1, 1000), Fraction(1, 100), 0.2, 1, 5):
+                sf = Fraction(s)
+                for n in (10, 15, 20, 30, 40):
+                    rates = [k * ((k - 1) * q + p) for k in range(n + 1)]  # 2q lambda_k
+                    with mpmath.workdps(400):
+                        decay = [mpmath.exp(-mpmath.mpf(x * sf.numerator) / (2 * q * sf.denominator))
+                                 for x in rates]
+                        for r in range(1 if theta == 0 else 0, n + 1):
+                            total = mpmath.fsum(
+                                decay[r + i] / math.prod(b - a for b in rates[r:] if b != a)
+                                for i, a in enumerate(rates[r:]))
+                            expected = self.exact_float(total * math.prod(rates[r + 1:]))
+                            got = transition_closed_form(n, r, s, DeathParams(theta))
+                            assert got == expected, (n, r, s, theta)
+                            compared += 1
+        assert compared == 3000 - 5 * 5
+
     def test_theta0_to_zero_still_raises(self):
         for n in (1, 4, 8):
             with pytest.raises(ValueError, match="coincident rates"):
@@ -392,6 +425,20 @@ class TestMeanEntryTime:
         hi = head + self.tail_integral(M, theta)
         assert lo - 1e-16 <= mean_entry_time(n0, theta) <= hi + 1e-16
 
+    @pytest.mark.parametrize("theta", [0, 0.1, 0.5, 0.999, 1, 1.001, 1.5, 2, 3, 4, 7.5, 10, 25])
+    def test_pinned_to_digamma_form(self, theta):
+        # bit for bit against 2(psi(n0+theta) - psi(n0+1))/(theta-1) at 40
+        # digits, and 2 psi'(n0+1) at theta = 1
+        for n0 in [*range(2, 60), 100, 250, 500, 1000, 2000, 10**4, 10**6]:
+            with mpmath.workdps(40):
+                if theta == 1:
+                    expected = float(2 * mpmath.psi(1, n0 + 1))
+                else:
+                    th = mpmath.mpf(theta)
+                    expected = float(2 * (mpmath.digamma(n0 + th) - mpmath.digamma(n0 + 1))
+                                     / (th - 1))
+            assert mean_entry_time(n0, theta) == expected, n0
+
     def test_coalescent_telescopes(self):
         # theta = 0: sum_{k>n0} 2/(k(k-1)) = 2/n0
         assert mean_entry_time(40, 0.0) == pytest.approx(2 / 40, rel=1e-15)
@@ -460,3 +507,10 @@ class TestParamsValidation:
 
     def test_tail_tol_just_inside_unit_interval_accepted(self):
         assert PrecisionConfig(tail_tol=0.5).tail_tol == 0.5
+
+    @pytest.mark.parametrize("tol", [1.1e-6, 1e-3, 0.9])
+    def test_verify_death_refuses_loose_tail_tol(self, tol):
+        # its residual limits are 10x and 100x tail_tol
+        from fvkit.verify import verify_death
+        with pytest.raises(ValueError, match="tail_tol <= 1e-06"):
+            verify_death(prec=PrecisionConfig(tail_tol=tol))

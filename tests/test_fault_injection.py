@@ -23,9 +23,9 @@ def _failing(report, check):
     return [row.instance for row in rows if not row.passed]
 
 
-def _small_death(ineq_ts=()):
+def _small_death(ineq_ts=(), prec=dp.PrecisionConfig()):
     return V.verify_death(thetas=(1.0,), svals=(1.0,), n_max=3, r_max=1,
-                          ck_pairs=((0.5, 0.5),), ineq_ts=ineq_ts)
+                          ck_pairs=((0.5, 0.5),), ineq_ts=ineq_ts, prec=prec)
 
 
 def _small_urn():
@@ -255,6 +255,20 @@ def test_d1_inflated(monkeypatch):
     assert list(dict.fromkeys(row.check for row in report.rows if not row.passed)) == [
         "pmf-normalization", "survival-identity", "single-death-identity",
         "transition-vs-closed-form", "chapman-kolmogorov"]
+
+
+def test_d1_inflated_at_loosest_tail_tol(monkeypatch):
+    # at the loosest tail_tol verify death accepts, a d_1(t) 10 % high
+    # still turns every row of the small grid red
+    prec = dp.PrecisionConfig(tail_tol=V.DEATH_TAIL_TOL_MAX)
+    assert _small_death(prec=prec).ok
+    _scale_d1(monkeypatch, Decimal("1.1"))
+    dp._death_pmf_cached.cache_clear()
+    try:
+        report = _small_death(prec=prec)
+    finally:
+        dp._death_pmf_cached.cache_clear()
+    assert report.n_failed == len(report.rows) == 12
 
 
 def test_d1_deflated_pmf_stops(monkeypatch):

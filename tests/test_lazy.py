@@ -1,4 +1,4 @@
-"""The first-use import behind fvkit's ``np`` and ``mpmath`` names."""
+"""The first-use import behind fvkit's ``np`` name."""
 import importlib
 import sys
 import threading

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from fvkit.markov_processes import _chisquare_pvalue, _ks_2samp_equal
+from fvkit.markov_processes import _chi2_sf, _chisquare_pvalue, _ks_2samp_equal
 
 SCIPY_EXACT_MAX_N = 10_000  # ks_2samp's method="auto" is exact up to here
 
@@ -124,6 +124,21 @@ class TestChisquare:
                                   rel=1e-12)
         assert 0 < p < 1e-200
 
+    @pytest.mark.parametrize("df", range(1, 41))
+    def test_tail_against_scipy(self, df):
+        # the finite sums for odd and even df, from the centre of the law
+        # down to p < 1e-100
+        stats_seen = np.concatenate([np.linspace(0.0, 4.0 * df + 40.0, 60),
+                                     np.geomspace(1e-6, 1300.0, 40)])
+        ps = []
+        for stat in stats_seen:
+            ref = float(stats.chi2.sf(stat, df))
+            got = _chi2_sf(float(stat), df)
+            assert got == pytest.approx(ref, rel=1e-12), stat
+            ps.append(got)
+        assert _chi2_sf(0.0, df) == 1.0
+        assert min(ps) < 1e-100
+
     def test_mismatched_totals_raise(self):
         # totals must agree to sqrt(eps) ~ 1.5e-8 relative, as in scipy
         for off in (1.0, 6e-6):  # 1.7e-2 and 1e-7 relative
@@ -166,16 +181,19 @@ print(",".join(m for m in ("mpmath", "numpy", "scipy") if m in sys.modules))
 
 
 def test_runtime_does_not_import_scipy():
-    """scipy is never imported; numpy and mpmath only by the commands that
-    compute with them: the exact-rational commands and the death pmf series
-    (stdlib decimal) load neither, and the Fleming-Viot chain needs numpy
-    alone."""
+    """Neither scipy nor mpmath is ever imported, and numpy only by the
+    commands that compute with it: the exact-rational commands, the death
+    pmf series (stdlib decimal) and the closed-form oracle (Python
+    integers) load none of them, while the chains and the p-values need
+    numpy alone."""
     cases = [
         ([], ""),
         (["verify", "urn", "--m-max", "3"], ""),
         (["pmf", "overlap", "--theta", "7/2", "--m", "4", "--n", "3", "--bruteforce"], ""),
         (["pmf", "death", "--theta", "1", "--t", "1"], ""),
+        (["verify", "death"], ""),
         (["simulate", "fv", "--theta", "1", "--t", "0.5", "--steps", "3"], "numpy"),
+        (["verify", "processes", "--reps", "100"], "numpy"),
     ]
     for args, loaded in cases:
         out = subprocess.run([sys.executable, "-c", FOOTPRINT_CODE, *args],

@@ -1,5 +1,6 @@
-"""Rules the library's source keeps, read off its syntax trees."""
+"""Rules the library's source keeps, read off its text and syntax trees."""
 import ast
+import re
 from pathlib import Path
 
 import fvkit
@@ -13,3 +14,12 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(p.read_text(), str(p)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/fvkit: {found}"
+
+
+
+def test_library_never_names_a_test_oracle():
+    # mpmath and scipy are the tests' oracles and dev dependencies only, so
+    # no import, lazy or not, may name them
+    found = [p.name for p in sorted(Path(fvkit.__file__).parent.glob("*.py"))
+             if re.search(r"\b(mpmath|scipy)\b", p.read_text())]
+    assert not found, f"test oracles named in src/fvkit: {found}"
