@@ -15,11 +15,8 @@ against share no arithmetic.
 """
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import decimal
 import math
-import operator
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import cached_property, lru_cache
@@ -341,25 +338,6 @@ def _inner_prec(prec: PrecisionConfig, shrink: float) -> PrecisionConfig:
     )
 
 
-# Urn weights of the transition sums, by (n, r, theta, decimal precision):
-# the Decimal weights for m = r, r+1, ....  Set only inside
-# ``_shared_urn_weights``, which drops the table on exit.
-_URN_WEIGHTS: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
-    "fvkit_urn_weights", default=None)
-
-
-@contextlib.contextmanager
-def _shared_urn_weights():
-    """Within the block, ``_transition_entry`` converts each urn weight
-    ``polya_urn.overlap_entry(r, n, m, theta)`` to a Decimal once, however
-    many transition sums read it; the weights do not depend on the time."""
-    token = _URN_WEIGHTS.set({})
-    try:
-        yield
-    finally:
-        _URN_WEIGHTS.reset(token)
-
-
 def _transition_entry(pmf: DeathPmf, n: int, r: int) -> Decimal:
     """P(count = r after s | count = n) = sum_{m>=r} P(r | n draws, m atoms) d_m(s)
     from the pmf {d_m(s)}, under the caller's decimal context: the m lineages alive
@@ -368,13 +346,11 @@ def _transition_entry(pmf: DeathPmf, n: int, r: int) -> Decimal:
 
     Every weight is a probability, so the sum is as accurate as the pmf."""
     theta = pmf.params.theta_fraction
-    table = _URN_WEIGHTS.get()
-    key = (n, r, theta, decimal.getcontext().prec)
-    weights = [] if table is None else table.setdefault(key, [])
-    for m in range(r + len(weights), pmf.n_max + 1):
+    total = Decimal(0)
+    for m in range(r, pmf.n_max + 1):
         num, den = polya_urn.overlap_entry(r, n, m, theta)
-        weights.append(Decimal(num) / den)
-    return sum(map(operator.mul, weights, pmf.probs[r:]), Decimal(0))
+        total += Decimal(num) / den * pmf.probs[m]
+    return total
 
 
 def _inner_pmf(s, params: DeathParams, prec: PrecisionConfig, n: int = 1) -> DeathPmf:
@@ -397,32 +373,31 @@ def transition_given_n(n: int, s, params: DeathParams, prec: PrecisionConfig = P
         return [float(_transition_entry(pmf, n, r)) for r in range(n + 1)]
 
 
-def transition_closed_form(n: int, r: int, s, params: DeathParams,
-                           prec: PrecisionConfig = PrecisionConfig()) -> float:
+def transition_closed_form(n: int, r: int, s, params: DeathParams) -> float:
     """P(count = r after s | count = n) for the finite pure death chain with
     pairwise distinct rates, via the standard partial-fraction formula
     prod_{k>r} lambda_k sum_i exp(-lambda_i s) / prod_{j!=i} (lambda_j - lambda_i).
     This is the independent oracle for ``transition_given_n``.  It reads
-    entry r of ``_closed_form_row``, which is correctly rounded and so does
-    not depend on ``prec``; the rates are coded there, apart from the
-    series' ``_death_rate_fraction``."""
+    ``_closed_form_entry``, which is correctly rounded, so it takes no
+    precision; the rates are coded there, apart from the series'
+    ``_death_rate_fraction``."""
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
     if not s > 0:
         raise ValueError("s must be > 0")
-    entry = _closed_form_row(n, Fraction(s), params.theta_fraction)[r]
+    entry = _closed_form_entry(n, r, Fraction(s), params.theta_fraction)
     if entry is None:
         raise ValueError("coincident rates: closed form needs pairwise distinct rates")
     return entry
 
 
-CLOSED_FORM_CACHE_SIZE = 256
+CLOSED_FORM_CACHE_SIZE = 1024  # the default verify death reads 420 entries
 # Fixed-point bits a closed-form entry starts from; they double until the
 # entry's error interval rounds to one float.
 CLOSED_FORM_START_BITS = 128
 
 
-@lru_cache(maxsize=16 * CLOSED_FORM_CACHE_SIZE)
+@lru_cache(maxsize=4096)
 def _exp_fixed(a: int, b: int, bits: int) -> int:
     """exp(-a/b) * 2**bits, for integers a >= 0 and b > 0, within 1.
 
@@ -434,9 +409,8 @@ def _exp_fixed(a: int, b: int, bits: int) -> int:
     2N + 2 units over its N terms.  Computed and exact values stay in
     [0, 2**w], so a squaring maps an error d to at most 2d + 1, and after
     k of them the error is below 2**k (2N + 3), which the guard g makes at
-    most 2**(g-1); the final rounding to ``bits`` adds 1/2.  Memoized: a
-    row's decays are shared by every row with the same time, theta and
-    precision."""
+    most 2**(g-1); the final rounding to ``bits`` adds 1/2.  Memoized: the
+    entries of one time, theta and precision share their decays."""
     red = max(4, math.isqrt(bits))
     k = (a // b).bit_length() + red
     guard = k + 1 + (bits + k + 64).bit_length()
@@ -454,51 +428,45 @@ def _exp_fixed(a: int, b: int, bits: int) -> int:
 
 
 @lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
-def _closed_form_row(n: int, s: Fraction, theta: Fraction) -> tuple:
-    """``transition_closed_form`` for r = 0..n, each entry correctly
-    rounded, None where the rates lambda_r..lambda_n are not pairwise
-    distinct (r = 0 at theta = 0).  Memoized in a bounded LRU cache.
+def _closed_form_entry(n: int, r: int, s: Fraction, theta: Fraction) -> Optional[float]:
+    """``transition_closed_form``, correctly rounded, or None where the
+    rates lambda_r..lambda_n are not pairwise distinct (r = 0 at
+    theta = 0).  Memoized in a bounded LRU cache.
 
     With theta = p/q each 2q lambda_k = k((k-1)q + p) is an integer, so the
     (2q)**(n-r) factors cancel and each weight is one integer over another;
     over their least common denominator lcd the weights w_i are integers.
     With E_i the decays exp(-lambda_i s) in B-bit fixed point, each within
     1 unit (``_exp_fixed``), T = sum_i w_i E_i is within W = sum_i |w_i|
-    units of 2**B times the exact sum, so entry r lies in
+    units of 2**B times the exact sum, so the entry lies in
     [(T - W), (T + W)] * prod(nodes[1:]) / (lcd 2**B).  Integer division
     rounds each end correctly, subnormals included; once both ends round
     to the same float, so does the entry.  Otherwise B doubles."""
     p, q = theta.numerator, theta.denominator
-    rates = [k * ((k - 1) * q + p) for k in range(n + 1)]  # 2q lambda_k
+    nodes = [k * ((k - 1) * q + p) for k in range(r, n + 1)]  # 2q lambda_k
+    if len(set(nodes)) != len(nodes):
+        return None
     den = 2 * q * s.denominator
-    row = []
-    for r in range(n + 1):
-        nodes = rates[r:]
-        if len(set(nodes)) != len(nodes):
-            row.append(None)
-            continue
-        dens = [math.prod(b - a for b in nodes if b != a) for a in nodes]
-        lcd = math.lcm(*dens)
-        weights = [lcd // d for d in dens]
-        spread = sum(map(abs, weights))
-        scale = math.prod(nodes[1:])
-        bits = CLOSED_FORM_START_BITS
-        while True:
-            total = sum(w * _exp_fixed(rate * s.numerator, den, bits)
-                        for w, rate in zip(weights, nodes))
-            lo, hi = ((total + d * spread) * scale / (lcd << bits) for d in (-1, 1))
-            if lo == hi:
-                row.append(hi)
-                break
-            bits *= 2
-    return tuple(row)
+    dens = [math.prod(b - a for b in nodes if b != a) for a in nodes]
+    lcd = math.lcm(*dens)
+    weights = [lcd // d for d in dens]
+    spread = sum(map(abs, weights))
+    scale = math.prod(nodes[1:])
+    bits = CLOSED_FORM_START_BITS
+    while True:
+        total = sum(w * _exp_fixed(rate * s.numerator, den, bits)
+                    for w, rate in zip(weights, nodes))
+        lo, hi = ((total + d * spread) * scale / (lcd << bits) for d in (-1, 1))
+        if lo == hi:
+            return hi
+        bits *= 2
 
 
 def _closed_form_residual(n: int, r: int, s, params: DeathParams, prec: PrecisionConfig,
                           scale=1) -> float:
     # |series - closed form| of P(count = r after s | count = n), both over scale
     pmf = _inner_pmf(s, params, prec, n)
-    closed = transition_closed_form(n, r, s, params, prec) / scale
+    closed = transition_closed_form(n, r, s, params) / scale
     with _series_context(prec.working_digits):
         return abs(float(_transition_entry(pmf, n, r) / _dec(scale)) - closed)
 
@@ -526,7 +494,7 @@ def check_single_death_identity(n: int, s, params: DeathParams,
     linearly, so 0 < H(1e-3) <= 5e-4, and a RuntimeError is raised if not."""
     scale = n * (n - 1 + params.theta_fraction)
     residual = _closed_form_residual(n, n - 1, s, params, prec, scale)
-    h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), params, prec) / scale
+    h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), params) / scale
     if not 0 < h_small <= 5e-4:
         raise RuntimeError(f"H(1e-3) = {h_small} outside (0, 5e-4]")
     return residual
@@ -628,24 +596,33 @@ def mean_entry_time(n0: int, theta: float) -> float:
     sum_{k>n0} 1/lambda_k = sum_{k>n0} f(k), f(x) = 2/(x(x+a)), a = theta - 1,
     about 2/n0.  Requires n0 >= 1.
 
-    It is computed in exact rationals and rounded once.  The terms
-    k = n0+1 .. N-1 are summed exactly, N = max(n0+1, 40, ceil(8|a|)).  The
-    tail from N is its Euler-Maclaurin expansion with six Bernoulli terms:
-    the integral (2/a) log(1 + a/N) as 24 terms of its series in a/N
-    (|a/N| <= 1/8, so the rest is below 8**-24 of it), f(N)/2, and
-    -B_2j/(2j)! f^(2j-1)(N) for j = 1..6, exactly: f^(m)(x) is
+    The terms k = n0+1 .. N-1, N = max(n0+1, 40, ceil(8|a|)), are each
+    rounded once into 40-digit decimal and summed there.  With u = 5e-40
+    the unit roundoff, each of the M = N - n0 - 1 terms is off by at most
+    u of itself and each addition by u of a partial sum below the result,
+    so the head is off by at most 2Mu of the result: below 1e-33 of it
+    while M < 1e6, which holds at any n0 for |theta - 1| < 1.2e5.
+    The tail from N is its Euler-Maclaurin expansion with six Bernoulli
+    terms, in exact rationals: the integral (2/a) log(1 + a/N) as 24 terms
+    of its series in a/N (|a/N| <= 1/8, so the rest is below 8**-24 of
+    it), f(N)/2, and -B_2j/(2j)! f^(2j-1)(N) for j = 1..6: f^(m)(x) is
     2 (-1)**m m! sum_{i=0..m} x**-(i+1) (x+a)**-(m+1-i), so the j-th term
     is B_2j/j times that sum at m = 2j - 1.
     Each f^(m) keeps one sign on [N, inf), so the remainder is at most
     2 zeta(12)/(2 pi)**12 |f^(11)(N)| <= 6e-10 * 2 * 12!/(7N/8)**13, below
-    2e-19 of the result at N >= 40.
+    2e-19 of the result at N >= 40.  The decimal head joins the tail
+    exactly, and the sum is rounded once.
 
     A finite-start simulation must discount its clock by this amount or it
     lags the infinite-start law by O(1/n0), which is several standard
     errors at a million replicates."""
     a = Fraction(theta) - 1
     N = max(n0 + 1, 40, math.ceil(8 * abs(a)))
-    total = sum((Fraction(2, k) / (k + a) for k in range(n0 + 1, N)), Fraction(0))
+    p, q = a.numerator, a.denominator
+    with decimal.localcontext(decimal.Context(prec=40)):
+        # 2/(k(k+a)) = 2q/(k(kq+p)), one rounding each
+        head = sum((Decimal(2 * q) / (k * (k * q + p)) for k in range(n0 + 1, N)), Decimal(0))
+    total = Fraction(head)
     ratio = -a / N
     total += sum(ratio ** i / (i + 1) for i in range(24)) * 2 / N
     total += 1 / (N * (N + a))

@@ -173,31 +173,28 @@ def _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec) -> li
     rows = []
     tol10 = 10 * prec.tail_tol
     tol100 = 100 * prec.tail_tol
-    # the urn weights of the transition sums depend on theta but not on the
-    # time: each is converted once for all of this theta's rows
-    with dp._shared_urn_weights():
-        for s in svals:
-            pmf = dp.death_pmf(s, params, prec)
-            gap = abs(sum(float(p) for p in pmf.probs) + pmf.residual - 1.0)
-            rows.append(VerifyRow("pmf-normalization", f"theta={theta},t={s}",
-                                  "residual", gap, tol10))
-            for n in range(1, n_max + 1):
-                at = f"n={n},theta={theta},s={s}"
-                ra = dp.check_survival_identity(n, s, params, prec)
-                rows.append(VerifyRow("survival-identity", at, "residual", ra, tol10))
-                rb = dp.check_single_death_identity(n, s, params, prec)
-                rows.append(VerifyRow("single-death-identity", at, "residual", rb, tol10))
-            for n in range(1, n_max + 1):
-                series = dp.transition_given_n(n, s, params, prec)
-                closed = [dp.transition_closed_form(n, r, s, params, prec) for r in range(n + 1)]
-                worst = max(abs(a - b) for a, b in zip(series, closed))
-                rows.append(VerifyRow("transition-vs-closed-form", f"n={n},theta={theta},s={s}",
-                                      "residual", worst, tol10))
-        for (t, s) in ck_pairs:
-            for r in range(r_max + 1):
-                res = dp.check_chapman_kolmogorov(r, t, s, params, prec)
-                rows.append(VerifyRow("chapman-kolmogorov", f"r={r},t={t},s={s},theta={theta}",
-                                      "residual", res, tol100))
+    for s in svals:
+        pmf = dp.death_pmf(s, params, prec)
+        gap = abs(sum(float(p) for p in pmf.probs) + pmf.residual - 1.0)
+        rows.append(VerifyRow("pmf-normalization", f"theta={theta},t={s}",
+                              "residual", gap, tol10))
+        for n in range(1, n_max + 1):
+            at = f"n={n},theta={theta},s={s}"
+            ra = dp.check_survival_identity(n, s, params, prec)
+            rows.append(VerifyRow("survival-identity", at, "residual", ra, tol10))
+            rb = dp.check_single_death_identity(n, s, params, prec)
+            rows.append(VerifyRow("single-death-identity", at, "residual", rb, tol10))
+        for n in range(1, n_max + 1):
+            series = dp.transition_given_n(n, s, params, prec)
+            closed = [dp.transition_closed_form(n, r, s, params) for r in range(n + 1)]
+            worst = max(abs(a - b) for a, b in zip(series, closed))
+            rows.append(VerifyRow("transition-vs-closed-form", f"n={n},theta={theta},s={s}",
+                                  "residual", worst, tol10))
+    for (t, s) in ck_pairs:
+        for r in range(r_max + 1):
+            res = dp.check_chapman_kolmogorov(r, t, s, params, prec)
+            rows.append(VerifyRow("chapman-kolmogorov", f"r={r},t={t},s={s},theta={theta}",
+                                  "residual", res, tol100))
     for t in ineq_ts:
         ok = dp.check_nonabsorption_bounds(t, params, prec)
         rows.append(VerifyRow("nonabsorption-bounds", f"theta={theta},t={t}", "bounds", ok, None))
@@ -256,9 +253,11 @@ def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
             ("summability-pd", f"sigma={sigma},J=1e4", pd_params)):
         verdict = rm.check_summability(params, 10**4).verdict
         rows.append(VerifyRow(check, instance, "verdict", verdict, "divergent"))
-    mu = rm.stick_break(pd_params, base, rm.StickTruncation.fixed(2000),
-                        np.random.default_rng(seed + 2))
-    gap = abs(float(mu.weights.sum()) + mu.residual - 1.0)
+    # read off the sticks themselves: a measure built from sticks that do
+    # not telescope is rejected before this row could see the gap
+    rho, residual = rm._stick_weights(pd_params, rm.StickTruncation.fixed(2000),
+                                      np.random.default_rng(seed + 2))
+    gap = abs(float(rho.sum()) + float(residual) - 1.0)
     rows.append(VerifyRow("pd-stick-telescoping", f"sigma={sigma},K=2000", "residual", gap, 1e-12))
     return VerifyReport("measures", tuple(rows))
 

@@ -292,15 +292,14 @@ class TestClosedFormKernel:
 
     @pytest.mark.parametrize("digits", [60, 90])
     def test_integer_kernel_matches_fraction_formula(self, digits):
-        # 1,500 inputs per precision, compared float for float
-        prec = PrecisionConfig(working_digits=digits)
+        # 1,500 inputs per reference precision, compared float for float
         compared = 0
         for theta in self.THETAS:
             params = DeathParams(theta)
             for s in self.SVALS:
                 for n in range(1, 9):
                     for r in range(1 if theta == 0 else 0, n + 1):
-                        got = transition_closed_form(n, r, s, params, prec)
+                        got = transition_closed_form(n, r, s, params)
                         expected = _fraction_closed_form(n, r, s, Fraction(theta), digits)
                         assert got == expected, (n, r, s, theta)
                         compared += 1
@@ -400,7 +399,7 @@ class TestSingleDeathIdentity:
     def test_closed_form_out_of_range_raises(self, monkeypatch):
         # the H(1e-3) range check raises, so it also holds under python -O
         import fvkit.death_process as dp
-        monkeypatch.setattr(dp, "transition_closed_form", lambda n, r, s, params, dps: 1.0)
+        monkeypatch.setattr(dp, "transition_closed_form", lambda n, r, s, params: 1.0)
         with pytest.raises(RuntimeError, match="outside"):
             check_single_death_identity(2, 1.0, P1, PREC)
 
@@ -438,6 +437,14 @@ class TestMeanEntryTime:
                     expected = float(2 * (mpmath.digamma(n0 + th) - mpmath.digamma(n0 + 1))
                                      / (th - 1))
             assert mean_entry_time(n0, theta) == expected, n0
+
+    def test_large_theta_matches_digamma_form(self):
+        # theta = 1e4 sums an 80,000-term head, in 40-digit decimal
+        n0, theta = 2, 1e4
+        with mpmath.workdps(40):
+            a = mpmath.mpf(theta) - 1
+            expected = float(2 / a * (mpmath.digamma(n0 + 1 + a) - mpmath.digamma(n0 + 1)))
+        assert mean_entry_time(n0, theta) == pytest.approx(expected, rel=1e-15)
 
     def test_coalescent_telescopes(self):
         # theta = 0: sum_{k>n0} 2/(k(k-1)) = 2/n0

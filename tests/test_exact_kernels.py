@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fvkit.combinatorics import binomial, falling_factorial, rising_factorial
 from fvkit import death_process as dp
-from fvkit import polya_urn as urn
 from fvkit.death_process import (
     CLOSED_FORM_CACHE_SIZE,
     PMF_CACHE_SIZE,
@@ -178,32 +177,27 @@ class TestDeathPmfMemo:
             arr[0] = 0.0
 
 
-class TestSharedExactQuantities:
+class TestClosedFormEntries:
     GRID = dict(thetas=(Fraction(5, 4),), svals=(0.5, 1.0), n_max=3, r_max=1,
                 ck_pairs=((0.5, 0.5),), ineq_ts=())
 
-    def test_urn_weights_computed_once_per_call(self, monkeypatch):
-        # the weights depend on theta but not on the time, so the second
-        # time point and the identity rows read the first one's weights;
-        # the table does not outlive the call
-        calls = []
-        entry = urn.overlap_entry
-
-        def counted(*args):
-            calls.append(args)
-            return entry(*args)
-
-        monkeypatch.setattr(urn, "overlap_entry", counted)
+    def test_closed_form_one_value_per_entry(self):
+        dp._closed_form_entry.cache_clear()
         assert verify_death(**self.GRID).ok
-        assert calls and len(calls) == len(set(calls))
-        assert dp._URN_WEIGHTS.get() is None
+        # the 9 entries (n, r) of n = 1..3 at both times, which the survival
+        # and one-death rows share, and H(1e-3) once per n
+        assert dp._closed_form_entry.cache_info().currsize == 2 * 9 + 3
+        assert dp._closed_form_entry.cache_info().maxsize == CLOSED_FORM_CACHE_SIZE
 
-    def test_closed_form_one_row_per_time(self):
-        dp._closed_form_row.cache_clear()
-        assert verify_death(**self.GRID).ok
-        # (n, s) for n = 1..3 at both times, and H(1e-3) once per n
-        assert dp._closed_form_row.cache_info().currsize == 3 * 2 + 3
-        assert dp._closed_form_row.cache_info().maxsize == CLOSED_FORM_CACHE_SIZE
+    def test_death_table_independent_of_cache_state(self):
+        # cold caches, warm caches, and after a call at other digits: the
+        # transition sums keep no state between calls
+        for cached in (dp._closed_form_entry, dp._exp_fixed, _death_pmf_cached):
+            cached.cache_clear()
+        cold = verify_death().table_rows()
+        assert verify_death().table_rows() == cold
+        verify_death(prec=PrecisionConfig(working_digits=70))
+        assert verify_death().table_rows() == cold
 
 
 class TestPinnedTables:

@@ -537,6 +537,69 @@ def test_dar1_redraws_too_rarely(monkeypatch):
         ("dar1-retention", "theta=1,steps=10000")]
 
 
+def test_dar1_redraws_from_reversed_weights(monkeypatch):
+    # on a discrete base every redraw (and the start) comes from the base's
+    # weights reversed.  That chain is still a reversible keep-or-redraw
+    # chain, only with the wrong marginal, so only the chi-square row sees it
+    def processes():
+        return V.verify_processes(reps=200)
+
+    assert processes().ok
+    path = mk._dar1_path
+
+    def reversed_redraws(cfg, steps, rng):
+        if cfg.base.kind == "continuous":
+            return path(cfg, steps, rng)
+        base = rm.DiscreteBase(weights=cfg.base.weights[::-1])
+        return path(replace(cfg, base=base), steps, rng)
+
+    monkeypatch.setattr(mk, "_dar1_path", reversed_redraws)
+    report = processes()
+    assert [(row.check, row.instance) for row in report.rows if not row.passed] == [
+        ("dar1-marginal-chisquare", "theta=1,samples=1000")]
+
+
+def test_stick_keep_factor_dropped(monkeypatch):
+    # stick j weighs w_j times the residual before its block, without the
+    # prod_{i<j} (1 - w_i) of the sticks before it in the block, so the
+    # masses no longer telescope to 1 - residual.  Only the telescoping row
+    # reads these sticks (the Dirichlet rows break theirs in _dp_sticks),
+    # and the CLI reports the red row with exit 1, not an argument error
+    assert _measures_failing(2000) == []
+
+    def keep_dropped(params, trunc, rng):  # the row's truncation is fixed
+        w = rng.beta(*params.shape_arrays(1, trunc.k))
+        return w, float(np.prod(1.0 - w))
+
+    monkeypatch.setattr(rm, "_stick_weights", keep_dropped)
+    assert _measures_failing(2000) == [("pd-stick-telescoping", "sigma=0.5,K=2000")]
+    from click.testing import CliRunner
+    from fvkit import cli
+    result = CliRunner().invoke(cli.main, ["verify", "measures", "--reps", "2000"])
+    assert result.exit_code == 1
+
+
+def test_dp_preset_beta_quadratic(monkeypatch):
+    # the DP preset's beta_j is theta j**2 instead of theta, so
+    # sum_j log(1 + alpha_j/beta_j) converges and the sticks leave mass
+    # behind.  The Dirichlet rows break their sticks without the preset
+    assert _measures_failing(2000) == []
+    monkeypatch.setattr(rm.StickBreakingParams, "dp", staticmethod(
+        lambda theta: rm.StickBreakingParams(lambda j: 1.0, lambda j: float(theta) * j**2)))
+    assert _measures_failing(2000) == [("summability-dp", "theta=1,J=1e4")]
+
+
+def test_pd_preset_beta_times_j(monkeypatch):
+    # the PD preset's beta_j is (theta + j sigma) j instead of theta + j sigma,
+    # so the summability ladder converges.  pd-stick-telescoping reads the
+    # same preset and stays green: sticks telescope under any stick law
+    assert _measures_failing(2000) == []
+    monkeypatch.setattr(rm.StickBreakingParams, "poisson_dirichlet", staticmethod(
+        lambda sigma, theta: rm.StickBreakingParams(
+            lambda j: 1.0 - float(sigma), lambda j: (float(theta) + j * float(sigma)) * j)))
+    assert _measures_failing(2000) == [("summability-pd", "sigma=0.5,J=1e4")]
+
+
 def test_headroom_below_one_exactly_when_passed():
     # every numeric row of the small grids, clean and under one fault each
     # that turns residual, z and p rows red
