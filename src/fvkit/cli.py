@@ -264,7 +264,7 @@ def simulate(kind, theta, tval, n, steps, base_spec, observables, trunc_eps, dum
         cfg = FvConfig(theta=th, base=base, t=float(tval),
                        prec=PrecisionConfig(digits, tail_tol, max_terms), trunc=trunc)
     rng = np.random.default_rng(seed)
-    traj, final = run_chain(kind, cfg, steps, obs, rng, return_state=True)
+    traj, final = run_chain(kind, cfg, steps, obs, rng)
     rows = [(i + 1, *row) for i, row in enumerate(traj.tolist())]
     config = {
         "cmd": f"simulate-{kind}", "theta": str(theta), "t": str(tval), "n": n,

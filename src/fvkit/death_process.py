@@ -82,7 +82,8 @@ class PrecisionConfig:
 
 @dataclass(frozen=True)
 class DeathPmf:
-    """Truncated pmf of the death count at time t.
+    """Truncated pmf of the death count at time t, kept as the caller gave
+    it, so a Fraction time reaches the closed form exactly.
 
     ``probs[n]`` is d_n(t) as a ``decimal.Decimal`` of working_digits +
     ``GUARD_DIGITS`` significant digits; ``term_bounds[n]`` bounds the
@@ -91,7 +92,7 @@ class DeathPmf:
     negative computed values were clamped to zero.
     """
 
-    t: float
+    t: Union[float, Fraction]
     params: DeathParams
     probs: tuple
     term_bounds: tuple
@@ -252,24 +253,16 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
     )
 
 
-PMF_CACHE_SIZE = 256
-
-
 def death_pmf(t, params: DeathParams, prec: PrecisionConfig = PrecisionConfig()) -> DeathPmf:
     """Compute {d_n(t)} for n = 0..n_max, with n_max < max_terms chosen so
     the accumulated mass reaches 1 - tail_tol; a pmf whose first max_terms
     entries fall short of that raises ``PrecisionExhaustedError``.
 
-    Results are memoized per (t, params, prec) in a bounded LRU cache, so
-    callers share one immutable pmf per key; equal keys such as 0.5 and
-    Fraction(1, 2) share an entry."""
+    Every call computes the pmf afresh.  A caller that reads one pmf many
+    times holds it: an ``FvConfig`` holds its own, and ``verify_death`` one
+    per time for the length of the call."""
     if not t > 0:
         raise ValueError("t must be > 0")
-    return _death_pmf_cached(t, params, prec)
-
-
-@lru_cache(maxsize=PMF_CACHE_SIZE)
-def _death_pmf_cached(t, params: DeathParams, prec: PrecisionConfig) -> DeathPmf:
     tf = Fraction(t)
     theta = params.theta_fraction
     probs = []
@@ -315,7 +308,7 @@ def _death_pmf_cached(t, params: DeathParams, prec: PrecisionConfig) -> DeathPmf
             )
         residual = max(0.0, float(1 - mass))
     return DeathPmf(
-        t=float(t),
+        t=t,
         params=params,
         probs=tuple(probs),
         term_bounds=tuple(bounds),
@@ -353,22 +346,27 @@ def _transition_entry(pmf: DeathPmf, n: int, r: int) -> Decimal:
     return total
 
 
-def _inner_pmf(s, params: DeathParams, prec: PrecisionConfig, n: int = 1) -> DeathPmf:
-    """The pmf {d_m(s)} that the urn-weighted transition sums from count n
-    read, at a tail tolerance 1e-4 of the caller's.  Requires n >= 1 and
-    theta > 0 (the theta = 0 regime is served by ``transition_closed_form``)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if params.is_coalescent:
-        raise ValueError("theta = 0 transitions go through transition_closed_form")
+def _inner_pmf(s, params: DeathParams, prec: PrecisionConfig) -> DeathPmf:
+    """The pmf {d_m(s)} that the urn-weighted transition sums read, at a
+    tail tolerance 1e-4 of the caller's.  The transition functions below
+    take it from their caller, who builds it once per time."""
     return death_pmf(s, params, _inner_prec(prec, 1e-4))
 
 
-def transition_given_n(n: int, s, params: DeathParams, prec: PrecisionConfig = PrecisionConfig()):
+def _check_urn_weighted(pmf: DeathPmf, n: int = 1) -> None:
+    # the urn-weighted sums start from a count n >= 1 at theta > 0
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if pmf.params.is_coalescent:
+        raise ValueError("theta = 0 transitions go through transition_closed_form")
+
+
+def transition_given_n(n: int, pmf: DeathPmf, prec: PrecisionConfig = PrecisionConfig()):
     """Transition vector P(count = r after s | count = n now) for r = 0..n,
-    recovered from the pmf series by the urn-weighted sum of
-    ``_transition_entry``.  Requires theta > 0."""
-    pmf = _inner_pmf(s, params, prec, n)
+    s = pmf.t, recovered from the inner pmf ``_inner_pmf(s, params, prec)``
+    by the urn-weighted sum of ``_transition_entry``, summed at prec's
+    digits.  Requires theta > 0."""
+    _check_urn_weighted(pmf, n)
     with _series_context(prec.working_digits):
         return [float(_transition_entry(pmf, n, r)) for r in range(n + 1)]
 
@@ -462,29 +460,32 @@ def _closed_form_entry(n: int, r: int, s: Fraction, theta: Fraction) -> Optional
         bits *= 2
 
 
-def _closed_form_residual(n: int, r: int, s, params: DeathParams, prec: PrecisionConfig,
+def _closed_form_residual(n: int, r: int, pmf: DeathPmf, prec: PrecisionConfig,
                           scale=1) -> float:
-    # |series - closed form| of P(count = r after s | count = n), both over scale
-    pmf = _inner_pmf(s, params, prec, n)
-    closed = transition_closed_form(n, r, s, params) / scale
+    # |series - closed form| of P(count = r after s | count = n), both over
+    # scale, with s and theta read off the inner pmf
+    _check_urn_weighted(pmf, n)
+    closed = transition_closed_form(n, r, pmf.t, pmf.params) / scale
     with _series_context(prec.working_digits):
         return abs(float(_transition_entry(pmf, n, r) / _dec(scale)) - closed)
 
 
-def check_survival_identity(n: int, s, params: DeathParams,
+def check_survival_identity(n: int, pmf: DeathPmf,
                             prec: PrecisionConfig = PrecisionConfig()) -> float:
-    """Residual of: sum_m m_[n]/(theta+m)_(n) d_m(s) = exp(-lambda_n s).
+    """Residual of: sum_m m_[n]/(theta+m)_(n) d_m(s) = exp(-lambda_n s),
+    from the inner pmf ``_inner_pmf(s, params, prec)``.
 
     The left side is the stay-put transition probability recovered from the
     pmf series; the right side is the exponential holding-time law, the
     r = n case of ``transition_closed_form``.
     """
-    return _closed_form_residual(n, n, s, params, prec)
+    return _closed_form_residual(n, n, pmf, prec)
 
 
-def check_single_death_identity(n: int, s, params: DeathParams,
+def check_single_death_identity(n: int, pmf: DeathPmf,
                                 prec: PrecisionConfig = PrecisionConfig()) -> float:
-    """Residual of the one-death identity: the urn-weighted pmf sum
+    """Residual of the one-death identity: the urn-weighted sum over the
+    inner pmf ``_inner_pmf(s, params, prec)``
     H(s) = sum_m m_[n-1]/(theta+m)_(n) d_m(s), which is P(n-1 | n) over
     n(n-1+theta), against its closed form
     0.5*(exp(-lambda_{n-1} s) - exp(-lambda_n s))/(lambda_n - lambda_{n-1}),
@@ -492,25 +493,28 @@ def check_single_death_identity(n: int, s, params: DeathParams,
 
     Also sanity-checks the s -> 0+ behavior of the closed form: H vanishes
     linearly, so 0 < H(1e-3) <= 5e-4, and a RuntimeError is raised if not."""
-    scale = n * (n - 1 + params.theta_fraction)
-    residual = _closed_form_residual(n, n - 1, s, params, prec, scale)
-    h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), params) / scale
+    scale = n * (n - 1 + pmf.params.theta_fraction)
+    residual = _closed_form_residual(n, n - 1, pmf, prec, scale)
+    h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), pmf.params) / scale
     if not 0 < h_small <= 5e-4:
         raise RuntimeError(f"H(1e-3) = {h_small} outside (0, 5e-4]")
     return residual
 
 
-def check_chapman_kolmogorov(r: int, t, s, params: DeathParams,
+def check_chapman_kolmogorov(r: int, pmf_t: DeathPmf, pmf_s: DeathPmf, pmf_ts: DeathPmf,
                              prec: PrecisionConfig = PrecisionConfig()) -> float:
     """Residual of Chapman-Kolmogorov read literally:
     d_r(t+s) = sum_n d_n(t) P(count = r after s | count = n),
-    with the transition probability from ``_transition_entry``.  The left
-    side is read off the pmf at t+s; an r past its n_max reads 0, which
+    from the inner pmfs ``_inner_pmf(u, params, prec)`` at u = t, s and
+    t+s, with the transition probability from ``_transition_entry``.  The
+    left side is read off the pmf at t+s; an r past its n_max reads 0, which
     that pmf's residual bounds."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    pmf_t, pmf_s, pmf_ts = (_inner_pmf(u, params, prec)
-                            for u in (t, s, Fraction(t) + Fraction(s)))
+    if (Fraction(pmf_ts.t) != Fraction(pmf_t.t) + Fraction(pmf_s.t)
+            or not pmf_t.params == pmf_s.params == pmf_ts.params):
+        raise ValueError("pmf_ts must be the pmf at t + s, all three at one theta")
+    _check_urn_weighted(pmf_s)
     with _series_context(prec.working_digits):
         lhs = pmf_ts.probs[r] if r <= pmf_ts.n_max else 0
         rhs = sum((pmf_t.probs[n] * _transition_entry(pmf_s, n, r)

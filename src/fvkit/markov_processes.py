@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from ._lazy import np
@@ -80,7 +81,10 @@ class FvConfig:
         if not self.t > 0:
             raise ValueError("t must be > 0")
 
+    @cached_property
     def death_pmf(self) -> DeathPmf:
+        """The death-count pmf at t, computed on first read and held by
+        this config, so every step of a chain reads one pmf."""
         return death_pmf(self.t, DeathParams(self.theta), self.prec)
 
 
@@ -104,7 +108,7 @@ def _step_rows(rows: MeasureRows, cfg, rng: np.random.Generator) -> MeasureRows:
     cfg.t (a count of 0 is a fresh prior draw); the drawn atoms feed one
     posterior draw per row."""
     if isinstance(cfg, FvConfig):
-        pmf = cfg.death_pmf()
+        pmf = cfg.death_pmf
         if pmf.residual > 1e-6:
             raise ValueError(f"death pmf residual {pmf.residual:g} too large; "
                              "tighten tail_tol")
@@ -142,13 +146,12 @@ def stationary_measure(theta: float, base: BaseMeasure,
 # trajectory driver
 
 def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
-              rng: np.random.Generator, return_state: bool = False):
+              rng: np.random.Generator):
     """Iterate the named chain and record the observables after every step.
 
-    Returns an array of shape (steps, len(observables)): indicator values
-    for the scalar chain, measure masses for the measure-valued chains.
-    Replayable from the seed.  With ``return_state`` the final chain state
-    is returned alongside the trajectory.
+    Returns (trajectory, final state): the trajectory is an array of shape
+    (steps, len(observables)), indicator values for the scalar chain and
+    measure masses for the measure-valued chains.  Replayable from the seed.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -163,12 +166,12 @@ def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
         for j, A in enumerate(observables):
             out[:, j] = _members(cfg.base.kind, ids[1:], None if xs is None else xs[1:], A)
         x = Point(int(ids[-1]), float(xs[-1])) if cfg.base.kind == "continuous" else int(ids[-1])
-        return (out, x) if return_state else out
+        return out, x
     mu = stationary_measure(cfg.theta, cfg.base, cfg.trunc, rng)
     for i in range(steps):
         mu = measure_chain_step(mu, cfg, rng)
         out[i] = [mu.mass(A) for A in observables]
-    return (out, mu) if return_state else out
+    return out, mu
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +314,10 @@ def fv_chapman_kolmogorov_process_test(cfg: FvConfig, t: float, s: float, A: Tes
     start.  Sharing starts correlates the arms positively, which only makes
     the two-sample comparison conservative."""
     start = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
-    one = _step_rows(start, replace(cfg, t=t + s), rng).mass(A)
-    two = _step_rows(_step_rows(start, replace(cfg, t=t), rng), replace(cfg, t=s), rng).mass(A)
+    # one config, and so one death pmf, per duration
+    cfgs = {u: replace(cfg, t=u) for u in (t + s, t, s)}
+    one = _step_rows(start, cfgs[t + s], rng).mass(A)
+    two = _step_rows(_step_rows(start, cfgs[t], rng), cfgs[s], rng).mass(A)
     ks_stat, ks_pvalue = _ks_2samp_equal(one, two)
     d2 = (one - one.mean())**2 - (two - two.mean())**2
     return CompositionReport(

@@ -99,25 +99,15 @@ def _as_pmf(m: int, n: int, theta: Fraction, row: tuple) -> OverlapPmf:
     return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, den) for a in nums))
 
 
-def _positive_theta(m: int, n: int, theta) -> Fraction:
+def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
+    """Closed-form overlap pmf for theta > 0: ``overlap_entry`` for every
+    r, exact rational output, checked to sum to exactly 1.
+    ``_extended_row`` computes the other published form for
+    cross-checking."""
     theta = Fraction(theta)
     if not theta > 0:
         raise ValueError("theta must be > 0 (use overlap_pmf_theta0 for theta = 0)")
     _check_urn_args(m, n, theta)
-    return theta
-
-
-def _check_theta0_args(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError("theta = 0 pmf needs m >= 1 and n >= 1")
-
-
-def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
-    """Closed-form overlap pmf for theta > 0: ``overlap_entry`` for every
-    r, exact rational output, checked to sum to exactly 1.
-    ``overlap_pmf_extended`` computes the other published form for
-    cross-checking."""
-    theta = _positive_theta(m, n, theta)
     return _as_pmf(m, n, theta, _entry_row(m, n, theta, via_expansion))
 
 
@@ -137,21 +127,14 @@ def _extended_row(m: int, n: int, theta: Fraction) -> tuple:
     return nums, rise(n + m) * rise(k)
 
 
-def overlap_pmf_extended(m: int, n: int, theta) -> OverlapPmf:
-    """The overlap pmf for theta > 0 through the extended closed form,
-    entry by entry and unchecked: the independent counterpart of
-    ``overlap_pmf_exact``."""
-    theta = _positive_theta(m, n, theta)
-    return _as_pmf(m, n, theta, _extended_row(m, n, theta))
-
-
 def overlap_pmf_theta0(m: int, n: int) -> OverlapPmf:
     """Overlap pmf in the theta = 0 regime (no fresh mass): requires
     m, n >= 1, and r = 0 has probability 0.  ``overlap_entry`` at theta = 0
     is n_[r] (r)_(m-r) C(m,r) / (n)_(m), every entry an integer numerator
-    over one shared denominator; ``overlap_pmf_theta0_factorial`` computes
-    the other printed form for cross-checking."""
-    _check_theta0_args(m, n)
+    over one shared denominator; ``_factorial_row`` computes the other
+    printed form for cross-checking."""
+    if m < 1 or n < 1:
+        raise ValueError("theta = 0 pmf needs m >= 1 and n >= 1")
     row = _entry_row(m, n, Fraction(0))
     if row[0][0]:
         raise RuntimeError(f"theta=0 overlap pmf invalid for m={m}, n={n}")
@@ -165,13 +148,6 @@ def _factorial_row(m: int, n: int) -> tuple:
     c = math.factorial(n - 1) * math.factorial(m - 1)
     nums = tuple(r * binomial(m, r) * binomial(n, r) * c for r in range(min(m, n) + 1))
     return nums, math.factorial(n + m - 1)
-
-
-def overlap_pmf_theta0_factorial(m: int, n: int) -> OverlapPmf:
-    """The theta = 0 overlap pmf through the factorial form
-    r C(m,r) C(n,r) (n-1)! (m-1)! / (n+m-1)!, entry by entry."""
-    _check_theta0_args(m, n)
-    return _as_pmf(m, n, Fraction(0), _factorial_row(m, n))
 
 
 def bruteforce_path_count(m: int, n: int) -> int:

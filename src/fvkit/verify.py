@@ -168,31 +168,33 @@ def verify_urn(form_max: int = 20, bruteforce_max: int = 5, theta0_max: int = 15
     return VerifyReport("urn", tuple(rows))
 
 
-def _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec) -> list:
+def _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec, outer, inner) -> list:
     params = dp.DeathParams(theta)
     rows = []
     tol10 = 10 * prec.tail_tol
     tol100 = 100 * prec.tail_tol
     for s in svals:
-        pmf = dp.death_pmf(s, params, prec)
+        pmf = outer(theta, s)
         gap = abs(sum(float(p) for p in pmf.probs) + pmf.residual - 1.0)
         rows.append(VerifyRow("pmf-normalization", f"theta={theta},t={s}",
                               "residual", gap, tol10))
+        pmf_s = inner(theta, s)
         for n in range(1, n_max + 1):
             at = f"n={n},theta={theta},s={s}"
-            ra = dp.check_survival_identity(n, s, params, prec)
+            ra = dp.check_survival_identity(n, pmf_s, prec)
             rows.append(VerifyRow("survival-identity", at, "residual", ra, tol10))
-            rb = dp.check_single_death_identity(n, s, params, prec)
+            rb = dp.check_single_death_identity(n, pmf_s, prec)
             rows.append(VerifyRow("single-death-identity", at, "residual", rb, tol10))
         for n in range(1, n_max + 1):
-            series = dp.transition_given_n(n, s, params, prec)
+            series = dp.transition_given_n(n, pmf_s, prec)
             closed = [dp.transition_closed_form(n, r, s, params) for r in range(n + 1)]
             worst = max(abs(a - b) for a, b in zip(series, closed))
             rows.append(VerifyRow("transition-vs-closed-form", f"n={n},theta={theta},s={s}",
                                   "residual", worst, tol10))
     for (t, s) in ck_pairs:
+        pmfs = [inner(theta, u) for u in (t, s, Fraction(t) + Fraction(s))]
         for r in range(r_max + 1):
-            res = dp.check_chapman_kolmogorov(r, t, s, params, prec)
+            res = dp.check_chapman_kolmogorov(r, *pmfs, prec)
             rows.append(VerifyRow("chapman-kolmogorov", f"r={r},t={t},s={s},theta={theta}",
                                   "residual", res, tol100))
     for t in ineq_ts:
@@ -211,14 +213,19 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
                          "its residual limits scale with it")
     if mc_reps != 0:  # 0 skips the Monte Carlo oracle
         rm._check_reps(mc_reps)
+    # every pmf this call reads, built once per (theta, time) and dropped
+    # with the call: the outer pmfs at prec, the inner ones the transition
+    # sums read
+    outer = functools.cache(lambda theta, t: dp.death_pmf(t, dp.DeathParams(theta), prec))
+    inner = functools.cache(lambda theta, t: dp._inner_pmf(t, dp.DeathParams(theta), prec))
     rows = [row for theta in thetas
-            for row in _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec)]
+            for row in _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec,
+                                         outer, inner)]
     if mc_reps:
         params = dp.DeathParams(1.0)
         rng = np.random.default_rng(mc_seed)
         rep = dp.mc_death_pmf_sensitivity(1.0, params, mc_n0, mc_reps, rng)
-        pmf = dp.death_pmf(1.0, params, prec)
-        d = pmf.probs_float
+        d = outer(1.0, 1.0).probs_float
         k = min(d.size, rep.base.probs.size)
         se = np.sqrt(d[:k] * (1 - d[:k]) / mc_reps)
         zmax = float(np.max(rm._z(rep.base.probs[:k] - d[:k], se)))

@@ -33,6 +33,11 @@ TOL10 = 10 * PREC.tail_tol
 P1 = DeathParams(1.0)
 
 
+def inner(s, params=P1, prec=PREC):
+    """The inner pmf that the transition functions read at time s."""
+    return dp._inner_pmf(s, params, prec)
+
+
 def rate(n, theta=1.0):
     """Rate of the jump n -> n-1."""
     return 0.5 * n * (n - 1 + theta)
@@ -210,25 +215,25 @@ class TestSampleDeathCount:
 class TestTransition:
     def test_stay_put_entry(self):
         for n in (1, 3, 6):
-            vec = transition_given_n(n, 0.8, P1, PREC)
+            vec = transition_given_n(n, inner(0.8), PREC)
             assert abs(vec[n] - math.exp(-rate(n) * 0.8)) < TOL10
 
     def test_single_death_entry(self):
         n, s, theta = 4, 0.6, 1.0
-        vec = transition_given_n(n, s, P1, PREC)
+        vec = transition_given_n(n, inner(s), PREC)
         lam_n, lam_m = rate(n), rate(n - 1)
         h = 0.5 * (math.exp(-lam_m * s) - math.exp(-lam_n * s)) / (lam_n - lam_m)
         assert abs(vec[n - 1] - n * (n - 1 + theta) * h) < TOL10
 
     def test_sums_to_one(self):
         for theta in (0.5, 4.0):
-            vec = transition_given_n(6, 1.0, DeathParams(theta), PREC)
+            vec = transition_given_n(6, inner(1.0, DeathParams(theta)), PREC)
             assert abs(sum(vec) - 1) < TOL10
 
     def test_matches_closed_form(self):
         for n in (1, 2, 5):
             for s in (0.2, 1.0):
-                vec = transition_given_n(n, s, P1, PREC)
+                vec = transition_given_n(n, inner(s), PREC)
                 for r in range(n + 1):
                     assert abs(vec[r] - transition_closed_form(n, r, s, P1)) < TOL10
 
@@ -251,7 +256,7 @@ class TestTransition:
 
     def test_theta0_goes_through_closed_form_only(self):
         with pytest.raises(ValueError):
-            transition_given_n(3, 1.0, DeathParams(0), PREC)
+            transition_given_n(3, inner(1.0, DeathParams(0)), PREC)
         # theta=0 with r >= 1 has distinct rates and works
         p = transition_closed_form(3, 1, 1.0, DeathParams(0))
         assert 0 < p < 1
@@ -355,18 +360,18 @@ class TestClosedFormKernel:
 
 class TestSurvivalIdentity:
     def test_n1_example(self):
-        res = check_survival_identity(1, 1.0, P1, PREC)
+        res = check_survival_identity(1, inner(1.0), PREC)
         assert res < TOL10
 
     def test_grid_subset(self):
         for theta in (0.5, 4.0):
             for n in (1, 4, 8):
                 for s in (0.2, 5.0):
-                    assert check_survival_identity(n, s, DeathParams(theta), PREC) < TOL10
+                    assert check_survival_identity(n, inner(s, DeathParams(theta)), PREC) < TOL10
 
     def test_large_s_both_tiny(self):
         params = DeathParams(1.0)
-        res = check_survival_identity(2, 50.0, params, PREC)
+        res = check_survival_identity(2, inner(50.0, params), PREC)
         assert res < TOL10
         assert math.exp(-rate(2) * 50.0) < 1e-10
 
@@ -375,7 +380,7 @@ class TestSingleDeathIdentity:
     def test_grid_subset(self):
         for theta in (0.5, 1.0, 4.0):
             for n in (1, 3, 8):
-                assert check_single_death_identity(n, 1.0, DeathParams(theta), PREC) < TOL10
+                assert check_single_death_identity(n, inner(1.0, DeathParams(theta)), PREC) < TOL10
 
     def test_n1_ties_to_closed_form_transition(self):
         # P(1 -> 0 in s) = theta * H(s) for n = 1
@@ -386,13 +391,14 @@ class TestSingleDeathIdentity:
     def test_small_s_residual_vanishes(self):
         # smallest s inside the default-precision envelope (cancellation
         # headroom shrinks fast below t ~ 0.05)
-        res = check_single_death_identity(2, 0.05, P1, PREC)
+        res = check_single_death_identity(2, inner(0.05), PREC)
         assert res < TOL10
 
     def test_small_s_beyond_envelope_fails_loudly(self):
         with pytest.raises(PrecisionExhaustedError):
-            check_single_death_identity(2, 1e-2, P1, PREC)
-        res = check_single_death_identity(2, 1e-2, P1, PrecisionConfig(working_digits=220))
+            check_single_death_identity(2, inner(1e-2), PREC)
+        wide = PrecisionConfig(working_digits=220)
+        res = check_single_death_identity(2, inner(1e-2, P1, wide), wide)
         assert res < TOL10
 
 
@@ -401,7 +407,7 @@ class TestSingleDeathIdentity:
         import fvkit.death_process as dp
         monkeypatch.setattr(dp, "transition_closed_form", lambda n, r, s, params: 1.0)
         with pytest.raises(RuntimeError, match="outside"):
-            check_single_death_identity(2, 1.0, P1, PREC)
+            check_single_death_identity(2, inner(1.0), PREC)
 
 
 class TestMeanEntryTime:
@@ -453,16 +459,26 @@ class TestMeanEntryTime:
 
 class TestChapmanKolmogorov:
     def test_example_grid_point(self):
-        assert check_chapman_kolmogorov(1, 0.5, 0.5, P1, PREC) < 100 * PREC.tail_tol
+        pmf_half = inner(0.5)
+        res = check_chapman_kolmogorov(1, pmf_half, pmf_half, inner(1.0), PREC)
+        assert res < 100 * PREC.tail_tol
+
+    def test_rejects_pmfs_that_do_not_compose(self):
+        pmf_half, pmf_one = inner(0.5), inner(1.0)
+        with pytest.raises(ValueError, match="t \\+ s"):
+            check_chapman_kolmogorov(1, pmf_half, pmf_one, pmf_one, PREC)
+        with pytest.raises(ValueError, match="one theta"):
+            check_chapman_kolmogorov(1, pmf_half, pmf_half, inner(1.0, DeathParams(2.0)), PREC)
 
     def test_symmetry_in_t_s(self):
-        a = check_chapman_kolmogorov(2, 1.0, 2.0, P1, PREC)
-        b = check_chapman_kolmogorov(2, 2.0, 1.0, P1, PREC)
+        pmf_1, pmf_2, pmf_3 = (inner(u) for u in (1.0, 2.0, 3.0))
+        a = check_chapman_kolmogorov(2, pmf_1, pmf_2, pmf_3, PREC)
+        b = check_chapman_kolmogorov(2, pmf_2, pmf_1, pmf_3, PREC)
         assert a < 100 * PREC.tail_tol and b < 100 * PREC.tail_tol
         assert abs(a - b) < 100 * PREC.tail_tol
 
     def test_large_horizon_absorbs(self):
-        res = check_chapman_kolmogorov(0, 30.0, 30.0, P1, PREC)
+        res = check_chapman_kolmogorov(0, inner(30.0), inner(30.0), inner(60.0), PREC)
         assert res < 100 * PREC.tail_tol
         assert float(death_pmf(60.0, P1, PREC).probs[0]) > 1 - 1e-10
 

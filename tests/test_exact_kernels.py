@@ -1,7 +1,9 @@
 """The integer kernels of the exact layers against plain Fraction
-arithmetic, the exhaustive urn oracle against the closed forms, the
-death-pmf memo, and the pinned default tables of the exact suites."""
+arithmetic, the exhaustive urn oracle against the closed forms, death pmfs
+held by their callers, and the pinned default tables of the exact suites."""
+import gc
 import hashlib
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,21 +13,21 @@ from hypothesis import strategies as st
 
 from fvkit.combinatorics import binomial, falling_factorial, rising_factorial
 from fvkit import death_process as dp
+from fvkit import markov_processes as mk
 from fvkit.death_process import (
     CLOSED_FORM_CACHE_SIZE,
-    PMF_CACHE_SIZE,
     DeathParams,
     PrecisionConfig,
-    _death_pmf_cached,
     death_pmf,
     transition_given_n,
 )
 from fvkit.polya_urn import (
+    _extended_row,
     overlap_pmf_bruteforce,
     overlap_pmf_exact,
-    overlap_pmf_extended,
     overlap_pmf_theta0,
 )
+from fvkit.random_measures import Interval, UniformBase
 from fvkit.verify import verify_combinatorics, verify_death, verify_urn
 
 
@@ -109,7 +111,8 @@ class TestUrnOracle:
             for n in range(5):
                 exact = overlap_pmf_exact(m, n, theta).probs
                 assert overlap_pmf_bruteforce(m, n, theta).probs == exact
-                assert overlap_pmf_extended(m, n, theta).probs == exact
+                nums, den = _extended_row(m, n, theta)
+                assert tuple(Fraction(a, den) for a in nums) == exact
 
     def test_bruteforce_equals_theta0(self):
         for m in range(1, 5):
@@ -126,48 +129,65 @@ class TestUrnOracle:
 
 
 class TestDeathPmfMemo:
-    # keys unique to this class, so no other test has filled them
+    # death_pmf computes afresh on every call; its callers hold the pmfs
     PARAMS = DeathParams(2.25)
 
     def test_repeat_call_returns_identical_entries(self):
         a = death_pmf(0.7, self.PARAMS)
         b = death_pmf(0.7, self.PARAMS)
-        assert b is a
         assert b.probs == a.probs and b.term_bounds == a.term_bounds
 
     def test_equal_keys_share_one_entry(self):
-        before = _death_pmf_cached.cache_info()
         a = death_pmf(0.5, self.PARAMS)
         b = death_pmf(Fraction(1, 2), DeathParams(Fraction(9, 4)))
-        after = _death_pmf_cached.cache_info()
-        assert b is a
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert b.probs == a.probs and b.term_bounds == a.term_bounds
+        # the time is kept as given, so a Fraction stays exact
+        assert type(b.t) is Fraction and b.t == a.t
 
     def test_precision_gets_its_own_entry(self):
-        before = _death_pmf_cached.cache_info()
         a = death_pmf(0.625, self.PARAMS, PrecisionConfig(working_digits=60))
         b = death_pmf(0.625, self.PARAMS, PrecisionConfig(working_digits=70))
-        after = _death_pmf_cached.cache_info()
-        assert after.misses - before.misses == 2
         assert (a.working_digits, b.working_digits) == (60, 70)
         assert max(abs(float(x - y)) for x, y in zip(a.probs, b.probs)) < 1e-11
 
-    def test_transitions_share_one_inner_pmf(self):
+    def test_transitions_share_one_inner_pmf(self, monkeypatch):
         # every transition weight is an urn probability, so no n needs a
-        # tighter pmf than the others
-        _death_pmf_cached.cache_clear()
+        # tighter pmf than the others: one inner pmf serves them all, and
+        # the transitions compute none of their own
+        pmf = dp._inner_pmf(1.0, DeathParams(1.0), PrecisionConfig())
+        calls = []
+        exact = dp.death_pmf
+        monkeypatch.setattr(dp, "death_pmf", lambda *args: calls.append(args) or exact(*args))
         for n in range(1, 9):
-            transition_given_n(n, 1.0, DeathParams(1.0))
-        assert _death_pmf_cached.cache_info().currsize == 1
+            transition_given_n(n, pmf)
+        assert calls == []
 
-    def test_cache_is_bounded(self):
-        assert _death_pmf_cached.cache_info().maxsize == PMF_CACHE_SIZE
+    def test_no_pmf_outlives_its_caller(self, monkeypatch):
+        # a verify call and an FV chain each hold their pmfs; once their
+        # results are dropped, no module keeps one alive
+        built = []
+        exact = dp.death_pmf
+
+        def tracked(*args):
+            pmf = exact(*args)
+            built.append(weakref.ref(pmf))
+            return pmf
+
+        monkeypatch.setattr(dp, "death_pmf", tracked)
+        monkeypatch.setattr(mk, "death_pmf", tracked)
+        verify_death(thetas=(self.PARAMS.theta,), svals=(0.5,), n_max=2, r_max=1,
+                     ck_pairs=((0.25, 0.25),), ineq_ts=())
+        mk.run_chain("fv", mk.FvConfig(2.25, UniformBase(), 0.5), 3, [Interval(0.0, 0.5)],
+                     np.random.default_rng(1))
+        gc.collect()
+        # outer and inner at 0.5, inner at 0.25 (t and s), and the chain's
+        assert len(built) == 4
+        assert [ref() for ref in built] == [None] * 4
 
     def test_invalid_time_is_rejected_before_lookup(self):
-        before = _death_pmf_cached.cache_info()
-        with pytest.raises(ValueError):
-            death_pmf(0, self.PARAMS)
-        assert _death_pmf_cached.cache_info() == before
+        for t in (0, -1.0):
+            with pytest.raises(ValueError):
+                death_pmf(t, self.PARAMS)
 
     def test_probs_float_read_only(self):
         pmf = death_pmf(0.7, self.PARAMS)
@@ -190,9 +210,10 @@ class TestClosedFormEntries:
         assert dp._closed_form_entry.cache_info().maxsize == CLOSED_FORM_CACHE_SIZE
 
     def test_death_table_independent_of_cache_state(self):
-        # cold caches, warm caches, and after a call at other digits: the
-        # transition sums keep no state between calls
-        for cached in (dp._closed_form_entry, dp._exp_fixed, _death_pmf_cached):
+        # cold caches, warm caches, and after a call at other digits: only
+        # the two closed-form memos outlive a call, and they hold values of
+        # their integer arguments alone
+        for cached in (dp._closed_form_entry, dp._exp_fixed):
             cached.cache_clear()
         cold = verify_death().table_rows()
         assert verify_death().table_rows() == cold

@@ -161,12 +161,8 @@ def test_series_sign_flipped(monkeypatch):
     gamma = dp._gamma_factor
     monkeypatch.setattr(dp, "_gamma_factor", lambda m, theta, t, factors: (
         -1 if m == 3 else 1) * gamma(m, theta, t, factors))
-    dp._death_pmf_cached.cache_clear()
-    try:
-        with pytest.raises(dp.PrecisionExhaustedError, match="d_1"):
-            _death_with_oracle()
-    finally:
-        dp._death_pmf_cached.cache_clear()
+    with pytest.raises(dp.PrecisionExhaustedError, match="d_1"):
+        _death_with_oracle()
 
 
 def test_series_hold_rate_off_by_one(monkeypatch):
@@ -182,11 +178,7 @@ def test_series_hold_rate_off_by_one(monkeypatch):
         return (2 * m - 1 + dp._dec(theta)) * dp._dec(-lam_t).exp()
 
     monkeypatch.setattr(dp, "_gamma_factor", shifted)
-    dp._death_pmf_cached.cache_clear()
-    try:
-        report = _death_with_oracle()
-    finally:
-        dp._death_pmf_cached.cache_clear()
+    report = _death_with_oracle()
     assert list(dict.fromkeys(row.check for row in report.rows if not row.passed)) == [
         "survival-identity", "single-death-identity", "transition-vs-closed-form",
         "pmf-vs-monte-carlo"]
@@ -200,11 +192,7 @@ def test_series_rate_off_by_one_leaves_oracle_alone(monkeypatch):
     assert _small_death(ineq_ts=(0.5,)).ok
     monkeypatch.setattr(dp, "_death_rate_fraction",
                         lambda n, theta: Fraction(n, 2) * (n + theta))
-    dp._death_pmf_cached.cache_clear()
-    try:
-        report = _small_death(ineq_ts=(0.5,))
-    finally:
-        dp._death_pmf_cached.cache_clear()
+    report = _small_death(ineq_ts=(0.5,))
     assert len(report.rows) == 13
     for check in ("survival-identity", "single-death-identity", "transition-vs-closed-form"):
         assert _failing(report, check) == [f"n={n},theta=1.0,s=1.0" for n in (1, 2, 3)]
@@ -246,15 +234,22 @@ def test_d1_inflated(monkeypatch):
     # that weighs d_1 against a closed form sees it too
     assert _small_death().ok
     _scale_d1(monkeypatch, 1 + Decimal(10) ** -6)
-    dp._death_pmf_cached.cache_clear()
-    try:
-        report = _small_death()
-    finally:
-        dp._death_pmf_cached.cache_clear()
+    report = _small_death()
     assert _failing(report, "pmf-normalization") == ["theta=1.0,t=1.0"]
     assert list(dict.fromkeys(row.check for row in report.rows if not row.passed)) == [
         "pmf-normalization", "survival-identity", "single-death-identity",
         "transition-vs-closed-form", "chapman-kolmogorov"]
+
+
+def test_death_table_independent_of_earlier_runs():
+    # one process, no cache call anywhere: a run under a fault between two
+    # clean runs sees its own pmfs, and leaves none to the run after it
+    clean = _small_death()
+    assert clean.ok
+    with pytest.MonkeyPatch.context() as mp:
+        _scale_d1(mp, 1 + Decimal(10) ** -6)
+        assert _failing(_small_death(), "pmf-normalization") == ["theta=1.0,t=1.0"]
+    assert _small_death().table_rows() == clean.table_rows()
 
 
 def test_d1_inflated_at_loosest_tail_tol(monkeypatch):
@@ -263,11 +258,7 @@ def test_d1_inflated_at_loosest_tail_tol(monkeypatch):
     prec = dp.PrecisionConfig(tail_tol=V.DEATH_TAIL_TOL_MAX)
     assert _small_death(prec=prec).ok
     _scale_d1(monkeypatch, Decimal("1.1"))
-    dp._death_pmf_cached.cache_clear()
-    try:
-        report = _small_death(prec=prec)
-    finally:
-        dp._death_pmf_cached.cache_clear()
+    report = _small_death(prec=prec)
     assert report.n_failed == len(report.rows) == 12
 
 
@@ -276,15 +267,10 @@ def test_d1_deflated_pmf_stops(monkeypatch):
     # the mass within tail_tol of 1.  The pmf stops after max_terms entries
     # and names the shortfall, about d_1(1) * 1e-6
     params = dp.DeathParams(1.0)
-    dp._death_pmf_cached.cache_clear()
     assert dp.death_pmf(1.0, params).residual < 1e-12
     _scale_d1(monkeypatch, 1 - Decimal(10) ** -6)
-    dp._death_pmf_cached.cache_clear()
-    try:
-        with pytest.raises(dp.PrecisionExhaustedError, match="short of mass 1") as exc:
-            dp.death_pmf(1.0, params)
-    finally:
-        dp._death_pmf_cached.cache_clear()
+    with pytest.raises(dp.PrecisionExhaustedError, match="short of mass 1") as exc:
+        dp.death_pmf(1.0, params)
     assert 1e-7 < exc.value.smallest_achievable < 1e-6
 
 
@@ -339,8 +325,8 @@ def test_fv_clock_doubled(monkeypatch):
     # every FV step mixes over the death pmf at 2t instead of t: the pmf
     # layer itself stays correct, but the transition runs on a wrong clock
     assert _fv_processes().ok
-    monkeypatch.setattr(mk.FvConfig, "death_pmf",
-                        lambda self: dp.death_pmf(2 * self.t, dp.DeathParams(self.theta), self.prec))
+    monkeypatch.setattr(mk.FvConfig, "death_pmf", property(
+        lambda self: dp.death_pmf(2 * self.t, dp.DeathParams(self.theta), self.prec)))
     failing = _failing(_fv_processes(), "fv-lag-slope")
     for instance in ("theta=1.0,t=0.5,steps=1", "theta=4.0,t=0.2,steps=1"):
         assert instance in failing
@@ -614,11 +600,7 @@ def test_headroom_below_one_exactly_when_passed():
                         (_squeeze_uniform_positions, lambda: V.verify_measures(reps=2000, seed=7))):
         with pytest.MonkeyPatch.context() as mp:
             fault(mp)
-            dp._death_pmf_cached.cache_clear()
-            try:
-                rows += numeric_rows(grid())
-            finally:
-                dp._death_pmf_cached.cache_clear()
+            rows += numeric_rows(grid())
     assert {row.kind for row in rows if not row.passed} == {"residual", "z", "p"}
     for row in rows:
         assert row.passed == (row.headroom < 1), (row.check, row.instance, row.value)

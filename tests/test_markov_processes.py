@@ -139,7 +139,7 @@ class TestFvStep:
 class TestRunChain:
     def test_steps_one_equals_single_step(self):
         cfg = FvConfig(1.0, UB, 1.0)
-        traj = run_chain("fv", cfg, 1, [A], np.random.default_rng(3))
+        traj, _ = run_chain("fv", cfg, 1, [A], np.random.default_rng(3))
         rng2 = np.random.default_rng(3)
         mu = stationary_measure(1.0, UB, cfg.trunc, rng2)
         val = fv_step(mu, cfg, rng2).mass(A)
@@ -148,34 +148,41 @@ class TestRunChain:
 
     def test_lengths_and_determinism(self):
         cfg = MeasureChainConfig(1.0, UB, 2)
-        a = run_chain("measure-chain", cfg, 7, [A, Interval(0.5, 1.0)],
-                      np.random.default_rng(5))
-        b = run_chain("measure-chain", cfg, 7, [A, Interval(0.5, 1.0)],
-                      np.random.default_rng(5))
+        a, _ = run_chain("measure-chain", cfg, 7, [A, Interval(0.5, 1.0)],
+                         np.random.default_rng(5))
+        b, _ = run_chain("measure-chain", cfg, 7, [A, Interval(0.5, 1.0)],
+                         np.random.default_rng(5))
         assert a.shape == (7, 2)
         assert np.array_equal(a, b)
 
     def test_dar1_discrete_observable(self):
-        traj = run_chain("dar1", Dar1Config(1.0, DB), 50, [AtomSet({0, 1})],
-                         np.random.default_rng(6))
+        traj, _ = run_chain("dar1", Dar1Config(1.0, DB), 50, [AtomSet({0, 1})],
+                            np.random.default_rng(6))
         assert set(np.unique(traj)) <= {0.0, 1.0}
 
     def test_dar1_reads_observables_off_the_path(self):
-        traj, x = run_chain("dar1", Dar1Config(1.0, UB), 30, [A], np.random.default_rng(6),
-                            return_state=True)
+        traj, x = run_chain("dar1", Dar1Config(1.0, UB), 30, [A], np.random.default_rng(6))
         ids, xs = mk._dar1_path(Dar1Config(1.0, UB), 30, np.random.default_rng(6))
         assert np.array_equal(traj[:, 0], (xs[1:] < 0.5).astype(float))
         assert x == Point(int(ids[-1]), float(xs[-1]))
         _, i = run_chain("dar1", Dar1Config(1.0, DB), 30, [AtomSet({0})],
-                         np.random.default_rng(6), return_state=True)
+                         np.random.default_rng(6))
         assert type(i) is int
 
     def test_ids_do_not_depend_on_earlier_runs(self):
         # fresh ids come from the run, not from a counter shared by the process
         cfg = FvConfig(1.0, UB, 0.5)
-        finals = [run_chain("fv", cfg, 5, [A], np.random.default_rng(4), return_state=True)[1]
+        finals = [run_chain("fv", cfg, 5, [A], np.random.default_rng(4))[1]
                   for _ in range(2)]
         assert np.array_equal(finals[0].ids, finals[1].ids)
+
+    def test_fv_chain_reads_one_pmf(self, monkeypatch):
+        # the config holds its pmf, so ten steps compute it once
+        times = []
+        exact = mk.death_pmf
+        monkeypatch.setattr(mk, "death_pmf", lambda t, *rest: times.append(t) or exact(t, *rest))
+        run_chain("fv", FvConfig(1.0, UB, 0.5), 10, [A], np.random.default_rng(3))
+        assert times == [0.5]
 
     def test_kind_config_mismatch(self):
         with pytest.raises(TypeError):
@@ -191,6 +198,15 @@ class TestProcessLevelComposition:
                                                  np.random.default_rng(11))
         assert rep.ks_pvalue > 1e-3
         assert rep.mean_diff.z < 4
+
+    def test_one_pmf_per_duration(self, monkeypatch):
+        # t = s share one config: the pmfs at t + s and at t, once each
+        times = []
+        exact = mk.death_pmf
+        monkeypatch.setattr(mk, "death_pmf", lambda t, *rest: times.append(t) or exact(t, *rest))
+        fv_chapman_kolmogorov_process_test(FvConfig(1.0, UB, 1.0), 0.5, 0.5, A, 50,
+                                           np.random.default_rng(11))
+        assert times == [1.0, 0.5]
 
     def test_long_horizon_matches_prior(self):
         # both arms far past mixing: marginal is the stationary one
@@ -237,7 +253,7 @@ class TestRunChainPins:
     def test_run_chain(self, kind, name):
         base, obs = self.BASES[name]
         traj, final = run_chain(kind, self.CONFIGS[kind](base), 25, [obs],
-                                np.random.default_rng(9), return_state=True)
+                                np.random.default_rng(9))
         got = portable_digest(traj, final.ids, final.xs, final.weights,
                               np.float64(final.residual))
         assert got == self.PINS[kind, name]

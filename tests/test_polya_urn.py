@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 
 from conftest import assert_within_se
 from fvkit.polya_urn import (
+    _extended_row,
+    _factorial_row,
     bruteforce_path_count,
     overlap_pmf_bruteforce,
     overlap_pmf_exact,
-    overlap_pmf_extended,
     overlap_pmf_montecarlo,
     overlap_pmf_theta0,
-    overlap_pmf_theta0_factorial,
 )
+
+def as_probs(row):
+    """The rationals of a (numerators, den) row."""
+    nums, den = row
+    return tuple(Fraction(a, den) for a in nums)
+
 
 small_theta = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 2)])
 
@@ -34,11 +40,11 @@ class TestExactPmf:
         assert overlap_pmf_exact(7, 0, Fraction(5, 2)).probs == (Fraction(1),)
 
     def test_both_forms_agree_wide(self):
-        for theta in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):
+        for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 2)):
             for m in range(0, 21, 4):
                 for n in range(0, 21, 4):
                     assert overlap_pmf_exact(m, n, theta).probs == \
-                        overlap_pmf_extended(m, n, theta).probs
+                        as_probs(_extended_row(m, n, theta))
 
     def test_expected_overlap_single_draw(self):
         # one draw hits some atom with probability n/(theta+n)
@@ -72,7 +78,7 @@ class TestTheta0:
         for m in range(1, 16):
             for n in range(1, 16):
                 pmf = overlap_pmf_theta0(m, n)
-                assert pmf.probs == overlap_pmf_theta0_factorial(m, n).probs
+                assert pmf.probs == as_probs(_factorial_row(m, n))
                 assert pmf.probs[0] == 0
                 assert sum(pmf.probs) == 1
 
@@ -91,8 +97,6 @@ class TestTheta0:
             overlap_pmf_theta0(0, 3)
         with pytest.raises(ValueError):
             overlap_pmf_theta0(3, 0)
-        with pytest.raises(ValueError):
-            overlap_pmf_theta0_factorial(0, 3)
 
 
 class TestBruteforce:
