@@ -221,24 +221,26 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
         q ** (m - 1) * math.factorial(n) * math.factorial(m - n))
 
     total = Decimal(0)
-    peak = 0.0
+    # a float peak overflows past 1.8e308, and a float 10**(2 - working_digits)
+    # underflows past 325 digits, so the term size, peak and slack are Decimal
+    peak = Decimal(0)
     nterms = 0
-    best_cert = math.inf
+    best_cert = Decimal("Infinity")
     while nterms < prec.max_terms:
         term = coef * _gamma_factor(m, theta, t, gamma)
-        a = abs(float(term))
+        a = abs(term)
         # sup over m' >= m of the rational part of the term ratio
         f = max(1.0, (th + n + m - 1) / (m + 1 - n))
         ratio_bound = f * (2 * m + 1 + th) / (2 * m - 1 + th) * math.exp(-(m + th / 2) * tf)
         if ratio_bound < 0.999:
             if a < prec.tail_tol:
-                round_slack = peak * nterms * 10.0 ** (-(prec.working_digits - 2))
+                round_slack = (peak * nterms).scaleb(2 - prec.working_digits)
                 if round_slack > prec.tail_tol:
                     raise PrecisionExhaustedError(
                         f"cancellation exceeds working precision for n={n}, t={tf}",
-                        smallest_achievable=round_slack,
+                        smallest_achievable=float(round_slack),
                     )
-                return total, a + round_slack
+                return total, float(a) + float(round_slack)
             best_cert = min(best_cert, a)
         total += term
         peak = max(peak, a)
@@ -249,7 +251,7 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
     raise PrecisionExhaustedError(
         f"series for n={n} at t={tf} did not reach tolerance {prec.tail_tol:g} "
         f"within {prec.max_terms} terms; increase max_terms or tail_tol",
-        smallest_achievable=best_cert,
+        smallest_achievable=float(best_cert),
     )
 
 
@@ -318,15 +320,19 @@ def death_pmf(t, params: DeathParams, prec: PrecisionConfig = PrecisionConfig())
     )
 
 
+def _tol_floor(digits: int) -> float:
+    # the tightest tail_tol for that many digits, held positive past 333 digits
+    return max(10.0 ** (10 - digits), math.ulp(0.0))
+
+
 def _inner_prec(prec: PrecisionConfig, shrink: float) -> PrecisionConfig:
     # tighten the series tolerance for use inside weighted sums, raising
     # the working precision to match so cancellation headroom is preserved
     extra = min(80, max(0, 2 * math.ceil(-math.log10(shrink)) + 8))
     digits = prec.working_digits + extra
-    floor = 10.0 ** (-(digits - 10))
     return PrecisionConfig(
         working_digits=digits,
-        tail_tol=max(prec.tail_tol * shrink, floor),
+        tail_tol=max(prec.tail_tol * shrink, _tol_floor(digits)),
         max_terms=prec.max_terms,
     )
 
@@ -540,7 +546,7 @@ def check_nonabsorption_bounds(t, params: DeathParams,
     theta = params.theta_fraction
     tf = Fraction(t)
     inner = _inner_prec(prec, 1e-12)
-    floor = 10.0 ** (-(inner.working_digits - 10))
+    floor = _tol_floor(inner.working_digits)
     with _series_context(inner.working_digits):
         lo = _dec(-_death_rate_fraction(1, theta) * tf).exp()
         hi = (1 + _dec(theta)) * lo

@@ -230,26 +230,29 @@ def _stick_weights(params: StickBreakingParams, trunc: StickTruncation,
     return np.concatenate(blocks), left
 
 
-def _dp_sticks(total: np.ndarray, trunc: StickTruncation, rng: np.random.Generator):
-    """Dirichlet-process stick masses at total mass b = total[i] for row i,
-    flat in row order, with the row offsets and each row's residual.
+def _dp_sticks(theta: float, share: np.ndarray, trunc: StickTruncation,
+               rng: np.random.Generator):
+    """Dirichlet-process stick masses at total mass theta, flat in row
+    order, with the row offsets and each row's residual, row i's scaled by
+    share[i].
 
-    A Beta(1, b) stick leaves 1 - w = exp(-E/b) of the stick, E standard
-    exponential, so after j sticks the residual is exp(-G_j/b), G_j the
-    j-th arrival of a unit-rate Poisson process.  The residual falls below
-    eps at the first arrival past L = b ln(1/eps): a row takes 1 + Poisson(L)
+    A Beta(1, theta) stick leaves 1 - w = exp(-E/theta) of the stick, E
+    standard exponential, so after j sticks the residual is exp(-G_j/theta),
+    G_j the j-th arrival of a unit-rate Poisson process.  Row i stops once
+    share[i] times that is below eps, at the first arrival past
+    L = theta ln(share[i]/eps) (0 if negative): it takes 1 + Poisson(L)
     sticks, its arrivals below L are sorted uniforms on [0, L] (one flat
     sort of the uniforms shifted by their row index, which costs each about
     log2(rows) bits), and its last is L + Exp(1).  A fixed truncation gives
     every row k sticks from cumulative exponentials.  Stick j weighs
-    exp(-G_{j-1}/b) (1 - exp(-(G_j - G_{j-1})/b)), so small sticks keep
-    full relative precision."""
-    rows = total.size
+    exp(-G_{j-1}/theta) (1 - exp(-(G_j - G_{j-1})/theta)), so small sticks
+    keep full relative precision."""
+    rows = share.size
     if trunc.k is not None:
         counts = np.full(rows, trunc.k)
         arrival = np.cumsum(rng.standard_exponential((rows, trunc.k)), axis=1).ravel()
     else:
-        reach = total * -math.log(trunc.eps)
+        reach = theta * np.log(np.maximum(share / trunc.eps, 1.0))
         if 1 + reach.max(initial=0.0) > MAX_STICKS:  # the mean count, before any draw
             raise StickBudgetError(f"a residual below {trunc.eps:g} needs {1 + reach.max():.0f} "
                                    f"sticks on average, over the cap of {MAX_STICKS}")
@@ -269,7 +272,7 @@ def _dp_sticks(total: np.ndarray, trunc: StickTruncation, rng: np.random.Generat
     offsets = np.concatenate(([0], np.cumsum(counts)))
     starts = offsets[:-1]
     # in place where it can be: the cells of a batch set a chain step's peak memory
-    arrival /= np.repeat(total, counts)  # G_j / b
+    arrival /= theta  # G_j / theta
     rho = np.empty_like(arrival)  # the spacings G_j - G_{j-1}, then the masses
     np.subtract(arrival[1:], arrival[:-1], out=rho[1:])
     rho[starts] = arrival[starts]
@@ -278,7 +281,8 @@ def _dp_sticks(total: np.ndarray, trunc: StickTruncation, rng: np.random.Generat
     first = rho[starts]  # a row's first stick has nothing before it
     rho[1:] *= keep[:-1]
     rho[starts] = first
-    return rho, offsets, keep[offsets[1:] - 1]
+    rho *= np.repeat(share, counts)
+    return rho, offsets, share * keep[offsets[1:] - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +467,10 @@ def check_summability(params: StickBreakingParams, J: int) -> SummabilityReport:
 
 @dataclass(frozen=True)
 class DirichletPosterior:
-    """Conditional law of the random measure given observed atoms: a
-    Dirichlet process with total mass theta + n over the mixed base."""
+    """Conditional law of the random measure given observed atoms
+    X_1..X_n: W_0 DP(theta nu_0) + sum_j W_j delta_{X_j} with
+    (W_0, W_1, ..., W_n) ~ Dir(theta, 1, ..., 1), the Dirichlet process with
+    total mass theta + n over the mixed base (Ferguson 1973; Sethuraman 1994)."""
 
     theta: float
     base: BaseMeasure
@@ -490,50 +496,37 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
                     rng: np.random.Generator, first_id: int) -> MeasureRows:
     """One posterior draw per row: row i conditions on its n[i] atoms, the
     next n[i] entries of the flat atom_ids (and atom_xs, when the base
-    draws positions) in row order, with Dirichlet-process sticks at total
-    mass theta + n[i] until the row's residual meets the truncation.  A stick
-    lands on a fresh base draw w.p. theta/(theta+n[i]) or on each
-    conditioning atom w.p. 1/(theta+n[i]); one base.sample_batch call draws
-    the fresh sticks in order, with ids from first_id on."""
-    total = theta + n
-    rho, offsets, residual = _dp_sticks(total, trunc, rng)
-    counts = np.diff(offsets)
-    # a stick at u < theta is fresh, else it lands on conditioning atom
-    # floor(u - theta), clipped to n - 1
-    u = rng.random(rho.size)
-    if not atom_ids.size:  # n = 0 on every row: every stick is fresh, u unread
-        return MeasureRows(base.kind, *base.sample_batch(rng, rho.size, first_id),
-                           rho, offsets, residual)
-    u *= np.repeat(total, counts)
-    fresh = u < theta
-    # index of the picked atom in the flat arrays.  A row with n = 0 has
-    # only fresh sticks, so its picks of -1 land on cells that the fresh
-    # draws overwrite
-    u -= theta
-    pick = np.maximum(u, 0.0, out=u).astype(np.int64)
-    np.minimum(pick, np.repeat(n - 1, counts), out=pick)
-    pick += np.repeat(np.cumsum(n) - n, counts)
-    del u
-    f_ids, f_xs = base.sample_batch(rng, int(fresh.sum()), first_id)
-
-    def place(fresh_vals, atom_vals, dtype):
-        out = np.asarray(atom_vals, dtype=dtype)[pick]
-        out[fresh] = fresh_vals
-        return out
-
-    ids = place(f_ids, atom_ids, np.int64)
-    del f_ids
-    xs = None if f_xs is None else place(f_xs, atom_xs, float)
-    return MeasureRows(base.kind, ids, xs, rho, offsets, residual)
+    draws positions) in row order.  By conjugacy (Ferguson 1973) the draw
+    is W_0 DP(theta nu_0) + sum_j W_j delta_{X_j} with
+    (W_0, W_1, ..., W_n) ~ Dir(theta, 1, ..., 1): a Gamma(theta) per row and
+    a standard exponential per atom, over their row's sum (W_0 = 1 when
+    n[i] = 0).  The fresh part is _dp_sticks at total mass theta scaled by
+    W_0, so the row's residual meets the truncation; one base.sample_batch
+    call draws its locations in order, with ids from first_id on.  A row
+    holds its fresh cells, then its atoms."""
+    rows = n.size
+    gamma = rng.standard_gamma(theta, rows)
+    weight = rng.standard_exponential(atom_ids.size)
+    row = np.repeat(np.arange(rows), n)
+    total = gamma + np.bincount(row, weight, minlength=rows)
+    share = np.divide(gamma, total, out=np.ones(rows), where=n > 0)
+    weight /= total[row]
+    rho, offsets, residual = _dp_sticks(theta, share, trunc, rng)
+    ids, xs = base.sample_batch(rng, rho.size, first_id)
+    at = np.repeat(offsets[1:], n)  # each row's atoms go after its fresh cells
+    offsets[1:] += np.cumsum(n)
+    return MeasureRows(base.kind, np.insert(ids, at, atom_ids),
+                       None if xs is None else np.insert(xs, at, atom_xs),
+                       np.insert(rho, at, weight), offsets, residual)
 
 
 def sample_posterior(post: DirichletPosterior,
                      trunc: StickTruncation = DEFAULT_TRUNCATION,
                      rng: np.random.Generator = None) -> DiscreteMeasure:
-    """One draw from the posterior: sticks at total mass theta + n, each
-    stick location a fresh base draw w.p. theta/(theta+n) or a conditioning
-    atom w.p. 1/(theta+n) each.  Weight landing on the same atom id merges;
-    fresh ids start one past the largest conditioning id."""
+    """One draw from the posterior: Dirichlet weights W_1..W_n on the
+    conditioning atoms, and sticks at total mass theta, scaled by W_0, on
+    fresh base draws.  Weight landing on the same atom id merges; fresh ids
+    start one past the largest conditioning id."""
     if post.base.kind == "continuous":
         ids = np.array([p.uid for p in post.atoms], dtype=np.int64)
         xs = np.array([p.x for p in post.atoms], dtype=float)
@@ -611,8 +604,8 @@ def _check_masses(theta, base: BaseMeasure, A: TestSet, reps: int, trunc: StickT
     reps >= 2.
 
     The rows are drawn in blocks of about _MASS_BLOCK_CELLS expected cells
-    (a row expects 1 + (theta + n_cond) ln(1/eps) sticks under a residual
-    truncation, k under a fixed one).  Block i draws from the i-th substream
+    (a row holds its n_cond atoms and expects at most 1 + theta ln(1/eps)
+    fresh sticks under a residual truncation, k under a fixed one).  Block i draws from the i-th substream
     spawned from rng and keeps only its masses, so memory does not grow
     with reps; the blocks run as parallel jobs and join in block order, so
     the masses do not depend on the core count."""
@@ -620,7 +613,7 @@ def _check_masses(theta, base: BaseMeasure, A: TestSet, reps: int, trunc: StickT
     theta = float(theta)
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError("theta must be > 0")
-    per_row = trunc.k if trunc.k is not None else 1 + (theta + n_cond) * -math.log(trunc.eps)
+    per_row = n_cond + (trunc.k if trunc.k is not None else 1 + theta * -math.log(trunc.eps))
     block = max(1, int(_MASS_BLOCK_CELLS // per_row))
     sizes = [min(block, reps - start) for start in range(0, reps, block)]
 

@@ -50,7 +50,7 @@ def blockwise_masses(theta, base, A, reps, trunc, rng, n_cond=0):
     blocks of max(1, _MASS_BLOCK_CELLS // expected cells per row), block i
     a _dirichlet_rows batch on the i-th child spawned from rng, in order."""
     from fvkit import random_measures as rm
-    per_row = trunc.k if trunc.k is not None else 1 + (theta + n_cond) * -math.log(trunc.eps)
+    per_row = n_cond + (trunc.k if trunc.k is not None else 1 + theta * -math.log(trunc.eps))
     block = max(1, int(rm._MASS_BLOCK_CELLS // per_row))
     children = rng.spawn(-(-reps // block))
     return np.concatenate([

@@ -82,6 +82,14 @@ class TestPmfCommands:
         assert r.returncode == 3
         assert "precision exhausted" in r.stderr
 
+    def test_precision_exhausted_past_float_digits(self):
+        # above 325 digits a float cancellation guard underflowed to 0 and a
+        # float peak could overflow, so the error bound read nan
+        r = run_cli("pmf", "death", "--theta", "1", "--t", "0.001", "--digits", "400",
+                    "--max-terms", "2000")
+        assert r.returncode == 3
+        assert "precision exhausted" in r.stderr and "nan" not in r.stderr.lower()
+
     def test_invalid_args_exit_code(self):
         r = run_cli("pmf", "overlap", "--theta", "1", "--m", "-3", "--n", "2")
         assert r.returncode == 2

@@ -498,6 +498,15 @@ class TestNonabsorptionBounds:
         with pytest.raises(ValueError):
             check_nonabsorption_bounds(1.0, DeathParams(0), PREC)
 
+    def test_unresolved_gap_past_float_digits(self):
+        # at t = 500 the gap to the upper bound is below any float tolerance;
+        # the deepening stops at a positive floor instead of asking for a
+        # tail_tol of 0, also where 10**(10 - digits) underflows
+        with pytest.raises(PrecisionExhaustedError, match="certifiable resolution"):
+            check_nonabsorption_bounds(500.0, P1, PrecisionConfig(working_digits=400))
+        assert dp._inner_prec(PrecisionConfig(working_digits=400, tail_tol=1e-300),
+                              1e-30).tail_tol > 0
+
 
 class TestParamsValidation:
     def test_negative_theta(self):

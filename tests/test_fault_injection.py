@@ -343,7 +343,8 @@ def test_death_count_spread_to_two_points(monkeypatch):
     # keeps the stationary law, so the mean and variance rows hold; the lag
     # slope reads only E[N/(theta+N)], and the composition KS compares two
     # stationary samples.  The degree-2 eigenvalue also reads the second
-    # factorial moment of N, so only the eigen2 rows see it
+    # factorial moment of N, so only the eigen2 rows see it, and at
+    # theta = 4, t = 0.5 they read z = 3.954 at these reps
     def processes():
         return V.verify_processes(reps=4000, seed=11, thetas=(1.0, 4.0), chain_ns=(1,),
                                   fv_ts=(0.2, 0.5), checkpoints=(1,))
@@ -360,7 +361,12 @@ def test_death_count_spread_to_two_points(monkeypatch):
     report = processes()
     assert [(row.check, row.instance) for row in report.rows if not row.passed] == [
         ("fv-eigen2-slope", f"theta={theta},t={t},steps=1")
-        for theta in (1.0, 4.0) for t in (0.2, 0.5)]
+        for theta, t in ((1.0, 0.2), (1.0, 0.5), (4.0, 0.2))]
+
+
+def _posterior_processes():
+    return V.verify_processes(reps=3000, seed=11, thetas=(1.0, 4.0), chain_ns=(1, 5),
+                              fv_ts=(0.2, 1.0), checkpoints=(1,))
 
 
 def test_posterior_conditions_on_first_atom(monkeypatch):
@@ -369,11 +375,7 @@ def test_posterior_conditions_on_first_atom(monkeypatch):
     # stationary mean and the lag-k slope hold for any such pick, so only
     # the variance and degree-2 eigenfunction rows at n > 1 and the
     # composition KS see it
-    def processes():
-        return V.verify_processes(reps=3000, seed=11, thetas=(1.0, 4.0), chain_ns=(1, 5),
-                                  fv_ts=(0.2, 1.0), checkpoints=(1,))
-
-    assert processes().ok
+    assert _posterior_processes().ok
     rows = mk._posterior_rows
 
     def first_atom(theta, base, n, atom_ids, atom_xs, trunc, rng, first_id):
@@ -382,7 +384,7 @@ def test_posterior_conditions_on_first_atom(monkeypatch):
                     None if atom_xs is None else atom_xs[first], trunc, rng, first_id)
 
     monkeypatch.setattr(mk, "_posterior_rows", first_atom)
-    report = processes()
+    report = _posterior_processes()
     # every other row stays green: each n = 1, mean, lag-slope and DAR(1) row
     failing = [(row.check, row.instance) for row in report.rows if not row.passed]
     assert failing == [
@@ -446,9 +448,9 @@ def test_uniform_positions_squeezed(monkeypatch):
     # the uniform base draws positions on [0, 0.5) instead of [0, 1), so every
     # atom, fresh or conditioning, lands in A = [0, 0.5) and mu(A) reads
     # 1 - residual.  The prior rows go red at every theta.  The mixture
-    # identity holds over any base, so its rows see only the gap between the
-    # prior's (total mass theta) and the one-atom posterior's (theta + 1)
-    # truncation residuals, which shows at theta = 4
+    # identity holds over any base, and a one-atom posterior row's residual,
+    # W_0 times its fresh part's, has the prior's law eps exp(-E/theta) (E
+    # the last arrival's overshoot) whenever W_0 > eps, so its rows stay green
     assert V.verify_measures(reps=2000, seed=7).ok
     _squeeze_uniform_positions(monkeypatch)
     report = V.verify_measures(reps=2000, seed=7)
@@ -457,7 +459,7 @@ def test_uniform_positions_squeezed(monkeypatch):
             f"theta={theta}" + (",A=[0,0.5)" if check == "prior-mean-identity" else "")
             for theta in (0.5, 1.0, 4.0)], check
     for check in ("mixture-first-moment", "mixture-second-moment"):
-        assert _failing(report, check), check
+        assert not _failing(report, check), check
 
 
 def _measures_failing(reps):
@@ -469,7 +471,8 @@ def test_posterior_conditions_three_times(monkeypatch):
     # every row of the posterior kernel conditions on each of its atoms three
     # times, so the one-atom posterior puts mass 3/(theta + 3) on its atom.
     # Mixed over the atom its mean is still the prior's, but its second
-    # moment is not: only the mixture's second-moment rows see it
+    # moment is not: only the mixture's second-moment rows see it, and at
+    # theta = 0.5 they read z = 3.689 at these reps
     assert _measures_failing(10_000) == []
     rows = rm._posterior_rows
 
@@ -479,19 +482,75 @@ def test_posterior_conditions_three_times(monkeypatch):
 
     monkeypatch.setattr(rm, "_posterior_rows", thrice)
     assert _measures_failing(10_000) == [
-        ("mixture-second-moment", f"theta={theta}") for theta in (0.5, 1.0, 4.0)]
+        ("mixture-second-moment", f"theta={theta}") for theta in (1.0, 4.0)]
+
+
+class _GammaShifted:
+    """A generator whose standard_gamma draws at shape + 1; every other draw
+    goes to the generator it wraps."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def standard_gamma(self, shape, size=None):
+        return self._rng.standard_gamma(shape + 1, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_fresh_share_from_shifted_gamma(monkeypatch):
+    # the posterior kernel draws its fresh share's gamma at theta + 1, so
+    # (W_0, W_1, ..., W_n) ~ Dir(theta + 1, 1, ..., 1): the fresh part gets
+    # the weight that the split gives the atoms on average at one more atom.
+    # A prior row (n = 0) keeps W_0 = 1, so the prior rows and every mean
+    # row hold; the mixture's second moment, the chains' variance and lag
+    # rows and the reversibility rows see it, the more the smaller theta is
+    assert _measures_failing(10_000) == [] and _posterior_processes().ok
+    rows = rm._posterior_rows
+
+    def shifted(theta, base, n, atom_ids, atom_xs, trunc, rng, first_id):
+        return rows(theta, base, n, atom_ids, atom_xs, trunc, _GammaShifted(rng), first_id)
+
+    monkeypatch.setattr(rm, "_posterior_rows", shifted)
+    monkeypatch.setattr(mk, "_posterior_rows", shifted)
+    assert _measures_failing(10_000) == [
+        ("mixture-second-moment", f"theta={theta}") for theta in (0.5, 1.0)]
+    failing = [(row.check, row.instance) for row in _posterior_processes().rows
+               if not row.passed]
+    assert failing == [
+        ("measure-chain-variance", "theta=1.0,n=1,steps=1"),
+        ("measure-chain-lag-slope", "theta=1.0,n=1,steps=1"),
+        ("measure-chain-variance", "theta=1.0,n=5,steps=1"),
+        ("measure-chain-lag-slope", "theta=1.0,n=5,steps=1"),
+        ("measure-chain-eigen2-slope", "theta=1.0,n=5,steps=1"),
+        ("measure-chain-variance", "theta=4.0,n=5,steps=1"),
+        ("measure-chain-lag-slope", "theta=4.0,n=5,steps=1"),
+        ("fv-variance", "theta=1.0,t=0.2,steps=1"),
+        ("fv-lag-slope", "theta=1.0,t=0.2,steps=1"),
+        ("fv-eigen2-slope", "theta=1.0,t=0.2,steps=1"),
+        ("fv-variance", "theta=1.0,t=1.0,steps=1"),
+        ("fv-lag-slope", "theta=1.0,t=1.0,steps=1"),
+        ("fv-eigen2-slope", "theta=1.0,t=1.0,steps=1"),
+        ("fv-variance", "theta=4.0,t=0.2,steps=1"),
+        ("fv-lag-slope", "theta=4.0,t=0.2,steps=1"),
+        ("reversibility-marginal-ks", "theta=1,reps=3000"),
+        ("reversibility-cross-moment", "theta=1,reps=3000"),
+    ]
 
 
 def test_stick_beta_biased(monkeypatch):
-    # every Dirichlet-process row breaks its sticks at rate 1.5 b, as if each
-    # proportion were Beta(1, 1.5 b): the prior's total mass reads 1.5 theta.
-    # The mean measure is still the base, and at theta = 1 the mixture's
-    # second-moment arms part by about one standard error at these reps, so
-    # the prior's variance rows, read off the same batch as its mean, are
-    # the ones that go red
+    # every Dirichlet-process row breaks its fresh sticks at total mass
+    # 1.5 theta, as if each proportion were Beta(1, 1.5 theta): the prior's
+    # total mass reads 1.5 theta.
+    # The mean measure is still the base, and the mixture's second-moment
+    # arms part by at most about three standard errors at these reps (both
+    # arms break their fresh sticks at 1.5 theta), so the prior's variance
+    # rows, read off the same batch as its mean, are the ones that go red
     assert _measures_failing(2000) == []
     sticks = rm._dp_sticks
-    monkeypatch.setattr(rm, "_dp_sticks", lambda total, trunc, rng: sticks(1.5 * total, trunc, rng))
+    monkeypatch.setattr(rm, "_dp_sticks", lambda theta, share, trunc, rng:
+                        sticks(1.5 * theta, share, trunc, rng))
     assert _measures_failing(2000) == [
         ("prior-variance", f"theta={theta}") for theta in (0.5, 1.0, 4.0)]
 

@@ -158,15 +158,16 @@ def test_check_masses_match_serial_and_blockwise(monkeypatch, theta, reps, n_con
     assert np.array_equal(threaded, serial) and np.array_equal(threaded, reference)
 
 
-# rows per block: 2**16 // (1 + 5 ln 1e8) = 703 at theta = 4 with one
-# conditioning atom; 2**16 // 50 = 1310 under a fixed 50-stick truncation
+# rows per block: a row holds its one conditioning atom and at most
+# 1 + 4 ln 1e8 fresh sticks on average at theta = 4, so 2**16 // 75.7 = 865;
+# 2**16 // 51 = 1285 under a fixed 50-stick truncation
 @pytest.mark.parametrize("trunc, block, reps", [
-    (rm.DEFAULT_TRUNCATION, 703, 703),
-    (rm.DEFAULT_TRUNCATION, 703, 704),
-    (rm.StickTruncation.fixed(50), 1310, 3000),
+    (rm.DEFAULT_TRUNCATION, 865, 865),
+    (rm.DEFAULT_TRUNCATION, 865, 866),
+    (rm.StickTruncation.fixed(50), 1285, 3000),
 ])
 def test_check_masses_block_edges(trunc, block, reps):
-    per_row = trunc.k or 1 + 5 * -np.log(trunc.eps)
+    per_row = 1 + (trunc.k or 1 + 4 * -np.log(trunc.eps))
     assert rm._MASS_BLOCK_CELLS // per_row == block
     got = _masses(4.0, reps, trunc, n_cond=1)
     assert got.shape == (reps,)
@@ -184,10 +185,10 @@ def test_stick_budget_raised_in_a_worker_before_any_draw(monkeypatch):
     sticks = rm._dp_sticks
     seen = []
 
-    def watched(total, trunc, rng):
+    def watched(theta, share, trunc, rng):
         state = rng.bit_generator.state
         try:
-            return sticks(total, trunc, rng)
+            return sticks(theta, share, trunc, rng)
         finally:
             seen.append((threading.get_ident(), rng.bit_generator.state == state))
 

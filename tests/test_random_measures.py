@@ -94,12 +94,13 @@ def _stick_weights_first(params, trunc, rng):
 
 
 class TestDpSticks:
-    """The ragged Dirichlet-process kernel: 1 + Poisson(b ln(1/eps)) sticks per
-    row from the arrivals of a unit-rate Poisson process."""
+    """The ragged Dirichlet-process kernel: at total mass b, a row scaled by
+    share s takes 1 + Poisson(b ln(s/eps)) sticks from the arrivals of a
+    unit-rate Poisson process."""
 
     def test_count_is_one_plus_poisson(self):
         b, eps, rows = 2.0, 1e-3, 40_000
-        _, offsets, _ = rm._dp_sticks(np.full(rows, b), StickTruncation.residual(eps),
+        _, offsets, _ = rm._dp_sticks(b, np.ones(rows), StickTruncation.residual(eps),
                                       np.random.default_rng(41))
         extra = np.diff(offsets) - 1
         lam = b * math.log(1 / eps)
@@ -113,40 +114,45 @@ class TestDpSticks:
         assert_within_se(extra.mean(), lam, math.sqrt(lam / rows), label="mean count - 1")
 
     def test_rows_take_their_own_counts(self):
-        # alternating total masses 0.5 and 4: each row's count follows its own rate
-        total = np.tile([0.5, 4.0], 20_000)
-        _, offsets, _ = rm._dp_sticks(total, DEFAULT_TRUNCATION, np.random.default_rng(42))
+        # alternating shares 1 and 1e-4, and 1e-9 below eps: each row's count
+        # follows its own rate, 1 + Poisson(0) when the share is below eps
+        share = np.tile([1.0, 1e-4, 1e-9], 20_000)
+        _, offsets, _ = rm._dp_sticks(2.0, share, DEFAULT_TRUNCATION, np.random.default_rng(42))
         extra = np.diff(offsets) - 1
-        for b in (0.5, 4.0):
-            lam = b * math.log(1e8)
-            sel = extra[total == b]
-            assert_within_se(sel.mean(), lam, math.sqrt(lam / sel.size), label=f"b={b}")
+        for s in (1.0, 1e-4):
+            lam = 2.0 * math.log(s / 1e-8)
+            sel = extra[share == s]
+            assert_within_se(sel.mean(), lam, math.sqrt(lam / sel.size), label=f"share={s}")
+        assert (extra[share == 1e-9] == 0).all()
 
     @pytest.mark.parametrize("theta", [0.5, 4.0, 25.0])
     def test_residual_below_eps_and_weights_telescope(self, theta):
-        total = theta + np.arange(200) % 7
-        rho, offsets, residual = rm._dp_sticks(total, DEFAULT_TRUNCATION,
+        share = 1 / (1 + np.arange(200) % 7) ** 4
+        rho, offsets, residual = rm._dp_sticks(theta, share, DEFAULT_TRUNCATION,
                                                np.random.default_rng(43))
         assert (residual < DEFAULT_TRUNCATION.eps).all() and (residual > 0).all()
         assert (rho > 0).all() and offsets[-1] == rho.size
-        gap = np.abs(np.add.reduceat(rho, offsets[:-1]) + residual - 1)
+        gap = np.abs(np.add.reduceat(rho, offsets[:-1]) + residual - share)
         assert gap.max() < 1e-12
 
     def test_fixed_truncation_gives_k_sticks(self):
-        rho, offsets, residual = rm._dp_sticks(np.array([0.5, 1.0, 30.0]),
-                                               StickTruncation.fixed(7),
-                                               np.random.default_rng(44))
-        assert offsets.tolist() == [0, 7, 14, 21]
-        gap = np.add.reduceat(rho, offsets[:-1]) + residual - 1
-        assert np.abs(gap).max() < 1e-12
-        assert residual[2] > residual[0]  # a larger total mass keeps more back
+        share = np.array([1.0, 0.5, 1e-12])
+        residuals = []
+        for theta in (0.5, 30.0):
+            rho, offsets, residual = rm._dp_sticks(theta, share, StickTruncation.fixed(7),
+                                                   np.random.default_rng(44))
+            assert offsets.tolist() == [0, 7, 14, 21]
+            gap = np.add.reduceat(rho, offsets[:-1]) + residual - share
+            assert np.abs(gap).max() < 1e-12
+            residuals.append(residual)
+        assert (residuals[1] > residuals[0]).all()  # a larger total mass keeps more back
 
     def test_budget_checked_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(rm, "MAX_STICKS", 1000)
         rng = np.random.default_rng(45)
         state = rng.bit_generator.state
         with pytest.raises(StickBudgetError, match="over the cap of 1000"):
-            rm._dp_sticks(np.array([1.0, 1e3]), StickTruncation.residual(1e-8), rng)
+            rm._dp_sticks(1e3, np.array([1.0, 0.5]), StickTruncation.residual(1e-8), rng)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("theta", [0.5, 4.0])
@@ -289,6 +295,24 @@ class TestPosterior:
     def test_discrete_numpy_integer_atoms_accepted(self):
         post = posterior(1.0, DiscreteBase(weights=(0.3, 0.7)), np.array([1, 0]))
         assert post.atoms == (1, 0)
+
+    @pytest.mark.parametrize("theta, n", [(0.5, 1), (1.0, 5), (4.0, 5)])
+    def test_mass_law_is_exact_beta(self, theta, n):
+        # every row conditions on n atoms inside A = [0, 0.2), so mu(A) is
+        # Beta(theta p + n, theta (1 - p)) with p = 0.2 (Ferguson 1973);
+        # scipy is the oracle
+        from scipy import stats
+        rows, p, A = 40_000, 0.2, Interval(0.0, 0.2)
+        rng = np.random.default_rng(31)
+        atoms = rows * n
+        xs = p * rng.random(atoms)
+        got = rm._posterior_rows(theta, UniformBase(), np.full(rows, n),
+                                 np.arange(1, atoms + 1), xs, DEFAULT_TRUNCATION, rng, atoms + 1)
+        gap = np.add.reduceat(got.weights, got.offsets[:-1]) + got.residual - 1
+        assert np.abs(gap).max() < 1e-12
+        assert (got.residual < DEFAULT_TRUNCATION.eps).all()
+        law = stats.beta(theta * p + n, theta * (1 - p))
+        assert stats.kstest(got.mass(A), law.cdf).pvalue > 1e-3
 
     def test_seeded_content_identical(self):
         base = UniformBase()
@@ -580,8 +604,8 @@ class TestStreamPins:
     the stick recurrence shows up here.  STICK_BREAK, the general kernel's,
     is exact and dates from before the stick-breaking kernels were merged,
     so its floating-point order is pinned too.  The Dirichlet-process row
-    kernel's pins were recorded with the ragged kernel, at float32 (see
-    conftest.portable_digest).  Fresh ids from a continuous base start at 1,
+    kernel's pins were recorded with the ragged kernel and the posterior's
+    conjugate split, at float32 (see conftest.portable_digest).  Fresh ids from a continuous base start at 1,
     or one past the largest conditioning id."""
 
     BASES = {
@@ -610,15 +634,15 @@ class TestStreamPins:
     # a discrete base with points draws the discrete case's ids, weights and
     # residual from the same stream, and adds xs = points[ids]
     POSTERIOR = {
-        ("uniform", 0): "c32ddb98d2f9bfb6",
-        ("uniform", 1): "28da3fb8b04acc0b",
-        ("uniform", 5): "9fd309c44bf1a277",
-        ("discrete", 0): "0d6841b1b0193a21",
-        ("discrete", 1): "062d3d8479e00443",
-        ("discrete", 5): "581eebfb434f45eb",
-        ("points", 0): "7eb720f89040a3b7",
-        ("points", 1): "08d72106666ace03",
-        ("points", 5): "55112ee5666bbd01",
+        ("uniform", 0): "f874082a31ef4837",
+        ("uniform", 1): "a1c4e0bcb341411a",
+        ("uniform", 5): "318ff2c3854c09a5",
+        ("discrete", 0): "05b02ec7ea3ce1cf",
+        ("discrete", 1): "9fde02dfe8e13906",
+        ("discrete", 5): "1dce5430f64e453f",
+        ("points", 0): "65183ab67d924261",
+        ("points", 1): "aa0baada1a6ebca2",
+        ("points", 5): "90931faf283a3c7a",
     }
     @pytest.mark.parametrize("key", list(STICK_BREAK))
     def test_stick_break(self, key):
@@ -648,8 +672,8 @@ class TestStreamPins:
     # conditioning atoms: ids do not enter, so this pin held, as
     # 9dc4a0fc7c7d3a82 and 82e6f13f40aa1f10, while fresh ids moved from a
     # counter shared by the whole process to run-scoped ids, and moved only
-    # with the ragged stick kernel
-    BY_POSITION = {1: "6fc42cba4ba20c87", 5: "7fbd4664e045f02c"}
+    # with the ragged stick kernel and the conjugate split
+    BY_POSITION = {1: "2253ed62aa3c98c3", 5: "03e92c3fc31ecfb6"}
 
     @pytest.mark.parametrize("n", list(BY_POSITION))
     def test_posterior_ids_only_relabelled(self, n):
@@ -661,12 +685,12 @@ class TestStreamPins:
 
     # rows of the prior (n_cond 0) and of the one-atom posterior (n_cond 1)
     DIRICHLET_ROWS = {
-        ("uniform", 0): "886fb66b6d3c87a5",
-        ("uniform", 1): "42a9d26745bd17bd",
-        ("discrete", 0): "aa2aae03458aad6b",
-        ("discrete", 1): "5d0607861b359931",
-        ("points", 0): "97e86c9a6c81f26f",
-        ("points", 1): "f776e0fbc7ee65a7",
+        ("uniform", 0): "17f9c8af1ac109b1",
+        ("uniform", 1): "93a0b0d5ca236376",
+        ("discrete", 0): "6dae57d72961d683",
+        ("discrete", 1): "1f7070f65215f67e",
+        ("points", 0): "76b8466412ca8347",
+        ("points", 1): "afa9093dd142c92c",
     }
 
     def _dirichlet_rows(self, name, n_cond):
