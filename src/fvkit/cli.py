@@ -6,12 +6,12 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 """
 from __future__ import annotations
 
-import functools
+import argparse
 import json
+import os
+import re
 import sys
 from fractions import Fraction
-
-import click
 
 from . import verify as verify_mod
 from ._lazy import np
@@ -27,110 +27,137 @@ EXIT_BAD_ARGS = 2
 EXIT_PRECISION = 3
 
 
-class RationalParam(click.ParamType):
+def rational(value: str) -> Fraction:
     """Numeric flag accepting exact rational syntax p/q as well as decimals."""
-
-    name = "rational"
-
-    def convert(self, value, param, ctx):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            self.fail(f"{value!r} is not a number or p/q rational", param, ctx)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:  # argparse reports a ValueError as an invalid value
+        raise ValueError(value) from None
 
 
-RATIONAL = RationalParam()
-
-
-def _parse_base(spec: str):
+def _parse_base(spec: str, fail):
     if spec == "uniform":
         return UniformBase()
     try:
         weights = tuple(float(w) for w in spec.split(","))
     except ValueError:
-        raise click.UsageError(f"--base must be 'uniform' or comma-separated weights, got {spec!r}")
+        fail(f"--base must be 'uniform' or comma-separated weights, got {spec!r}")
     return DiscreteBase(weights=weights)  # a bad weight is a ValueError, exit 2
 
 
-def _parse_observable(spec: str, base):
+def _parse_observable(spec: str, base, fail):
     if ":" in spec:
         lo, hi = spec.split(":", 1)
         return Interval(float(lo), float(hi))
     if not isinstance(base, DiscreteBase):
-        raise click.UsageError(f"observable {spec!r} needs lo:hi form for a continuous base")
+        fail(f"observable {spec!r} needs lo:hi form for a continuous base")
     A = AtomSet(int(i) for i in spec.split(","))
     if not A.indices <= set(range(base.size)):
-        raise click.UsageError(f"observable {spec!r} names an atom outside 0..{base.size - 1}")
+        fail(f"observable {spec!r} names an atom outside 0..{base.size - 1}")
     return A
 
 
-precision_options = [
-    click.option("--digits", type=int, default=PrecisionConfig.working_digits, show_default=True,
-                 help="working decimal digits for series evaluation"),
-    click.option("--tail-tol", type=float, default=PrecisionConfig.tail_tol, show_default=True,
-                 help="absolute series truncation target, > 0 and < 1"),
-    click.option("--max-terms", type=int, default=PrecisionConfig.max_terms, show_default=True,
-                 help="series term and pmf entry budget before failing"),
-]
-
-output_options = [
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-                 show_default=True),
-    click.option("--out", default="-", show_default=True, help="output path, - for stdout"),
-]
-
-seed_option = click.option("--seed", type=int, default=0, show_default=True,
-                           envvar="FVKIT_SEED", help="master seed (env FVKIT_SEED)")
+def _add_common_options(p: argparse.ArgumentParser) -> None:
+    """The precision, output and seed options every command takes."""
+    p.add_argument("--digits", type=int, default=PrecisionConfig.working_digits,
+                   help="working decimal digits for series evaluation")
+    p.add_argument("--tail-tol", type=float, default=PrecisionConfig.tail_tol,
+                   help="absolute series truncation target, > 0 and < 1")
+    p.add_argument("--max-terms", type=int, default=PrecisionConfig.max_terms,
+                   help="series term and pmf entry budget before failing")
+    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv",
+                   help="table format")
+    p.add_argument("--out", default="-", help="output path, - for stdout")
+    # an unset or empty FVKIT_SEED leaves 0; a bad one is a usage error
+    p.add_argument("--seed", type=int, default=os.environ.get("FVKIT_SEED") or 0,
+                   help="master seed (env FVKIT_SEED)")
+    p.add_argument("--help", action="help", help="show this message and exit")
 
 
-def _exit_codes(command):
-    """Report PrecisionExhaustedError as exit 3 and a ValueError, TypeError,
-    OverflowError or StickBudgetError (a bad argument value; the last a
-    theta whose stick rows would exceed the stick cap) as exit 2, each with
-    one stderr line."""
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except PrecisionExhaustedError as e:
-            click.echo(f"precision exhausted: {e}", err=True)
-            sys.exit(EXIT_PRECISION)
-        except (ValueError, TypeError, OverflowError, StickBudgetError) as e:
-            click.echo(f"invalid arguments: {e}", err=True)
-            sys.exit(EXIT_BAD_ARGS)
-    return run
+def _attach_negative_values(argv: list) -> list:
+    # argparse reads a value such as -1,7, -0.5:0.5 or -1/2 as an unknown
+    # flag; no fvkit option is spelled like a number, so join it to the
+    # option before it as --option=value
+    out = []
+    for token in argv:
+        if out and re.fullmatch(r"--\w[-\w]*", out[-1]) and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
-def _apply(opts):
-    def deco(f):
-        for opt in reversed(opts):
-            f = opt(f)
-        return f
-    return deco
-
-
-@click.group()
-def main():
+def main(args=None, prog_name=None):
     """Computation and verification toolkit for Dirichlet-process chains,
     urn overlap distributions, and the measure-valued transition built
     from them."""
+    # always ends in SystemExit with the exit code, 0 included
+    kw = dict(add_help=False, allow_abbrev=False,
+              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, **kw)
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(func):
+        p = commands.add_parser(func.__name__, help=func.__doc__, description=func.__doc__, **kw)
+        p.set_defaults(run=func)
+        return p
+
+    p = command(verify)
+    p.add_argument("suite", choices=["combinatorics", "death", "urn", "measures", "processes", "all"])
+    p.add_argument("--m-max", type=int, help="identity / pmf grid bound")
+    p.add_argument("--n-max", type=int, help="transition grid bound")
+    p.add_argument("--theta", dest="thetas", metavar="THETA", type=rational, action="append",
+                   default=[], help="theta grid override (repeatable)")
+    p.add_argument("--sigma", type=rational, help="stick-breaking discount for the measures suite")
+    p.add_argument("--s", dest="svals", metavar="S", type=rational, action="append", default=[],
+                   help="time grid override (repeatable)")
+    p.add_argument("--reps", type=int, help="Monte Carlo replicates")
+    _add_common_options(p)
+
+    p = command(pmf)
+    p.set_defaults(fail=p.error)
+    p.add_argument("which", choices=["death", "overlap"])
+    p.add_argument("--theta", type=rational, required=True)
+    p.add_argument("--t", dest="tval", metavar="T", type=rational, help="elapsed time (death pmf)")
+    p.add_argument("--m", type=int, help="number of draws (overlap pmf)")
+    p.add_argument("--n", type=int, help="number of conditioning atoms (overlap pmf)")
+    p.add_argument("--bruteforce", action=argparse.BooleanOptionalAction, default=False,
+                   help="add the enumeration-oracle column (overlap pmf)")
+    p.add_argument("--reps", type=int, default=0, help="add a Monte Carlo column with this many reps")
+    _add_common_options(p)
+
+    p = command(simulate)
+    p.set_defaults(fail=p.error)
+    p.add_argument("kind", choices=["dar1", "measure-chain", "fv"])
+    p.add_argument("--theta", type=rational, required=True)
+    p.add_argument("--t", dest="tval", metavar="T", type=rational, help="transition duration (fv)")
+    p.add_argument("--n", type=int, help="draws per step (measure-chain)")
+    p.add_argument("--steps", type=int, default=100, help="chain steps")
+    p.add_argument("--base", dest="base_spec", metavar="BASE", default="uniform",
+                   help="'uniform' or comma-separated discrete weights")
+    p.add_argument("--observable", dest="observables", metavar="OBSERVABLE", action="append",
+                   default=[], help="lo:hi interval or comma-separated atom indices; repeatable")
+    p.add_argument("--trunc-eps", type=float, default=DEFAULT_TRUNCATION.eps,
+                   help="stick-breaking residual target")
+    p.add_argument("--dump-final", help="write the final measure as JSON here (measure-chain, fv)")
+    _add_common_options(p)
+
+    opts = vars(parser.parse_args(_attach_negative_values(sys.argv[1:] if args is None else args)))
+    opts.pop("command")
+    run = opts.pop("run")
+    # a bad value raises one of these (StickBudgetError: a theta past the stick cap)
+    try:
+        run(**opts)
+    except PrecisionExhaustedError as e:
+        print(f"precision exhausted: {e}", file=sys.stderr)
+        sys.exit(EXIT_PRECISION)
+    except (ValueError, TypeError, OverflowError, StickBudgetError) as e:
+        print(f"invalid arguments: {e}", file=sys.stderr)
+        sys.exit(EXIT_BAD_ARGS)
+    sys.exit(0)
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(["combinatorics", "death", "urn", "measures",
-                                            "processes", "all"]))
-@click.option("--m-max", type=int, default=None, help="identity / pmf grid bound")
-@click.option("--n-max", type=int, default=None, help="transition grid bound")
-@click.option("--theta", "thetas", type=RATIONAL, multiple=True,
-              help="theta grid override (repeatable)")
-@click.option("--sigma", type=RATIONAL, default=None,
-              help="stick-breaking discount for the measures suite")
-@click.option("--s", "svals", type=RATIONAL, multiple=True, help="time grid override")
-@click.option("--reps", type=int, default=None, help="Monte Carlo replicates")
-@_apply(precision_options)
-@_apply(output_options)
-@seed_option
-@_exit_codes
 def verify(suite, m_max, n_max, thetas, sigma, svals, reps, digits, tail_tol, max_terms,
            fmt, out, seed):
     """Run a verification suite; nonzero exit on any failed check."""
@@ -165,31 +192,19 @@ def verify(suite, m_max, n_max, thetas, sigma, svals, reps, digits, tail_tol, ma
                         rows, footer={"checks": total, "failed": failed}, fmt=fmt)
     emit(text, out)
     for rep in reports:
-        click.echo(f"{rep.suite}: {len(rep.rows) - rep.n_failed}/{len(rep.rows)} checks passed",
-                   err=True)
+        print(f"{rep.suite}: {len(rep.rows) - rep.n_failed}/{len(rep.rows)} checks passed",
+              file=sys.stderr)
     if failed:
         sys.exit(EXIT_VERIFY_FAILED)
 
 
-@main.command()
-@click.argument("which", type=click.Choice(["death", "overlap"]))
-@click.option("--theta", type=RATIONAL, required=True)
-@click.option("--t", "tval", type=RATIONAL, default=None, help="elapsed time (death pmf)")
-@click.option("--m", type=int, default=None, help="number of draws (overlap pmf)")
-@click.option("--n", type=int, default=None, help="number of conditioning atoms (overlap pmf)")
-@click.option("--bruteforce/--no-bruteforce", default=False,
-              help="add the enumeration-oracle column (overlap pmf)")
-@click.option("--reps", type=int, default=0, help="add a Monte Carlo column with this many reps")
-@_apply(precision_options)
-@_apply(output_options)
-@seed_option
-@_exit_codes
-def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms, fmt, out, seed):
+def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms, fmt, out, seed,
+        fail):
     """Write a pmf table: the death-count pmf at time t, or the urn overlap
     pmf for m draws against n atoms."""
     if which == "death":
         if tval is None:
-            raise click.UsageError("pmf death needs --t")
+            fail("pmf death needs --t")
         prec = PrecisionConfig(digits, tail_tol, max_terms)
         params = DeathParams(theta if theta.denominator > 1 else float(theta))
         table = death_pmf(tval, params, prec)
@@ -204,7 +219,7 @@ def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms,
         emit(render_table(config, ["n", "d_n", "term_bound"], rows, footer, fmt), out)
         return
     if m is None or n is None:
-        raise click.UsageError("pmf overlap needs --m and --n")
+        fail("pmf overlap needs --m and --n")
     exact = overlap_pmf_theta0(m, n) if theta == 0 else overlap_pmf_exact(m, n, theta)
     columns = ["r", "p_exact", "p_float"]
     cols = [list(range(len(exact.probs))), list(exact.probs),
@@ -223,44 +238,26 @@ def pmf(which, theta, tval, m, n, bruteforce, reps, digits, tail_tol, max_terms,
     emit(render_table(config, columns, rows, {"sum": float(sum(exact.probs))}, fmt), out)
 
 
-@main.command()
-@click.argument("kind", type=click.Choice(["dar1", "measure-chain", "fv"]))
-@click.option("--theta", type=RATIONAL, required=True)
-@click.option("--t", "tval", type=RATIONAL, default=None, help="transition duration (fv)")
-@click.option("--n", type=int, default=None, help="draws per step (measure-chain)")
-@click.option("--steps", type=int, default=100, show_default=True)
-@click.option("--base", "base_spec", default="uniform", show_default=True,
-              help="'uniform' or comma-separated discrete weights")
-@click.option("--observable", "observables", multiple=True,
-              help="lo:hi interval or comma-separated atom indices; repeatable")
-@click.option("--trunc-eps", type=float, default=DEFAULT_TRUNCATION.eps, show_default=True,
-              help="stick-breaking residual target")
-@click.option("--dump-final", default=None,
-              help="write the final measure as JSON here (measure-chain, fv)")
-@_apply(precision_options)
-@_apply(output_options)
-@seed_option
-@_exit_codes
 def simulate(kind, theta, tval, n, steps, base_spec, observables, trunc_eps, dump_final,
-             digits, tail_tol, max_terms, fmt, out, seed):
+             digits, tail_tol, max_terms, fmt, out, seed, fail):
     """Run a chain for a number of steps, recording observables per step."""
-    base = _parse_base(base_spec)
+    base = _parse_base(base_spec, fail)
     if not observables:
         observables = ("0:0.5",) if isinstance(base, UniformBase) else ("0",)
-    obs = [_parse_observable(o, base) for o in observables]
+    obs = [_parse_observable(o, base, fail) for o in observables]
     th = float(theta)
     trunc = StickTruncation.residual(trunc_eps)
     if kind == "dar1":
         if dump_final is not None:
-            raise click.UsageError("--dump-final needs a measure-valued chain, not dar1")
+            fail("--dump-final needs a measure-valued chain, not dar1")
         cfg = Dar1Config(theta=th, base=base)
     elif kind == "measure-chain":
         if n is None:
-            raise click.UsageError("measure-chain needs --n")
+            fail("measure-chain needs --n")
         cfg = MeasureChainConfig(theta=th, base=base, n=n, trunc=trunc)
     else:
         if tval is None:
-            raise click.UsageError("fv needs --t")
+            fail("fv needs --t")
         cfg = FvConfig(theta=th, base=base, t=float(tval),
                        prec=PrecisionConfig(digits, tail_tol, max_terms), trunc=trunc)
     rng = np.random.default_rng(seed)
@@ -282,4 +279,4 @@ def simulate(kind, theta, tval, n, steps, base_spec, observables, trunc_eps, dum
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m fvkit.cli")

@@ -565,7 +565,8 @@ def check_nonabsorption_bounds(t, params: DeathParams,
                 raise PrecisionExhaustedError(
                     f"bound gap at t={float(t)} is below the certifiable "
                     f"resolution at {inner.working_digits} digits",
-                    smallest_achievable=bound,
+                    # the margin's floor: a smaller bound rounds to float 0
+                    smallest_achievable=max(bound, 5e-324),
                 )
             tol = max(tol * 1e-12, floor)
 

@@ -59,6 +59,12 @@ class TestPmfCommands:
             assert (p * 2000).is_integer()
             assert se == pytest.approx((p * (1 - p) / 2000) ** 0.5, rel=1e-12)
 
+    def test_no_bruteforce_is_the_default(self):
+        args = ("pmf", "overlap", "--theta", "7/2", "--m", "3", "--n", "2")
+        r = run_cli(*args, "--no-bruteforce")
+        assert r.returncode == 0
+        assert r.stdout == run_cli(*args).stdout
+
     def test_overlap_theta0(self):
         r = run_cli("pmf", "overlap", "--theta", "0", "--m", "2", "--n", "2")
         _, rows = parse_csv(r.stdout)
@@ -97,6 +103,10 @@ class TestPmfCommands:
         assert r.returncode == 2
         r = run_cli("verify", "bogus")
         assert r.returncode == 2
+        r = run_cli("simulate", "dar1", "--theta", "1", "--see", "3")  # no prefix matching
+        assert r.returncode == 2 and r.stdout == ""
+        r = run_cli("simulate", "dar1", "--theta", "1", env_extra={"FVKIT_SEED": "abc"})
+        assert r.returncode == 2 and r.stdout == ""
 
     @pytest.mark.parametrize("args", [
         ("simulate", "fv", "--theta", "1", "--t", "1e400"),
@@ -181,6 +191,15 @@ class TestSimulateCommands:
         assert f"observable {observable!r} names an atom outside 0..1" in r.stderr
         assert r.stdout == ""
 
+    def test_observable_value_starting_with_minus(self):
+        # a value that starts with '-' but is not a plain number is still
+        # the option's value, not an unknown flag
+        args = ("simulate", "dar1", "--theta", "1", "--steps", "5")
+        r = run_cli(*args, "--observable", "-0.5:0.5")
+        assert r.returncode == 0
+        assert '"observables":["-0.5:0.5"]' in r.stdout
+        assert r.stdout == run_cli(*args, "--observable=-0.5:0.5").stdout
+
     @pytest.mark.parametrize("args, message", [
         (("--base", "nan,0.5"), "weights must be finite, nonnegative and sum to 1"),
         (("--observable", "nan:0.5"), "interval endpoints must not be NaN")],
@@ -242,7 +261,6 @@ class TestVerifyCommand:
         assert doc["footer"]["failed"] == "0"
 
     def test_failed_check_exits_one(self, monkeypatch, tmp_path):
-        from click.testing import CliRunner
         from fvkit import cli as cli_mod
         from fvkit import verify as verify_mod
         from fvkit.verify import VerifyReport, VerifyRow
@@ -252,8 +270,9 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(verify_mod, "verify_urn", broken)
         out = tmp_path / "r.csv"
-        result = CliRunner().invoke(cli_mod.main, ["verify", "urn", "--out", str(out)])
-        assert result.exit_code == 1
+        with pytest.raises(SystemExit) as exc:
+            cli_mod.main(["verify", "urn", "--out", str(out)])
+        assert exc.value.code == 1
         assert "failed: 1" in out.read_text()
 
     def test_invalid_digits_exit_code(self):
@@ -294,13 +313,17 @@ class TestVerifyCommand:
         assert r.stderr == ("invalid arguments: reps must be >= 2 for a Monte Carlo "
                             f"standard error, got {reps}\n")
 
-    @pytest.mark.parametrize("args", [
-        ["verify", "measures", "--reps", "50"],
-        ["verify", "processes", "--reps", "50"],
-        ["simulate", "measure-chain", "--n", "2", "--steps", "2"],
-    ], ids=["verify-measures", "verify-processes", "simulate-measure-chain"])
-    def test_theta_zero_exit_code(self, args):
-        r = run_cli(*args, "--theta", "0")
+    # -1/2 is read as the value of --theta, not as an unknown flag
+    @pytest.mark.parametrize("args, theta", [
+        (["verify", "measures", "--reps", "50"], "0"),
+        (["verify", "processes", "--reps", "50"], "0"),
+        (["simulate", "measure-chain", "--n", "2", "--steps", "2"], "0"),
+        (["verify", "measures", "--reps", "50"], "-1/2"),
+        (["simulate", "measure-chain", "--n", "2", "--steps", "2"], "-1/2"),
+    ], ids=["verify-measures", "verify-processes", "simulate-measure-chain",
+            "verify-measures-negative", "simulate-measure-chain-negative"])
+    def test_theta_zero_exit_code(self, args, theta):
+        r = run_cli(*args, "--theta", theta)
         assert r.returncode == 2
         assert r.stderr == "invalid arguments: theta must be > 0\n"
 
@@ -333,7 +356,6 @@ class TestVerifyCommand:
     def test_flags_reach_each_suite(self, monkeypatch, args, expected):
         import inspect
 
-        from click.testing import CliRunner
         from fvkit import cli as cli_mod
         from fvkit import verify as verify_mod
         from fvkit.verify import VerifyReport
@@ -349,8 +371,9 @@ class TestVerifyCommand:
                 calls[_name] = kw
                 return VerifyReport(_name, ())
             monkeypatch.setattr(verify_mod, f"verify_{name}", record)
-        result = CliRunner().invoke(cli_mod.main, ["verify", "all", *args])
-        assert result.exit_code == 0, result.output
+        with pytest.raises(SystemExit) as exc:
+            cli_mod.main(["verify", "all", *args])
+        assert exc.value.code == 0
         prec = calls["death"].pop("prec")
         assert (prec.working_digits, prec.tail_tol, prec.max_terms) == (60, 1e-12, 400)
         assert calls == expected

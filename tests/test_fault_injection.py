@@ -618,10 +618,10 @@ def test_stick_keep_factor_dropped(monkeypatch):
 
     monkeypatch.setattr(rm, "_stick_weights", keep_dropped)
     assert _measures_failing(2000) == [("pd-stick-telescoping", "sigma=0.5,K=2000")]
-    from click.testing import CliRunner
     from fvkit import cli
-    result = CliRunner().invoke(cli.main, ["verify", "measures", "--reps", "2000"])
-    assert result.exit_code == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "measures", "--reps", "2000"])
+    assert exc.value.code == 1
 
 
 def test_dp_preset_beta_quadratic(monkeypatch):

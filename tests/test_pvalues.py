@@ -176,12 +176,12 @@ if sys.argv[1:]:
     except SystemExit as e:
         if e.code:
             raise
-print(",".join(m for m in ("mpmath", "numpy", "scipy") if m in sys.modules))
+print(",".join(m for m in ("click", "mpmath", "numpy", "scipy") if m in sys.modules))
 """
 
 
 def test_runtime_does_not_import_scipy():
-    """Neither scipy nor mpmath is ever imported, and numpy only by the
+    """Neither click, scipy nor mpmath is ever imported, and numpy only by the
     commands that compute with it: the exact-rational commands, the death
     pmf series (stdlib decimal) and the closed-form oracle (Python
     integers) load none of them, while the chains and the p-values need
