@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import parallel, polya_urn, random_measures
+from . import parallel, polya_urn, random_measures, stats
 from ._lazy import np
 # binomial, falling_factorial and rising_factorial are unused here but stay
 # importable: bench/tracing.py rebinds this module's combinatorics names
@@ -562,12 +562,11 @@ def check_nonabsorption_bounds(t, params: DeathParams,
                 return False
             # within the margin of an endpoint: unresolved at this depth
             if tol <= floor:
-                raise PrecisionExhaustedError(
-                    f"bound gap at t={float(t)} is below the certifiable "
-                    f"resolution at {inner.working_digits} digits",
-                    # the margin's floor: a smaller bound rounds to float 0
-                    smallest_achievable=max(bound, 5e-324),
-                )
+                smallest = max(bound, 5e-324)  # the margin's floor: a smaller bound rounds to 0
+                where = (f"certifiable resolution at {inner.working_digits} digits" if smallest > 5e-324
+                         else "float floor of the margin, which more digits cannot resolve")
+                raise PrecisionExhaustedError(f"bound gap at t={float(t)} is below the {where}",
+                                              smallest_achievable=smallest)
             tol = max(tol * 1e-12, floor)
 
 
@@ -774,7 +773,7 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
 
 def _empirical(t: float, theta: float, n0: int, reps: int, counts: np.ndarray) -> EmpiricalPmf:
     probs = counts / reps
-    stderr = np.sqrt(probs * (1 - probs) / reps)
+    stderr = stats.binomial_se(probs, reps)
     return EmpiricalPmf(t=t, theta=theta, n0=n0, reps=reps, probs=probs, stderr=stderr)
 
 
@@ -817,5 +816,5 @@ def mc_death_pmf_sensitivity(t: float, params: DeathParams, n0: int, reps: int,
         base=base,
         doubled=doubled,
         max_abs_shift=float(shift.max()),
-        max_shift_in_se=float(np.max(random_measures._z(shift, joint))),
+        max_shift_in_se=float(np.max(stats.z(shift, joint))),
     )

@@ -18,7 +18,6 @@ from .random_measures import (
     BaseMeasure,
     DiscreteBase,
     DiscreteMeasure,
-    Estimate,
     MeasureRows,
     Point,
     StickTruncation,
@@ -33,6 +32,7 @@ from .random_measures import (
 # sample_posterior and sample_from_measure are unused here but stay
 # importable: bench/tracing.py rebinds this module's random_measures names
 from .random_measures import sample_from_measure, sample_posterior  # noqa: F401
+from .stats import Estimate, chi2_sf, chisquare_pvalue, ks_2samp_equal, lag_slope
 
 
 @dataclass(frozen=True)
@@ -177,18 +177,6 @@ def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
 # ---------------------------------------------------------------------------
 # harnesses
 
-def _lag_slope(u: np.ndarray, v: np.ndarray, target: float) -> Estimate:
-    """OLS slope of v on u with its heteroscedasticity-robust (HC0
-    sandwich) standard error, against target; NaN when u does not vary."""
-    du, dv = u - u.mean(), v - v.mean()
-    sxx = float(du @ du)
-    if sxx == 0:
-        return Estimate(math.nan, math.nan, target)
-    slope = float(du @ dv) / sxx
-    score = du * (dv - slope * du)
-    return Estimate(slope, math.sqrt(float(score @ score)) / sxx, target)
-
-
 def stationarity_checks(cfg, A: TestSet, reps: int, checkpoints: Sequence[int],
                         rng: np.random.Generator):
     """Start reps rows at stationary draws, step them together, and test
@@ -228,71 +216,9 @@ def stationarity_checks(cfg, A: TestSet, reps: int, checkpoints: Sequence[int],
         return x * (x + c1) + c0
 
     return [replace(_moment_check(vals[m], m, p, th),
-                    slope=_lag_slope(start, vals[m], rho**m),
-                    eigen2_slope=_lag_slope(f2(start), f2(vals[m]), rho2**m))
+                    slope=lag_slope(start, vals[m], rho**m),
+                    eigen2_slope=lag_slope(f2(start), f2(vals[m]), rho2**m))
             for m in marks]
-
-
-def _ks_2samp_equal(x, y) -> tuple[float, float]:
-    """Two-sided two-sample Kolmogorov-Smirnov test for equal sample sizes
-    n, exact at every n: the statistic D = h/n is the largest gap between
-    the two ECDFs over the pooled points, and the p-value is the chance
-    that a uniform lattice path from (0, 0) to (n, n) touches |i - j| = h
-    (Hodges 1958), by the Horner form of the alternating reflection sum."""
-    x, y = np.sort(x), np.sort(y)
-    n = x.size
-    if n == 0 or y.size != n:
-        raise ValueError("KS test needs two nonempty samples of equal size")
-    pooled = np.concatenate([x, y])
-    gaps = np.searchsorted(x, pooled, side="right") - np.searchsorted(y, pooled, side="right")
-    h = int(np.abs(gaps).max())
-    if h == 0:
-        return 0.0, 1.0
-    # P(D >= h/n) = 2 A_0 (1 - A_1 (1 - A_2 (...))), A_k = C(2n, n-(k+1)h) / C(2n, n-kh)
-    P = 0.0
-    for k in range(n // h, -1, -1):
-        p1 = 1.0
-        for j in range(h):
-            p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
-        P = p1 * (1.0 - P)
-    return h / n, min(max(2 * P, 0.0), 1.0)
-
-
-def _chisquare_pvalue(counts, expected) -> float:
-    """Upper-tail p-value of Pearson's chi-square statistic with k - 1
-    degrees of freedom.  Observed and expected totals must agree to a relative
-    sqrt(float eps)."""
-    obs = np.asarray(counts, dtype=float)
-    exp = np.asarray(expected, dtype=float)
-    if obs.size < 2 or obs.shape != exp.shape:
-        raise ValueError("chi-square test needs matching counts over at least two cells")
-    tot_obs, tot_exp = obs.sum(), exp.sum()
-    if abs(tot_obs - tot_exp) > np.finfo(float).eps ** 0.5 * min(tot_obs, tot_exp):
-        raise ValueError(f"observed total {tot_obs} does not match expected total {tot_exp}")
-    stat = float(((obs - exp) ** 2 / exp).sum())
-    return _chi2_sf(stat, obs.size - 1)
-
-
-def _chi2_sf(stat: float, df: int) -> float:
-    """Upper tail of the chi-square law with df >= 1 degrees of freedom: the
-    regularized upper incomplete gamma Q(df/2, x), x = stat/2, as a finite
-    sum since df is an integer.  With j running over 0, 1, .., df/2 - 1
-    (even df) or 1/2, 3/2, .., df/2 - 1 (odd df),
-    Q = [erfc(sqrt(x)) for odd df] + sum_j e**-x x**j / Gamma(j + 1).
-    The terms are at most 1 and carried by the ratio x/(j + 1); past
-    x = 700, where e**-x nears the subnormal range, each is taken from its
-    logarithm instead."""
-    x = stat / 2
-    if x == math.inf:  # a cell expected never but seen
-        return 0.0
-    j = df % 2 / 2
-    total = math.erfc(math.sqrt(x)) if j else 0.0
-    term = math.exp(-x) * x ** j / math.gamma(j + 1)
-    while j < df / 2:
-        total += term if x <= 700 else math.exp(j * math.log(x) - x - math.lgamma(j + 1))
-        j += 1
-        term *= x / j
-    return min(total, 1.0)
 
 
 @dataclass(frozen=True)
@@ -318,7 +244,7 @@ def fv_chapman_kolmogorov_process_test(cfg: FvConfig, t: float, s: float, A: Tes
     cfgs = {u: replace(cfg, t=u) for u in (t + s, t, s)}
     one = _step_rows(start, cfgs[t + s], rng).mass(A)
     two = _step_rows(_step_rows(start, cfgs[t], rng), cfgs[s], rng).mass(A)
-    ks_stat, ks_pvalue = _ks_2samp_equal(one, two)
+    ks_stat, ks_pvalue = ks_2samp_equal(one, two)
     d2 = (one - one.mean())**2 - (two - two.mean())**2
     return CompositionReport(
         ks_stat=ks_stat, ks_pvalue=ks_pvalue, mean_diff=Estimate.mean_of(one - two),
@@ -344,7 +270,7 @@ def measure_chain_reversibility_test(cfg: MeasureChainConfig, A: TestSet, reps: 
     start = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
     u = start.mass(A)
     v = _step_rows(start, cfg, rng).mass(A)
-    return ReversibilityReport(marginal_ks_pvalue=_ks_2samp_equal(u, v)[1],
+    return ReversibilityReport(marginal_ks_pvalue=ks_2samp_equal(u, v)[1],
                                cross_moment=Estimate.mean_of(u * u * v - u * v * v),
                                reps=reps)
 
@@ -370,7 +296,7 @@ def dar1_marginal_chisquare(cfg: Dar1Config, samples: int, rng: np.random.Genera
     ids, _ = _dar1_path(cfg, samples * stride, rng)
     counts = np.bincount(ids[stride::stride], minlength=cfg.base.size)
     expected = np.asarray(cfg.base.weights, dtype=float) * samples
-    return _chisquare_pvalue(counts, expected)
+    return chisquare_pvalue(counts, expected)
 
 
 def dar1_detailed_balance(cfg: Dar1Config, steps: int, rng: np.random.Generator) -> float:
@@ -392,4 +318,4 @@ def dar1_detailed_balance(cfg: Dar1Config, steps: int, rng: np.random.Generator)
     both, diff = (N + N.T)[upper], (N - N.T)[upper]
     seen = both > 0
     stat = float((diff[seen] ** 2 / both[seen]).sum())
-    return _chi2_sf(stat, (k - 1) * (k - 2) // 2)
+    return chi2_sf(stat, (k - 1) * (k - 2) // 2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from fractions import Fraction
 from typing import Union
 
@@ -21,6 +21,7 @@ from ._lazy import np
 # bench/tracing.py rebinds this module's combinatorics names
 from .combinatorics import (binomial, falling_factorial, rising_expansion,  # noqa: F401
                             rising_factorial, rising_product)
+from .stats import binomial_se
 
 BRUTEFORCE_PATH_BUDGET = 10**7
 
@@ -34,13 +35,6 @@ class OverlapPmf:
     n: int
     theta: Union[Fraction, float]
     probs: tuple
-
-    @cached_property
-    def probs_float(self) -> np.ndarray:
-        """Float copy of ``probs``, computed once and read-only."""
-        out = np.array([float(p) for p in self.probs])
-        out.setflags(write=False)
-        return out
 
 
 @dataclass(frozen=True)
@@ -249,5 +243,5 @@ def overlap_pmf_montecarlo(m: int, n: int, theta, reps: int,
         counts += np.bincount(distinct, minlength=kmax + 1)[:kmax + 1]
         done += c
     probs = counts / reps
-    stderr = np.sqrt(probs * (1 - probs) / reps)
+    stderr = binomial_se(probs, reps)
     return EmpiricalOverlapPmf(m=m, n=n, theta=theta_f, reps=reps, probs=probs, stderr=stderr)

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Union
 
 from . import parallel
 from ._lazy import np
+from .stats import Estimate, check_reps
 
 
 class StickBudgetError(RuntimeError):
@@ -590,11 +591,6 @@ def _dirichlet_rows(theta: float, base: BaseMeasure, reps: int, trunc: StickTrun
 _measure_mass_rows = _dirichlet_rows
 
 
-def _check_reps(reps: int) -> None:
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2 for a Monte Carlo standard error, got {reps}")
-
-
 _MASS_BLOCK_CELLS = 2**16  # expected cells per block of a moment check, one substream each
 
 
@@ -609,7 +605,7 @@ def _check_masses(theta, base: BaseMeasure, A: TestSet, reps: int, trunc: StickT
     spawned from rng and keeps only its masses, so memory does not grow
     with reps; the blocks run as parallel jobs and join in block order, so
     the masses do not depend on the core count."""
-    _check_reps(reps)
+    check_reps(reps)
     theta = float(theta)
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError("theta must be > 0")
@@ -622,34 +618,6 @@ def _check_masses(theta, base: BaseMeasure, A: TestSet, reps: int, trunc: StickT
         return _dirichlet_rows(theta, base, rows, trunc, stream, n_cond).mass(A)
 
     return np.concatenate(parallel.map_jobs(masses, zip(sizes, rng.spawn(len(sizes)))))
-
-
-def _z(diff, se):
-    """|diff| in standard errors, elementwise: 0 where there is no
-    difference, inf where a zero standard error cannot explain one; NaN
-    passes through.  A scalar comes back as a float."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(np.equal(diff, 0), 0.0, np.abs(diff) / se)
-    return z if z.ndim else float(z)
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A Monte Carlo estimate with its standard error, against a target."""
-
-    value: float
-    se: float
-    target: float = 0.0
-
-    @property
-    def z(self) -> float:
-        return _z(self.value - self.target, self.se)
-
-    @staticmethod
-    def mean_of(samples: np.ndarray, target: float = 0.0) -> "Estimate":
-        """The sample mean with its standard error, for samples.size >= 2."""
-        return Estimate(float(samples.mean()),
-                        float(samples.std(ddof=1) / math.sqrt(samples.size)), target)
 
 
 _NO_RUN = Estimate(math.nan, math.nan, math.nan)
@@ -672,13 +640,8 @@ class MomentCheck:
 
 
 def _moment_check(vals: np.ndarray, after: int, p: float, theta: float) -> MomentCheck:
-    reps = vals.size
-    var = float(vals.var(ddof=1))
-    centered = vals - vals.mean()
-    m4 = float((centered**4).mean())
-    var_se = float(math.sqrt(max(m4 - var**2, 0.0) / reps))
-    return MomentCheck(after_steps=after, reps=reps, mean=Estimate.mean_of(vals, p),
-                       var=Estimate(var, var_se, p * (1 - p) / (1 + theta)))
+    return MomentCheck(after_steps=after, reps=vals.size, mean=Estimate.mean_of(vals, p),
+                       var=Estimate.var_of(vals, p * (1 - p) / (1 + theta)))
 
 
 def check_mean_identity(theta, base: BaseMeasure, A: TestSet, reps: int,

@@ -19,6 +19,7 @@ from . import death_process as dp
 from . import markov_processes as mk
 from . import polya_urn as urn
 from . import random_measures as rm
+from . import stats
 from ._lazy import np
 
 KS_LEVEL = 1e-3
@@ -212,7 +213,7 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
         raise ValueError(f"verify death needs tail_tol <= {DEATH_TAIL_TOL_MAX:g}: "
                          "its residual limits scale with it")
     if mc_reps != 0:  # 0 skips the Monte Carlo oracle
-        rm._check_reps(mc_reps)
+        stats.check_reps(mc_reps)
     # every pmf this call reads, built once per (theta, time) and dropped
     # with the call: the outer pmfs at prec, the inner ones the transition
     # sums read
@@ -227,8 +228,8 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
         rep = dp.mc_death_pmf_sensitivity(1.0, params, mc_n0, mc_reps, rng)
         d = outer(1.0, 1.0).probs_float
         k = min(d.size, rep.base.probs.size)
-        se = np.sqrt(d[:k] * (1 - d[:k]) / mc_reps)
-        zmax = float(np.max(rm._z(rep.base.probs[:k] - d[:k], se)))
+        se = stats.binomial_se(d[:k], mc_reps)
+        zmax = float(np.max(stats.z(rep.base.probs[:k] - d[:k], se)))
         rows.append(VerifyRow("pmf-vs-monte-carlo", f"theta=1,t=1,n0={mc_n0},reps={mc_reps}",
                               "z", zmax, SE_BUDGET))
         rows.append(VerifyRow("mc-start-sensitivity", f"n0={mc_n0}->{2*mc_n0}",
@@ -272,7 +273,7 @@ def verify_measures(reps: int = 20000, seed: int = 7, thetas=(0.5, 1.0, 4.0),
 def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
                      chain_ns=(1, 5), fv_ts=(0.2, 1.0, 5.0),
                      checkpoints=(1, 5)) -> VerifyReport:
-    rm._check_reps(reps)
+    stats.check_reps(reps)
     rows = []
     base = rm.UniformBase()
     A = rm.Interval(0.0, 0.5)
@@ -285,7 +286,7 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
                               "p", pv, KS_LEVEL))
     f = mk.dar1_retention_frequency(mk.Dar1Config(1.0, base), n_steps,
                                     np.random.default_rng(seed))
-    z = rm.Estimate(f, math.sqrt(0.25 / n_steps), 0.5).z
+    z = stats.Estimate(f, stats.binomial_se(0.5, n_steps), 0.5).z
     rows.append(VerifyRow("dar1-retention", f"theta=1,steps={n_steps}", "z", z, SE_BUDGET))
     pv = mk.dar1_marginal_chisquare(mk.Dar1Config(1.0, dbase), max(reps, 1000),
                                     np.random.default_rng(seed + 1))

@@ -502,11 +502,18 @@ class TestNonabsorptionBounds:
         # at t = 500 the gap to the upper bound is below any float tolerance;
         # the deepening stops at a positive floor instead of asking for a
         # tail_tol of 0, also where 10**(10 - digits) underflows
-        with pytest.raises(PrecisionExhaustedError, match="certifiable resolution") as exc:
-            check_nonabsorption_bounds(500.0, P1, PrecisionConfig(working_digits=400))
-        # the series bound underflows a float there; the report stays positive
-        assert exc.value.smallest_achievable > 0
-        assert "tolerance: 0)" not in str(exc.value)
+        for digits in (200, 400):
+            with pytest.raises(PrecisionExhaustedError, match="float floor of the margin, "
+                               "which more digits cannot resolve") as exc:
+                check_nonabsorption_bounds(500.0, P1, PrecisionConfig(working_digits=digits))
+            # the series bound underflows a float there; the report stays positive
+            assert exc.value.smallest_achievable == math.ulp(0.0)
+            assert "tolerance: 0)" not in str(exc.value)
+        # within float range the gap is unresolved at this many digits only
+        with pytest.raises(PrecisionExhaustedError,
+                           match="certifiable resolution at 92 digits") as exc:
+            check_nonabsorption_bounds(500.0, P1, PrecisionConfig(working_digits=60))
+        assert exc.value.smallest_achievable > math.ulp(0.0)
         assert dp._inner_prec(PrecisionConfig(working_digits=400, tail_tol=1e-300),
                               1e-30).tail_tol > 0
 

@@ -119,14 +119,6 @@ class TestUrnOracle:
             for n in range(1, 5):
                 assert overlap_pmf_bruteforce(m, n, 0).probs == overlap_pmf_theta0(m, n).probs
 
-    def test_probs_float_read_only(self):
-        pmf = overlap_pmf_exact(3, 2, Fraction(7, 3))
-        arr = pmf.probs_float
-        assert arr is pmf.probs_float
-        assert np.array_equal(arr, [float(p) for p in pmf.probs])
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-
 
 class TestDeathPmfMemo:
     # death_pmf computes afresh on every call; its callers hold the pmfs

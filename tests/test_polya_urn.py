@@ -141,7 +141,7 @@ class TestBruteforce:
 
 class TestMonteCarlo:
     def test_matches_exact_beyond_budget(self, rng):
-        exact = overlap_pmf_exact(10, 10, 1).probs_float
+        exact = np.array([float(p) for p in overlap_pmf_exact(10, 10, 1).probs])
         mc = overlap_pmf_montecarlo(10, 10, 1.0, 1_000_000, rng)
         se = np.sqrt(exact * (1 - exact) / mc.reps)
         for r in range(exact.size):

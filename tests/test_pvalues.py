@@ -1,7 +1,9 @@
-"""The two p-values the process harnesses compute themselves: the exact
-equal-size two-sample Kolmogorov-Smirnov test and the chi-square tail.
-scipy is the oracle here and is needed by the tests only; the runtime
-must not import it."""
+"""fvkit.stats, the one module that turns a Monte Carlo run into a
+verdict: the z-score, the binomial and variance standard errors, the lag
+slope, and the two p-values the process harnesses compute themselves (the
+exact equal-size two-sample Kolmogorov-Smirnov test and the chi-square
+tail).  scipy is the oracle here and is needed by the tests only; the
+runtime must not import it."""
 import math
 import subprocess
 import sys
@@ -14,7 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from fvkit.markov_processes import _chi2_sf, _chisquare_pvalue, _ks_2samp_equal
+from fvkit import stats as fvstats
+from fvkit.stats import chi2_sf, chisquare_pvalue, ks_2samp_equal
 
 SCIPY_EXACT_MAX_N = 10_000  # ks_2samp's method="auto" is exact up to here
 
@@ -26,7 +29,7 @@ def assert_matches_scipy(x, y):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ref = stats.ks_2samp(x, y)
-    got = _ks_2samp_equal(x, y)
+    got = ks_2samp_equal(x, y)
     assert got[0] == float(ref.statistic)
     if any("Exact calculation unsuccessful" in str(w.message) for w in caught):
         assert round(got[0] * len(x)) == 1 and got[1] == 1.0
@@ -75,8 +78,8 @@ class TestKsAgainstScipy:
 
     def test_identical_and_separated_values(self):
         x = np.linspace(0.0, 1.0, 7)
-        assert _ks_2samp_equal(x, x[::-1]) == (0.0, 1.0)
-        stat, p = _ks_2samp_equal(x, x + 5.0)
+        assert ks_2samp_equal(x, x[::-1]) == (0.0, 1.0)
+        stat, p = ks_2samp_equal(x, x + 5.0)
         assert stat == 1.0
         assert p == pytest.approx(2 / math.comb(14, 7), rel=1e-14)
 
@@ -85,12 +88,12 @@ class TestKsExact:
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     def test_every_gap_against_rational_sum(self, n):
         for h in range(1, n + 1):
-            _, p = _ks_2samp_equal(*gap_samples(n, h))
+            _, p = ks_2samp_equal(*gap_samples(n, h))
             assert p == pytest.approx(float(exact_outside(n, h)), rel=1e-13, abs=1e-15)
 
     @pytest.mark.parametrize("n,h", [(10_001, 166), (10_001, 400), (12_000, 300)])
     def test_beyond_scipy_exact_range(self, n, h):
-        stat, p = _ks_2samp_equal(*gap_samples(n, h))
+        stat, p = ks_2samp_equal(*gap_samples(n, h))
         assert stat == h / n
         assert p == pytest.approx(float(exact_outside(n, h)), rel=1e-13)
 
@@ -102,7 +105,7 @@ class TestKsExact:
         x = rng.random(n)
         for shift in (0.0, 0.01, 0.02, 0.04):
             y = rng.random(n) + shift
-            _, p = _ks_2samp_equal(x, y)
+            _, p = ks_2samp_equal(x, y)
             assert abs(p - float(stats.ks_2samp(x, y).pvalue)) <= 0.5 / math.sqrt(n)
 
 
@@ -115,11 +118,11 @@ class TestChisquare:
             total = int(rng.integers(10, 100_000))
             counts = rng.multinomial(total, w)
             ref = float(stats.chisquare(counts, w * total).pvalue)
-            assert _chisquare_pvalue(counts, w * total) == pytest.approx(ref, rel=1e-12)
+            assert chisquare_pvalue(counts, w * total) == pytest.approx(ref, rel=1e-12)
 
     def test_perfect_fit_and_far_tail(self):
-        assert _chisquare_pvalue([25, 25, 50], [25.0, 25.0, 50.0]) == 1.0
-        p = _chisquare_pvalue([1000, 0], [500.0, 500.0])
+        assert chisquare_pvalue([25, 25, 50], [25.0, 25.0, 50.0]) == 1.0
+        p = chisquare_pvalue([1000, 0], [500.0, 500.0])
         assert p == pytest.approx(float(stats.chisquare([1000, 0], [500.0, 500.0]).pvalue),
                                   rel=1e-12)
         assert 0 < p < 1e-200
@@ -133,10 +136,10 @@ class TestChisquare:
         ps = []
         for stat in stats_seen:
             ref = float(stats.chi2.sf(stat, df))
-            got = _chi2_sf(float(stat), df)
+            got = chi2_sf(float(stat), df)
             assert got == pytest.approx(ref, rel=1e-12), stat
             ps.append(got)
-        assert _chi2_sf(0.0, df) == 1.0
+        assert chi2_sf(0.0, df) == 1.0
         assert min(ps) < 1e-100
 
     def test_mismatched_totals_raise(self):
@@ -144,26 +147,75 @@ class TestChisquare:
         for off in (1.0, 6e-6):  # 1.7e-2 and 1e-7 relative
             expected = [10.0, 20.0, 30.0 + off]
             with pytest.raises(ValueError):
-                _chisquare_pvalue([10, 20, 30], expected)
+                chisquare_pvalue([10, 20, 30], expected)
             with pytest.raises(ValueError):
                 stats.chisquare([10, 20, 30], expected)
         close = [10.0, 20.0, 30.0 + 6e-9]  # 1e-10 relative
-        assert _chisquare_pvalue([10, 20, 30], close) == pytest.approx(
+        assert chisquare_pvalue([10, 20, 30], close) == pytest.approx(
             float(stats.chisquare([10, 20, 30], close).pvalue), rel=1e-12)
+
+
+class TestEstimate:
+    def test_var_of_matches_the_moment_check_arithmetic(self):
+        # the variance and its fourth-moment standard error, written out
+        # as the prior and chain moment checks computed them inline
+        vals = np.random.default_rng(3).beta(0.5, 0.5, 1001)
+        var = float(vals.var(ddof=1))
+        centered = vals - vals.mean()
+        m4 = float((centered**4).mean())
+        var_se = float(math.sqrt(max(m4 - var**2, 0.0) / vals.size))
+        assert fvstats.Estimate.var_of(vals, 0.125) == fvstats.Estimate(var, var_se, 0.125)
+
+    def test_binomial_se_vanishes_at_certain_outcomes(self):
+        se = fvstats.binomial_se(np.array([0.0, 1.0, 0.5]), 16)
+        assert se.tolist() == [0.0, 0.0, 0.125]
+        # so any gap from a certain outcome reads as infinitely many SEs
+        z = fvstats.z(np.array([1e-3, -1e-3, 0.0]), se)
+        assert z.tolist() == [math.inf, math.inf, 0.0]
+        assert fvstats.binomial_se(0.5, 4) == 0.25
+
+    def test_z_without_spread(self):
+        assert fvstats.z(0.0, 0.0) == 0.0
+        assert fvstats.z(-1e-9, 0.0) == math.inf
+        assert fvstats.z(-1.0, 0.5) == 2.0
+        assert math.isnan(fvstats.z(math.nan, math.nan))
+        z = fvstats.z(np.array([0.0, -1e-9, -1.0, math.nan]), np.array([0.0, 0.0, 0.5, 0.5]))
+        assert z[:3].tolist() == [0.0, math.inf, 2.0] and math.isnan(z[3])
+
+
+class TestLagSlope:
+    def test_robust_se_on_a_known_fit(self):
+        u = np.array([0.0, 1.0, 2.0, 3.0])
+        v = np.array([0.0, 2.0, 2.0, 6.0])
+        fit = fvstats.lag_slope(u, v, 2.0)
+        # slope 9/5 over Sxx = 5; residuals 0.2, 0.4, -1.4, 0.8, so the
+        # scores du*e are -0.3, -0.2, -0.7, 1.2 with squares summing to 2.06
+        assert fit.value == pytest.approx(1.8)
+        assert fit.se == pytest.approx(math.sqrt(2.06) / 5.0)
+        assert fit.target == 2.0
+
+    def test_constant_start_gives_nan(self):
+        fit = fvstats.lag_slope(np.ones(5), np.arange(5.0), 1.0)
+        assert math.isnan(fit.value) and math.isnan(fit.se) and math.isnan(fit.z)
 
 
 class TestBadInput:
     def test_ks_empty_or_unequal(self):
         with pytest.raises(ValueError):
-            _ks_2samp_equal(np.array([]), np.array([]))
+            ks_2samp_equal(np.array([]), np.array([]))
         with pytest.raises(ValueError):
-            _ks_2samp_equal(np.arange(3.0), np.arange(4.0))
+            ks_2samp_equal(np.arange(3.0), np.arange(4.0))
 
     def test_chisquare_empty_or_unequal(self):
         with pytest.raises(ValueError):
-            _chisquare_pvalue([], [])
+            chisquare_pvalue([], [])
         with pytest.raises(ValueError):
-            _chisquare_pvalue([5, 5], [2.5, 2.5, 5.0])
+            chisquare_pvalue([5, 5], [2.5, 2.5, 5.0])
+
+    def test_fewer_than_two_reps(self):
+        with pytest.raises(ValueError, match="reps must be >= 2"):
+            fvstats.check_reps(1)
+        fvstats.check_reps(2)
 
 
 # Run one CLI command (none: import only) and print which of the heavy

@@ -109,8 +109,8 @@ class TestDpSticks:
         pmf = np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
                         for k in range(top)])
         expected = rows * np.append(pmf, 1 - pmf.sum())
-        from fvkit.markov_processes import _chisquare_pvalue
-        assert _chisquare_pvalue(observed, expected) > 1e-3
+        from fvkit.stats import chisquare_pvalue
+        assert chisquare_pvalue(observed, expected) > 1e-3
         assert_within_se(extra.mean(), lam, math.sqrt(lam / rows), label="mean count - 1")
 
     def test_rows_take_their_own_counts(self):
@@ -158,14 +158,14 @@ class TestDpSticks:
     @pytest.mark.parametrize("theta", [0.5, 4.0])
     def test_mass_law_matches_general_stick_breaking(self, theta):
         # mu(A) of prior rows against one-at-a-time Beta(1, theta) sticks
-        from fvkit.markov_processes import _ks_2samp_equal
+        from fvkit.stats import ks_2samp_equal
         reps, A, base = 2000, Interval(0.0, 0.5), UniformBase()
         ragged = _dirichlet_rows(theta, base, reps, DEFAULT_TRUNCATION,
                                  np.random.default_rng(46)).mass(A)
         rng = np.random.default_rng(47)
         general = np.array([stick_break(StickBreakingParams.dp(theta), base,
                                         DEFAULT_TRUNCATION, rng).mass(A) for _ in range(reps)])
-        assert _ks_2samp_equal(ragged, general)[1] > 1e-3
+        assert ks_2samp_equal(ragged, general)[1] > 1e-3
 
     def test_mass_of_an_empty_row_is_zero(self):
         rows = rm.MeasureRows("discrete", np.array([0, 1, 2]), None, np.array([0.5, 0.5, 1.0]),
