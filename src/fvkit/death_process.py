@@ -367,13 +367,13 @@ def _check_urn_weighted(pmf: DeathPmf, n: int = 1) -> None:
         raise ValueError("theta = 0 transitions go through transition_closed_form")
 
 
-def transition_given_n(n: int, pmf: DeathPmf, prec: PrecisionConfig = PrecisionConfig()):
+def transition_given_n(n: int, pmf: DeathPmf):
     """Transition vector P(count = r after s | count = n now) for r = 0..n,
     s = pmf.t, recovered from the inner pmf ``_inner_pmf(s, params, prec)``
-    by the urn-weighted sum of ``_transition_entry``, summed at prec's
+    by the urn-weighted sum of ``_transition_entry``, summed at the pmf's
     digits.  Requires theta > 0."""
     _check_urn_weighted(pmf, n)
-    with _series_context(prec.working_digits):
+    with _series_context(pmf.working_digits):
         return [float(_transition_entry(pmf, n, r)) for r in range(n + 1)]
 
 
@@ -466,18 +466,16 @@ def _closed_form_entry(n: int, r: int, s: Fraction, theta: Fraction) -> Optional
         bits *= 2
 
 
-def _closed_form_residual(n: int, r: int, pmf: DeathPmf, prec: PrecisionConfig,
-                          scale=1) -> float:
+def _closed_form_residual(n: int, r: int, pmf: DeathPmf, scale=1) -> float:
     # |series - closed form| of P(count = r after s | count = n), both over
-    # scale, with s and theta read off the inner pmf
+    # scale, with s, theta and the digits read off the inner pmf
     _check_urn_weighted(pmf, n)
     closed = transition_closed_form(n, r, pmf.t, pmf.params) / scale
-    with _series_context(prec.working_digits):
+    with _series_context(pmf.working_digits):
         return abs(float(_transition_entry(pmf, n, r) / _dec(scale)) - closed)
 
 
-def check_survival_identity(n: int, pmf: DeathPmf,
-                            prec: PrecisionConfig = PrecisionConfig()) -> float:
+def check_survival_identity(n: int, pmf: DeathPmf) -> float:
     """Residual of: sum_m m_[n]/(theta+m)_(n) d_m(s) = exp(-lambda_n s),
     from the inner pmf ``_inner_pmf(s, params, prec)``.
 
@@ -485,11 +483,10 @@ def check_survival_identity(n: int, pmf: DeathPmf,
     pmf series; the right side is the exponential holding-time law, the
     r = n case of ``transition_closed_form``.
     """
-    return _closed_form_residual(n, n, pmf, prec)
+    return _closed_form_residual(n, n, pmf)
 
 
-def check_single_death_identity(n: int, pmf: DeathPmf,
-                                prec: PrecisionConfig = PrecisionConfig()) -> float:
+def check_single_death_identity(n: int, pmf: DeathPmf) -> float:
     """Residual of the one-death identity: the urn-weighted sum over the
     inner pmf ``_inner_pmf(s, params, prec)``
     H(s) = sum_m m_[n-1]/(theta+m)_(n) d_m(s), which is P(n-1 | n) over
@@ -500,28 +497,29 @@ def check_single_death_identity(n: int, pmf: DeathPmf,
     Also sanity-checks the s -> 0+ behavior of the closed form: H vanishes
     linearly, so 0 < H(1e-3) <= 5e-4, and a RuntimeError is raised if not."""
     scale = n * (n - 1 + pmf.params.theta_fraction)
-    residual = _closed_form_residual(n, n - 1, pmf, prec, scale)
+    residual = _closed_form_residual(n, n - 1, pmf, scale)
     h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), pmf.params) / scale
     if not 0 < h_small <= 5e-4:
         raise RuntimeError(f"H(1e-3) = {h_small} outside (0, 5e-4]")
     return residual
 
 
-def check_chapman_kolmogorov(r: int, pmf_t: DeathPmf, pmf_s: DeathPmf, pmf_ts: DeathPmf,
-                             prec: PrecisionConfig = PrecisionConfig()) -> float:
+def check_chapman_kolmogorov(r: int, pmf_t: DeathPmf, pmf_s: DeathPmf, pmf_ts: DeathPmf) -> float:
     """Residual of Chapman-Kolmogorov read literally:
     d_r(t+s) = sum_n d_n(t) P(count = r after s | count = n),
     from the inner pmfs ``_inner_pmf(u, params, prec)`` at u = t, s and
-    t+s, with the transition probability from ``_transition_entry``.  The
-    left side is read off the pmf at t+s; an r past its n_max reads 0, which
-    that pmf's residual bounds."""
+    t+s, with the transition probability from ``_transition_entry``, summed
+    at the pmfs' digits.  The left side is read off the pmf at t+s; an r past
+    its n_max reads 0, which that pmf's residual bounds."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if (Fraction(pmf_ts.t) != Fraction(pmf_t.t) + Fraction(pmf_s.t)
-            or not pmf_t.params == pmf_s.params == pmf_ts.params):
-        raise ValueError("pmf_ts must be the pmf at t + s, all three at one theta")
+            or not pmf_t.params == pmf_s.params == pmf_ts.params
+            or not pmf_t.working_digits == pmf_s.working_digits == pmf_ts.working_digits):
+        raise ValueError("pmf_ts must be the pmf at t + s, "
+                         "all three at one theta and one working_digits")
     _check_urn_weighted(pmf_s)
-    with _series_context(prec.working_digits):
+    with _series_context(pmf_ts.working_digits):
         lhs = pmf_ts.probs[r] if r <= pmf_ts.n_max else 0
         rhs = sum((pmf_t.probs[n] * _transition_entry(pmf_s, n, r)
                    for n in range(r, pmf_t.n_max + 1)), Decimal(0))

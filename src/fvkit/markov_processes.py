@@ -136,8 +136,8 @@ fv_step = measure_chain_step
 
 
 def stationary_measure(theta: float, base: BaseMeasure,
-                       trunc: StickTruncation = DEFAULT_TRUNCATION,
-                       rng: np.random.Generator = None) -> DiscreteMeasure:
+                       trunc: StickTruncation,
+                       rng: np.random.Generator) -> DiscreteMeasure:
     """A draw from the stationary law: the prior with total mass theta."""
     return _dirichlet_rows(float(theta), base, 1, trunc, rng).measure()
 
@@ -233,17 +233,18 @@ class CompositionReport:
     reps: int
 
 
-def fv_chapman_kolmogorov_process_test(cfg: FvConfig, t: float, s: float, A: TestSet,
+def fv_chapman_kolmogorov_process_test(cfg: FvConfig, s: float, A: TestSet,
                                        reps: int, rng: np.random.Generator) -> CompositionReport:
     """Compare mu(A) after one duration-(t+s) transition against a
-    duration-t then duration-s pair, per replicate from a shared stationary
-    start.  Sharing starts correlates the arms positively, which only makes
-    the two-sample comparison conservative."""
+    duration-t then duration-s pair, t = cfg.t, per replicate from a shared
+    stationary start.  Sharing starts correlates the arms positively, which
+    only makes the two-sample comparison conservative."""
     start = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
-    # one config, and so one death pmf, per duration
-    cfgs = {u: replace(cfg, t=u) for u in (t + s, t, s)}
-    one = _step_rows(start, cfgs[t + s], rng).mass(A)
-    two = _step_rows(_step_rows(start, cfgs[t], rng), cfgs[s], rng).mass(A)
+    # one config, and so one death pmf, per duration: the second leg is cfg
+    # itself when s = cfg.t
+    one = _step_rows(start, replace(cfg, t=cfg.t + s), rng).mass(A)
+    second = cfg if s == cfg.t else replace(cfg, t=s)
+    two = _step_rows(_step_rows(start, cfg, rng), second, rng).mass(A)
     ks_stat, ks_pvalue = ks_2samp_equal(one, two)
     d2 = (one - one.mean())**2 - (two - two.mean())**2
     return CompositionReport(

@@ -93,7 +93,7 @@ def _as_pmf(m: int, n: int, theta: Fraction, row: tuple) -> OverlapPmf:
     return OverlapPmf(m=m, n=n, theta=theta, probs=tuple(Fraction(a, den) for a in nums))
 
 
-def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> OverlapPmf:
+def overlap_pmf_exact(m: int, n: int, theta) -> OverlapPmf:
     """Closed-form overlap pmf for theta > 0: ``overlap_entry`` for every
     r, exact rational output, checked to sum to exactly 1.
     ``_extended_row`` computes the other published form for
@@ -102,7 +102,7 @@ def overlap_pmf_exact(m: int, n: int, theta, via_expansion: bool = False) -> Ove
     if not theta > 0:
         raise ValueError("theta must be > 0 (use overlap_pmf_theta0 for theta = 0)")
     _check_urn_args(m, n, theta)
-    return _as_pmf(m, n, theta, _entry_row(m, n, theta, via_expansion))
+    return _as_pmf(m, n, theta, _entry_row(m, n, theta))
 
 
 def _extended_row(m: int, n: int, theta: Fraction) -> tuple:

@@ -409,8 +409,8 @@ def _merge_atoms(base_kind: str, ids: np.ndarray, xs, weights: np.ndarray,
 
 
 def stick_break(params: StickBreakingParams, base: BaseMeasure,
-                trunc: StickTruncation = DEFAULT_TRUNCATION,
-                rng: np.random.Generator = None) -> DiscreteMeasure:
+                trunc: StickTruncation,
+                rng: np.random.Generator) -> DiscreteMeasure:
     """Draw a random measure: stick weights from the params, atom locations
     independently from the base."""
     rho, residual = _stick_weights(params, trunc, rng)
@@ -522,8 +522,8 @@ def _posterior_rows(theta: float, base: BaseMeasure, n: np.ndarray, atom_ids: np
 
 
 def sample_posterior(post: DirichletPosterior,
-                     trunc: StickTruncation = DEFAULT_TRUNCATION,
-                     rng: np.random.Generator = None) -> DiscreteMeasure:
+                     trunc: StickTruncation,
+                     rng: np.random.Generator) -> DiscreteMeasure:
     """One draw from the posterior: Dirichlet weights W_1..W_n on the
     conditioning atoms, and sticks at total mass theta, scaled by W_0, on
     fresh base draws.  Weight landing on the same atom id merges; fresh ids
@@ -645,8 +645,8 @@ def _moment_check(vals: np.ndarray, after: int, p: float, theta: float) -> Momen
 
 
 def check_mean_identity(theta, base: BaseMeasure, A: TestSet, reps: int,
-                        trunc: StickTruncation = DEFAULT_TRUNCATION,
-                        rng: np.random.Generator = None) -> MomentCheck:
+                        trunc: StickTruncation,
+                        rng: np.random.Generator) -> MomentCheck:
     """Monte Carlo check on one batch of reps >= 2 prior draws that
     E[mu(A)] = nu_0(A) = p and Var[mu(A)] = p(1-p)/(1+theta)."""
     vals = _check_masses(theta, base, A, reps, trunc, rng)
@@ -665,8 +665,8 @@ class MixtureIdentityReport:
 
 
 def check_mixture_identity(theta, base: BaseMeasure, A: TestSet, direct: np.ndarray,
-                           trunc: StickTruncation = DEFAULT_TRUNCATION,
-                           rng: np.random.Generator = None) -> MixtureIdentityReport:
+                           trunc: StickTruncation,
+                           rng: np.random.Generator) -> MixtureIdentityReport:
     """Statistical check that mixing the one-observation posterior over the
     base reproduces the prior: direct holds mu(A) over reps >= 2 prior
     draws (in verify_measures, the prior moment rows' batch), and as many

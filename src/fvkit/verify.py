@@ -182,12 +182,12 @@ def _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec, outer
         pmf_s = inner(theta, s)
         for n in range(1, n_max + 1):
             at = f"n={n},theta={theta},s={s}"
-            ra = dp.check_survival_identity(n, pmf_s, prec)
+            ra = dp.check_survival_identity(n, pmf_s)
             rows.append(VerifyRow("survival-identity", at, "residual", ra, tol10))
-            rb = dp.check_single_death_identity(n, pmf_s, prec)
+            rb = dp.check_single_death_identity(n, pmf_s)
             rows.append(VerifyRow("single-death-identity", at, "residual", rb, tol10))
         for n in range(1, n_max + 1):
-            series = dp.transition_given_n(n, pmf_s, prec)
+            series = dp.transition_given_n(n, pmf_s)
             closed = [dp.transition_closed_form(n, r, s, params) for r in range(n + 1)]
             worst = max(abs(a - b) for a, b in zip(series, closed))
             rows.append(VerifyRow("transition-vs-closed-form", f"n={n},theta={theta},s={s}",
@@ -195,7 +195,7 @@ def _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec, outer
     for (t, s) in ck_pairs:
         pmfs = [inner(theta, u) for u in (t, s, Fraction(t) + Fraction(s))]
         for r in range(r_max + 1):
-            res = dp.check_chapman_kolmogorov(r, *pmfs, prec)
+            res = dp.check_chapman_kolmogorov(r, *pmfs)
             rows.append(VerifyRow("chapman-kolmogorov", f"r={r},t={t},s={s},theta={theta}",
                                   "residual", res, tol100))
     for t in ineq_ts:
@@ -305,7 +305,7 @@ def verify_processes(reps: int = 10000, seed: int = 11, thetas=(0.5, 1.0, 4.0),
             rows += [VerifyRow(f"{prefix}-{name}", at, "z", est.z, SE_BUDGET)
                      for name, est in (("mean", c.mean), ("variance", c.var),
                                        ("lag-slope", c.slope), ("eigen2-slope", c.eigen2_slope))]
-    rep = mk.fv_chapman_kolmogorov_process_test(mk.FvConfig(1.0, base, 1.0), 0.5, 0.5, A,
+    rep = mk.fv_chapman_kolmogorov_process_test(mk.FvConfig(1.0, base, 0.5), 0.5, A,
                                                 reps, np.random.default_rng(seed + 4))
     rows.append(VerifyRow("fv-composition-ks", f"theta=1,t=s=0.5,reps={reps}",
                           "p", rep.ks_pvalue, KS_LEVEL))

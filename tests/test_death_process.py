@@ -215,25 +215,25 @@ class TestSampleDeathCount:
 class TestTransition:
     def test_stay_put_entry(self):
         for n in (1, 3, 6):
-            vec = transition_given_n(n, inner(0.8), PREC)
+            vec = transition_given_n(n, inner(0.8))
             assert abs(vec[n] - math.exp(-rate(n) * 0.8)) < TOL10
 
     def test_single_death_entry(self):
         n, s, theta = 4, 0.6, 1.0
-        vec = transition_given_n(n, inner(s), PREC)
+        vec = transition_given_n(n, inner(s))
         lam_n, lam_m = rate(n), rate(n - 1)
         h = 0.5 * (math.exp(-lam_m * s) - math.exp(-lam_n * s)) / (lam_n - lam_m)
         assert abs(vec[n - 1] - n * (n - 1 + theta) * h) < TOL10
 
     def test_sums_to_one(self):
         for theta in (0.5, 4.0):
-            vec = transition_given_n(6, inner(1.0, DeathParams(theta)), PREC)
+            vec = transition_given_n(6, inner(1.0, DeathParams(theta)))
             assert abs(sum(vec) - 1) < TOL10
 
     def test_matches_closed_form(self):
         for n in (1, 2, 5):
             for s in (0.2, 1.0):
-                vec = transition_given_n(n, inner(s), PREC)
+                vec = transition_given_n(n, inner(s))
                 for r in range(n + 1):
                     assert abs(vec[r] - transition_closed_form(n, r, s, P1)) < TOL10
 
@@ -256,7 +256,7 @@ class TestTransition:
 
     def test_theta0_goes_through_closed_form_only(self):
         with pytest.raises(ValueError):
-            transition_given_n(3, inner(1.0, DeathParams(0)), PREC)
+            transition_given_n(3, inner(1.0, DeathParams(0)))
         # theta=0 with r >= 1 has distinct rates and works
         p = transition_closed_form(3, 1, 1.0, DeathParams(0))
         assert 0 < p < 1
@@ -360,18 +360,18 @@ class TestClosedFormKernel:
 
 class TestSurvivalIdentity:
     def test_n1_example(self):
-        res = check_survival_identity(1, inner(1.0), PREC)
+        res = check_survival_identity(1, inner(1.0))
         assert res < TOL10
 
     def test_grid_subset(self):
         for theta in (0.5, 4.0):
             for n in (1, 4, 8):
                 for s in (0.2, 5.0):
-                    assert check_survival_identity(n, inner(s, DeathParams(theta)), PREC) < TOL10
+                    assert check_survival_identity(n, inner(s, DeathParams(theta))) < TOL10
 
     def test_large_s_both_tiny(self):
         params = DeathParams(1.0)
-        res = check_survival_identity(2, inner(50.0, params), PREC)
+        res = check_survival_identity(2, inner(50.0, params))
         assert res < TOL10
         assert math.exp(-rate(2) * 50.0) < 1e-10
 
@@ -380,7 +380,7 @@ class TestSingleDeathIdentity:
     def test_grid_subset(self):
         for theta in (0.5, 1.0, 4.0):
             for n in (1, 3, 8):
-                assert check_single_death_identity(n, inner(1.0, DeathParams(theta)), PREC) < TOL10
+                assert check_single_death_identity(n, inner(1.0, DeathParams(theta))) < TOL10
 
     def test_n1_ties_to_closed_form_transition(self):
         # P(1 -> 0 in s) = theta * H(s) for n = 1
@@ -391,14 +391,14 @@ class TestSingleDeathIdentity:
     def test_small_s_residual_vanishes(self):
         # smallest s inside the default-precision envelope (cancellation
         # headroom shrinks fast below t ~ 0.05)
-        res = check_single_death_identity(2, inner(0.05), PREC)
+        res = check_single_death_identity(2, inner(0.05))
         assert res < TOL10
 
     def test_small_s_beyond_envelope_fails_loudly(self):
         with pytest.raises(PrecisionExhaustedError):
-            check_single_death_identity(2, inner(1e-2), PREC)
+            check_single_death_identity(2, inner(1e-2))
         wide = PrecisionConfig(working_digits=220)
-        res = check_single_death_identity(2, inner(1e-2, P1, wide), wide)
+        res = check_single_death_identity(2, inner(1e-2, P1, wide))
         assert res < TOL10
 
 
@@ -407,7 +407,7 @@ class TestSingleDeathIdentity:
         import fvkit.death_process as dp
         monkeypatch.setattr(dp, "transition_closed_form", lambda n, r, s, params: 1.0)
         with pytest.raises(RuntimeError, match="outside"):
-            check_single_death_identity(2, inner(1.0), PREC)
+            check_single_death_identity(2, inner(1.0))
 
 
 class TestMeanEntryTime:
@@ -460,25 +460,30 @@ class TestMeanEntryTime:
 class TestChapmanKolmogorov:
     def test_example_grid_point(self):
         pmf_half = inner(0.5)
-        res = check_chapman_kolmogorov(1, pmf_half, pmf_half, inner(1.0), PREC)
+        res = check_chapman_kolmogorov(1, pmf_half, pmf_half, inner(1.0))
         assert res < 100 * PREC.tail_tol
 
     def test_rejects_pmfs_that_do_not_compose(self):
         pmf_half, pmf_one = inner(0.5), inner(1.0)
         with pytest.raises(ValueError, match="t \\+ s"):
-            check_chapman_kolmogorov(1, pmf_half, pmf_one, pmf_one, PREC)
+            check_chapman_kolmogorov(1, pmf_half, pmf_one, pmf_one)
         with pytest.raises(ValueError, match="one theta"):
-            check_chapman_kolmogorov(1, pmf_half, pmf_half, inner(1.0, DeathParams(2.0)), PREC)
+            check_chapman_kolmogorov(1, pmf_half, pmf_half, inner(1.0, DeathParams(2.0)))
+        # the sum runs at the pmfs' digits, so the three must carry the same
+        half = death_pmf(0.5, P1, PrecisionConfig(working_digits=60))
+        one = death_pmf(1.0, P1, PrecisionConfig(working_digits=70))
+        with pytest.raises(ValueError, match="one working_digits"):
+            check_chapman_kolmogorov(1, half, half, one)
 
     def test_symmetry_in_t_s(self):
         pmf_1, pmf_2, pmf_3 = (inner(u) for u in (1.0, 2.0, 3.0))
-        a = check_chapman_kolmogorov(2, pmf_1, pmf_2, pmf_3, PREC)
-        b = check_chapman_kolmogorov(2, pmf_2, pmf_1, pmf_3, PREC)
+        a = check_chapman_kolmogorov(2, pmf_1, pmf_2, pmf_3)
+        b = check_chapman_kolmogorov(2, pmf_2, pmf_1, pmf_3)
         assert a < 100 * PREC.tail_tol and b < 100 * PREC.tail_tol
         assert abs(a - b) < 100 * PREC.tail_tol
 
     def test_large_horizon_absorbs(self):
-        res = check_chapman_kolmogorov(0, inner(30.0), inner(30.0), inner(60.0), PREC)
+        res = check_chapman_kolmogorov(0, inner(30.0), inner(30.0), inner(60.0))
         assert res < 100 * PREC.tail_tol
         assert float(death_pmf(60.0, P1, PREC).probs[0]) > 1 - 1e-10
 

@@ -195,8 +195,8 @@ class TestRunChain:
 
 class TestProcessLevelComposition:
     def test_ks_not_rejected(self):
-        cfg = FvConfig(1.0, UB, 1.0)
-        rep = fv_chapman_kolmogorov_process_test(cfg, 0.5, 0.5, A, 4000,
+        cfg = FvConfig(1.0, UB, 0.5)
+        rep = fv_chapman_kolmogorov_process_test(cfg, 0.5, A, 4000,
                                                  np.random.default_rng(11))
         assert rep.ks_pvalue > 1e-3
         assert rep.mean_diff.z < 4
@@ -206,14 +206,14 @@ class TestProcessLevelComposition:
         times = []
         exact = mk.death_pmf
         monkeypatch.setattr(mk, "death_pmf", lambda t, *rest: times.append(t) or exact(t, *rest))
-        fv_chapman_kolmogorov_process_test(FvConfig(1.0, UB, 1.0), 0.5, 0.5, A, 50,
+        fv_chapman_kolmogorov_process_test(FvConfig(1.0, UB, 0.5), 0.5, A, 50,
                                            np.random.default_rng(11))
         assert times == [1.0, 0.5]
 
     def test_long_horizon_matches_prior(self):
         # both arms far past mixing: marginal is the stationary one
-        cfg = FvConfig(1.0, UB, 1.0)
-        rep = fv_chapman_kolmogorov_process_test(cfg, 25.0, 25.0, A, 3000,
+        cfg = FvConfig(1.0, UB, 25.0)
+        rep = fv_chapman_kolmogorov_process_test(cfg, 25.0, A, 3000,
                                                  np.random.default_rng(12))
         assert rep.ks_pvalue > 1e-3
 
@@ -331,7 +331,7 @@ class TestBatchedKernel:
         cfg = MeasureChainConfig(1.0, UB, 2)
         stationarity_checks(cfg, A, reps, (1, 3), np.random.default_rng(1))
         measure_chain_reversibility_test(cfg, A, reps, np.random.default_rng(2))
-        fv_chapman_kolmogorov_process_test(FvConfig(1.0, UB, 1.0), 0.5, 0.5, A, reps,
+        fv_chapman_kolmogorov_process_test(FvConfig(1.0, UB, 0.5), 0.5, A, reps,
                                            np.random.default_rng(3))
         assert calls == [reps] * (3 + 1 + 3)
 

@@ -30,6 +30,7 @@ from fvkit.random_measures import (
     _dirichlet_rows,
 )
 import fvkit.random_measures as rm
+from fvkit.markov_processes import stationary_measure
 
 
 def stick_moment_oracle(theta, base_mass, K=400):
@@ -195,6 +196,22 @@ class TestTruncationAndParams:
         for j in (1, 2, 7, 40):
             assert pd.alpha(j) == dp.alpha(j) == 1.0
             assert pd.beta(j) == dp.beta(j) == 2.5
+
+    @pytest.mark.parametrize("draw", [
+        lambda: stick_break(StickBreakingParams.dp(1.0), UniformBase(), DEFAULT_TRUNCATION),
+        lambda: sample_posterior(posterior(0.8, DiscreteBase(weights=(0.25, 0.75)), [0]),
+                                 DEFAULT_TRUNCATION),
+        lambda: stationary_measure(1.0, UniformBase(), DEFAULT_TRUNCATION),
+        lambda: check_mean_identity(1.0, UniformBase(), Interval(0.0, 0.5), 10,
+                                    DEFAULT_TRUNCATION),
+        lambda: check_mixture_identity(1.0, UniformBase(), Interval(0.0, 0.5),
+                                       np.array([0.5, 0.4]), DEFAULT_TRUNCATION),
+    ], ids=["stick_break", "sample_posterior", "stationary_measure", "check_mean_identity",
+            "check_mixture_identity"])
+    def test_omitted_rng_is_a_type_error(self, draw):
+        # the generator is required, not a None that fails at the first draw
+        with pytest.raises(TypeError, match="'rng'"):
+            draw()
 
 
 class TestSummability:

@@ -40,3 +40,20 @@ def test_stats_stands_alone():
     code = "import sys, fvkit.stats; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_no_rng_defaults_to_none():
+    # a None generator fails only at its first draw, far from the call that
+    # omitted it: every rng is required
+    found = []
+    for p in sorted(Path(fvkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            found += [f"{p.name}:{node.lineno}" for arg, d in pairs
+                      if arg.arg == "rng" and isinstance(d, ast.Constant) and d.value is None]
+    assert not found, f"rng defaults to None in src/fvkit: {found}"
