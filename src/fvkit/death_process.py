@@ -395,7 +395,6 @@ def transition_closed_form(n: int, r: int, s, params: DeathParams) -> float:
     return entry
 
 
-CLOSED_FORM_CACHE_SIZE = 1024  # the default verify death reads 420 entries
 # Fixed-point bits a closed-form entry starts from; they double until the
 # entry's error interval rounds to one float.
 CLOSED_FORM_START_BITS = 128
@@ -431,11 +430,10 @@ def _exp_fixed(a: int, b: int, bits: int) -> int:
     return (total + (1 << (guard - 1))) >> guard
 
 
-@lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
 def _closed_form_entry(n: int, r: int, s: Fraction, theta: Fraction) -> Optional[float]:
     """``transition_closed_form``, correctly rounded, or None where the
     rates lambda_r..lambda_n are not pairwise distinct (r = 0 at
-    theta = 0).  Memoized in a bounded LRU cache.
+    theta = 0).
 
     With theta = p/q each 2q lambda_k = k((k-1)q + p) is an integer, so the
     (2q)**(n-r) factors cancel and each weight is one integer over another;
@@ -466,42 +464,43 @@ def _closed_form_entry(n: int, r: int, s: Fraction, theta: Fraction) -> Optional
         bits *= 2
 
 
-def _closed_form_residual(n: int, r: int, pmf: DeathPmf, scale=1) -> float:
-    # |series - closed form| of P(count = r after s | count = n), both over
-    # scale, with s, theta and the digits read off the inner pmf
-    _check_urn_weighted(pmf, n)
-    closed = transition_closed_form(n, r, pmf.t, pmf.params) / scale
-    with _series_context(pmf.working_digits):
-        return abs(float(_transition_entry(pmf, n, r) / _dec(scale)) - closed)
+def check_transition_row(n: int, pmf: DeathPmf) -> tuple[float, float, float]:
+    """(survival, one_death, worst) at count n and s = pmf.t, read off one
+    row P(count = r after s | count = n), r = 0..n, summed once by
+    ``_transition_entry`` at the pmf's digits, against one
+    ``transition_closed_form`` value per entry.  Requires theta > 0.
 
-
-def check_survival_identity(n: int, pmf: DeathPmf) -> float:
-    """Residual of: sum_m m_[n]/(theta+m)_(n) d_m(s) = exp(-lambda_n s),
-    from the inner pmf ``_inner_pmf(s, params, prec)``.
-
-    The left side is the stay-put transition probability recovered from the
-    pmf series; the right side is the exponential holding-time law, the
-    r = n case of ``transition_closed_form``.
-    """
-    return _closed_form_residual(n, n, pmf)
-
-
-def check_single_death_identity(n: int, pmf: DeathPmf) -> float:
-    """Residual of the one-death identity: the urn-weighted sum over the
-    inner pmf ``_inner_pmf(s, params, prec)``
-    H(s) = sum_m m_[n-1]/(theta+m)_(n) d_m(s), which is P(n-1 | n) over
+    survival: sum_m m_[n]/(theta+m)_(n) d_m(s) against exp(-lambda_n s).
+    one_death: H(s) = sum_m m_[n-1]/(theta+m)_(n) d_m(s), P(n-1 | n) over
     n(n-1+theta), against its closed form
-    0.5*(exp(-lambda_{n-1} s) - exp(-lambda_n s))/(lambda_n - lambda_{n-1}),
-    read off ``transition_closed_form`` the same way.
+    0.5*(exp(-lambda_{n-1} s) - exp(-lambda_n s))/(lambda_n - lambda_{n-1}).
+    worst: the largest |series - closed form| over the row.
 
     Also sanity-checks the s -> 0+ behavior of the closed form: H vanishes
     linearly, so 0 < H(1e-3) <= 5e-4, and a RuntimeError is raised if not."""
+    _check_urn_weighted(pmf, n)
     scale = n * (n - 1 + pmf.params.theta_fraction)
-    residual = _closed_form_residual(n, n - 1, pmf, scale)
     h_small = transition_closed_form(n, n - 1, Fraction(1, 1000), pmf.params) / scale
     if not 0 < h_small <= 5e-4:
         raise RuntimeError(f"H(1e-3) = {h_small} outside (0, 5e-4]")
-    return residual
+    closed = [transition_closed_form(n, r, pmf.t, pmf.params) for r in range(n + 1)]
+    with _series_context(pmf.working_digits):
+        row = [_transition_entry(pmf, n, r) for r in range(n + 1)]
+        one_death = abs(float(row[n - 1] / _dec(scale)) - closed[n - 1] / scale)
+    survival = abs(float(row[n]) - closed[n])
+    worst = max(abs(float(a) - b) for a, b in zip(row, closed))
+    return survival, one_death, worst
+
+
+def check_survival_identity(n: int, pmf: DeathPmf) -> float:
+    """The survival residual of ``check_transition_row``."""
+    return check_transition_row(n, pmf)[0]
+
+
+def check_single_death_identity(n: int, pmf: DeathPmf) -> float:
+    """The one-death residual of ``check_transition_row``, which raises
+    RuntimeError if the closed form's H(1e-3) falls outside (0, 5e-4]."""
+    return check_transition_row(n, pmf)[1]
 
 
 def check_chapman_kolmogorov(r: int, pmf_t: DeathPmf, pmf_s: DeathPmf, pmf_ts: DeathPmf) -> float:

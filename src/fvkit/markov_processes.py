@@ -43,7 +43,7 @@ class Dar1Config:
     base: BaseMeasure
 
     def __post_init__(self):
-        if not self.theta > 0:
+        if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError("theta must be > 0")
 
 
@@ -58,7 +58,7 @@ class MeasureChainConfig:
     trunc: StickTruncation = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if not self.theta > 0:
+        if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError("theta must be > 0")
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -76,7 +76,7 @@ class FvConfig:
     trunc: StickTruncation = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if not self.theta > 0:
+        if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError("theta must be > 0")
         if not self.t > 0:
             raise ValueError("t must be > 0")

@@ -152,7 +152,7 @@ class StickBreakingParams:
     @staticmethod
     def dp(theta) -> "StickBreakingParams":
         th = float(theta)
-        if not th > 0:
+        if not (math.isfinite(th) and th > 0):
             raise ValueError("dp preset requires theta > 0")
         return StickBreakingParams(lambda j: 1.0, lambda j: th)
 
@@ -161,7 +161,7 @@ class StickBreakingParams:
         sg, th = float(sigma), float(theta)
         if not 0 <= sg < 1:
             raise ValueError("poisson_dirichlet preset requires 0 <= sigma < 1")
-        if not th > -sg:
+        if not (math.isfinite(th) and th > -sg):
             raise ValueError("poisson_dirichlet preset requires theta > -sigma")
         if sg == 0 and not th > 0:
             raise ValueError("sigma = 0 degenerates to dp and needs theta > 0")
@@ -478,7 +478,7 @@ class DirichletPosterior:
     atoms: tuple
 
     def __post_init__(self):
-        if not self.theta > 0:
+        if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError("theta must be > 0")
         if self.base.kind == "discrete":
             # a discrete atom's id is its index into the base

@@ -180,18 +180,14 @@ def _death_theta_rows(theta, svals, n_max, r_max, ck_pairs, ineq_ts, prec, outer
         rows.append(VerifyRow("pmf-normalization", f"theta={theta},t={s}",
                               "residual", gap, tol10))
         pmf_s = inner(theta, s)
+        whole_rows = []
         for n in range(1, n_max + 1):
             at = f"n={n},theta={theta},s={s}"
-            ra = dp.check_survival_identity(n, pmf_s)
+            ra, rb, worst = dp.check_transition_row(n, pmf_s)
             rows.append(VerifyRow("survival-identity", at, "residual", ra, tol10))
-            rb = dp.check_single_death_identity(n, pmf_s)
             rows.append(VerifyRow("single-death-identity", at, "residual", rb, tol10))
-        for n in range(1, n_max + 1):
-            series = dp.transition_given_n(n, pmf_s)
-            closed = [dp.transition_closed_form(n, r, s, params) for r in range(n + 1)]
-            worst = max(abs(a - b) for a, b in zip(series, closed))
-            rows.append(VerifyRow("transition-vs-closed-form", f"n={n},theta={theta},s={s}",
-                                  "residual", worst, tol10))
+            whole_rows.append(VerifyRow("transition-vs-closed-form", at, "residual", worst, tol10))
+        rows += whole_rows
     for (t, s) in ck_pairs:
         pmfs = [inner(theta, u) for u in (t, s, Fraction(t) + Fraction(s))]
         for r in range(r_max + 1):

@@ -410,6 +410,30 @@ class TestSingleDeathIdentity:
             check_single_death_identity(2, inner(1.0))
 
 
+class TestTransitionRow:
+    @pytest.mark.parametrize("theta", [Fraction(1, 3), Fraction(7, 2)], ids=str)
+    @pytest.mark.parametrize("s", [Fraction(1, 2), 3], ids=str)
+    def test_row_equals_per_entry_formulas(self, theta, s):
+        # the three residuals of one summed row, bit for bit, against each
+        # entry summed on its own: the survival entry, the one-death entry
+        # over n(n-1+theta) in the series context, and the whole row
+        pmf = inner(s, DeathParams(theta))
+        for n in range(1, 11):
+            closed = [transition_closed_form(n, r, s, pmf.params) for r in range(n + 1)]
+            scale = n * (n - 1 + theta)
+            with dp._series_context(pmf.working_digits):
+                row = [dp._transition_entry(pmf, n, r) for r in range(n + 1)]
+                survival = abs(float(dp._transition_entry(pmf, n, n)) - closed[n])
+                one_death = abs(float(dp._transition_entry(pmf, n, n - 1) / dp._dec(scale))
+                                - closed[n - 1] / scale)
+            worst = max(abs(float(a) - b) for a, b in zip(row, closed))
+            assert dp.check_transition_row(n, pmf) == (survival, one_death, worst)
+            assert check_survival_identity(n, pmf) == survival
+            assert check_single_death_identity(n, pmf) == one_death
+            assert transition_given_n(n, pmf) == [float(a) for a in row]
+            assert max(survival, one_death, worst) < TOL10
+
+
 class TestMeanEntryTime:
     @staticmethod
     def tail_integral(a, theta):

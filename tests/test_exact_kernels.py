@@ -15,7 +15,6 @@ from fvkit.combinatorics import binomial, falling_factorial, rising_factorial
 from fvkit import death_process as dp
 from fvkit import markov_processes as mk
 from fvkit.death_process import (
-    CLOSED_FORM_CACHE_SIZE,
     DeathParams,
     PrecisionConfig,
     death_pmf,
@@ -193,20 +192,30 @@ class TestClosedFormEntries:
     GRID = dict(thetas=(Fraction(5, 4),), svals=(0.5, 1.0), n_max=3, r_max=1,
                 ck_pairs=((0.5, 0.5),), ineq_ts=())
 
-    def test_closed_form_one_value_per_entry(self):
-        dp._closed_form_entry.cache_clear()
-        assert verify_death(**self.GRID).ok
-        # the 9 entries (n, r) of n = 1..3 at both times, which the survival
-        # and one-death rows share, and H(1e-3) once per n
-        assert dp._closed_form_entry.cache_info().currsize == 2 * 9 + 3
-        assert dp._closed_form_entry.cache_info().maxsize == CLOSED_FORM_CACHE_SIZE
+    @staticmethod
+    def count_calls(monkeypatch, name, **grid):
+        calls = []
+        exact = getattr(dp, name)
+        monkeypatch.setattr(dp, name, lambda *args: calls.append(args) or exact(*args))
+        assert verify_death(**grid).ok
+        return len(calls)
+
+    def test_closed_form_one_value_per_entry(self, monkeypatch):
+        # the 9 entries (n, r) of n = 1..3 at both times, each computed once
+        # for the survival, one-death and whole-row checks, and H(1e-3) once
+        # per n and time
+        assert self.count_calls(monkeypatch, "_closed_form_entry", **self.GRID) == 2 * 9 + 2 * 3
+
+    def test_verify_death_sums_each_row_once(self, monkeypatch):
+        # the 396 entries of the 72 rows (theta, s, n), each summed once,
+        # and 322 in the Chapman-Kolmogorov sums
+        assert self.count_calls(monkeypatch, "_transition_entry") == 718
 
     def test_death_table_independent_of_cache_state(self):
-        # cold caches, warm caches, and after a call at other digits: only
-        # the two closed-form memos outlive a call, and they hold values of
-        # their integer arguments alone
-        for cached in (dp._closed_form_entry, dp._exp_fixed):
-            cached.cache_clear()
+        # a cold cache, a warm cache, and after a call at other digits: the
+        # decay memo outlives a call, and it holds values of its integer
+        # arguments alone
+        dp._exp_fixed.cache_clear()
         cold = verify_death().table_rows()
         assert verify_death().table_rows() == cold
         verify_death(prec=PrecisionConfig(working_digits=70))

@@ -37,6 +37,21 @@ DB = DiscreteBase(weights=(0.1, 0.2, 0.3, 0.4))
 A = Interval(0.0, 0.5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda th: Dar1Config(th, UB),
+    lambda th: MeasureChainConfig(th, UB, 2),
+    lambda th: FvConfig(th, UB, 0.5),
+    lambda th: rm.posterior(th, UB, []),
+    lambda th: rm.StickBreakingParams.dp(th),
+    lambda th: rm.StickBreakingParams.poisson_dirichlet(0.5, th),
+], ids=["dar1", "measure-chain", "fv", "posterior", "dp", "poisson-dirichlet"])
+def test_infinite_theta_rejected_at_construction(build):
+    # at theta = inf a chain never redraws and every stick weight is 0, and
+    # the chain configs would fail only at their first stick budget
+    with pytest.raises(ValueError, match="theta"):
+        build(math.inf)
+
+
 class TestDar1:
     def test_detailed_balance_zero(self, rng):
         # a reversible chain carries no net flow around any cycle

@@ -57,3 +57,25 @@ def test_no_rng_defaults_to_none():
             found += [f"{p.name}:{node.lineno}" for arg, d in pairs
                       if arg.arg == "rng" and isinstance(d, ast.Constant) and d.value is None]
     assert not found, f"rng defaults to None in src/fvkit: {found}"
+
+
+def test_memos_that_outlive_a_call_are_declared():
+    # a decorated or module-level memo keeps its values across calls, so a
+    # result could depend on what ran before it: each one is named here, and
+    # a new one has to be added on purpose (a memo built inside a call, like
+    # verify_death's pmfs, is dropped with it)
+    def is_memo(node):
+        while isinstance(node, ast.Call):  # lru_cache(maxsize=k)(f) too
+            node = node.func
+        return getattr(node, "attr", getattr(node, "id", None)) in ("cache", "lru_cache")
+
+    found = []
+    for p in sorted(Path(fvkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(p.read_text(), str(p))
+        found += [f"{p.stem}.{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and any(map(is_memo, node.decorator_list))]
+        found += [f"{p.stem}:{node.lineno}" for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and isinstance(node.value, ast.Call) and is_memo(node.value)]
+    assert sorted(found) == ["combinatorics._stirling_row", "death_process._exp_fixed"]
