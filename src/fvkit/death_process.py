@@ -639,59 +639,20 @@ def mean_entry_time(n0: int, theta: float) -> float:
     return float(total)
 
 
-def _hold_rates(theta: float, hi: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    # holding-time columns for states hi down to lo, in jump order
+def _hold_rates(theta: float, hi: int, lo: int) -> np.ndarray:
+    # holding-time rates for states hi down to lo, in jump order
     states = np.arange(hi, lo - 1, -1)
-    return states, 0.5 * states * (states - 1 + theta)
+    return 0.5 * states * (states - 1 + theta)
 
 
-# How the oracle counts jumps without a full running sum.  A row's exact
-# count is the number of its prefixes P_j <= t, P_j from a sequential float
-# cumsum of the holding times; the doubled start compares fl(P_j + H) with
-# t_hi instead, H being the high segment's cumsum total, and adds the count
-# of high prefixes <= t_hi.  The kernel forms stand-ins:
-#   A    a row sum over all but the last _MC_TAIL columns (the head),
-#   Q_j  fl(A + cumsum_j), the cumsum taken over the last columns only,
-#   B    a row sum of the high segment, and fl(Q_j + B) and fl(A + B).
-# Each exact prefix and its stand-in are float sums of the same N
-# nonnegative terms in two orders, so each lies within gamma*S of their true
-# sum S, gamma = N*u/(1 - N*u), u = 2**-53 (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2nd ed. 2002, sec. 4.2).  They differ by at most
-# 2*gamma*S, and S <= a/(1 - gamma) for the stand-in a, so
-#   a <= lo  gives  exact <= lo * (1 + gamma)/(1 - gamma) <= lo * (1 + 2.1*gamma),
-#   a > hi   gives  exact >= a * (1 - 3*gamma)/(1 - gamma) > hi * (1 - 2.1*gamma),
-# while gamma <= 0.01, which holds for N below 9e13.  _decision_band sets
-# lo = fl(t - m) and hi = fl(t + m) with m = fl(t * 4*gamma) >= 3.9*gamma*t
-# after the rounding of gamma and of the product (m is floored at the
-# smallest normal float, below which the product loses relative accuracy).
-# With u <= gamma,
-#   lo * (1 + 2.1*gamma) <= t * (1 - 3.9*gamma)(1 + u)(1 + 2.1*gamma) < t,
-#   hi * (1 - 2.1*gamma) >= t * (1 + 3.9*gamma)(1 - u)(1 - 2.1*gamma) > t,
-# so a stand-in outside (lo, hi] compares with t as its exact prefix does.
-# A float cumsum of nonnegative terms is monotone, so one head total <= lo
-# settles every head prefix, and for the doubled start every high prefix
-# too, each being at most H <= fl(P_head + H).  A row whose head total
-# exceeds lo (its crossing lies in the head) or with a stand-in inside
-# (lo, hi] is recounted from the exact expressions.  With at most _MC_TAIL
-# columns (n0 = 3, say) the head is empty, A = 0 and the tail is the row.
+# A row's count is the number of its prefixes <= t, each prefix read as the
+# row sum of all but the last _MC_TAIL holding times (the head) plus a
+# running sum over those last ones; the doubled start adds the row sum of
+# its high segment.  A row whose head total already exceeds t in either run
+# crosses before the last _MC_TAIL states, and both its counts are taken
+# from the full running sum instead.  With at most _MC_TAIL columns
+# (n0 = 3, say) the head is empty and the tail is the whole row.
 _MC_TAIL = 64
-
-
-def _decision_band(t: float, terms: int) -> tuple[float, float]:
-    """(lo, hi) around t: a sum of ``terms`` nonnegative floats that lies
-    outside (lo, hi] compares with t as every other order of that sum does."""
-    u = np.finfo(float).eps / 2
-    gamma = terms * u / (1 - terms * u)
-    m = max(t * (4 * gamma), np.finfo(float).tiny)
-    return t - m, t + m
-
-
-def _banded_jumps(head_total, tail, head: int, band: tuple[float, float]):
-    """Jumps per row read off the stand-in sums, and the rows that must be
-    recounted exactly: head total above lo, or a tail sum inside (lo, hi]."""
-    lo, hi = band
-    jumps = head + (tail <= lo).sum(axis=1)
-    return jumps, (head_total > lo) | (jumps != head + (tail <= hi).sum(axis=1))
 
 
 def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
@@ -713,8 +674,8 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
     if reps < 1:
         raise ValueError("reps must be >= 1")
     lowest = 2 if theta == 0 else 1
-    _, rates_low = _hold_rates(theta, n0, lowest)
-    _, rates_high = _hold_rates(theta, 2 * n0, n0 + 1)
+    rates_low = _hold_rates(theta, n0, lowest)
+    rates_high = _hold_rates(theta, 2 * n0, n0 + 1)
     t_low = t - mean_entry_time(n0, theta)
     t_hi = t - mean_entry_time(2 * n0, theta)
     if t_low <= 0:
@@ -726,9 +687,6 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
     nchunks = -(-reps // chunk)
     streams = rng.spawn(2 * nchunks)
     head = max(rates_low.size - _MC_TAIL, 0)
-    terms = rates_low.size + n0  # the most in any prefix
-    low_band = _decision_band(t_low, terms)
-    hi_band = _decision_band(t_hi, terms)
 
     def run_chunk(i):
         # a Generator fills row-major, so drawing a chunk's rows one block at
@@ -743,13 +701,13 @@ def _death_chain_counts(t: float, theta: float, n0: int, reps: int,
             head_sum = hold[:, :head].sum(axis=1)
             tail = np.cumsum(hold[:, head:], axis=1)
             tail += head_sum[:, None]
-            jumps, exact = _banded_jumps(head_sum, tail, head, low_band)
+            jumps = head + (tail <= t_low).sum(axis=1)
             hold_hi = streams[nchunks + i].standard_exponential((rows, rates_high.size))
             hold_hi /= rates_high
             high_sum = hold_hi.sum(axis=1)
             tail += high_sum[:, None]
-            jumps_hi, exact_hi = _banded_jumps(head_sum + high_sum, tail, n0 + head, hi_band)
-            exact |= exact_hi
+            jumps_hi = n0 + head + (tail <= t_hi).sum(axis=1)
+            exact = (head_sum > t_low) | (head_sum + high_sum > t_hi)
             if exact.any():
                 reach = np.cumsum(hold[exact], axis=1)
                 jumps[exact] = (reach <= t_low).sum(axis=1)

@@ -172,8 +172,8 @@ class StickBreakingParams:
         a, b = self.alpha(js), self.beta(js)
         ab = np.empty((2, count))
         ab[0], ab[1] = a, b  # broadcasts a scalar
-        if ab.min() <= 0:
-            raise ValueError("alpha_j and beta_j must be > 0")
+        if ab.min() <= 0 or not np.isfinite(ab).all():
+            raise ValueError("alpha_j and beta_j must be finite and > 0")
         return ab[0], ab[1]
 
 

@@ -283,7 +283,7 @@ def test_hold_rate_off_by_one(monkeypatch):
 
     def shifted(theta, hi, lo):
         states = np.arange(hi, lo - 1, -1)
-        return states, 0.5 * states * (states + theta)
+        return 0.5 * states * (states + theta)
 
     monkeypatch.setattr(dp, "_hold_rates", shifted)
     report = _death_with_oracle()

@@ -58,8 +58,8 @@ def _oracle(t, theta, n0, reps):
 
 def _whole_chunk_counts(t, theta, n0, reps, paired):
     # the oracle with one (rows, states) draw per chunk substream
-    _, rates = dp._hold_rates(theta, n0, 2 if theta == 0 else 1)
-    _, rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
+    rates = dp._hold_rates(theta, n0, 2 if theta == 0 else 1)
+    rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
     t_low = t - dp.mean_entry_time(n0, theta)
     t_hi = t - dp.mean_entry_time(2 * n0, theta)
     chunk = max(1, dp._MC_CHUNK_TARGET // (2 * n0 if paired else n0))
@@ -91,8 +91,8 @@ def _assert_matches_serial_and_whole_chunks(monkeypatch, case):
 # (t, theta, n0, reps), each a paired run from n0 and 2*n0.  At n0 = 5000 a
 # chunk is 500 rows, not a multiple of the 256-row block; 2500 reps fill five
 # chunks and 1300 end in a part chunk.  The oracle reads most counts off a
-# head row sum and a 64-column tail and recounts the rows near its decision
-# margin: (1, 1, 500, 20000) is the benchmark's oracle; at t = 0.02 from 500
+# head row sum and a 64-column tail and recounts the rows whose head total
+# exceeds t: (1, 1, 500, 20000) is the benchmark's oracle; at t = 0.02 from 500
 # the state is about 100, so every row's crossing lies in the head and every
 # row is recounted; at n0 = 70 the head is six columns; at n0 = 3 the tail
 # is the whole row.
@@ -114,30 +114,38 @@ def test_oracle_counts_match_serial_and_whole_chunks(monkeypatch, case):
 
 @pytest.mark.parametrize("tie", ["plain", "doubled", "doubled-high"])
 def test_oracle_counts_at_exact_ties(monkeypatch, tie):
-    # t is one of the exact sums the oracle compares with t, read off row 0
-    # of the first chunk: a plain prefix, a doubled-start prefix (low prefix
-    # plus the high total) or a prefix inside the doubled start's high
-    # segment.  The first two are tail prefixes whose stand-in (head row sum
-    # plus tail cumsum, plus the high row sum) rounds above them, so a count
-    # read off the stand-in alone would miss the tie.  With no entry-time
-    # discount both starts compare with t itself.
+    # t is one of the sums the oracle compares with t, read off row 0 of the
+    # first chunk.  With no entry-time discount both starts compare with t
+    # itself.
     monkeypatch.setattr(dp, "mean_entry_time", lambda n0, theta: 0.0)
-    theta, n0, reps = 1.0, 300, 600
+    theta, n0 = 1.0, 300
     # the first chunk's substreams: the low states from the first, the
     # doubled start's high segment from the second
     streams = np.random.default_rng(5).spawn(2)
-    _, rates = dp._hold_rates(theta, n0, 1)
-    _, rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
-    hold = streams[0].standard_exponential(rates.size) / rates
-    hold_hi = streams[1].standard_exponential(rates_hi.size) / rates_hi
-    reach, reach_hi = np.cumsum(hold), np.cumsum(hold_hi)
+    rates = dp._hold_rates(theta, n0, 1)
+    rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
+    hold = streams[0].standard_exponential((1, rates.size)) / rates
+    hold_hi = streams[1].standard_exponential((1, rates_hi.size)) / rates_hi
+    if tie == "doubled-high":
+        # a prefix inside the doubled start's high segment: the row's head
+        # total exceeds t, so its counts come from the full running sum
+        t = np.cumsum(hold_hi)[n0 // 2]
+        _assert_matches_serial_and_whole_chunks(monkeypatch, (float(t), theta, n0, 600))
+        return
+    # a count's own sum: the head row sum plus a tail prefix, plus for the
+    # doubled start the high row sum.  The last prefix whose sequential
+    # running sum rounds above it is one a count from the full running sum
+    # would miss; the oracle's count takes it, since it compares with <=
     head = rates.size - dp._MC_TAIL
-    stand_in = hold[:head].sum() + np.cumsum(hold[head:])
-    exact, near = reach[head:], stand_in
+    two_part = hold[:, :head].sum(axis=1)[:, None] + np.cumsum(hold[:, head:], axis=1)
+    sequential = np.cumsum(hold, axis=1)[:, head:]
     if tie == "doubled":
-        exact, near = exact + reach_hi[-1], near + hold_hi.sum()
-    t = exact[np.flatnonzero(near > exact)[-1]] if tie != "doubled-high" else reach_hi[n0 // 2]
-    _assert_matches_serial_and_whole_chunks(monkeypatch, (float(t), theta, n0, reps))
+        two_part += hold_hi.sum(axis=1)[:, None]
+        sequential += np.cumsum(hold_hi, axis=1)[:, -1:]
+    j = np.flatnonzero(two_part[0] < sequential[0])[-1]
+    counts = _oracle(float(two_part[0, j]), theta, n0, 1)[tie == "doubled"]
+    # either start is then in state n0 - head - j - 1
+    assert counts[n0 - head - j - 1] == 1
 
 
 _A = rm.Interval(0.0, 0.5)
