@@ -17,12 +17,12 @@ from .random_measures import (
     DEFAULT_TRUNCATION,
     BaseMeasure,
     DiscreteBase,
-    DiscreteMeasure,
     MeasureRows,
     Point,
     StickTruncation,
     TestSet,
     UniformBase,
+    _check_theta,
     _dirichlet_rows,
     _draw_atoms,
     _members,
@@ -43,8 +43,7 @@ class Dar1Config:
     base: BaseMeasure
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta > 0):
-            raise ValueError("theta must be > 0")
+        _check_theta(self.theta)
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ class MeasureChainConfig:
     trunc: StickTruncation = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta > 0):
-            raise ValueError("theta must be > 0")
+        _check_theta(self.theta)
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -76,8 +74,7 @@ class FvConfig:
     trunc: StickTruncation = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta > 0):
-            raise ValueError("theta must be > 0")
+        _check_theta(self.theta)
         if not self.t > 0:
             raise ValueError("t must be > 0")
 
@@ -102,11 +99,12 @@ def _dar1_path(cfg: Dar1Config, steps: int, rng: np.random.Generator):
     return ids[idx], None if xs is None else xs[idx]
 
 
-def _step_rows(rows: MeasureRows, cfg, rng: np.random.Generator) -> MeasureRows:
-    """One step of every row: cfg.n atom draws per row for the measure
-    chain, or for the FV transition a count per row from the death pmf at
-    cfg.t (a count of 0 is a fresh prior draw); the drawn atoms feed one
-    posterior draw per row."""
+def measure_chain_step(rows: MeasureRows, cfg: MeasureChainConfig | FvConfig,
+                       rng: np.random.Generator) -> MeasureRows:
+    """One step of every row of the chain that cfg names: cfg.n atom draws
+    per row for the measure chain, or for the FV transition of duration
+    cfg.t a count per row from the death pmf (a count of 0 is a fresh prior
+    draw); the drawn atoms feed one posterior draw per row."""
     if isinstance(cfg, FvConfig):
         pmf = cfg.death_pmf
         if pmf.residual > 1e-6:
@@ -122,24 +120,9 @@ def _step_rows(rows: MeasureRows, cfg, rng: np.random.Generator) -> MeasureRows:
                            int(rows.ids.max(initial=0)) + 1)
 
 
-def measure_chain_step(mu: DiscreteMeasure, cfg: MeasureChainConfig | FvConfig,
-                       rng: np.random.Generator) -> DiscreteMeasure:
-    """One step of the chain that cfg names: cfg.n atom draws from mu for
-    the measure chain, or for the FV transition of duration cfg.t a count
-    drawn from the death pmf (a count of 0 is a fresh prior draw); the
-    drawn atoms condition one posterior draw.  ``fv_step`` is this
-    function."""
-    return _step_rows(MeasureRows.of(mu), cfg, rng).measure()
-
-
+# fv_step is unused here but stays importable: bench/tracing.py wraps it
+# by name
 fv_step = measure_chain_step
-
-
-def stationary_measure(theta: float, base: BaseMeasure,
-                       trunc: StickTruncation,
-                       rng: np.random.Generator) -> DiscreteMeasure:
-    """A draw from the stationary law: the prior with total mass theta."""
-    return _dirichlet_rows(float(theta), base, 1, trunc, rng).measure()
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +134,8 @@ def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
 
     Returns (trajectory, final state): the trajectory is an array of shape
     (steps, len(observables)), indicator values for the scalar chain and
-    measure masses for the measure-valued chains.  Replayable from the seed.
+    measure masses for the measure-valued chains, whose one row is merged
+    into a measure only for the final state.  Replayable from the seed.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -167,11 +151,11 @@ def run_chain(kind: str, cfg, steps: int, observables: Sequence[TestSet],
             out[:, j] = _members(cfg.base.kind, ids[1:], None if xs is None else xs[1:], A)
         x = Point(int(ids[-1]), float(xs[-1])) if cfg.base.kind == "continuous" else int(ids[-1])
         return out, x
-    mu = stationary_measure(cfg.theta, cfg.base, cfg.trunc, rng)
+    rows = _dirichlet_rows(cfg.theta, cfg.base, 1, cfg.trunc, rng)
     for i in range(steps):
-        mu = measure_chain_step(mu, cfg, rng)
-        out[i] = [mu.mass(A) for A in observables]
-    return out, mu
+        rows = measure_chain_step(rows, cfg, rng)
+        out[i] = [rows.mass(A)[0] for A in observables]
+    return out, rows.measure()
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +189,7 @@ def stationarity_checks(cfg, A: TestSet, reps: int, checkpoints: Sequence[int],
     start = rows.mass(A)
     vals = {}
     for k in range(1, marks[-1] + 1):
-        rows = _step_rows(rows, cfg, rng)
+        rows = measure_chain_step(rows, cfg, rng)
         if k in marks:
             vals[k] = rows.mass(A)
     p = cfg.base.measure(A)
@@ -242,9 +226,9 @@ def fv_chapman_kolmogorov_process_test(cfg: FvConfig, s: float, A: TestSet,
     start = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
     # one config, and so one death pmf, per duration: the second leg is cfg
     # itself when s = cfg.t
-    one = _step_rows(start, replace(cfg, t=cfg.t + s), rng).mass(A)
+    one = measure_chain_step(start, replace(cfg, t=cfg.t + s), rng).mass(A)
     second = cfg if s == cfg.t else replace(cfg, t=s)
-    two = _step_rows(_step_rows(start, cfg, rng), second, rng).mass(A)
+    two = measure_chain_step(measure_chain_step(start, cfg, rng), second, rng).mass(A)
     ks_stat, ks_pvalue = ks_2samp_equal(one, two)
     d2 = (one - one.mean())**2 - (two - two.mean())**2
     return CompositionReport(
@@ -270,7 +254,7 @@ def measure_chain_reversibility_test(cfg: MeasureChainConfig, A: TestSet, reps: 
                                      rng: np.random.Generator) -> ReversibilityReport:
     start = _dirichlet_rows(cfg.theta, cfg.base, reps, cfg.trunc, rng)
     u = start.mass(A)
-    v = _step_rows(start, cfg, rng).mass(A)
+    v = measure_chain_step(start, cfg, rng).mass(A)
     return ReversibilityReport(marginal_ks_pvalue=ks_2samp_equal(u, v)[1],
                                cross_moment=Estimate.mean_of(u * u * v - u * v * v),
                                reps=reps)

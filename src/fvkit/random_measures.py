@@ -38,6 +38,8 @@ class Interval:
     def __post_init__(self):
         if math.isnan(self.lo) or math.isnan(self.hi):
             raise ValueError("interval endpoints must not be NaN")
+        if self.lo > self.hi:
+            raise ValueError("interval needs lo <= hi")
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,13 @@ class DiscreteBase:
 BaseMeasure = Union[UniformBase, DiscreteBase]
 
 
+def _check_theta(theta) -> None:
+    """Refuse a theta that is not finite and > 0: the total mass of a
+    Dirichlet process and the rate of every chain built on one."""
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError("theta must be > 0")
+
+
 # ---------------------------------------------------------------------------
 # stick breaking
 
@@ -152,8 +161,7 @@ class StickBreakingParams:
     @staticmethod
     def dp(theta) -> "StickBreakingParams":
         th = float(theta)
-        if not (math.isfinite(th) and th > 0):
-            raise ValueError("dp preset requires theta > 0")
+        _check_theta(th)
         return StickBreakingParams(lambda j: 1.0, lambda j: th)
 
     @staticmethod
@@ -319,11 +327,7 @@ class DiscreteMeasure:
             raise ValueError("weights + residual must total 1")
 
     def mass(self, A: TestSet) -> float:
-        if isinstance(A, WholeSpace):
-            return 1.0  # atoms plus residual partition the space
-        if isinstance(A, EmptySet):
-            return 0.0
-        return float(self.weights[_members(self.base_kind, self.ids, self.xs, A)].sum())
+        return float(MeasureRows.of(self).mass(A)[0])
 
 
 def _members(base_kind: str, ids: np.ndarray, xs, A: TestSet) -> np.ndarray:
@@ -478,8 +482,7 @@ class DirichletPosterior:
     atoms: tuple
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta > 0):
-            raise ValueError("theta must be > 0")
+        _check_theta(self.theta)
         if self.base.kind == "discrete":
             # a discrete atom's id is its index into the base
             for a in self.atoms:
@@ -607,8 +610,7 @@ def _check_masses(theta, base: BaseMeasure, A: TestSet, reps: int, trunc: StickT
     the masses do not depend on the core count."""
     check_reps(reps)
     theta = float(theta)
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError("theta must be > 0")
+    _check_theta(theta)
     per_row = n_cond + (trunc.k if trunc.k is not None else 1 + theta * -math.log(trunc.eps))
     block = max(1, int(_MASS_BLOCK_CELLS // per_row))
     sizes = [min(block, reps - start) for start in range(0, reps, block)]

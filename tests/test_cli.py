@@ -202,8 +202,9 @@ class TestSimulateCommands:
 
     @pytest.mark.parametrize("args, message", [
         (("--base", "nan,0.5"), "weights must be finite, nonnegative and sum to 1"),
-        (("--observable", "nan:0.5"), "interval endpoints must not be NaN")],
-        ids=["base", "observable"])
+        (("--observable", "nan:0.5"), "interval endpoints must not be NaN"),
+        (("--observable", "0.5:0.2"), "interval needs lo <= hi")],
+        ids=["base", "observable", "reversed-observable"])
     def test_nan_rejected(self, args, message):
         r = run_cli("simulate", "dar1", "--theta", "1", *args, "--steps", "5")
         assert r.returncode == 2

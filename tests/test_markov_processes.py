@@ -19,7 +19,6 @@ from fvkit.markov_processes import (
     measure_chain_step,
     run_chain,
     stationarity_checks,
-    stationary_measure,
 )
 from fvkit.random_measures import (
     DEFAULT_TRUNCATION,
@@ -37,6 +36,19 @@ DB = DiscreteBase(weights=(0.1, 0.2, 0.3, 0.4))
 A = Interval(0.0, 0.5)
 
 
+def _copies(mu, k):
+    """k rows, each a copy of the measure mu."""
+    m = mu.ids.size
+    return rm.MeasureRows(mu.base_kind, np.tile(mu.ids, k),
+                          None if mu.xs is None else np.tile(mu.xs, k), np.tile(mu.weights, k),
+                          np.arange(0, m * k + 1, m), np.full(k, mu.residual))
+
+
+def _stationary(k, rng):
+    """k rows drawn from the stationary law of the theta = 1 chains on UB."""
+    return rm._dirichlet_rows(1.0, UB, k, DEFAULT_TRUNCATION, rng)
+
+
 @pytest.mark.parametrize("build", [
     lambda th: Dar1Config(th, UB),
     lambda th: MeasureChainConfig(th, UB, 2),
@@ -47,8 +59,9 @@ A = Interval(0.0, 0.5)
 ], ids=["dar1", "measure-chain", "fv", "posterior", "dp", "poisson-dirichlet"])
 def test_infinite_theta_rejected_at_construction(build):
     # at theta = inf a chain never redraws and every stick weight is 0, and
-    # the chain configs would fail only at their first stick budget
-    with pytest.raises(ValueError, match="theta"):
+    # the chain configs would fail only at their first stick budget; all but
+    # the Poisson-Dirichlet preset, whose theta may be negative, share one rule
+    with pytest.raises(ValueError, match="theta must be > 0|theta > -sigma"):
         build(math.inf)
 
 
@@ -92,8 +105,7 @@ class TestDar1:
 class TestMeasureChain:
     def test_single_observation_specialization(self, rng):
         cfg = MeasureChainConfig(1.0, UB, 1)
-        mu = stationary_measure(1.0, UB, cfg.trunc, rng)
-        nxt = measure_chain_step(mu, cfg, rng)
+        nxt = measure_chain_step(_stationary(1, rng), cfg, rng).measure()
         assert abs(nxt.weights.sum() + nxt.residual - 1) < 1e-12
 
     def test_stationary_moments_one_step(self):
@@ -117,34 +129,31 @@ class TestFvStep:
                              np.array([0.05]), np.array([1.0]), 0.0)
         hi = DiscreteMeasure("continuous", np.array([10**12 + 1], dtype=np.int64),
                              np.array([0.95]), np.array([1.0]), 0.0)
-        a = np.array([fv_step(lo, cfg, rng).mass(A) for _ in range(1500)])
-        b = np.array([fv_step(hi, cfg, rng).mass(A) for _ in range(1500)])
+        a = fv_step(_copies(lo, 1500), cfg, rng).mass(A)
+        b = fv_step(_copies(hi, 1500), cfg, rng).mass(A)
         assert stats.ks_2samp(a, b).pvalue > 1e-3
 
     def test_more_conditioning_tracks_input_closer(self, rng):
         # a count of 0 is a fresh prior draw; larger counts hold more of mu
-        mu = stationary_measure(1.0, UB, DEFAULT_TRUNCATION, rng)
+        mu = _stationary(1, rng).measure()
         target = mu.mass(A)
-        draw = {0: lambda: stationary_measure(1.0, UB, DEFAULT_TRUNCATION, rng)}
+        draw = {0: lambda: _stationary(1200, rng)}
         for n in (8, 64):
-            draw[n] = lambda cfg=MeasureChainConfig(1.0, UB, n): measure_chain_step(mu, cfg, rng)
+            draw[n] = lambda cfg=MeasureChainConfig(1.0, UB, n): measure_chain_step(
+                _copies(mu, 1200), cfg, rng)
         devs = []
         for n in (0, 8, 64):
-            vals = np.array([draw[n]().mass(A) for _ in range(1200)])
+            vals = draw[n]().mass(A)
             devs.append(np.abs(vals - target).mean())
         assert devs[2] < devs[1] < devs[0]
 
     def test_small_t_concentrates_near_input(self, rng):
         # each config holds its pmf, and building one reads no random stream
         small, large = FvConfig(1.0, UB, 0.05), FvConfig(1.0, UB, 5.0)
-        mu = stationary_measure(1.0, UB, DEFAULT_TRUNCATION, rng)
+        mu = _stationary(1, rng).measure()
         target = mu.mass(A)
-        dev_small = np.abs(np.array(
-            [fv_step(mu, small, rng).mass(A) for _ in range(400)]
-        ) - target).mean()
-        dev_large = np.abs(np.array(
-            [fv_step(mu, large, rng).mass(A) for _ in range(400)]
-        ) - target).mean()
+        dev_small = np.abs(fv_step(_copies(mu, 400), small, rng).mass(A) - target).mean()
+        dev_large = np.abs(fv_step(_copies(mu, 400), large, rng).mass(A) - target).mean()
         assert dev_small < dev_large
 
     def test_stationary_moments(self):
@@ -154,14 +163,21 @@ class TestFvStep:
 
 
 class TestRunChain:
-    def test_steps_one_equals_single_step(self):
-        cfg = FvConfig(1.0, UB, 1.0)
-        traj, _ = run_chain("fv", cfg, 1, [A], np.random.default_rng(3))
-        rng2 = np.random.default_rng(3)
-        mu = stationary_measure(1.0, UB, cfg.trunc, rng2)
-        val = fv_step(mu, cfg, rng2).mass(A)
-        assert traj.shape == (1, 1)
-        assert traj[0, 0] == val
+    def test_steps_one_row_and_merges_once(self):
+        # the chain is one unmerged row, stepped by hand here at the same seed
+        cfg, obs = FvConfig(1.0, UB, 1.0), [A, Interval(0.5, 1.0)]
+        traj, final = run_chain("fv", cfg, 3, obs, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        rows = rm._dirichlet_rows(cfg.theta, cfg.base, 1, cfg.trunc, rng)
+        for i in range(3):
+            rows = measure_chain_step(rows, cfg, rng)
+            assert traj[i].tolist() == [rows.mass(B)[0] for B in obs]
+        assert traj.shape == (3, 2)
+        want = rows.measure()
+        for got, exp in ((final.ids, want.ids), (final.xs, want.xs),
+                         (final.weights, want.weights)):
+            assert np.array_equal(got, exp)
+        assert final.residual == want.residual
 
     def test_lengths_and_determinism(self):
         cfg = MeasureChainConfig(1.0, UB, 2)
@@ -244,9 +260,9 @@ class TestReversibility:
 class TestRunChainPins:
     """Digests of seeded run_chain trajectories and final measures, at
     float32 (see conftest.portable_digest), recorded with the ragged
-    Dirichlet-process stick kernel and the posterior's conjugate split; the
-    one-row calls of the batched kernel consume the stream the batched
-    harnesses do.  Ids from a continuous base start at 1 in the stationary
+    Dirichlet-process stick kernel and the posterior's conjugate split, and
+    with the chain stepped as one unmerged row that is merged only for the
+    final measure.  Ids from a continuous base start at 1 in the stationary
     draw and continue past the largest id in play at each step."""
 
     BASES = {
@@ -258,12 +274,12 @@ class TestRunChainPins:
     CONFIGS = {"measure-chain": lambda base: MeasureChainConfig(1.0, base, 3),
                "fv": lambda base: FvConfig(1.0, base, 0.5)}
     PINS = {
-        ("measure-chain", "uniform"): "4bf4ac6c5238257e",
-        ("measure-chain", "discrete"): "6d17add539398d45",
-        ("measure-chain", "points"): "cc387f39d1e99859",
-        ("fv", "uniform"): "d3cd94df5745c21c",
-        ("fv", "discrete"): "cecb56c7d209a510",
-        ("fv", "points"): "c0cc5a74110cc355",
+        ("measure-chain", "uniform"): "090cefa83df5560d",
+        ("measure-chain", "discrete"): "b5dc269aa813ab02",
+        ("measure-chain", "points"): "8ee55a1d8736f7d9",
+        ("fv", "uniform"): "a78321102f0f835e",
+        ("fv", "discrete"): "08d31975a998e50e",
+        ("fv", "points"): "759ee3dbb86ca877",
     }
 
     @pytest.mark.parametrize("kind, name", list(PINS))
@@ -328,27 +344,30 @@ class TestBatchedKernel:
     def test_row_mass_matches_merged_measure(self, rng):
         cfg = FvConfig(1.0, UB, 0.3)
         start = rm._dirichlet_rows(cfg.theta, cfg.base, 20, cfg.trunc, rng)
-        for rows in (start, mk._step_rows(start, cfg, rng)):
+        for rows in (start, measure_chain_step(start, cfg, rng)):
             masses = rows.mass(A)
             for i in range(20):
                 assert masses[i] == pytest.approx(rows.measure(i).mass(A), abs=1e-12)
 
     @pytest.mark.parametrize("reps", [10, 300])
     def test_one_kernel_call_per_step(self, reps, monkeypatch):
+        # every harness and run_chain step through measure_chain_step, which
+        # is where bench/tracing.py counts steps
         calls = []
-        step = mk._step_rows
+        step = mk.measure_chain_step
 
         def counted(rows, cfg, rng):
             calls.append(rows.residual.size)
             return step(rows, cfg, rng)
 
-        monkeypatch.setattr(mk, "_step_rows", counted)
+        monkeypatch.setattr(mk, "measure_chain_step", counted)
         cfg = MeasureChainConfig(1.0, UB, 2)
         stationarity_checks(cfg, A, reps, (1, 3), np.random.default_rng(1))
         measure_chain_reversibility_test(cfg, A, reps, np.random.default_rng(2))
         fv_chapman_kolmogorov_process_test(FvConfig(1.0, UB, 0.5), 0.5, A, reps,
                                            np.random.default_rng(3))
-        assert calls == [reps] * (3 + 1 + 3)
+        run_chain("fv", FvConfig(1.0, UB, 0.5), 4, [A], np.random.default_rng(4))
+        assert calls == [reps] * (3 + 1 + 3) + [1] * 4
 
     @pytest.mark.parametrize("cfg", [Dar1Config(1.0, UB), None])
     def test_stationarity_rejects_other_configs(self, cfg):

@@ -30,7 +30,6 @@ from fvkit.random_measures import (
     _dirichlet_rows,
 )
 import fvkit.random_measures as rm
-from fvkit.markov_processes import stationary_measure
 
 
 def stick_moment_oracle(theta, base_mass, K=400):
@@ -208,13 +207,11 @@ class TestTruncationAndParams:
         lambda: stick_break(StickBreakingParams.dp(1.0), UniformBase(), DEFAULT_TRUNCATION),
         lambda: sample_posterior(posterior(0.8, DiscreteBase(weights=(0.25, 0.75)), [0]),
                                  DEFAULT_TRUNCATION),
-        lambda: stationary_measure(1.0, UniformBase(), DEFAULT_TRUNCATION),
         lambda: check_mean_identity(1.0, UniformBase(), Interval(0.0, 0.5), 10,
                                     DEFAULT_TRUNCATION),
         lambda: check_mixture_identity(1.0, UniformBase(), Interval(0.0, 0.5),
                                        np.array([0.5, 0.4]), DEFAULT_TRUNCATION),
-    ], ids=["stick_break", "sample_posterior", "stationary_measure", "check_mean_identity",
-            "check_mixture_identity"])
+    ], ids=["stick_break", "sample_posterior", "check_mean_identity", "check_mixture_identity"])
     def test_omitted_rng_is_a_type_error(self, draw):
         # the generator is required, not a None that fails at the first draw
         with pytest.raises(TypeError, match="'rng'"):
@@ -394,6 +391,12 @@ class TestMeasureInvariants:
         for lo, hi in ((math.nan, 0.5), (0.0, math.nan)):
             with pytest.raises(ValueError, match="NaN"):
                 Interval(lo, hi)
+
+    def test_reversed_interval_rejected(self):
+        # [0.5, 0.2) once built and read mass 0 on every measure
+        with pytest.raises(ValueError, match="lo <= hi"):
+            Interval(0.5, 0.2)
+        assert UniformBase().measure(Interval(0.3, 0.3)) == 0.0  # lo == hi is empty
         for weights in ((math.nan, 0.5), (0.5, 0.5, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 DiscreteBase(weights=weights)
@@ -627,7 +630,8 @@ class TestSerialization:
     def test_loaded_ids_do_not_collide_with_fresh_draws(self, rng):
         from fvkit.markov_processes import MeasureChainConfig, measure_chain_step
         mu = self.measure(**{**self.VALID, "ids": [3, 10**9]})
-        nxt = measure_chain_step(mu, MeasureChainConfig(1.0, UniformBase(), 2), rng)
+        nxt = measure_chain_step(rm.MeasureRows.of(mu), MeasureChainConfig(1.0, UniformBase(), 2),
+                                 rng)
         fresh = nxt.ids[~np.isin(nxt.ids, mu.ids)]
         assert fresh.size and fresh.min() > 10**9
 
