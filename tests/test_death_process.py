@@ -9,6 +9,7 @@ import pytest
 
 from conftest import assert_within_se, digest
 from fvkit import death_process as dp
+from fvkit import stats
 from fvkit.death_process import (
     DeathParams,
     DeathPmf,
@@ -27,6 +28,7 @@ from fvkit.death_process import (
     transition_closed_form,
     transition_given_n,
 )
+from fvkit.verify import KS_LEVEL
 
 PREC = PrecisionConfig()
 TOL10 = 10 * PREC.tail_tol
@@ -141,10 +143,11 @@ class TestDeathPmf:
 class TestMcSensitivity:
     # digests of the int64 oracle counts from n0 and 2*n0 at seed 20240817,
     # keyed by (theta, t, n0, reps).  The kernel calls no transcendental
-    # ufunc and its counts are integers, so they need no float32 rounding.
+    # ufunc, the lumps' shape and scale are Python floats, and its counts
+    # are integers, so they need no float32 rounding.
     COUNTS = {
-        (1.0, 1.0, 500, 20_000): ("1592c18fa5aaf707", "1f632bdea7c91232"),
-        (0.0, 0.8, 300, 3_000): ("2b4a80d3a804bc59", "dd5a977d10d13c83"),
+        (1.0, 1.0, 500, 20_000): ("778128960b7414ab", "c2fcb3531e099a8e"),
+        (0.0, 0.8, 300, 3_000): ("4d3fa693b16e64ad", "bb72dd4f31928a9c"),
     }
 
     @pytest.mark.parametrize("key", sorted(COUNTS))
@@ -168,6 +171,130 @@ class TestMcSensitivity:
         for oracle in (mc_death_pmf, mc_death_pmf_sensitivity):
             with pytest.raises(ValueError, match="reps"):
                 oracle(1.0, P1, n0=10, reps=reps, rng=rng)
+
+
+K = dp._MC_TAIL
+
+
+def _lump_law(rates):
+    """The holding time H of these states and its Gamma lump G: mean,
+    sigma, third cumulants (H, G), fourth central moment m4 (the larger),
+    the bound 2 sigma m4**0.5 on E|H - mu|**3 + E|G - mu|**3 and the larger
+    Chernoff tail past 4 mu (for H at s = lambda_min / 2)."""
+    inv = [1 / r for r in rates.tolist()]
+    # the j-th cumulant of a sum of exponentials is (j - 1)! sum 1/lambda**j
+    mu, var, k3, k4 = (math.factorial(j - 1) * math.fsum(x ** j for x in inv)
+                       for j in (1, 2, 3, 4))
+    shape, scale = mu * mu / var, var / mu
+    m4 = 3 * var * var + max(k4, 6 * var * scale ** 2)
+    s = float(rates.min()) / 2
+    tail = max(math.exp(-shape * (3 - math.log(4))),
+               math.exp(-4 * mu * s - math.fsum(math.log1p(-s / r) for r in rates.tolist())))
+    return dict(mu=mu, sigma=math.sqrt(var), k3=(k3, 2 * var * scale), m4=m4,
+                abs3=2 * math.sqrt(var * m4), tail=tail)
+
+
+def _derivative_weights(n, order):
+    # d^order/ds^order P_{K,n}(s) = sum_m c_m P_{K,m}(s) at theta = 1, by the
+    # forward equation P_{K,m}' = lambda_{m+1} P_{K,m+1} - lambda_m P_{K,m}
+    c = {n: 1.0}
+    for _ in range(order):
+        nxt = {}
+        for m, v in c.items():
+            nxt[m] = nxt.get(m, 0.0) - v * rate(m)
+            if m < K:
+                nxt[m + 1] = nxt.get(m + 1, 0.0) + v * rate(m + 1)
+        c = nxt
+    return c
+
+
+def _lump_error_bounds(n0, entries, t=1.0):
+    """The docstring's bound on each of the first entries of the lumped
+    oracle's pmf from n0 (500, or its doubled start 1000) at theta = 1:
+    per lump swapped, M/6 (E|H - mu|**3 + E|G - mu|**3) plus the Taylor
+    remainder's mean beyond 4 mu, plus the other lump's tail beyond its
+    4 mu; and the largest M."""
+    laws = [_lump_law(dp._hold_rates(1.0, 500, K + 1))]
+    if n0 == 1000:
+        laws.append(_lump_law(dp._hold_rates(1.0, 1000, 501)))
+    s0 = Fraction(t - mean_entry_time(n0, 1.0) - 4 * sum(law["mu"] for law in laws))
+    # P(D_s0 >= m | D_0 = K), which bounds P_{K,m}(s) at every s >= s0
+    above = np.cumsum([transition_closed_form(K, m, s0, P1) for m in range(K, -1, -1)])[::-1]
+    bounds, sup3 = [], 0.0
+    for n in range(entries):
+        m3 = sum(abs(c) * above[m] for m, c in _derivative_weights(n, 3).items())
+        g1, g2 = (sum(map(abs, _derivative_weights(n, j).values())) for j in (1, 2))
+        sup3 = max(sup3, m3)
+        bounds.append(sum(
+            m3 / 6 * law["abs3"]
+            + 2 * math.sqrt(law["tail"]) * (2 + g1 * law["sigma"] + g2 * math.sqrt(law["m4"]) / 2)
+            + sum(other["tail"] for other in laws if other is not law)
+            for law in laws))
+    return np.array(bounds), sup3
+
+
+class TestGammaLump:
+    def test_stated_moments(self):
+        low = _lump_law(dp._hold_rates(1.0, 500, K + 1))
+        high = _lump_law(dp._hold_rates(1.0, 1000, 501))
+        assert [f"{x:.4g}" for x in (low["mu"], low["sigma"])] == ["0.02701", "0.002227"]
+        assert [f"{x:.3g}" for x in (low["sigma"] ** 3, *low["k3"], high["sigma"] ** 3)] == [
+            "1.1e-08", "2.87e-09", "1.82e-09", "8.97e-13"]
+        # the oracle's lumps are these laws, the states n0..65 and 2*n0..n0+1
+        lumps = dp._oracle_lumps(1.0, 500, 1.0, 1.0)
+        for (states, shape, scale), law, size in zip(lumps, (low, high), (500 - K, 500)):
+            assert states == size
+            assert shape * scale == pytest.approx(law["mu"], rel=1e-15)
+            assert shape * scale ** 2 == pytest.approx(law["sigma"] ** 2, rel=1e-15)
+
+    @pytest.mark.parametrize("n0, ratio, sup3", [(500, "0.0014", 70), (1000, "0.0015", 73)])
+    def test_stated_bound_below_a_tenth_of_the_se(self, n0, ratio, sup3):
+        # the entries the suite reads: the pmf at t = 1, theta = 1 against
+        # the oracle's 1e6 replicates
+        d = death_pmf(1.0, P1).probs_float
+        bounds, m3 = _lump_error_bounds(n0, d.size)
+        se = np.sqrt(d * (1 - d) / 1e6)
+        assert f"{max(bounds / se):.2g}" == ratio and max(bounds / se) < 0.1
+        assert m3 <= sup3
+        if n0 == 500:
+            assert max(bounds) <= 4.5e-7
+
+    @staticmethod
+    def _full_draw_counts(t, theta, n0, reps, rng, block=2000):
+        # the paired oracle with every holding time drawn and counted off
+        # the full running sum, the doubled start reusing the low states
+        rates = dp._hold_rates(theta, n0, 2 if theta == 0 else 1)
+        rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
+        t_low, t_hi = t - mean_entry_time(n0, theta), t - mean_entry_time(2 * n0, theta)
+        counts, counts_hi = np.zeros(n0 + 1, dtype=np.int64), np.zeros(2 * n0 + 1, dtype=np.int64)
+        for lo in range(0, reps, block):
+            rows = min(block, reps - lo)
+            reach = np.cumsum(rng.standard_exponential((rows, rates.size)) / rates, axis=1)
+            reach_hi = np.cumsum(rng.standard_exponential((rows, rates_hi.size)) / rates_hi,
+                                 axis=1)
+            jumps = (reach_hi <= t_hi).sum(axis=1) + (reach + reach_hi[:, -1:] <= t_hi).sum(axis=1)
+            counts += np.bincount(n0 - (reach <= t_low).sum(axis=1), minlength=n0 + 1)
+            counts_hi += np.bincount(2 * n0 - jumps, minlength=2 * n0 + 1)
+        return counts, counts_hi
+
+    @pytest.mark.parametrize("t, theta, n0", [(1.0, 1.0, 500), (0.8, 0.0, 300)])
+    def test_lumped_against_full_draw(self, t, theta, n0):
+        # two-sample chi-square of each run's counts, lumped oracle against
+        # the full draw, on independent seeds at equal reps
+        reps = 20_000
+        assert dp._oracle_lumps(theta, n0, t, t)[0][0] == n0 - K
+        lumped = _death_chain_counts(t, theta, n0, reps, np.random.default_rng(1))
+        full = self._full_draw_counts(t, theta, n0, reps, np.random.default_rng(2))
+        for a, b in zip(lumped, full, strict=True):
+            # sum (a - b)**2 / (a + b) over the cells with a pooled mean of
+            # at least 5, and the rest pooled into one: Pearson's statistic
+            # of a against that mean m with its deviations scaled by sqrt 2
+            m = (a + b) / 2
+            keep = m >= 5
+            a, m = np.append(a[keep], a[~keep].sum()), np.append(m[keep], m[~keep].sum())
+            if m[-1] == 0:
+                a, m = a[:-1], m[:-1]
+            assert stats.chisquare_pvalue(m + math.sqrt(2) * (a - m), m) > KS_LEVEL
 
 
 class TestSampleDeathCount:

@@ -1,5 +1,6 @@
 """Jobs on several threads give what one thread gives: the oracle's chunks
 and the moment checks' blocks each draw from their own stream."""
+import math
 import threading
 
 import numpy as np
@@ -56,58 +57,68 @@ def _oracle(t, theta, n0, reps):
     return dp._death_chain_counts(t, theta, n0, reps, np.random.default_rng(5))
 
 
-def _whole_chunk_counts(t, theta, n0, reps, paired):
-    # the oracle with one (rows, states) draw per chunk substream
-    rates = dp._hold_rates(theta, n0, 2 if theta == 0 else 1)
-    rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
-    t_low = t - dp.mean_entry_time(n0, theta)
-    t_hi = t - dp.mean_entry_time(2 * n0, theta)
-    chunk = max(1, dp._MC_CHUNK_TARGET // (2 * n0 if paired else n0))
+def _clocks(t, theta, n0):
+    return t - dp.mean_entry_time(n0, theta), t - dp.mean_entry_time(2 * n0, theta)
+
+
+def _whole_chunk_counts(t, theta, n0, reps):
+    # the oracle with one draw per chunk substream: the chunk's Gamma lumps,
+    # then its exact holding times as one (rows, states) array
+    t_low, t_hi = _clocks(t, theta, n0)
+    (split, shape, scale), (split_hi, shape_hi, scale_hi) = dp._oracle_lumps(
+        theta, n0, t_low, t_hi)
+    rates = dp._hold_rates(theta, n0, 2 if theta == 0 else 1)[split:]
+    rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)[split_hi:]
+    chunk = max(1, dp._MC_CHUNK_TARGET // (2 * n0))
     nchunks = -(-reps // chunk)
-    streams = np.random.default_rng(5).spawn(2 * nchunks if paired else nchunks)
+    streams = np.random.default_rng(5).spawn(2 * nchunks)
     counts = np.zeros(n0 + 1, dtype=np.int64)
     counts_hi = np.zeros(2 * n0 + 1, dtype=np.int64)
     for i in range(nchunks):
         c = min(chunk, reps - i * chunk)
-        reach = np.cumsum(streams[i].standard_exponential((c, rates.size)) / rates, axis=1)
-        counts += np.bincount(n0 - (reach <= t_low).sum(axis=1), minlength=n0 + 1)
-        if paired:
-            h_hi = streams[nchunks + i].standard_exponential((c, rates_hi.size)) / rates_hi
-            reach_hi = np.cumsum(h_hi, axis=1)
-            jumps = ((reach_hi <= t_hi).sum(axis=1)
-                     + (reach + reach_hi[:, -1:] <= t_hi).sum(axis=1))
-            counts_hi += np.bincount(2 * n0 - jumps, minlength=2 * n0 + 1)
-    return (counts, counts_hi) if paired else (counts,)
+        low, high = streams[i], streams[nchunks + i]
+        lump = low.standard_gamma(shape, c) * scale
+        lump_hi = high.standard_gamma(shape_hi, c) * scale_hi
+        reach = np.cumsum(low.standard_exponential((c, rates.size)) / rates, axis=1)
+        reach += lump[:, None]
+        counts += np.bincount(n0 - split - (reach <= t_low).sum(axis=1), minlength=n0 + 1)
+        h_hi = high.standard_exponential((c, rates_hi.size)) / rates_hi
+        jumps = (split_hi + split + (np.cumsum(h_hi, axis=1) <= t_hi).sum(axis=1)
+                 + (reach + (lump_hi + h_hi.sum(axis=1))[:, None] <= t_hi).sum(axis=1))
+        counts_hi += np.bincount(2 * n0 - jumps, minlength=2 * n0 + 1)
+    return counts, counts_hi
 
 
-def _assert_matches_serial_and_whole_chunks(monkeypatch, case):
+def _assert_matches_serial_and_whole_chunks(monkeypatch, case, lumped):
+    t, theta, n0, _ = case
+    assert (dp._oracle_lumps(theta, n0, *_clocks(t, theta, n0))[0][0] > 0) == lumped
     threaded, serial = _threaded_and_serial(monkeypatch, lambda: _oracle(*case))
-    for a, b, whole in zip(threaded, serial, _whole_chunk_counts(*case, paired=True),
-                           strict=True):
+    for a, b, whole in zip(threaded, serial, _whole_chunk_counts(*case), strict=True):
         assert np.array_equal(a, b) and np.array_equal(a, whole)
     return threaded
 
 
-# (t, theta, n0, reps), each a paired run from n0 and 2*n0.  At n0 = 5000 a
-# chunk is 500 rows, not a multiple of the 256-row block; 2500 reps fill five
-# chunks and 1300 end in a part chunk.  The oracle reads most counts off a
-# head row sum and a 64-column tail and recounts the rows whose head total
-# exceeds t: (1, 1, 500, 20000) is the benchmark's oracle; at t = 0.02 from 500
-# the state is about 100, so every row's crossing lies in the head and every
-# row is recounted; at n0 = 70 the head is six columns; at n0 = 3 the tail
-# is the whole row.
+# (t, theta, n0, reps, lumped): a paired run from n0 and 2*n0, and whether the
+# Gamma lumps stand in for the states above 64.  A lumped row draws 64 or 63
+# exact holding times, so a block is 1024 or 1040 rows: (1, 1, 500, 20000),
+# the benchmark's oracle, fills four 5000-row chunks, each ending in a part
+# block; at n0 = 5000 a chunk is 500 rows, and 2500 reps fill five chunks
+# and 1300 end in a part chunk; at n0 = 70 the lump holds six states.  The
+# guard sends the rest to the full draw: at t = 0.02 from 500 the lump's
+# mean 0.027 lies past t, and at n0 = 3 no state lies above 64.
 @pytest.mark.parametrize("case", [
-    (0.8, 0.0, 300, 3000),
-    (0.8, 0.0, 70, 3000),
-    (1.0, 1.0, 5000, 2500),
-    (1.0, 4.0, 5000, 1300),
-    (0.7 + dp.mean_entry_time(3, 4.0), 4.0, 3, 1000),
-    (1.0, 1.0, 500, 20_000),
-    (0.02, 1.0, 500, 1000),
-    (0.7 + dp.mean_entry_time(3, 1.0), 1.0, 3, 1000),
+    (0.8, 0.0, 300, 3000, True),
+    (0.8, 0.0, 70, 3000, True),
+    (1.0, 1.0, 5000, 2500, True),
+    (1.0, 4.0, 5000, 1300, True),
+    (0.7 + dp.mean_entry_time(3, 4.0), 4.0, 3, 1000, False),
+    (1.0, 1.0, 500, 20_000, True),
+    (0.02, 1.0, 500, 1000, False),
+    (0.7 + dp.mean_entry_time(3, 1.0), 1.0, 3, 1000, False),
 ])
 def test_oracle_counts_match_serial_and_whole_chunks(monkeypatch, case):
-    threaded = _assert_matches_serial_and_whole_chunks(monkeypatch, case)
+    *case, lumped = case
+    threaded = _assert_matches_serial_and_whole_chunks(monkeypatch, tuple(case), lumped)
     if case[1] == 0:
         assert threaded[0][0] == 0 and threaded[0][1] > 0  # state 1 absorbs
 
@@ -119,33 +130,47 @@ def test_oracle_counts_at_exact_ties(monkeypatch, tie):
     # itself.
     monkeypatch.setattr(dp, "mean_entry_time", lambda n0, theta: 0.0)
     theta, n0 = 1.0, 300
-    # the first chunk's substreams: the low states from the first, the
-    # doubled start's high segment from the second
+    # the first chunk's substreams: the low lump and states from the first,
+    # the doubled start's high segment from the second
     streams = np.random.default_rng(5).spawn(2)
-    rates = dp._hold_rates(theta, n0, 1)
-    rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
-    hold = streams[0].standard_exponential((1, rates.size)) / rates
-    hold_hi = streams[1].standard_exponential((1, rates_hi.size)) / rates_hi
     if tie == "doubled-high":
-        # a prefix inside the doubled start's high segment: the row's head
-        # total exceeds t, so its counts come from the full running sum
-        t = np.cumsum(hold_hi)[n0 // 2]
-        _assert_matches_serial_and_whole_chunks(monkeypatch, (float(t), theta, n0, 600))
+        # a prefix inside the doubled start's high segment, far inside the
+        # lumps' mean: the guard sends the row to the full draw, and its
+        # counts come from the full running sum
+        rates_hi = dp._hold_rates(theta, 2 * n0, n0 + 1)
+        t = float(np.cumsum(streams[1].standard_exponential(rates_hi.size) / rates_hi)[n0 // 2])
+        _assert_matches_serial_and_whole_chunks(monkeypatch, (t, theta, n0, 600), lumped=False)
         return
-    # a count's own sum: the head row sum plus a tail prefix, plus for the
-    # doubled start the high row sum.  The last prefix whose sequential
-    # running sum rounds above it is one a count from the full running sum
-    # would miss; the oracle's count takes it, since it compares with <=
-    head = rates.size - dp._MC_TAIL
-    two_part = hold[:, :head].sum(axis=1)[:, None] + np.cumsum(hold[:, head:], axis=1)
-    sequential = np.cumsum(hold, axis=1)[:, head:]
+    (split, shape, scale), (_, shape_hi, scale_hi) = dp._oracle_lumps(theta, n0, 1.0, 1.0)
+    lump = streams[0].standard_gamma(shape, 1) * scale
+    lump_hi = streams[1].standard_gamma(shape_hi, 1) * scale_hi
+    rates = dp._hold_rates(theta, dp._MC_TAIL, 1)
+    hold = streams[0].standard_exponential((1, rates.size)) / rates
+    # a count's own sum: the lump plus a tail prefix, plus for the doubled
+    # start the high lump.  The last prefix whose running sum from the
+    # lumps rounds above it is one a count from that sum would miss; the
+    # oracle's count takes it, since it compares with <=
+    two_part = lump[:, None] + np.cumsum(hold, axis=1)
+    sequential = np.cumsum(np.concatenate([lump[:, None], hold], axis=1), axis=1)[:, 1:]
     if tie == "doubled":
-        two_part += hold_hi.sum(axis=1)[:, None]
-        sequential += np.cumsum(hold_hi, axis=1)[:, -1:]
+        two_part += lump_hi[:, None]
+        sequential = np.cumsum(np.concatenate([lump_hi[:, None], lump[:, None], hold], axis=1),
+                               axis=1)[:, 2:]
     j = np.flatnonzero(two_part[0] < sequential[0])[-1]
-    counts = _oracle(float(two_part[0, j]), theta, n0, 1)[tie == "doubled"]
-    # either start is then in state n0 - head - j - 1
-    assert counts[n0 - head - j - 1] == 1
+    t = float(two_part[0, j])
+    assert dp._oracle_lumps(theta, n0, t, t)[0][0] == split  # the lumps stand in at t
+    counts = _oracle(t, theta, n0, 1)[tie == "doubled"]
+    # either start is then in state 64 - j - 1
+    assert counts[dp._MC_TAIL - j - 1] == 1
+
+
+def test_lump_reaching_t_raises(monkeypatch):
+    # with the guard's constant at infinity the lumps stand in at t = 0.02
+    # from 500, where the lump's mean 0.027 lies past t: the oracle raises
+    # rather than count rows it cannot resolve
+    monkeypatch.setattr(dp, "_MC_LUMP_TAIL", math.inf)
+    with pytest.raises(RuntimeError, match="Gamma lump .* reached t"):
+        _oracle(0.02, 1.0, 500, 1000)
 
 
 _A = rm.Interval(0.0, 0.5)
