@@ -34,12 +34,13 @@ class PrecisionExhaustedError(RuntimeError):
     """Raised when a series cannot be truncated within the requested tolerance.
 
     ``smallest_achievable`` is the tightest absolute tolerance the evaluation
-    could have certified (``inf`` when the decreasing regime was never
-    reached, which happens for very small t at low ``max_terms``).
+    could have certified, as a ``Decimal`` (``Infinity`` when the decreasing
+    regime was never reached, which happens for very small t at low
+    ``max_terms``).
     """
 
-    def __init__(self, message: str, smallest_achievable: float):
-        super().__init__(f"{message} (smallest achievable tolerance: {smallest_achievable:g})")
+    def __init__(self, message: str, smallest_achievable: Decimal):
+        super().__init__(f"{message} (smallest achievable tolerance: {smallest_achievable:.6g})")
         self.smallest_achievable = smallest_achievable
 
 
@@ -66,7 +67,7 @@ class DeathParams:
 @dataclass(frozen=True)
 class PrecisionConfig:
     working_digits: int = 60
-    tail_tol: float = 1e-12
+    tail_tol: Union[float, Decimal] = 1e-12
     max_terms: int = 400
 
     def __post_init__(self):
@@ -88,8 +89,10 @@ class DeathPmf:
     ``probs[n]`` is d_n(t) as a ``decimal.Decimal`` of working_digits +
     ``GUARD_DIGITS`` significant digits; ``term_bounds[n]`` bounds the
     absolute series-truncation error of that entry.  ``residual`` is the
-    mass attributed to n > n_max.  ``clamped`` lists indices whose tiny
-    negative computed values were clamped to zero.
+    mass attributed to n > n_max.  Both are floats for output: past about
+    325 digits a bound below the smallest float reads 0.0 here, but the
+    pmf's stop and clamp tests compare the ``Decimal`` bounds.  ``clamped``
+    lists indices whose tiny negative computed values were clamped to zero.
     """
 
     t: Union[float, Fraction]
@@ -189,8 +192,8 @@ def _gamma_factor(m: int, theta: Fraction, t: Fraction, gamma: dict) -> Decimal:
 def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
                         prec: PrecisionConfig):
     """Sum the alternating series for d_n(t) (n >= 1) or for the n = 0
-    complement sum, returning (value, error_bound) as (Decimal, float),
-    under the caller's ``_series_context``.  ``gamma`` memoizes the factors
+    complement sum, returning (value, error_bound) as Decimals, under the
+    caller's ``_series_context``.  ``gamma`` memoizes the factors
     gamma_m of this (theta, t) by m, for ``_gamma_factor``.
 
     The coefficient is its exact integer ratio converted once, then
@@ -238,9 +241,9 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
                 if round_slack > prec.tail_tol:
                     raise PrecisionExhaustedError(
                         f"cancellation exceeds working precision for n={n}, t={tf}",
-                        smallest_achievable=float(round_slack),
+                        smallest_achievable=round_slack,
                     )
-                return total, float(a) + float(round_slack)
+                return total, a + round_slack
             best_cert = min(best_cert, a)
         total += term
         peak = max(peak, a)
@@ -249,9 +252,9 @@ def _alternating_series(n: int, theta: Fraction, t: Fraction, gamma: dict,
         m += 1
         nterms += 1
     raise PrecisionExhaustedError(
-        f"series for n={n} at t={tf} did not reach tolerance {prec.tail_tol:g} "
+        f"series for n={n} at t={tf} did not reach tolerance {prec.tail_tol:.6g} "
         f"within {prec.max_terms} terms; increase max_terms or tail_tol",
-        smallest_achievable=float(best_cert),
+        smallest_achievable=best_cert,
     )
 
 
@@ -267,44 +270,44 @@ def death_pmf(t, params: DeathParams, prec: PrecisionConfig = PrecisionConfig())
         raise ValueError("t must be > 0")
     tf = Fraction(t)
     theta = params.theta_fraction
+    tail_tol = Decimal(prec.tail_tol)
     probs = []
     bounds = []
     clamped = []
     with _series_context(prec.working_digits):
         gamma = {}
-        mass = Decimal(0)
-        total_bound = 0.0
+        mass = total_bound = Decimal(0)
         for n in range(prec.max_terms):
             if n:
                 p, b = _alternating_series(n, theta, tf, gamma, prec)
             elif params.is_coalescent:
-                p, b = Decimal(0), 0.0
+                p = b = Decimal(0)
             else:  # d_0 is 1 minus the complement series
                 alive, b = _alternating_series(0, theta, tf, gamma, prec)
                 p = 1 - alive
             if p < 0:
-                if float(-p) <= max(b, prec.tail_tol):
+                if -p <= max(b, tail_tol):
                     clamped.append(n)
                     p = Decimal(0)
                 else:
                     raise PrecisionExhaustedError(
-                        f"d_{n}({float(t)}) computed as {float(p):g} < 0, beyond its error bound {b:g}",
-                        smallest_achievable=float(-p),
+                        f"d_{n}({float(t)}) computed as {p:.6g} < 0, beyond its error bound {b:.6g}",
+                        smallest_achievable=-p,
                     )
             probs.append(p)
-            bounds.append(b)
+            bounds.append(float(b))
             mass += p
             total_bound += b
             # the computed mass can sit below 1 - tail_tol by up to the
             # summed per-entry truncation bounds, so the stop condition
             # allows that slack; it still certifies true tail <= tail_tol
-            if n and 1 - float(mass) <= prec.tail_tol + total_bound:
+            if n and 1 - mass <= tail_tol + total_bound:
                 break
         else:
-            shortfall = 1 - float(mass) - total_bound
+            shortfall = 1 - mass - total_bound
             raise PrecisionExhaustedError(
                 f"the first {prec.max_terms} entries of the pmf at t={float(t)} fall "
-                f"{shortfall:g} short of mass 1 beyond their error bounds; "
+                f"{shortfall:.6g} short of mass 1 beyond their error bounds; "
                 "increase max_terms or tail_tol",
                 smallest_achievable=shortfall,
             )
@@ -320,19 +323,19 @@ def death_pmf(t, params: DeathParams, prec: PrecisionConfig = PrecisionConfig())
     )
 
 
-def _tol_floor(digits: int) -> float:
-    # the tightest tail_tol for that many digits, held positive past 333 digits
-    return max(10.0 ** (10 - digits), math.ulp(0.0))
+def _tol_floor(digits: int) -> Decimal:
+    # the tightest tail_tol for that many digits
+    return Decimal(10) ** (10 - digits)
 
 
-def _inner_prec(prec: PrecisionConfig, shrink: float) -> PrecisionConfig:
-    # tighten the series tolerance for use inside weighted sums, raising
-    # the working precision to match so cancellation headroom is preserved
-    extra = min(80, max(0, 2 * math.ceil(-math.log10(shrink)) + 8))
-    digits = prec.working_digits + extra
+def _inner_prec(prec: PrecisionConfig, decades: int) -> PrecisionConfig:
+    # tighten the series tolerance by that many powers of ten for use inside
+    # weighted sums, raising the working precision to match so cancellation
+    # headroom is preserved
+    digits = prec.working_digits + min(80, 2 * decades + 8)
     return PrecisionConfig(
         working_digits=digits,
-        tail_tol=max(prec.tail_tol * shrink, _tol_floor(digits)),
+        tail_tol=max(Decimal(prec.tail_tol).scaleb(-decades), _tol_floor(digits)),
         max_terms=prec.max_terms,
     )
 
@@ -356,7 +359,7 @@ def _inner_pmf(s, params: DeathParams, prec: PrecisionConfig) -> DeathPmf:
     """The pmf {d_m(s)} that the urn-weighted transition sums read, at a
     tail tolerance 1e-4 of the caller's.  The transition functions below
     take it from their caller, who builds it once per time."""
-    return death_pmf(s, params, _inner_prec(prec, 1e-4))
+    return death_pmf(s, params, _inner_prec(prec, 4))
 
 
 def _check_urn_weighted(pmf: DeathPmf, n: int = 1) -> None:
@@ -542,7 +545,7 @@ def check_nonabsorption_bounds(t, params: DeathParams,
         raise ValueError("requires theta > 0")
     theta = params.theta_fraction
     tf = Fraction(t)
-    inner = _inner_prec(prec, 1e-12)
+    inner = _inner_prec(prec, 12)
     floor = _tol_floor(inner.working_digits)
     with _series_context(inner.working_digits):
         lo = _dec(-_death_rate_fraction(1, theta) * tf).exp()
@@ -552,19 +555,17 @@ def check_nonabsorption_bounds(t, params: DeathParams,
         while True:
             alive, bound = _alternating_series(0, theta, tf, gamma,
                                                replace(inner, tail_tol=tol))
-            margin = Decimal(10 * max(bound, 5e-324))
+            margin = 10 * bound
             if lo + margin < alive < hi - margin:
                 return True
             if alive < lo - margin or alive > hi + margin:
                 return False
             # within the margin of an endpoint: unresolved at this depth
             if tol <= floor:
-                smallest = max(bound, 5e-324)  # the margin's floor: a smaller bound rounds to 0
-                where = (f"certifiable resolution at {inner.working_digits} digits" if smallest > 5e-324
-                         else "float floor of the margin, which more digits cannot resolve")
-                raise PrecisionExhaustedError(f"bound gap at t={float(t)} is below the {where}",
-                                              smallest_achievable=smallest)
-            tol = max(tol * 1e-12, floor)
+                raise PrecisionExhaustedError(
+                    f"bound gap at t={float(t)} is below the certifiable resolution at "
+                    f"{inner.working_digits} digits", smallest_achievable=bound)
+            tol = max(tol.scaleb(-12), floor)
 
 
 def sample_death_count(pmf: DeathPmf, rng: np.random.Generator, size: Optional[int] = None):

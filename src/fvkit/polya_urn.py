@@ -4,9 +4,9 @@ sample hits, as closed forms, an exact enumeration of every draw path and a
 vectorized Monte Carlo sampler.
 
 The base measure is nonatomic, so a draw either hits a conditioning atom,
-repeats an earlier draw, or is a fresh value.  The enumeration and the
-sampler follow each draw to the atom it roots at, with no real-number
-equality testing.
+repeats an earlier draw, or is a fresh value.  The enumeration follows
+each draw to the atom it roots at, and the sampler counts the atoms hit and
+the draws rooted at an atom, with no real-number equality testing.
 """
 from __future__ import annotations
 
@@ -211,36 +211,26 @@ def overlap_pmf_montecarlo(m: int, n: int, theta, reps: int,
                            rng: np.random.Generator) -> EmpiricalOverlapPmf:
     """Monte Carlo overlap frequencies with binomial standard errors, for
     instances beyond the enumeration budget.  Vectorized over replicates:
-    each replicate runs the sequential predictive rule, tracking every draw
-    by the conditioning atom it roots at."""
+    each replicate runs the sequential predictive rule on two counts, h the
+    atoms hit and a the draws rooted at an atom.  Draw j + 1 takes one u
+    uniform on [0, theta + n + j); with the unhit atoms ordered first among
+    the atoms, and the atom-rooted draws first among the j earlier draws,
+    it hits a new atom when u < n - h and roots at an atom when u < n + a."""
     theta_f = float(theta)
     _check_urn_args(m, n, theta_f)
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    kmax = min(m, n)
-    counts = np.zeros(kmax + 1, dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(m, 1))
+    counts = np.zeros(min(m, n) + 1, dtype=np.int64)
     done = 0
     while done < reps:
-        c = min(chunk, reps - done)
-        roots = np.empty((c, max(m, 1)), dtype=np.int64)
-        for j in range(1, m + 1):
-            u = rng.random(c) * (theta_f + n + j - 1)
-            col = np.where(u < n, u.astype(np.int64), np.int64(-1))
-            if j > 1:
-                is_rep = (u >= n) & (u < n + j - 1)
-                l = np.clip((u - n).astype(np.int64), 0, j - 2)
-                prev = np.take_along_axis(roots[:, :j - 1], l[:, None], axis=1)[:, 0]
-                col = np.where(is_rep, prev, col)
-            roots[:, j - 1] = col
-        if m == 0:
-            distinct = np.zeros(c, dtype=np.int64)
-        else:
-            s = np.sort(roots[:, :m], axis=1)
-            newval = np.ones_like(s, dtype=bool)
-            newval[:, 1:] = s[:, 1:] != s[:, :-1]
-            distinct = ((s >= 0) & newval).sum(axis=1)
-        counts += np.bincount(distinct, minlength=kmax + 1)[:kmax + 1]
+        c = min(1 << 18, reps - done)  # replicates per chunk: a few arrays of c counts
+        hit = np.zeros(c, dtype=np.int64)
+        rooted = np.zeros(c, dtype=np.int64)
+        for j in range(m):
+            u = rng.random(c) * (theta_f + n + j)
+            hit += u < n - hit
+            rooted += u < n + rooted
+        counts += np.bincount(hit, minlength=counts.size)
         done += c
     probs = counts / reps
     stderr = binomial_se(probs, reps)

@@ -25,8 +25,11 @@ from ._lazy import np
 KS_LEVEL = 1e-3
 SE_BUDGET = 4.0
 # The death rows' residual limits are 10 and 100 times tail_tol, so a looser
-# tail_tol would let them pass a d_1 that is 10 % off
+# tail_tol would let them pass a d_1 that is 10 % off; they sum floats and
+# compare with correctly rounded floats, whose rounding near 1 is 1.1e-16,
+# so a tighter tail_tol would fail them on a correct pmf
 DEATH_TAIL_TOL_MAX = 1e-6
+DEATH_TAIL_TOL_MIN = 1e-16
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,9 @@ def verify_death(thetas=(0.5, 1.0, 4.0), svals=(0.2, 1.0, 5.0), n_max: int = 8,
     if prec.tail_tol > DEATH_TAIL_TOL_MAX:
         raise ValueError(f"verify death needs tail_tol <= {DEATH_TAIL_TOL_MAX:g}: "
                          "its residual limits scale with it")
+    if prec.tail_tol < DEATH_TAIL_TOL_MIN:
+        raise ValueError(f"verify death needs tail_tol >= {DEATH_TAIL_TOL_MIN:g}: "
+                         "its rows are float sums, which round at 1.1e-16 near 1")
     if mc_reps != 0:  # 0 skips the Monte Carlo oracle
         stats.check_reps(mc_reps)
     # every pmf this call reads, built once per (theta, time) and dropped

@@ -304,6 +304,19 @@ class TestVerifyCommand:
         r = run_cli("pmf", "death", "--theta", "1", "--t", "1", "--tail-tol", "0.9")
         assert r.returncode == 0
 
+    def test_tight_tail_tol_refused_by_verify_death_only(self):
+        # its rows sum floats and compare them with correctly rounded floats,
+        # so below their rounding near 1 a correct pmf failed 81 of 276 rows
+        r = run_cli("verify", "death", "--tail-tol", "1e-20", "--digits", "80", timeout=60)
+        assert r.returncode == 2
+        assert r.stderr == ("invalid arguments: verify death needs tail_tol >= 1e-16: "
+                            "its rows are float sums, which round at 1.1e-16 near 1\n")
+        r = run_cli("verify", "death", "--tail-tol", "1e-16", "--digits", "80", timeout=60)
+        assert (r.returncode, r.stderr) == (0, "death: 276/276 checks passed\n")
+        r = run_cli("pmf", "death", "--theta", "1", "--t", "1", "--tail-tol", "1e-20",
+                    "--digits", "80")
+        assert r.returncode == 0
+
     @pytest.mark.parametrize("reps, suite", [("0", "measures"), ("0", "processes"),
                                              ("1", "measures"), ("1", "processes"),
                                              ("1", "death")])  # death's 0 skips the oracle

@@ -71,6 +71,16 @@ class TestDeathPmf:
         pmf = death_pmf(0.5, P1, PREC)
         assert abs(sum(float(p) for p in pmf.probs) + pmf.residual - 1) < TOL10
 
+    @pytest.mark.parametrize("tol", [1e-20, 1e-30])
+    @pytest.mark.parametrize("t", [1, 0.2])
+    def test_tight_tail_tol_certifies_the_mass(self, t, tol):
+        # the stop test reads 1 - mass in Decimal: through a float it could
+        # not see below 1.1e-16, and the pmf stopped 3.6e-17 short of 1
+        pmf = death_pmf(t, P1, PrecisionConfig(working_digits=80, tail_tol=tol))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 100
+            assert 1 - sum(pmf.probs) <= Decimal(tol) + sum(map(Decimal, pmf.term_bounds))
+
     def test_bounds_example(self):
         pmf = death_pmf(1.0, P1, PREC)
         alive = 1 - float(pmf.probs[0])
@@ -655,23 +665,23 @@ class TestNonabsorptionBounds:
             check_nonabsorption_bounds(1.0, DeathParams(0), PREC)
 
     def test_unresolved_gap_past_float_digits(self):
-        # at t = 500 the gap to the upper bound is below any float tolerance;
-        # the deepening stops at a positive floor instead of asking for a
-        # tail_tol of 0, also where 10**(10 - digits) underflows
-        for digits in (200, 400):
-            with pytest.raises(PrecisionExhaustedError, match="float floor of the margin, "
-                               "which more digits cannot resolve") as exc:
+        # at t = 500 the gap to the upper bound is about exp(-1000) = 5e-435;
+        # the deepening stops at the tolerance floor of the inner digits
+        # (the caller's + 32), also where that floor and the series bound
+        # are below the smallest float, and reports the bound it reached
+        for digits in (60, 200, 400):
+            with pytest.raises(PrecisionExhaustedError, match="certifiable resolution at "
+                               f"{digits + 32} digits") as exc:
                 check_nonabsorption_bounds(500.0, P1, PrecisionConfig(working_digits=digits))
-            # the series bound underflows a float there; the report stays positive
-            assert exc.value.smallest_achievable == math.ulp(0.0)
+            assert exc.value.smallest_achievable > 0
             assert "tolerance: 0)" not in str(exc.value)
-        # within float range the gap is unresolved at this many digits only
-        with pytest.raises(PrecisionExhaustedError,
-                           match="certifiable resolution at 92 digits") as exc:
-            check_nonabsorption_bounds(500.0, P1, PrecisionConfig(working_digits=60))
-        assert exc.value.smallest_achievable > math.ulp(0.0)
-        assert dp._inner_prec(PrecisionConfig(working_digits=400, tail_tol=1e-300),
-                              1e-30).tail_tol > 0
+        tol = dp._inner_prec(PrecisionConfig(working_digits=400, tail_tol=1e-300), 30).tail_tol
+        assert 0 < tol < math.ulp(0.0)
+
+    def test_gap_past_float_range_resolves(self):
+        # the margin is 10 series bounds in Decimal, so enough digits
+        # resolve a gap below the float range
+        assert check_nonabsorption_bounds(500.0, P1, PrecisionConfig(working_digits=480))
 
 
 class TestParamsValidation:
@@ -711,4 +721,11 @@ class TestParamsValidation:
         # its residual limits are 10x and 100x tail_tol
         from fvkit.verify import verify_death
         with pytest.raises(ValueError, match="tail_tol <= 1e-06"):
+            verify_death(prec=PrecisionConfig(tail_tol=tol))
+
+    @pytest.mark.parametrize("tol", [9.9e-17, 1e-20])
+    def test_verify_death_refuses_tight_tail_tol(self, tol):
+        # its rows sum floats, which round at 1.1e-16 near 1
+        from fvkit.verify import verify_death
+        with pytest.raises(ValueError, match="tail_tol >= 1e-16"):
             verify_death(prec=PrecisionConfig(tail_tol=tol))

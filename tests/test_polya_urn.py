@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_within_se
+from fvkit.stats import chisquare_pvalue
+from fvkit.verify import KS_LEVEL
 from fvkit.polya_urn import (
     _entry_row,
     _extended_row,
@@ -174,6 +176,20 @@ class TestMonteCarlo:
         # no fresh draws: every draw roots at one of the n atoms
         mc = overlap_pmf_montecarlo(2, 1, 0, 1000, rng)
         assert mc.probs.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("m, n, theta", [(6, 4, 2), (3, 7, Fraction(1, 2)), (5, 2, 0), (0, 3, 1)],
+                             ids=str)
+    def test_counts_match_exact_by_chisquare(self, m, n, theta):
+        # the two counters against the exact pmf, theta = 0 and m = 0 included
+        exact = overlap_pmf_theta0(m, n) if theta == 0 else overlap_pmf_exact(m, n, theta)
+        reps = 100_000
+        expected = np.array([float(p) for p in exact.probs]) * reps
+        mc = overlap_pmf_montecarlo(m, n, theta, reps, np.random.default_rng(7))
+        counts = np.rint(mc.probs * reps)
+        live = expected > 0
+        assert not counts[~live].any()
+        if live.sum() > 1:
+            assert chisquare_pvalue(counts[live], expected[live]) > KS_LEVEL
 
     def test_deterministic(self):
         a = overlap_pmf_montecarlo(6, 4, 2.0, 50_000, np.random.default_rng(9))
